@@ -125,8 +125,7 @@ def closed_loop_spectrum_gate(node, K, lam):
     return linalg.is_invertible(np.eye(node.m) - K @ G, rtol=linalg.RCOND)
 
 
-def _imag_eigs(A, tol):
-    vals = np.linalg.eigvals(np.asarray(A))
+def _imag_eigs(vals, tol):
     return tuple(complex(v) for v in vals if abs(v.real) < tol)
 
 
@@ -145,10 +144,11 @@ def stability_verdict(node, E, kappa):
         syn.scattering_intermediate, require_contraction=False
     )
     Acl = closed.orthonormal[0]
-    tol = _imag_axis_tol(Acl)
-    cl_imag = _imag_eigs(Acl, tol)
-    max_real = linalg.spectral_abscissa(Acl)
-    open_imag = _imag_eigs(node.orthonormal[0], _imag_axis_tol(node.orthonormal[0]))
+    cl_eigs = np.linalg.eigvals(Acl)
+    cl_imag = _imag_eigs(cl_eigs, _imag_axis_tol(Acl))
+    max_real = float(np.max(cl_eigs.real, initial=-np.inf))
+    A = node.orthonormal[0]
+    open_imag = _imag_eigs(np.linalg.eigvals(A), _imag_axis_tol(A))
     if cweak or bweak:
         verdict = StabilityVerdict.STRONGLY_STABLE
     elif cl_imag:

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from passivenode import (
+    BeamParameters,
     StateSpaceNode,
+    beam_model,
     benchimol_conditions,
     closed_loop_spectrum_gate,
     stability_verdict,
     unitary_subspace,
     unobservable_space,
 )
+from passivenode import linalg
 from passivenode.errors import LambdaInOpenLoopSpectrum, NotContraction
 from passivenode.stability import StabilityVerdict, uncontrollable_dual_space
 
@@ -26,6 +29,67 @@ def _augment_dark_mode(node, omega):
     B = np.vstack([node.B, np.zeros((1, node.m))])
     C = np.hstack([node.C, np.zeros((node.p, 1))])
     return StateSpaceNode(A, B, C, node.D)
+
+
+def _hidden_mode_node(seed, n, k):
+    """Passive block of size n - k plus k decoupled, unobserved, unactuated
+    undamped modes (the first two at one repeated frequency), conjugated by a
+    random unitary so no coordinate axis lines up with the hidden modes."""
+    rng = np.random.default_rng(seed)
+    base = random_passive_node(seed, n=n - k)
+    freqs = rng.uniform(0.3, 3.0, size=k)
+    freqs[1:2] = freqs[0]
+    A = np.zeros((n, n), dtype=complex)
+    A[: n - k, : n - k] = base.A
+    A[n - k :, n - k :] = np.diag(1j * freqs)
+    B = np.vstack([base.B, np.zeros((k, base.m))])
+    C = np.hstack([base.C, np.zeros((base.p, k))])
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return StateSpaceNode(U @ A @ U.conj().T, U @ B, C @ U.conj().T, base.D)
+
+
+def _assert_invariant(V, ops):
+    P = np.eye(V.shape[0]) - V @ V.conj().T
+    for op in ops:
+        assert np.linalg.norm(P @ op @ V, 2) <= 1e-8 * (1.0 + np.linalg.norm(op, 2))
+
+
+def test_largest_invariant_in_edge_shapes():
+    A = np.diag([-1.0, -2.0, 1j])
+    assert linalg.largest_invariant_in(np.zeros((0, 0)), [np.zeros((0, 0))]).shape == (0, 0)
+    assert linalg.largest_invariant_in(np.zeros((3, 0)), [A]).shape == (3, 0)
+    # C = 0: ker C is C^n, which every op leaves invariant
+    node = StateSpaceNode(A, np.ones((3, 1)), np.zeros((1, 3)), [[0.0]])
+    assert unobservable_space(node).shape == (3, 3)
+    # a zero op maps everything to 0, which lies in any subspace
+    Q = np.eye(3)[:, :2]
+    V = linalg.largest_invariant_in(Q, [np.zeros((3, 3))])
+    assert V.shape == (3, 2)
+    assert np.linalg.norm(V - Q @ (Q.T @ V)) < 1e-12
+
+
+def test_hidden_mode_subspaces_have_known_dimension():
+    for n, seed in [(6, 0), (9, 1), (14, 2)]:
+        for k in range(1, n // 2 + 1):
+            node = _hidden_mode_node(100 * n + 10 * seed + k, n, k)
+            A, B, C, _ = node.orthonormal
+            N = unobservable_space(node)
+            Nd = uncontrollable_dual_space(node)
+            Xu = unitary_subspace(node)
+            assert (N.shape[1], Nd.shape[1], Xu.shape[1]) == (k, k, k)
+            _assert_invariant(N, [A])
+            _assert_invariant(Nd, [A.conj().T])
+            _assert_invariant(Xu, [A, A.conj().T])
+            assert np.linalg.norm(C @ N, 2) <= 1e-8 * (1.0 + np.linalg.norm(C, 2))
+            assert np.linalg.norm(B.conj().T @ Nd, 2) <= 1e-8 * (1.0 + np.linalg.norm(B, 2))
+
+
+def test_beam_100_modes_strongly_stable_with_trivial_subspaces():
+    node, E = beam_model(BeamParameters(n_modes=100))
+    report, _ = stability_verdict(node, E, 1.0)
+    d = report.as_dict()
+    assert (d["dim_unobservable"], d["dim_uncontrollable_dual"], d["dim_unitary"]) == (0, 0, 0)
+    assert report.verdict is StabilityVerdict.STRONGLY_STABLE
 
 
 def test_unobservable_space_oracle():
