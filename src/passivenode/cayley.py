@@ -25,6 +25,7 @@ from .errors import (
     AlphaNotRightHalfPlane,
     MinusOneEigenvalue,
     NonPositiveAlpha,
+    SingularResolvent,
 )
 from .node import StateSpaceNode
 from .passivity import PassivityCertificate, PassivityKind, Verdict
@@ -44,9 +45,7 @@ class DiscreteSystem:
         if complex(self.alpha).real <= 0:
             raise AlphaNotRightHalfPlane("alpha must have positive real part")
         for name in ("Ad", "Bd", "Cd", "Dd"):
-            M = np.atleast_2d(np.asarray(getattr(self, name), dtype=complex)).copy()
-            M.setflags(write=False)
-            object.__setattr__(self, name, M)
+            object.__setattr__(self, name, linalg.as_matrix(getattr(self, name), name))
         object.__setattr__(self, "alpha", complex(self.alpha))
 
     @property
@@ -71,11 +70,10 @@ def internal_cayley(node, alpha=1.0 + 0.0j):
     alpha = complex(alpha)
     if alpha.real <= 0:
         raise AlphaNotRightHalfPlane(f"alpha = {alpha} must have Re(alpha) > 0")
-    if not node.in_resolvent_set(alpha):
-        raise AlphaInSpectrum(f"alpha = {alpha} is in the spectrum of A")
     A, B, C, D = node.orthonormal
     n = A.shape[0]
-    R = np.linalg.solve(alpha * np.eye(n) - A, np.eye(n))
+    R = linalg.checked_inv(alpha * np.eye(n) - A, AlphaInSpectrum,
+                           f"alpha = {alpha} is in the spectrum of A")
     root = np.sqrt(2.0 * alpha.real)
     Ad = (np.conj(alpha) * np.eye(n) + A) @ R
     Bd = root * (R @ B)
@@ -92,22 +90,23 @@ def inverse_cayley(disc):
     """
     Ad, Bd, Cd, Dd, alpha = disc.Ad, disc.Bd, disc.Cd, disc.Dd, disc.alpha
     n = Ad.shape[0]
-    if not linalg.is_invertible(Ad + np.eye(n), rtol=linalg.RCOND):
-        raise MinusOneEigenvalue("-1 is an eigenvalue of Ad; inverse transform undefined")
-    P = np.linalg.inv(Ad + np.eye(n))
+    P = linalg.checked_inv(Ad + np.eye(n), MinusOneEigenvalue,
+                           "-1 is an eigenvalue of Ad; inverse transform undefined")
     root = np.sqrt(2.0 * alpha.real)
-    A = alpha * np.eye(n) - 2.0 * alpha.real * P
-    aIA = alpha * np.eye(n) - A  # = 2 Re(alpha) (Ad + I)^-1
+    aIA = 2.0 * alpha.real * P  # alpha I - A
+    A = alpha * np.eye(n) - aIA
     B = aIA @ Bd / root
     C = Cd @ aIA / root
-    D = Dd - C @ np.linalg.solve(alpha * np.eye(n) - A, B)
+    # (alpha I - A)^-1 = (Ad + I) / (2 Re alpha)
+    D = Dd - C @ (Ad + np.eye(n)) @ B / (2.0 * alpha.real)
     return StateSpaceNode(A, B, C, D)
 
 
 def discrete_transfer(disc, z):
     """Gd(z) = Cd (zI - Ad)^-1 Bd + Dd."""
-    X = linalg.solve_resolvent(disc.Ad, complex(z), np.asarray(disc.Bd))
-    return disc.Cd @ X + disc.Dd
+    R = linalg.checked_inv(complex(z) * np.eye(disc.n) - disc.Ad, SingularResolvent,
+                           f"z = {z} is in the spectrum of Ad to working precision")
+    return disc.Cd @ (R @ disc.Bd) + disc.Dd
 
 
 def check_discrete_passivity(disc, kind):

@@ -38,17 +38,6 @@ def _emit(doc, out=None):
     sys.stdout.write(text)
 
 
-def _load_matrix_file(path, name="matrix"):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return io.matrix_from_json(data, name)
-
-
 def _complex_arg(text):
     """Parse 're' or 're,im' into a complex number."""
     parts = text.split(",")
@@ -113,7 +102,7 @@ def _cmd_cayley(args):
 
 def _cmd_feedback(args):
     node = io.load_node(args.node)
-    E = _load_matrix_file(args.e_matrix, "E") if args.e_matrix else np.zeros(
+    E = io.load_matrix(args.e_matrix, "E") if args.e_matrix else np.zeros(
         (node.m, node.m), dtype=complex
     )
     syn = stabilizing_feedback(node, E, args.kappa)
@@ -125,7 +114,7 @@ def _cmd_feedback(args):
 
 def _cmd_stability(args):
     node = io.load_node(args.node)
-    E = _load_matrix_file(args.e_matrix, "E") if args.e_matrix else np.zeros(
+    E = io.load_matrix(args.e_matrix, "E") if args.e_matrix else np.zeros(
         (node.m, node.m), dtype=complex
     )
     report, syn = stability.stability_verdict(node, E, args.kappa)
@@ -141,7 +130,7 @@ def _cmd_stability(args):
 
 def _cmd_simulate(args):
     node = io.load_node(args.node)
-    E = _load_matrix_file(args.e_matrix, "E") if args.e_matrix else None
+    E = io.load_matrix(args.e_matrix, "E") if args.e_matrix else None
     if args.adversarial:
         z0, u0, _ = sim.adversarial_input(node, E=E, amplitude=args.amplitude)
         u = lambda t: u0

@@ -9,6 +9,14 @@ class DimensionMismatch(PassiveNodeError):
     """Matrix dimensions are not conformable."""
 
 
+class NonFiniteMatrix(PassiveNodeError):
+    """A matrix holds a NaN or infinite entry."""
+
+
+class InvalidTolerance(PassiveNodeError):
+    """PASSIVE_NODE_TOL is not a finite positive number."""
+
+
 class SingularResolvent(PassiveNodeError):
     """sI - A (or zI - Ad) is singular to working precision."""
 
@@ -99,6 +107,10 @@ class SingularM(PassiveNodeError):
 
 class RootFindingFailure(PassiveNodeError):
     """Bracketed root search for beam mode frequencies failed."""
+
+
+class InvalidTimeGrid(PassiveNodeError):
+    """Simulation needs steps >= 1 and a finite horizon T > 0."""
 
 
 class NonFiniteState(PassiveNodeError):

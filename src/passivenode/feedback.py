@@ -46,10 +46,8 @@ def diagonal_transform(node, k, certify=True):
                 f"node is not impedance passive (min eigenvalue {cert.min_eigenvalue:.3e})"
             )
     m = node.m
-    IkD = np.eye(m) + k * np.asarray(node.D)
-    if not linalg.is_invertible(IkD, rtol=linalg.RCOND):
-        raise SingularIPlusKD("I + k D is singular")
-    IkD_inv = np.linalg.inv(IkD)
+    IkD_inv = linalg.checked_inv(np.eye(m) + k * np.asarray(node.D), SingularIPlusKD,
+                                 "I + k D is singular")
     root = math.sqrt(2.0 * k)
     As = node.A - k * node.B @ IkD_inv @ node.C
     Bs = root * node.B @ IkD_inv
@@ -65,22 +63,19 @@ def output_feedback(node, K):
         A^K = A + B K (I - DK)^-1 C,  B^K = B (I - KD)^-1,
         C^K = (I - DK)^-1 C,          D^K = D (I - KD)^-1.
 
-    Raises SingularIMinusKD when I - KD is singular.
+    Only I - KD is inverted: K (I - DK)^-1 = (I - KD)^-1 K and
+    (I - DK)^-1 = I + D (I - KD)^-1 K.  Raises SingularIMinusKD when
+    I - KD is singular.
     """
-    K = np.atleast_2d(np.asarray(K, dtype=complex))
-    m, p = node.m, node.p
-    if K.shape != (m, p):
-        K = np.broadcast_to(K, (m, p)).copy()
-    IKD = np.eye(m) - K @ np.asarray(node.D)
-    IDK = np.eye(p) - np.asarray(node.D) @ K
-    if not linalg.is_invertible(IKD, rtol=linalg.RCOND):
-        raise SingularIMinusKD("I - K D is singular; feedback inadmissible")
-    IKD_inv = np.linalg.inv(IKD)
-    IDK_inv = np.linalg.inv(IDK)
-    AK = node.A + node.B @ K @ IDK_inv @ node.C
+    K = np.broadcast_to(np.atleast_2d(np.asarray(K, dtype=complex)), (node.m, node.p))
+    D = np.asarray(node.D)
+    IKD_inv = linalg.checked_inv(np.eye(node.m) - K @ D, SingularIMinusKD,
+                                 "I - K D is singular; feedback inadmissible")
+    IKD_inv_K = IKD_inv @ K
+    AK = node.A + node.B @ IKD_inv_K @ node.C
     BK = node.B @ IKD_inv
-    CK = IDK_inv @ node.C
-    DK = node.D @ IKD_inv
+    CK = node.C + D @ IKD_inv_K @ node.C
+    DK = D @ IKD_inv
     return StateSpaceNode(AK, BK, CK, DK, W=None if node.is_identity_weight else node.W,
                           meta=node.meta)
 

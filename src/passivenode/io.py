@@ -80,6 +80,22 @@ def matrix_from_json(data, name, rows=None, cols=None):
     return M
 
 
+def _require(d, what, keys):
+    if not isinstance(d, dict):
+        raise SchemaError(f"{what} document must be a JSON object")
+    for key in keys:
+        if key not in d:
+            raise SchemaError(f"missing required key {key!r}")
+
+
+def _dimensions(d):
+    """The integers d["n"], d["m"], d["p"]; booleans are rejected."""
+    for key in ("n", "m", "p"):
+        if isinstance(d[key], bool) or not isinstance(d[key], int) or d[key] < 0:
+            raise SchemaError(f"{key!r} must be a nonnegative integer")
+    return d["n"], d["m"], d["p"]
+
+
 def node_to_dict(node):
     d = {
         "n": node.n,
@@ -98,15 +114,8 @@ def node_to_dict(node):
 
 
 def node_from_dict(d):
-    if not isinstance(d, dict):
-        raise SchemaError("node document must be a JSON object")
-    for key in ("n", "m", "p", "A", "B", "C", "D"):
-        if key not in d:
-            raise SchemaError(f"missing required key {key!r}")
-    for key in ("n", "m", "p"):
-        if not isinstance(d[key], int) or d[key] < 0:
-            raise SchemaError(f"{key!r} must be a nonnegative integer")
-    n, m, p = d["n"], d["m"], d["p"]
+    _require(d, "node", ("n", "m", "p", "A", "B", "C", "D"))
+    n, m, p = _dimensions(d)
     A = matrix_from_json(d["A"], "A", rows=n, cols=n)
     B = matrix_from_json(d["B"], "B", rows=n, cols=m)
     C = matrix_from_json(d["C"], "C", rows=p, cols=n)
@@ -132,12 +141,8 @@ def discrete_to_dict(disc):
 
 
 def discrete_from_dict(d):
-    if not isinstance(d, dict):
-        raise SchemaError("discrete document must be a JSON object")
-    for key in ("n", "m", "p", "Ad", "Bd", "Cd", "Dd", "alpha"):
-        if key not in d:
-            raise SchemaError(f"missing required key {key!r}")
-    n, m, p = d["n"], d["m"], d["p"]
+    _require(d, "discrete", ("n", "m", "p", "Ad", "Bd", "Cd", "Dd", "alpha"))
+    n, m, p = _dimensions(d)
     alpha = d["alpha"]
     if (not isinstance(alpha, list) or len(alpha) != 2
             or not all(isinstance(v, (int, float)) for v in alpha)):
@@ -165,11 +170,7 @@ def plant_to_dict(plant):
 
 
 def plant_from_dict(d):
-    if not isinstance(d, dict):
-        raise SchemaError("plant document must be a JSON object")
-    for key in ("A0", "M", "C0"):
-        if key not in d:
-            raise SchemaError(f"missing required key {key!r}")
+    _require(d, "plant", ("A0", "M", "C0"))
     return SecondOrderPlant(
         A0=matrix_from_json(d["A0"], "A0"),
         M=matrix_from_json(d["M"], "M"),
@@ -187,6 +188,10 @@ def _load_json(path):
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def load_matrix(path, name="matrix"):
+    return matrix_from_json(_load_json(path), name)
 
 
 def load_node(path):

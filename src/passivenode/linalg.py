@@ -1,5 +1,12 @@
 """Small numerical linear-algebra helpers shared across modules.
 
+Every invertibility decision (s in rho(A), I + kD, I - KD, Ad + I, M) is
+made by :func:`checked_inv`, which forms the inverse once for the caller to
+reuse.  M is singular when LAPACK finds a zero pivot, M^-1 is not finite,
+or RCOND * max(1, ||M||_1) * ||M^-1||_1 >= 1 (sigma_min <= RCOND *
+max(1, sigma_max) in 1-norms, equal up to a factor n).  RCOND is fixed;
+PASSIVE_NODE_TOL does not change it.
+
 All subspace computations return orthonormal bases (columns) and make rank
 decisions by thresholding singular values, so downstream intersection and
 invariant-subspace logic stays robust for the desk-scale problems this
@@ -11,9 +18,9 @@ import os
 
 import numpy as np
 
-from .errors import NotSelfAdjoint, SingularResolvent
+from .errors import DimensionMismatch, InvalidTolerance, NonFiniteMatrix, NotSelfAdjoint
 
-#: singular values below RCOND * sigma_max are treated as zero
+#: M counts as singular when RCOND * max(1, ||M||_1) * ||M^-1||_1 >= 1
 RCOND = 1e-12
 
 #: principal angles closer to zero than this count as a common direction
@@ -21,8 +28,39 @@ SUBSPACE_TOL = 1e-8
 
 
 def base_tol():
-    """Base relative tolerance; PASSIVE_NODE_TOL overrides the default."""
-    return float(os.environ.get("PASSIVE_NODE_TOL", "1e-9"))
+    """Base relative tolerance; PASSIVE_NODE_TOL (finite, > 0) overrides the default."""
+    text = os.environ.get("PASSIVE_NODE_TOL", "1e-9")
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = np.nan
+    if not 0.0 < tol < np.inf:
+        raise InvalidTolerance(f"PASSIVE_NODE_TOL = {text!r} is not a finite number > 0")
+    return tol
+
+
+def as_matrix(M, name):
+    """Read-only 2-D complex copy of M; a NaN or inf entry raises NonFiniteMatrix."""
+    M = np.atleast_2d(np.asarray(M, dtype=complex))
+    if M.ndim != 2:
+        raise DimensionMismatch(f"{name} must be a matrix")
+    if not np.isfinite(M).all():
+        raise NonFiniteMatrix(f"{name} has a non-finite entry")
+    M = M.copy()
+    M.setflags(write=False)
+    return M
+
+
+def checked_inv(M, error, message):
+    """Inverse of the square matrix M; raises error(message) if M is singular."""
+    try:
+        Minv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        raise error(message) from None
+    # "not <" so that a NaN or inf in M^-1 also counts as singular
+    if not RCOND * max(1.0, np.linalg.norm(M, 1)) * np.linalg.norm(Minv, 1) < 1.0:
+        raise error(message)
+    return Minv
 
 
 def psd_tol(form):
@@ -54,30 +92,6 @@ def min_eig_with_vector(M):
     """Smallest eigenvalue and a corresponding unit eigenvector."""
     vals, vecs = np.linalg.eigh(hermitize(M))
     return float(vals[0]), vecs[:, 0]
-
-
-def solve_resolvent(A, s, rhs):
-    """Solve (sI - A) X = rhs, raising SingularResolvent near the spectrum."""
-    n = A.shape[0]
-    M = s * np.eye(n) - A
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] <= RCOND * max(1.0, sv[0]):
-        raise SingularResolvent(f"s = {s} is in the spectrum of A to working precision")
-    return np.linalg.solve(M, rhs)
-
-
-def in_resolvent_set(A, s):
-    """True when sI - A is invertible to working precision."""
-    M = s * np.eye(A.shape[0]) - A
-    sv = np.linalg.svd(M, compute_uv=False)
-    return sv[-1] > RCOND * max(1.0, sv[0])
-
-
-def is_invertible(M, rtol=None):
-    if M.size == 0:
-        return True
-    sv = np.linalg.svd(M, compute_uv=False)
-    return sv[-1] > (rtol or base_tol()) * max(1.0, sv[0])
 
 
 def null_basis(M, rtol=SUBSPACE_TOL):

@@ -20,15 +20,6 @@ from . import linalg
 from .errors import DimensionMismatch, SingularResolvent
 
 
-def _as_matrix(M, name):
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
-    if M.ndim != 2:
-        raise DimensionMismatch(f"{name} must be a matrix")
-    M = M.copy()
-    M.setflags(write=False)
-    return M
-
-
 @dataclass(frozen=True)
 class StateSpaceNode:
     """Realization (A, B, C, D) with state inner-product weight W.
@@ -57,10 +48,10 @@ class StateSpaceNode:
     meta: str = ""
 
     def __post_init__(self):
-        A = _as_matrix(self.A, "A")
-        B = _as_matrix(self.B, "B")
-        C = _as_matrix(self.C, "C")
-        D = _as_matrix(self.D, "D")
+        A = linalg.as_matrix(self.A, "A")
+        B = linalg.as_matrix(self.B, "B")
+        C = linalg.as_matrix(self.C, "C")
+        D = linalg.as_matrix(self.D, "D")
         n = A.shape[0]
         if A.shape != (n, n):
             raise DimensionMismatch("A must be square")
@@ -73,7 +64,7 @@ class StateSpaceNode:
         W = self.W
         if W is None:
             W = np.eye(n, dtype=complex)
-        W = _as_matrix(W, "W")
+        W = linalg.as_matrix(W, "W")
         if W.shape != (n, n):
             raise DimensionMismatch("W must be n x n")
         W = linalg.assert_hermitian(W, "W")
@@ -140,17 +131,15 @@ class StateSpaceNode:
     def spectral_abscissa(self):
         return linalg.spectral_abscissa(self.A)
 
-    def in_resolvent_set(self, s):
-        return linalg.in_resolvent_set(self.A, s)
-
 
 def eval_transfer(node, s):
     """Evaluate G(s) = C (sI - A)^-1 B + D.
 
     Raises SingularResolvent when sI - A is singular to working precision.
     """
-    X = linalg.solve_resolvent(node.A, s, np.asarray(node.B))
-    return node.C @ X + node.D
+    R = linalg.checked_inv(s * np.eye(node.n) - node.A, SingularResolvent,
+                           f"s = {s} is in the spectrum of A to working precision")
+    return node.C @ (R @ node.B) + node.D
 
 
 def dual_node(node):
@@ -193,8 +182,9 @@ def apply_combined_observation(node, x, v, beta=None):
     for attempt in range(4):
         b = beta + attempt
         try:
-            Rv = linalg.solve_resolvent(node.A, b, node.B @ v)
-            return node.C @ (x - Rv) + eval_transfer(node, b) @ v
+            R = linalg.checked_inv(b * np.eye(node.n) - node.A, SingularResolvent, "")
         except SingularResolvent:
             continue
+        RB = R @ node.B
+        return node.C @ (x - RB @ v) + (node.C @ RB + node.D) @ v
     raise SingularResolvent("could not find a resolvent point beta for C&D")

@@ -22,8 +22,8 @@ from .errors import (
     NotSelfAdjointDissipative,
     NotSquare,
     OmegaInSpectrum,
+    SingularResolvent,
 )
-from .node import eval_transfer
 
 DEFAULT_TEST_POINTS = (1.0 + 0.0j, 2.0 + 1.0j, 2.0 - 1.0j, 10.0 + 0.0j)
 
@@ -64,11 +64,6 @@ class PassivityCertificate:
         return d
 
 
-def default_test_points(node, extra=()):
-    pts = [complex(s) for s in DEFAULT_TEST_POINTS] + [complex(s) for s in extra]
-    return tuple(s for s in pts if node.in_resolvent_set(s))
-
-
 def impedance_block_bounded(node):
     """Bounded-triple impedance form [[-A-A*, C*-B], [C-B*, D+D*]] (orthonormal)."""
     A, B, C, D = node.orthonormal
@@ -77,24 +72,26 @@ def impedance_block_bounded(node):
     return linalg.hermitize(np.vstack([top, bot]))
 
 
-def _resolvent_blocks(node, s):
+def _resolvent(node, s, error, what):
+    """(sI - A)^-1 (W-orthonormal) and G(s); raises error if s is not in rho(A)."""
     A, B, C, D = node.orthonormal
-    n = A.shape[0]
-    R = np.linalg.solve(s * np.eye(n) - A, np.eye(n))
+    R = linalg.checked_inv(s * np.eye(node.n) - A, error, f"{what} {s} is in the spectrum of A")
+    return R, C @ (R @ B) + D
+
+
+def _resolvent_blocks(node, s):
+    A, B, C, _ = node.orthonormal
+    R, G = _resolvent(node, s, OmegaInSpectrum, "test point")
     RB = R @ B
     M11 = A + A.conj().T
-    M12 = (s * np.eye(n) + A.conj().T) @ RB
+    M12 = (s * np.eye(node.n) + A.conj().T) @ RB
     M22 = 2.0 * s.real * (RB.conj().T @ RB)
-    G = C @ RB + D
     return A, B, C, G, M11, M12, M22
 
 
 def impedance_form_at(node, s):
     """Impedance test form at a resolvent point s (PSD iff passive)."""
-    s = complex(s)
-    if not node.in_resolvent_set(s):
-        raise OmegaInSpectrum(f"test point {s} is in the spectrum of A")
-    A, B, C, G, M11, M12, M22 = _resolvent_blocks(node, s)
+    A, B, C, G, M11, M12, M22 = _resolvent_blocks(node, complex(s))
     top = np.hstack([-M11, C.conj().T - M12])
     bot = np.hstack([C - M12.conj().T, G + G.conj().T - M22])
     return linalg.hermitize(np.vstack([top, bot]))
@@ -102,14 +99,23 @@ def impedance_form_at(node, s):
 
 def scattering_form_at(node, s):
     """Scattering test form at a resolvent point s (PSD iff passive)."""
-    s = complex(s)
-    if not node.in_resolvent_set(s):
-        raise OmegaInSpectrum(f"test point {s} is in the spectrum of A")
-    A, B, C, G, M11, M12, M22 = _resolvent_blocks(node, s)
+    A, B, C, G, M11, M12, M22 = _resolvent_blocks(node, complex(s))
     m = G.shape[1]
     top = np.hstack([-(M11 + C.conj().T @ C), -(M12 + C.conj().T @ G)])
     bot = np.hstack([-(M12 + C.conj().T @ G).conj().T, np.eye(m) - M22 - G.conj().T @ G])
     return linalg.hermitize(np.vstack([top, bot]))
+
+
+def _point_forms(node, form_at, test_points):
+    """form_at(node, s) at the test points in rho(A); one inverse per point."""
+    pts, forms = [], []
+    for s in map(complex, DEFAULT_TEST_POINTS if test_points is None else test_points):
+        try:
+            forms.append(form_at(node, s))
+        except OmegaInSpectrum:
+            continue
+        pts.append(s)
+    return tuple(pts), forms
 
 
 def _certify(kind, forms, test_points):
@@ -141,22 +147,15 @@ def check_impedance(node, test_points=None):
     """
     if node.p != node.m:
         raise NotSquare("impedance passivity needs p = m")
-    pts = default_test_points(node) if test_points is None else tuple(
-        s for s in map(complex, test_points) if node.in_resolvent_set(s)
-    )
-    forms = [impedance_block_bounded(node)]
-    forms.extend(impedance_form_at(node, s) for s in pts)
-    return _certify(PassivityKind.IMPEDANCE, forms, pts)
+    pts, forms = _point_forms(node, impedance_form_at, test_points)
+    return _certify(PassivityKind.IMPEDANCE, [impedance_block_bounded(node)] + forms, pts)
 
 
 def check_scattering(node, test_points=None):
     """Certify scattering passivity via the resolvent-point test form."""
-    pts = default_test_points(node) if test_points is None else tuple(
-        s for s in map(complex, test_points) if node.in_resolvent_set(s)
-    )
+    pts, forms = _point_forms(node, scattering_form_at, test_points)
     if not pts:
         raise OmegaInSpectrum("no usable test points in rho(A)")
-    forms = [scattering_form_at(node, s) for s in pts]
     return _certify(PassivityKind.SCATTERING, forms, pts)
 
 
@@ -171,29 +170,28 @@ def check_impedance_reciprocal(node, E, omega):
     if node.p != node.m:
         raise NotSquare("impedance passivity needs p = m")
     s = 1j * float(omega)
-    if not node.in_resolvent_set(s):
-        raise OmegaInSpectrum(f"i*omega = {s} is in the spectrum of A")
-    A, B, C, D = node.orthonormal
+    _, B, C, _ = node.orthonormal
     E = linalg.assert_hermitian(E, "E")
-    n = A.shape[0]
-    Aw = A - s * np.eye(n)
-    Ainv = np.linalg.inv(Aw)
-    G = eval_transfer(node, s)
-    top = np.hstack([-Ainv - Ainv.conj().T, Ainv @ B + Ainv.conj().T @ C.conj().T])
-    bot = np.hstack([(Ainv @ B + Ainv.conj().T @ C.conj().T).conj().T,
-                     2.0 * E + G + G.conj().T])
+    R, G = _resolvent(node, s, OmegaInSpectrum, "i*omega =")
+    X = -(R @ B + R.conj().T @ C.conj().T)  # Aw^-1 = -R
+    top = np.hstack([R + R.conj().T, X])
+    bot = np.hstack([X.conj().T, 2.0 * E + G + G.conj().T])
     form = linalg.hermitize(np.vstack([top, bot]))
     return _certify(PassivityKind.IMPEDANCE, [form], (s,))
 
 
 def colocation_residual_at(node, omega):
-    """Residual of B*(iwI + A*)^-1 = C(iwI - A)^-1 (orthonormal coordinates)."""
-    s = 1j * float(omega)
-    A, B, C, _ = node.orthonormal
-    n = A.shape[0]
-    lhs = B.conj().T @ np.linalg.inv(s * np.eye(n) + A.conj().T)
-    rhs = C @ np.linalg.inv(s * np.eye(n) - A)
-    return float(np.linalg.norm(lhs - rhs, 2)), float(np.linalg.norm(rhs, 2))
+    """Residual of B*(iwI + A*)^-1 = C(iwI - A)^-1 (orthonormal coordinates).
+
+    Returns (residual, ||C(iwI - A)^-1||, G(iw)); raises OmegaInSpectrum
+    when iw is in the spectrum of A.
+    """
+    _, B, C, _ = node.orthonormal
+    R, G = _resolvent(node, 1j * float(omega), OmegaInSpectrum, "i*omega =")
+    # (iwI + A*)^-1 = -((iwI - A)^-1)* = -R*
+    lhs = -B.conj().T @ R.conj().T
+    rhs = C @ R
+    return float(np.linalg.norm(lhs - rhs, 2)), float(np.linalg.norm(rhs, 2)), G
 
 
 def minimal_E_colocated_at(node, omega):
@@ -202,15 +200,11 @@ def minimal_E_colocated_at(node, omega):
     Requires iw in rho(A) and the resolvent-colocation identity
     B*(iwI + A*)^-1 = C(iwI - A)^-1 to hold to tolerance.
     """
-    s = 1j * float(omega)
-    if not node.in_resolvent_set(s):
-        raise OmegaInSpectrum(f"i*omega = {s} is in the spectrum of A")
-    resid, scale = colocation_residual_at(node, omega)
+    resid, scale, G = colocation_residual_at(node, omega)
     if resid > 1e-8 * (1.0 + scale):
         raise ASSViolated(
             f"colocation resolvent identity fails at omega={omega} (residual {resid:.2e})"
         )
-    G = eval_transfer(node, s)
     return -linalg.hermitize(G)
 
 
@@ -226,18 +220,17 @@ def minimal_E_esad(node, s=1.0 + 0.0j):
 
     E = -1/2 [G(s) + G(s)*] + 1/2 B*(s̄I - A*)^-1 [2 Re(s) I + Q] (sI - A)^-1 B
     with Q = -(A + A*) >= 0; the value is independent of s in rho(A).
+    Raises SingularResolvent when s is in the spectrum of A.
     """
-    A, B, C, D = node.orthonormal
-    Q = -(A + A.conj().T)
-    Q = linalg.hermitize(Q)
+    A, B, _, _ = node.orthonormal
+    Q = linalg.hermitize(-(A + A.conj().T))
     if linalg.min_eig_herm(Q) < -1e-10 * (1.0 + np.linalg.norm(Q, 2)):
         raise NotESAD("Q = -(A + A*) is not positive semidefinite")
     _require_colocated(node)
     s = complex(s)
-    n = A.shape[0]
-    RB = np.linalg.solve(s * np.eye(n) - A, B)
-    G = C @ RB + D
-    E = -0.5 * (G + G.conj().T) + 0.5 * RB.conj().T @ (2.0 * s.real * np.eye(n) + Q) @ RB
+    R, G = _resolvent(node, s, SingularResolvent, "s =")
+    RB = R @ B
+    E = -0.5 * (G + G.conj().T) + 0.5 * RB.conj().T @ (2.0 * s.real * np.eye(node.n) + Q) @ RB
     return linalg.hermitize(E)
 
 
@@ -245,9 +238,10 @@ def minimal_E_selfadjoint(node, s=1.0 + 0.0j):
     """Minimal shift for self-adjoint dissipative A with C = B*.
 
     E = -1/2 [G(s) + G(s)*] + B*(s̄I - A)^-1 [Re(s) I - A] (sI - A)^-1 B,
-    independent of s in the open right half-plane.
+    independent of s in the open right half-plane.  Raises SingularResolvent
+    when s is in the spectrum of A.
     """
-    A, B, C, D = node.orthonormal
+    A, B, _, _ = node.orthonormal
     scale = 1.0 + np.linalg.norm(A, 2)
     if np.linalg.norm(A - A.conj().T, 2) > 1e-9 * scale:
         raise NotSelfAdjointDissipative("A is not self-adjoint")
@@ -255,12 +249,10 @@ def minimal_E_selfadjoint(node, s=1.0 + 0.0j):
         raise NotSelfAdjointDissipative("A is not negative semidefinite")
     _require_colocated(node)
     s = complex(s)
-    n = A.shape[0]
-    RB = np.linalg.solve(s * np.eye(n) - A, B)
-    G = C @ RB + D
-    term = B.conj().T @ np.linalg.solve(
-        s.conjugate() * np.eye(n) - A, (s.real * np.eye(n) - A) @ RB
-    )
+    R, G = _resolvent(node, s, SingularResolvent, "s =")
+    RB = R @ B
+    # A = A*, so (s̄I - A)^-1 = ((sI - A)^-1)* and B*(s̄I - A)^-1 = (RB)*
+    term = RB.conj().T @ (s.real * np.eye(node.n) - A) @ RB
     E = -0.5 * (G + G.conj().T) + term
     return linalg.hermitize(E)
 
@@ -313,9 +305,7 @@ def positive_real_scan(node, grid):
     for s in map(complex, grid):
         if s.real <= 0:
             raise GridPointInSpectrum(f"grid point {s} is not in the open right half-plane")
-        if not node.in_resolvent_set(s):
-            raise GridPointInSpectrum(f"grid point {s} is in the spectrum of A")
-        G = eval_transfer(node, s)
+        _, G = _resolvent(node, s, GridPointInSpectrum, "grid point")
         pts.append(s)
         vals.append(linalg.min_eig_herm(G + G.conj().T))
     worst = int(np.argmin(vals))

@@ -34,9 +34,9 @@ class SecondOrderPlant:
     C1: np.ndarray = None
 
     def __post_init__(self):
-        A0 = linalg.assert_hermitian(np.atleast_2d(np.asarray(self.A0, dtype=complex)), "A0")
-        M = linalg.assert_hermitian(np.atleast_2d(np.asarray(self.M, dtype=complex)), "M")
-        C0 = np.atleast_2d(np.asarray(self.C0, dtype=complex))
+        A0 = linalg.assert_hermitian(linalg.as_matrix(self.A0, "A0"), "A0")
+        M = linalg.assert_hermitian(linalg.as_matrix(self.M, "M"), "M")
+        C0 = linalg.as_matrix(self.C0, "C0")
         n0 = A0.shape[0]
         if M.shape != (n0, n0) or C0.shape[1] != n0:
             raise DimensionMismatch("A0, M, C0 dimensions do not conform")
@@ -45,16 +45,14 @@ class SecondOrderPlant:
         if linalg.min_eig_herm(M) < -1e-10 * (1.0 + np.linalg.norm(M, 2)):
             raise DimensionMismatch("damping M must be positive semidefinite")
         for name, val in (("A0", A0), ("M", M), ("C0", C0)):
-            val = val.copy()
             val.setflags(write=False)
             object.__setattr__(self, name, val)
         for name in ("B0", "C1"):
             val = getattr(self, name)
             if val is not None:
-                val = np.atleast_2d(np.asarray(val, dtype=complex)).copy()
+                val = linalg.as_matrix(val, name)
                 if val.shape[-1] != n0 and val.shape[0] != n0:
                     raise DimensionMismatch(f"{name} does not conform with A0")
-                val.setflags(write=False)
             object.__setattr__(self, name, val)
 
     @property
@@ -94,9 +92,8 @@ def build_noncolocated(plant):
     """
     if plant.B0 is None:
         raise DimensionMismatch("plant must provide B0 for the non-colocated build")
-    Msv = np.linalg.svd(plant.M, compute_uv=False)
-    if Msv.size == 0 or Msv[-1] <= linalg.RCOND * max(1.0, Msv[0]):
-        raise SingularM("damping M must be invertible for the non-colocated shift")
+    Minv = linalg.checked_inv(plant.M, SingularM,
+                              "damping M must be invertible for the non-colocated shift")
     A, W = _first_order(plant)
     n0 = plant.n0
     B0 = plant.B0 if plant.B0.shape[0] == n0 else plant.B0.conj().T
@@ -109,7 +106,7 @@ def build_noncolocated(plant):
     D = np.zeros((p, m), dtype=complex)
     node = StateSpaceNode(A, B, C, D, W=W, meta="second-order non-colocated")
     diff = plant.C0 - B0.conj().T
-    E_min = 0.25 * diff @ np.linalg.solve(plant.M, diff.conj().T)
+    E_min = 0.25 * diff @ Minv @ diff.conj().T
     return node, linalg.hermitize(E_min)
 
 

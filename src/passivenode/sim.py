@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import DimensionMismatch, NonFiniteState
+from .errors import DimensionMismatch, InvalidTimeGrid, NonFiniteState
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,13 @@ def simulate(node, z0, u, T, steps=2000):
 
     u is either a callable t -> input vector or an array sampled on the
     uniform grid with steps+1 points (interpolated with a cubic spline for
-    the RK4 half-steps).  Raises NonFiniteState if the state blows up.
+    the RK4 half-steps).  Raises InvalidTimeGrid unless steps >= 1 and T is
+    finite and > 0, and NonFiniteState if the state blows up.
     """
     steps = int(steps)
     T = float(T)
+    if steps < 1 or not 0.0 < T < np.inf:
+        raise InvalidTimeGrid(f"need steps >= 1 and a finite T > 0, got steps={steps}, T={T}")
     z = np.asarray(z0, dtype=complex).reshape(node.n)
     uf = _input_callable(u, node, T, steps)
     A, B, C, D = (np.asarray(M) for M in (node.A, node.B, node.C, node.D))

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import LambdaInOpenLoopSpectrum, NotContraction
+from .errors import LambdaInOpenLoopSpectrum, NotContraction, SingularResolvent
 from .feedback import stabilizing_feedback
-from .node import eval_transfer
 
 
 class StabilityVerdict(enum.Enum):
@@ -118,11 +117,15 @@ def closed_loop_spectrum_gate(node, K, lam):
     when lam is not in rho(A).
     """
     lam = complex(lam)
-    if not node.in_resolvent_set(lam):
-        raise LambdaInOpenLoopSpectrum(f"lambda = {lam} is in the open-loop spectrum")
+    R = linalg.checked_inv(lam * np.eye(node.n) - node.A, LambdaInOpenLoopSpectrum,
+                           f"lambda = {lam} is in the open-loop spectrum")
     K = np.atleast_2d(np.asarray(K, dtype=complex))
-    G = eval_transfer(node, lam)
-    return linalg.is_invertible(np.eye(node.m) - K @ G, rtol=linalg.RCOND)
+    G = node.C @ (R @ node.B) + node.D
+    try:
+        linalg.checked_inv(np.eye(node.m) - K @ G, SingularResolvent, "")
+    except SingularResolvent:
+        return False
+    return True
 
 
 def _imag_eigs(vals, tol):
