@@ -21,7 +21,6 @@ from .feedback import (
 from .io import load_node, load_plant, save_node, save_plant
 from .node import (
     StateSpaceNode,
-    apply_combined_observation,
     dual_node,
     eval_transfer,
     shift_feedthrough,
@@ -75,7 +74,6 @@ __all__ = [
     "Trajectory",
     "Verdict",
     "adversarial_input",
-    "apply_combined_observation",
     "beam_model",
     "benchimol_conditions",
     "build_colocated",

@@ -27,7 +27,7 @@ from .errors import (
     NonPositiveAlpha,
     SingularResolvent,
 )
-from .node import StateSpaceNode
+from .node import StateSpaceNode, resolvent
 from .passivity import PassivityCertificate, PassivityKind, Verdict
 
 
@@ -70,15 +70,12 @@ def internal_cayley(node, alpha=1.0 + 0.0j):
     alpha = complex(alpha)
     if alpha.real <= 0:
         raise AlphaNotRightHalfPlane(f"alpha = {alpha} must have Re(alpha) > 0")
-    A, B, C, D = node.orthonormal
-    n = A.shape[0]
-    R = linalg.checked_inv(alpha * np.eye(n) - A, AlphaInSpectrum,
-                           f"alpha = {alpha} is in the spectrum of A")
+    A, B, C, _ = node.orthonormal
+    R, Dd = resolvent(node, alpha, AlphaInSpectrum, f"alpha = {alpha} is in the spectrum of A")
     root = np.sqrt(2.0 * alpha.real)
-    Ad = (np.conj(alpha) * np.eye(n) + A) @ R
+    Ad = (np.conj(alpha) * np.eye(node.n) + A) @ R
     Bd = root * (R @ B)
     Cd = root * (C @ R)
-    Dd = C @ (R @ B) + D  # G(alpha)
     return DiscreteSystem(Ad=Ad, Bd=Bd, Cd=Cd, Dd=Dd, alpha=alpha)
 
 

@@ -141,19 +141,7 @@ def _cmd_simulate(args):
                 entries = json.loads(args.z0)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"--z0: invalid JSON ({exc})") from exc
-            if not isinstance(entries, list):
-                raise SchemaError("--z0 must be a JSON list")
-            vals = []
-            for v in entries:
-                if isinstance(v, list) and len(v) == 2:
-                    vals.append(complex(v[0], v[1]))
-                elif isinstance(v, (int, float)):
-                    vals.append(complex(v))
-                else:
-                    raise SchemaError("--z0 entries must be numbers or [re, im] pairs")
-            if len(vals) != node.n:
-                raise SchemaError(f"--z0 must have {node.n} entries")
-            z0 = np.asarray(vals, dtype=complex)
+            z0 = io.vector_from_json(entries, "--z0", node.n)
         omega = args.input_omega
         amp = args.amplitude
         u = lambda t: amp * np.cos(omega * t) * np.ones(node.m)

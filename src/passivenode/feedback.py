@@ -15,6 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    DimensionMismatch,
     KappaOutOfRange,
     NotAlmostPassive,
     NotImpedancePassive,
@@ -57,6 +58,17 @@ def diagonal_transform(node, k, certify=True):
                           meta=node.meta)
 
 
+def gain_matrix(node, K):
+    """K as an m x p complex array, broadcast like numpy (a scalar fills it).
+
+    Raises DimensionMismatch when K does not broadcast to (m, p).
+    """
+    try:
+        return np.broadcast_to(np.atleast_2d(np.asarray(K, dtype=complex)), (node.m, node.p))
+    except ValueError:
+        raise DimensionMismatch(f"K must broadcast to {node.m} x {node.p}") from None
+
+
 def output_feedback(node, K):
     """Closed loop under static output feedback u = K y + v.
 
@@ -64,10 +76,10 @@ def output_feedback(node, K):
         C^K = (I - DK)^-1 C,          D^K = D (I - KD)^-1.
 
     Only I - KD is inverted: K (I - DK)^-1 = (I - KD)^-1 K and
-    (I - DK)^-1 = I + D (I - KD)^-1 K.  Raises SingularIMinusKD when
-    I - KD is singular.
+    (I - DK)^-1 = I + D (I - KD)^-1 K.  K is read by gain_matrix.  Raises
+    SingularIMinusKD when I - KD is singular.
     """
-    K = np.broadcast_to(np.atleast_2d(np.asarray(K, dtype=complex)), (node.m, node.p))
+    K = gain_matrix(node, K)
     D = np.asarray(node.D)
     IKD_inv = linalg.checked_inv(np.eye(node.m) - K @ D, SingularIMinusKD,
                                  "I - K D is singular; feedback inadmissible")

@@ -52,9 +52,21 @@ def matrix_to_json(M):
     return [[[float(v.real), float(v.imag)] for v in row] for row in M]
 
 
+def _is_real(v):
+    """A JSON number; true/false are not numbers even though bool is an int."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_pair(v):
+    return isinstance(v, list) and len(v) == 2 and all(map(_is_real, v))
+
+
 def matrix_from_json(data, name, rows=None, cols=None):
-    """Nested [re, im] lists -> complex matrix, with shape validation."""
-    if not isinstance(data, list) or not data:
+    """Nested [re, im] lists -> complex matrix, with shape validation.
+
+    [] is accepted only when rows = 0 (a 0 x cols matrix).
+    """
+    if not isinstance(data, list) or not (data or rows == 0):
         raise SchemaError(f"{name} must be a non-empty list of rows")
     width = None
     out = []
@@ -67,17 +79,33 @@ def matrix_from_json(data, name, rows=None, cols=None):
             raise SchemaError(f"{name} has ragged rows")
         vals = []
         for j, entry in enumerate(row):
-            if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(v, (int, float)) for v in entry)):
+            if not _is_pair(entry):
                 raise SchemaError(f"{name}[{i}][{j}] is not an [re, im] pair")
             vals.append(complex(entry[0], entry[1]))
         out.append(vals)
-    M = np.array(out, dtype=complex)
+    M = np.array(out, dtype=complex) if out else np.zeros((0, cols or 0), dtype=complex)
     if rows is not None and M.shape[0] != rows:
         raise SchemaError(f"{name} must have {rows} rows, got {M.shape[0]}")
     if cols is not None and M.shape[1] != cols:
         raise SchemaError(f"{name} must have {cols} columns, got {M.shape[1]}")
     return M
+
+
+def vector_from_json(data, name, length):
+    """List of numbers or [re, im] pairs -> complex vector of the given length."""
+    if not isinstance(data, list):
+        raise SchemaError(f"{name} must be a JSON list")
+    vals = []
+    for v in data:
+        if _is_pair(v):
+            vals.append(complex(v[0], v[1]))
+        elif _is_real(v):
+            vals.append(complex(v))
+        else:
+            raise SchemaError(f"{name} entries must be numbers or [re, im] pairs")
+    if len(vals) != length:
+        raise SchemaError(f"{name} must have {length} entries")
+    return np.asarray(vals, dtype=complex)
 
 
 def _require(d, what, keys):
@@ -144,8 +172,7 @@ def discrete_from_dict(d):
     _require(d, "discrete", ("n", "m", "p", "Ad", "Bd", "Cd", "Dd", "alpha"))
     n, m, p = _dimensions(d)
     alpha = d["alpha"]
-    if (not isinstance(alpha, list) or len(alpha) != 2
-            or not all(isinstance(v, (int, float)) for v in alpha)):
+    if not _is_pair(alpha):
         raise SchemaError("'alpha' must be an [re, im] pair")
     return DiscreteSystem(
         Ad=matrix_from_json(d["Ad"], "Ad", rows=n, cols=n),

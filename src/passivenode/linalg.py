@@ -2,16 +2,18 @@
 
 Every invertibility decision (s in rho(A), I + kD, I - KD, Ad + I, M) is
 made by :func:`checked_inv`, which forms the inverse once for the caller to
-reuse.  M is singular when LAPACK finds a zero pivot, M^-1 is not finite,
-or RCOND * max(1, ||M||_1) * ||M^-1||_1 >= 1 (sigma_min <= RCOND *
-max(1, sigma_max) in 1-norms, equal up to a factor n).  RCOND is fixed;
-PASSIVE_NODE_TOL does not change it.
+reuse.  For s in rho(A) of a node its one caller is ``node.resolvent``,
+which inverts the W-orthonormal sI - A.  M is singular when LAPACK finds a
+zero pivot, M^-1 is not finite, or RCOND * max(1, ||M||_1) * ||M^-1||_1 >= 1
+(sigma_min <= RCOND * max(1, sigma_max) in 1-norms, equal up to a factor
+n).  RCOND is fixed; PASSIVE_NODE_TOL does not change it.
 
 All subspace computations return orthonormal bases (columns) and make rank
-decisions by thresholding singular values, so downstream intersection and
-invariant-subspace logic stays robust for the desk-scale problems this
-library targets: up to a few hundred states (the 100-mode beam has
-n = 198).  Every routine here costs at most O(n^3).
+decisions by thresholding singular values at the one relative tolerance
+SUBSPACE_TOL, so downstream intersection and invariant-subspace logic
+stays robust for the desk-scale problems this library targets: up to a
+few hundred states (the 100-mode beam has n = 198).  Every routine here
+costs at most O(n^3).
 """
 
 import os
@@ -82,9 +84,9 @@ def assert_hermitian(M, what="matrix"):
 
 
 def min_eig_herm(M):
-    """Smallest eigenvalue of a self-adjoint matrix."""
+    """Smallest eigenvalue of a self-adjoint matrix (+inf for an empty one)."""
     if M.size == 0:
-        return 0.0
+        return np.inf
     return float(np.linalg.eigvalsh(hermitize(M))[0])
 
 
@@ -94,37 +96,30 @@ def min_eig_with_vector(M):
     return float(vals[0]), vecs[:, 0]
 
 
-def null_basis(M, rtol=SUBSPACE_TOL):
+def null_basis(M):
     """Orthonormal basis of the null space of M (columns; may be empty)."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     if M.shape[0] == 0:
         return np.eye(M.shape[1], dtype=complex)
     _, sv, vh = np.linalg.svd(M)
-    cutoff = rtol * max(1.0, sv[0] if sv.size else 0.0)
+    cutoff = SUBSPACE_TOL * max(1.0, sv[0] if sv.size else 0.0)
     rank = int(np.sum(sv > cutoff))
     return vh[rank:].conj().T
 
 
-def orthonormalize(V, rtol=SUBSPACE_TOL):
-    """Orthonormal basis of the column span of V."""
-    V = np.atleast_2d(np.asarray(V, dtype=complex))
-    if V.shape[1] == 0:
-        return V
-    q, sv, _ = np.linalg.svd(V, full_matrices=False)
-    rank = int(np.sum(sv > rtol * max(1.0, sv[0])))
-    return q[:, :rank]
+def subspace_intersection(Q1, Q2):
+    """Orthonormal basis of range(Q1) ∩ range(Q2) via principal angles.
 
-
-def subspace_intersection(Q1, Q2, tol=SUBSPACE_TOL):
-    """Orthonormal basis of range(Q1) ∩ range(Q2) via principal angles."""
+    Q1 and Q2 have orthonormal columns, so Q1 u is orthonormal for the
+    unitary u of the SVD of Q1* Q2.
+    """
     if Q1.shape[1] == 0 or Q2.shape[1] == 0:
         return np.zeros((Q1.shape[0], 0), dtype=complex)
     u, sv, _ = np.linalg.svd(Q1.conj().T @ Q2)
-    k = int(np.sum(sv >= 1.0 - tol))
-    return orthonormalize(Q1 @ u[:, :k]) if k else np.zeros((Q1.shape[0], 0), dtype=complex)
+    return Q1 @ u[:, : int(np.sum(sv >= 1.0 - SUBSPACE_TOL))]
 
 
-def largest_invariant_in(Q, ops, tol=SUBSPACE_TOL):
+def largest_invariant_in(Q, ops):
     """Largest subspace of range(Q) mapped into itself by every op in ops.
 
     Computed as a complement: it is the orthogonal complement of the
@@ -135,15 +130,15 @@ def largest_invariant_in(Q, ops, tol=SUBSPACE_TOL):
     Van Dooren (1981, "The generalized eigenstructure problem in linear
     system theory", IEEE TAC 26(1)): each step maps the newest block
     through every op*, orthogonalizes the images against the basis so far
-    (twice, for stability) and keeps the directions above tol times the
-    block's own largest singular value.  Each direction is found once, and
-    the work per step is O(n^2) times the block width, so the sweep costs
-    O(n^3) for a fixed number of ops.
+    (twice, for stability) and keeps the directions above SUBSPACE_TOL
+    times the block's own largest singular value.  Each direction is found
+    once, and the work per step is O(n^2) times the block width, so the
+    sweep costs O(n^3) for a fixed number of ops.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=complex))
     n = Q.shape[0]
     adjoints = [op.conj().T for op in ops]
-    V = null_basis(Q.conj().T, tol)
+    V = null_basis(Q.conj().T)
     new = V
     while new.shape[1] and V.shape[1] < n:
         W = np.hstack([op @ new for op in adjoints])
@@ -152,17 +147,12 @@ def largest_invariant_in(Q, ops, tol=SUBSPACE_TOL):
         u, sv, _ = np.linalg.svd(W, full_matrices=False)
         # relative to this block, not to ||op||: after deflation the images
         # of a stiff op can be small yet genuinely new
-        new = u[:, : int(np.sum(sv > tol * max(1.0, sv[0])))]
+        new = u[:, : int(np.sum(sv > SUBSPACE_TOL * max(1.0, sv[0])))]
         V = np.hstack([V, new])
-    return null_basis(V.conj().T, tol)
+    return null_basis(V.conj().T)
 
 
 def spectral_abscissa(A):
     if A.size == 0:
         return -np.inf
     return float(np.max(np.linalg.eigvals(A).real))
-
-
-def cholesky_weight(W):
-    """Lower factor L with W = L L*."""
-    return np.linalg.cholesky(hermitize(W))

@@ -9,6 +9,9 @@ construction.
 The weight is handled once, at construction: a W-orthonormal copy of the
 realization is cached (coordinates x~ = L* x with W = L L*), so every
 downstream PSD/eigen test can run as a plain unweighted test on that copy.
+The same copy carries the resolvent: :func:`resolvent` is the one place
+that decides whether s is in rho(A) and that computes G(s).  n = 0 is a
+valid node (its transfer function is the constant D).
 """
 
 from dataclasses import dataclass, replace
@@ -93,7 +96,7 @@ class StateSpaceNode:
     @cached_property
     def _chol(self):
         """Lower factor L with W = L L*."""
-        return linalg.cholesky_weight(self.W)
+        return np.linalg.cholesky(linalg.hermitize(self.W))
 
     @cached_property
     def orthonormal(self):
@@ -128,8 +131,16 @@ class StateSpaceNode:
         A, _, _, _ = self.orthonormal
         return A + A.conj().T
 
-    def spectral_abscissa(self):
-        return linalg.spectral_abscissa(self.A)
+
+def resolvent(node, s, error, message):
+    """(R, G(s)) with R = (sI - A~)^-1 in W-orthonormal coordinates.
+
+    G(s) = C~ R B~ + D equals C (sI - A)^-1 B + D.  Raises error(message)
+    when s is not in rho(A) to working precision (linalg.checked_inv).
+    """
+    A, B, C, D = node.orthonormal
+    R = linalg.checked_inv(s * np.eye(node.n) - A, error, message)
+    return R, C @ (R @ B) + D
 
 
 def eval_transfer(node, s):
@@ -137,9 +148,8 @@ def eval_transfer(node, s):
 
     Raises SingularResolvent when sI - A is singular to working precision.
     """
-    R = linalg.checked_inv(s * np.eye(node.n) - node.A, SingularResolvent,
-                           f"s = {s} is in the spectrum of A to working precision")
-    return node.C @ (R @ node.B) + node.D
+    return resolvent(node, s, SingularResolvent,
+                     f"s = {s} is in the spectrum of A to working precision")[1]
 
 
 def dual_node(node):
@@ -166,25 +176,3 @@ def shift_feedthrough(node, E):
             f"shift must be {node.D.shape[0]} x {node.D.shape[1]}, got {E.shape}"
         )
     return replace(node, D=np.asarray(node.D) + E)
-
-
-def apply_combined_observation(node, x, v, beta=None):
-    """Combined observation/feedthrough C&D [x; v] = C[x - (bI-A)^-1 B v] + G(b) v.
-
-    The result is independent of the resolvent point beta; at finite
-    dimension it collapses to C x + D v.  beta defaults to
-    1 + max(0, spectral abscissa of A) and is bumped on singularity.
-    """
-    x = np.asarray(x, dtype=complex).reshape(node.n)
-    v = np.asarray(v, dtype=complex).reshape(node.m)
-    if beta is None:
-        beta = 1.0 + max(0.0, node.spectral_abscissa())
-    for attempt in range(4):
-        b = beta + attempt
-        try:
-            R = linalg.checked_inv(b * np.eye(node.n) - node.A, SingularResolvent, "")
-        except SingularResolvent:
-            continue
-        RB = R @ node.B
-        return node.C @ (x - RB @ v) + (node.C @ RB + node.D) @ v
-    raise SingularResolvent("could not find a resolvent point beta for C&D")

@@ -24,6 +24,7 @@ from .errors import (
     OmegaInSpectrum,
     SingularResolvent,
 )
+from .node import resolvent
 
 DEFAULT_TEST_POINTS = (1.0 + 0.0j, 2.0 + 1.0j, 2.0 - 1.0j, 10.0 + 0.0j)
 
@@ -72,16 +73,9 @@ def impedance_block_bounded(node):
     return linalg.hermitize(np.vstack([top, bot]))
 
 
-def _resolvent(node, s, error, what):
-    """(sI - A)^-1 (W-orthonormal) and G(s); raises error if s is not in rho(A)."""
-    A, B, C, D = node.orthonormal
-    R = linalg.checked_inv(s * np.eye(node.n) - A, error, f"{what} {s} is in the spectrum of A")
-    return R, C @ (R @ B) + D
-
-
 def _resolvent_blocks(node, s):
     A, B, C, _ = node.orthonormal
-    R, G = _resolvent(node, s, OmegaInSpectrum, "test point")
+    R, G = resolvent(node, s, OmegaInSpectrum, f"test point {s} is in the spectrum of A")
     RB = R @ B
     M11 = A + A.conj().T
     M12 = (s * np.eye(node.n) + A.conj().T) @ RB
@@ -172,7 +166,7 @@ def check_impedance_reciprocal(node, E, omega):
     s = 1j * float(omega)
     _, B, C, _ = node.orthonormal
     E = linalg.assert_hermitian(E, "E")
-    R, G = _resolvent(node, s, OmegaInSpectrum, "i*omega =")
+    R, G = resolvent(node, s, OmegaInSpectrum, f"i*omega = {s} is in the spectrum of A")
     X = -(R @ B + R.conj().T @ C.conj().T)  # Aw^-1 = -R
     top = np.hstack([R + R.conj().T, X])
     bot = np.hstack([X.conj().T, 2.0 * E + G + G.conj().T])
@@ -187,7 +181,8 @@ def colocation_residual_at(node, omega):
     when iw is in the spectrum of A.
     """
     _, B, C, _ = node.orthonormal
-    R, G = _resolvent(node, 1j * float(omega), OmegaInSpectrum, "i*omega =")
+    s = 1j * float(omega)
+    R, G = resolvent(node, s, OmegaInSpectrum, f"i*omega = {s} is in the spectrum of A")
     # (iwI + A*)^-1 = -((iwI - A)^-1)* = -R*
     lhs = -B.conj().T @ R.conj().T
     rhs = C @ R
@@ -228,7 +223,7 @@ def minimal_E_esad(node, s=1.0 + 0.0j):
         raise NotESAD("Q = -(A + A*) is not positive semidefinite")
     _require_colocated(node)
     s = complex(s)
-    R, G = _resolvent(node, s, SingularResolvent, "s =")
+    R, G = resolvent(node, s, SingularResolvent, f"s = {s} is in the spectrum of A")
     RB = R @ B
     E = -0.5 * (G + G.conj().T) + 0.5 * RB.conj().T @ (2.0 * s.real * np.eye(node.n) + Q) @ RB
     return linalg.hermitize(E)
@@ -249,7 +244,7 @@ def minimal_E_selfadjoint(node, s=1.0 + 0.0j):
         raise NotSelfAdjointDissipative("A is not negative semidefinite")
     _require_colocated(node)
     s = complex(s)
-    R, G = _resolvent(node, s, SingularResolvent, "s =")
+    R, G = resolvent(node, s, SingularResolvent, f"s = {s} is in the spectrum of A")
     RB = R @ B
     # A = A*, so (s̄I - A)^-1 = ((sI - A)^-1)* and B*(s̄I - A)^-1 = (RB)*
     term = RB.conj().T @ (s.real * np.eye(node.n) - A) @ RB
@@ -305,7 +300,8 @@ def positive_real_scan(node, grid):
     for s in map(complex, grid):
         if s.real <= 0:
             raise GridPointInSpectrum(f"grid point {s} is not in the open right half-plane")
-        _, G = _resolvent(node, s, GridPointInSpectrum, "grid point")
+        _, G = resolvent(node, s, GridPointInSpectrum,
+                         f"grid point {s} is in the spectrum of A")
         pts.append(s)
         vals.append(linalg.min_eig_herm(G + G.conj().T))
     worst = int(np.argmin(vals))

@@ -238,7 +238,7 @@ def beam_mode_slope(beta, symmetric, x):
     return beta * (np.sinh(beta) * np.cos(beta * x) + np.sin(beta) * np.cosh(beta * x))
 
 
-def beam_model(params, sensor="velocity_and_angular_velocity_at_0"):
+def beam_model(params):
     """Modal realization of the damped free-free beam on (-1, 1).
 
     The input is a force/moment pair applied at the midpoint x = 0 and the
@@ -262,8 +262,6 @@ def beam_model(params, sensor="velocity_and_angular_velocity_at_0"):
 
     Returns (node, E_min) with E_min = 0.
     """
-    if sensor != "velocity_and_angular_velocity_at_0":
-        raise DimensionMismatch(f"unknown sensor configuration {sensor!r}")
     nf = params.n_modes - 2
     rho = params.rho_a
     if nf:

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import linalg
 from .errors import LambdaInOpenLoopSpectrum, NotContraction, SingularResolvent
-from .feedback import stabilizing_feedback
+from .feedback import gain_matrix, stabilizing_feedback
+from .node import resolvent
 
 
 class StabilityVerdict(enum.Enum):
@@ -113,14 +114,13 @@ def closed_loop_spectrum_gate(node, K, lam):
     """Spectrum membership of the closed loop at a point lam in rho(A).
 
     For lam in the open-loop resolvent set, lam is in rho(A^K) exactly
-    when I - K G(lam) is invertible.  Raises LambdaInOpenLoopSpectrum
-    when lam is not in rho(A).
+    when I - K G(lam) is invertible.  K is read as in output_feedback.
+    Raises LambdaInOpenLoopSpectrum when lam is not in rho(A).
     """
+    K = gain_matrix(node, K)
     lam = complex(lam)
-    R = linalg.checked_inv(lam * np.eye(node.n) - node.A, LambdaInOpenLoopSpectrum,
-                           f"lambda = {lam} is in the open-loop spectrum")
-    K = np.atleast_2d(np.asarray(K, dtype=complex))
-    G = node.C @ (R @ node.B) + node.D
+    _, G = resolvent(node, lam, LambdaInOpenLoopSpectrum,
+                     f"lambda = {lam} is in the open-loop spectrum")
     try:
         linalg.checked_inv(np.eye(node.m) - K @ G, SingularResolvent, "")
     except SingularResolvent:

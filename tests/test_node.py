@@ -5,7 +5,6 @@ import pytest
 
 from passivenode import (
     StateSpaceNode,
-    apply_combined_observation,
     dual_node,
     eval_transfer,
     shift_feedthrough,
@@ -84,14 +83,3 @@ def test_shift_feedthrough_adds_to_transfer():
     G = eval_transfer(node, 2.0)
     Gs = eval_transfer(shifted, 2.0)
     assert np.linalg.norm(Gs - G - E) < 1e-12
-
-
-def test_combined_observation_beta_independent():
-    node = random_passive_node(11, weight=True)
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(node.n) + 1j * rng.standard_normal(node.n)
-    v = rng.standard_normal(node.m) + 1j * rng.standard_normal(node.m)
-    ref = node.C @ x + node.D @ v
-    for beta in (None, 2.0, 5.0):
-        out = apply_combined_observation(node, x, v, beta=beta)
-        assert np.linalg.norm(out - ref) < 1e-9

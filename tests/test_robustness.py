@@ -13,17 +13,22 @@ from passivenode import (
     beam_model,
     check_impedance,
     closed_loop_spectrum_gate,
+    eval_transfer,
     io,
     linalg,
     minimal_E_esad,
+    output_feedback,
     simulate,
 )
 from passivenode.cli import main
+from passivenode.passivity import impedance_form_at
 from passivenode.errors import (
+    DimensionMismatch,
     InvalidTimeGrid,
     InvalidTolerance,
     LambdaInOpenLoopSpectrum,
     NonFiniteMatrix,
+    OmegaInSpectrum,
     PassiveNodeError,
     SchemaError,
     SingularResolvent,
@@ -71,6 +76,51 @@ def test_closed_loop_spectrum_gate():
     assert not closed_loop_spectrum_gate(node, 2.0, 1.0)
     with pytest.raises(LambdaInOpenLoopSpectrum):
         closed_loop_spectrum_gate(node, 2.0, -1.0)
+
+
+def test_closed_loop_spectrum_gate_reads_K_like_output_feedback():
+    beam, _ = beam_model(BeamParameters(n_modes=4))
+    full = np.full((2, 2), 0.5)
+    assert closed_loop_spectrum_gate(beam, 0.5, 1.0) == closed_loop_spectrum_gate(beam, full, 1.0)
+    with pytest.raises(DimensionMismatch):
+        closed_loop_spectrum_gate(beam, np.zeros((3, 2)), 1.0)
+
+
+def test_output_feedback_rejects_nonconforming_K():
+    beam, _ = beam_model(BeamParameters(n_modes=4))
+    with pytest.raises(DimensionMismatch):
+        output_feedback(beam, np.zeros((3, 2)))
+
+
+# -- resolvent points in the spectrum ------------------------------------------
+
+
+def _in_rho(evaluate, error):
+    try:
+        evaluate()
+    except error:
+        return False
+    return True
+
+
+def test_one_resolvent_set_decision_on_beam_probes():
+    # s = lambda + 10^-k and lambda + i 10^-k straddle the singularity
+    # threshold; every route to (sI - A)^-1 must decide each s the same way
+    beam, _ = beam_model(BeamParameters(n_modes=8))
+    K = np.zeros((2, 2))
+    seen = set()
+    for lam in np.linalg.eigvals(beam.A):
+        for k in range(1, 17):
+            for s in (lam + 10.0**-k, lam + 1j * 10.0**-k):
+                decisions = {
+                    _in_rho(lambda: eval_transfer(beam, s), SingularResolvent),
+                    _in_rho(lambda: impedance_form_at(beam, s), OmegaInSpectrum),
+                    _in_rho(lambda: closed_loop_spectrum_gate(beam, K, s),
+                            LambdaInOpenLoopSpectrum),
+                }
+                assert len(decisions) == 1, f"s = {s}"
+                seen |= decisions
+    assert seen == {True, False}
 
 
 # -- resolvent points in the spectrum ------------------------------------------
@@ -128,6 +178,43 @@ def test_dimensions_must_be_integers(loader, doc, key, bad):
     assert loader(doc) is not None
     with pytest.raises(SchemaError, match=f"'{key}' must be a nonnegative integer"):
         loader(dict(doc, **{key: bad}))
+
+
+@pytest.mark.parametrize("site", ["matrix entry", "alpha", "--z0"])
+def test_json_booleans_are_not_numbers(site, tmp_path, capsys):
+    node_doc = io.node_to_dict(StateSpaceNode([[-1.0]], [[1.0]], [[1.0]], [[0.0]]))
+    if site == "matrix entry":
+        doc = dict(node_doc, A=[[[True, False]]])
+        parse = lambda: io.node_from_dict(doc)
+        argv = ["check", _write(tmp_path, doc)]
+    elif site == "alpha":
+        doc = dict(_discrete_doc(), alpha=[True, 0.0])
+        parse = lambda: io.discrete_from_dict(doc)
+        argv = ["cayley", _write(tmp_path, doc), "--inverse"]
+    else:
+        parse = lambda: io.vector_from_json([True], "--z0", 1)
+        argv = ["simulate", _write(tmp_path, node_doc), "--z0", "[true]", "--steps", "10"]
+    with pytest.raises(SchemaError):
+        parse()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# -- n = 0 -----------------------------------------------------------------------
+
+
+def test_node_without_state(tmp_path, capsys):
+    node = StateSpaceNode(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), np.eye(2))
+    assert np.array_equal(eval_transfer(node, 1.0), np.eye(2))
+    assert check_impedance(node).passive
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    io.save_node(node, p1)
+    loaded = io.load_node(p1)
+    io.save_node(loaded, p2)
+    assert p1.read_text() == p2.read_text()
+    assert loaded.B.shape == (0, 2) and loaded.C.shape == (2, 0)
+    assert main(["check", str(p1)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "Passive"
 
 
 # -- non-finite matrices ---------------------------------------------------------

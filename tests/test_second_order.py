@@ -146,5 +146,3 @@ def test_beam_parameter_validation():
         BeamParameters(rho_a=-1.0)
     with pytest.raises(DimensionMismatch):
         BeamParameters(n_modes=1)
-    with pytest.raises(DimensionMismatch):
-        beam_model(BeamParameters(), sensor="nonsense")
