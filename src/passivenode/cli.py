@@ -22,7 +22,7 @@ import numpy as np
 
 from . import io, passivity, second_order, sim, stability
 from .cayley import check_discrete_passivity, internal_cayley, inverse_cayley
-from .errors import ParseError, PassiveNodeError, SchemaError
+from .errors import ParseError, PassiveNodeError
 from .feedback import stabilizing_feedback
 
 EXIT_OK = 0
@@ -270,9 +270,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except PassiveNodeError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -10,7 +10,7 @@ class DimensionMismatch(PassiveNodeError):
 
 
 class NonFiniteMatrix(PassiveNodeError):
-    """A matrix holds a NaN or infinite entry."""
+    """A matrix holds a NaN or infinite entry, or one beyond linalg.ENTRY_LIMIT."""
 
 
 class InvalidTolerance(PassiveNodeError):
@@ -114,7 +114,7 @@ class InvalidTimeGrid(PassiveNodeError):
 
 
 class NonFiniteState(PassiveNodeError):
-    """Simulation produced a non-finite state (blow-up)."""
+    """Simulation met a non-finite state (blow-up) or sampled input."""
 
 
 class ParseError(PassiveNodeError):

@@ -61,6 +61,14 @@ def _is_pair(v):
     return isinstance(v, list) and len(v) == 2 and all(map(_is_real, v))
 
 
+def _complex(re, im, name):
+    """complex(re, im) of JSON numbers; an integer beyond the float range is a SchemaError."""
+    try:
+        return complex(re, im)
+    except OverflowError:
+        raise SchemaError(f"{name} holds an integer too large for a float") from None
+
+
 def matrix_from_json(data, name, rows=None, cols=None):
     """Nested [re, im] lists -> complex matrix, with shape validation.
 
@@ -81,7 +89,7 @@ def matrix_from_json(data, name, rows=None, cols=None):
         for j, entry in enumerate(row):
             if not _is_pair(entry):
                 raise SchemaError(f"{name}[{i}][{j}] is not an [re, im] pair")
-            vals.append(complex(entry[0], entry[1]))
+            vals.append(_complex(entry[0], entry[1], f"{name}[{i}][{j}]"))
         out.append(vals)
     M = np.array(out, dtype=complex) if out else np.zeros((0, cols or 0), dtype=complex)
     if rows is not None and M.shape[0] != rows:
@@ -98,9 +106,9 @@ def vector_from_json(data, name, length):
     vals = []
     for v in data:
         if _is_pair(v):
-            vals.append(complex(v[0], v[1]))
+            vals.append(_complex(v[0], v[1], name))
         elif _is_real(v):
-            vals.append(complex(v))
+            vals.append(_complex(v, 0, name))
         else:
             raise SchemaError(f"{name} entries must be numbers or [re, im] pairs")
     if len(vals) != length:
@@ -179,7 +187,7 @@ def discrete_from_dict(d):
         Bd=matrix_from_json(d["Bd"], "Bd", rows=n, cols=m),
         Cd=matrix_from_json(d["Cd"], "Cd", rows=p, cols=n),
         Dd=matrix_from_json(d["Dd"], "Dd", rows=p, cols=m),
-        alpha=complex(alpha[0], alpha[1]),
+        alpha=_complex(alpha[0], alpha[1], "'alpha'"),
     )
 
 

@@ -28,6 +28,10 @@ RCOND = 1e-12
 #: principal angles closer to zero than this count as a common direction
 SUBSPACE_TOL = 1e-8
 
+#: larger entries are rejected, so that a product of up to six entries stays
+#: finite (the scattering forms multiply four)
+ENTRY_LIMIT = 1e50
+
 
 def base_tol():
     """Base relative tolerance; PASSIVE_NODE_TOL (finite, > 0) overrides the default."""
@@ -42,13 +46,20 @@ def base_tol():
 
 
 def as_matrix(M, name):
-    """Read-only 2-D complex copy of M; a NaN or inf entry raises NonFiniteMatrix."""
+    """Read-only 2-D complex copy of M.
+
+    A NaN or inf entry, or a real or imaginary part beyond ENTRY_LIMIT,
+    raises NonFiniteMatrix: such an entry makes the forms overflow.
+    """
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     if M.ndim != 2:
         raise DimensionMismatch(f"{name} must be a matrix")
-    if not np.isfinite(M).all():
-        raise NonFiniteMatrix(f"{name} has a non-finite entry")
     M = M.copy()
+    # one pass over the real and imaginary parts; a NaN fails the comparison too
+    if not np.abs(M.view(float)).max(initial=0.0) <= ENTRY_LIMIT:
+        if not np.isfinite(M).all():
+            raise NonFiniteMatrix(f"{name} has a non-finite entry")
+        raise NonFiniteMatrix(f"{name} has an entry beyond {ENTRY_LIMIT:g} in magnitude")
     M.setflags(write=False)
     return M
 

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from passivenode import (
     BeamParameters,
@@ -220,7 +222,7 @@ def test_node_without_state(tmp_path, capsys):
 # -- non-finite matrices ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e51, -1e60j])
 def test_constructors_reject_non_finite_matrices(bad):
     with pytest.raises(NonFiniteMatrix):
         StateSpaceNode([[bad]], [[1.0]], [[1.0]], [[0.0]])
@@ -252,3 +254,94 @@ def test_simulate_rejects_bad_grid(T, steps, tmp_path, capsys):
     path = _write(tmp_path, io.node_to_dict(node))
     assert main(["simulate", path, "--t-final", str(T), "--steps", str(steps)]) == 1
     assert "error: InvalidTimeGrid:" in capsys.readouterr().err
+
+
+# -- huge JSON integers ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("site", ["matrix entry", "alpha", "--z0"])
+def test_integers_beyond_float_range_are_schema_errors(site):
+    huge = 10**400
+    if site == "matrix entry":
+        doc = dict(io.node_to_dict(StateSpaceNode([[-1.0]], [[1.0]], [[1.0]], [[0.0]])),
+                   A=[[[huge, 0]]])
+        parse = lambda: io.node_from_dict(doc)
+    elif site == "alpha":
+        parse = lambda: io.discrete_from_dict(dict(_discrete_doc(), alpha=[1.0, -huge]))
+    else:
+        parse = lambda: io.vector_from_json([huge], "--z0", 1)
+    with pytest.raises(SchemaError, match="too large for a float"):
+        parse()
+
+
+def test_cli_reports_a_huge_integer_as_schema_error(tmp_path, capsys):
+    doc = dict(io.node_to_dict(StateSpaceNode([[-1.0]], [[1.0]], [[1.0]], [[0.0]])),
+               A=[[[10**400, 0]]])
+    assert main(["check", _write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err.startswith("error: SchemaError: A[0][0]")
+
+
+# -- CLI error lines ---------------------------------------------------------------
+
+
+def test_cli_error_line_names_schema_error(tmp_path, capsys):
+    doc = dict(io.node_to_dict(StateSpaceNode([[-1.0]], [[1.0]], [[1.0]], [[0.0]])),
+               A=[[[True, 0]]])
+    assert main(["check", _write(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SchemaError: A[0][0] is not an [re, im] pair")
+
+
+def test_cli_error_line_names_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ParseError:")
+
+
+# -- property: fuzzed node documents ---------------------------------------------
+
+_REAL = st.one_of(
+    st.floats(),  # finite, subnormal, huge, NaN and +-inf
+    st.builds(lambda x, e: x * 10.0**e, st.floats(-1.0, 1.0), st.integers(-320, 308)),
+    st.integers(),
+    st.integers(-(10**400), 10**400),  # mostly beyond the float range
+)
+_NUMBER = st.one_of(_REAL, st.booleans(), st.text(max_size=2))
+_BAD_ENTRY = st.one_of(_NUMBER, st.lists(_NUMBER, max_size=3))
+_RAGGED = st.recursive(_NUMBER, lambda inner: st.lists(inner, max_size=3), max_leaves=8)
+_FUZZ_BASE = io.node_to_dict(
+    StateSpaceNode([[-1.0, 0.5], [-0.5, -2.0]], [[1.0], [0.0]], [[1.0, 0.0]], [[1.0]])
+)
+
+
+@st.composite
+def _fuzzed_node_documents(draw):
+    """The base document with one to three entries replaced, sometimes a matrix too.
+
+    Most replacements are [re, im] pairs of finite or non-finite floats and
+    of integers up to 400 digits, so many documents reach certification.
+    """
+    doc = {key: [list(row) for row in val] if key in "ABCD" else val
+           for key, val in _FUZZ_BASE.items()}
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from("ABCD"))
+        i = draw(st.integers(0, len(doc[key]) - 1))
+        j = draw(st.integers(0, len(doc[key][0]) - 1))
+        bad = draw(st.integers(0, 4)) == 0
+        doc[key][i][j] = draw(_BAD_ENTRY) if bad else [draw(_REAL), draw(_REAL)]
+    if draw(st.integers(0, 4)) == 0:
+        doc[draw(st.sampled_from("ABCD"))] = draw(_RAGGED)
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_fuzzed_node_documents())
+def test_fuzzed_node_documents_end_in_a_typed_result(doc, tmp_path, capsys):
+    try:
+        io.node_from_dict(doc)
+    except PassiveNodeError:
+        pass
+    assert main(["check", _write(tmp_path, doc)]) in (0, 1, 2)
+    capsys.readouterr()
