@@ -36,7 +36,6 @@ from .passivity import (
     minimal_E_esad,
     minimal_E_selfadjoint,
     positive_part,
-    positive_real_scan,
 )
 from .second_order import (
     BeamParameters,
@@ -101,7 +100,6 @@ __all__ = [
     "minimal_E_selfadjoint",
     "output_feedback",
     "positive_part",
-    "positive_real_scan",
     "save_node",
     "save_plant",
     "shift_feedthrough",

@@ -121,11 +121,8 @@ def _cmd_stability(args):
     doc = report.as_dict()
     doc["synthesis"] = syn.as_dict()
     _emit(doc, args.out)
-    positive = report.verdict in (
-        stability.StabilityVerdict.STRONGLY_STABLE,
-        stability.StabilityVerdict.WEAKLY_STABLE,
-    )
-    return EXIT_OK if positive else EXIT_NEGATIVE
+    stable = report.verdict is stability.StabilityVerdict.STRONGLY_STABLE
+    return EXIT_OK if stable else EXIT_NEGATIVE
 
 
 def _cmd_simulate(args):
@@ -173,11 +170,8 @@ def _cmd_beam(args):
         doc["stability"] = report.as_dict()
         doc["synthesis"] = syn.as_dict()
         _emit(doc, args.out)
-        positive = report.verdict in (
-            stability.StabilityVerdict.STRONGLY_STABLE,
-            stability.StabilityVerdict.WEAKLY_STABLE,
-        )
-        return EXIT_OK if positive else EXIT_NEGATIVE
+        stable = report.verdict is stability.StabilityVerdict.STRONGLY_STABLE
+        return EXIT_OK if stable else EXIT_NEGATIVE
     _emit(doc, args.out)
     return EXIT_OK
 

@@ -93,10 +93,6 @@ class LambdaInOpenLoopSpectrum(PassiveNodeError):
     """Spectrum-gate point lies in the open-loop spectrum."""
 
 
-class GridPointInSpectrum(PassiveNodeError):
-    """Positive-real scan grid point lies in the spectrum of A."""
-
-
 class SingularA0(PassiveNodeError):
     """Stiffness matrix A0 is singular."""
 

@@ -10,7 +10,7 @@ n).  RCOND is fixed; PASSIVE_NODE_TOL does not change it.
 
 All subspace computations return orthonormal bases (columns) and make rank
 decisions by thresholding singular values at the one relative tolerance
-SUBSPACE_TOL, so downstream intersection and invariant-subspace logic
+SUBSPACE_TOL, so the invariant-subspace logic behind the stability verdict
 stays robust for the desk-scale problems this library targets: up to a
 few hundred states (the 100-mode beam has n = 198).  Every routine here
 costs at most O(n^3).
@@ -25,8 +25,21 @@ from .errors import DimensionMismatch, InvalidTolerance, NonFiniteMatrix, NotSel
 #: M counts as singular when RCOND * max(1, ||M||_1) * ||M^-1||_1 >= 1
 RCOND = 1e-12
 
-#: principal angles closer to zero than this count as a common direction
+#: singular values below this (relative) count as zero in every subspace
+#: rank decision, and so in the stability verdict
 SUBSPACE_TOL = 1e-8
+
+#: slack, relative to 1 + ||A|| (plus ||B||^2 + ||C||^2 where they enter),
+#: for "A + A* <= 0" and the dissipation inequalities of a contraction
+CONTRACTION_TOL = 1e-8
+
+#: slack, relative to 1 + ||A|| or 1 + ||B||, for the structural identities
+#: A = A*, A <= 0 and C = B* of the minimal-E formulas
+STRUCTURE_TOL = 1e-9
+
+#: open-loop eigenvalues within IMAG_AXIS_TOL * (1 + ||A||) of the imaginary
+#: axis are reported; the report is informational and decides nothing
+IMAG_AXIS_TOL = 1e-9
 
 #: larger entries are rejected, so that a product of up to six entries stays
 #: finite (the scattering forms multiply four)
@@ -118,18 +131,6 @@ def null_basis(M):
     return vh[rank:].conj().T
 
 
-def subspace_intersection(Q1, Q2):
-    """Orthonormal basis of range(Q1) ∩ range(Q2) via principal angles.
-
-    Q1 and Q2 have orthonormal columns, so Q1 u is orthonormal for the
-    unitary u of the SVD of Q1* Q2.
-    """
-    if Q1.shape[1] == 0 or Q2.shape[1] == 0:
-        return np.zeros((Q1.shape[0], 0), dtype=complex)
-    u, sv, _ = np.linalg.svd(Q1.conj().T @ Q2)
-    return Q1 @ u[:, : int(np.sum(sv >= 1.0 - SUBSPACE_TOL))]
-
-
 def largest_invariant_in(Q, ops):
     """Largest subspace of range(Q) mapped into itself by every op in ops.
 
@@ -162,8 +163,3 @@ def largest_invariant_in(Q, ops):
         V = np.hstack([V, new])
     return null_basis(V.conj().T)
 
-
-def spectral_abscissa(A):
-    if A.size == 0:
-        return -np.inf
-    return float(np.max(np.linalg.eigvals(A).real))

@@ -16,7 +16,6 @@ import numpy as np
 from . import linalg
 from .errors import (
     ASSViolated,
-    GridPointInSpectrum,
     NotColocated,
     NotESAD,
     NotSelfAdjointDissipative,
@@ -205,8 +204,7 @@ def minimal_E_colocated_at(node, omega):
 
 def _require_colocated(node):
     _, B, C, _ = node.orthonormal
-    scale = 1.0 + np.linalg.norm(B, 2)
-    if np.linalg.norm(C - B.conj().T, 2) > 1e-9 * scale:
+    if np.linalg.norm(C - B.conj().T, 2) > linalg.STRUCTURE_TOL * (1.0 + np.linalg.norm(B, 2)):
         raise NotColocated("C = B* (in the W inner product) does not hold")
 
 
@@ -237,10 +235,10 @@ def minimal_E_selfadjoint(node, s=1.0 + 0.0j):
     when s is in the spectrum of A.
     """
     A, B, _, _ = node.orthonormal
-    scale = 1.0 + np.linalg.norm(A, 2)
-    if np.linalg.norm(A - A.conj().T, 2) > 1e-9 * scale:
+    tol = linalg.STRUCTURE_TOL * (1.0 + np.linalg.norm(A, 2))
+    if np.linalg.norm(A - A.conj().T, 2) > tol:
         raise NotSelfAdjointDissipative("A is not self-adjoint")
-    if linalg.spectral_abscissa(linalg.hermitize(A)) > 1e-9 * scale:
+    if -linalg.min_eig_herm(-A) > tol:
         raise NotSelfAdjointDissipative("A is not negative semidefinite")
     _require_colocated(node)
     s = complex(s)
@@ -265,49 +263,3 @@ def positive_part(E):
     c = float(pos.max(initial=0.0))
     kappa0 = np.inf if c == 0.0 else 1.0 / c
     return Eplus, c, kappa0
-
-
-@dataclass(frozen=True)
-class PositiveRealScan:
-    """Grid scan of the positive-real necessary condition G(s)+G(s)* >= 0."""
-
-    points: tuple
-    min_eigenvalues: tuple
-    min_eigenvalue: float
-    worst_point: complex
-
-    @property
-    def nonnegative(self):
-        return self.min_eigenvalue >= -linalg.base_tol() * 10.0
-
-    def as_dict(self):
-        return {
-            "points": [[s.real, s.imag] for s in self.points],
-            "min_eigenvalues": list(self.min_eigenvalues),
-            "min_eigenvalue": self.min_eigenvalue,
-            "worst_point": [self.worst_point.real, self.worst_point.imag],
-        }
-
-
-def positive_real_scan(node, grid):
-    """Minimum eigenvalue of G(s) + G(s)* over a right-half-plane grid.
-
-    A negative result disproves impedance passivity; a nonnegative scan is
-    only necessary, not sufficient (the condition depends on the
-    realization).
-    """
-    pts, vals = [], []
-    for s in map(complex, grid):
-        if s.real <= 0:
-            raise GridPointInSpectrum(f"grid point {s} is not in the open right half-plane")
-        _, G = resolvent(node, s, GridPointInSpectrum,
-                         f"grid point {s} is in the spectrum of A")
-        pts.append(s)
-        vals.append(linalg.min_eig_herm(G + G.conj().T))
-    worst = int(np.argmin(vals))
-    return PositiveRealScan(
-        points=tuple(pts),
-        min_eigenvalues=tuple(vals),
-        min_eigenvalue=float(vals[worst]),
-        worst_point=pts[worst],
-    )

@@ -146,23 +146,30 @@ def energy_audit(traj, W=None, E=None, tol=None):
 
     integrated with the trapezoid rule on the simulation grid.  The
     tolerance scales with the energy magnitude along the trajectory.
+    Raises NonFiniteState when the stored or the supplied energy (or their
+    balance) overflows, as it does for a finite but huge trajectory.
     """
     times = traj.times
     n = traj.states.shape[1]
     W = np.eye(n) if W is None else np.asarray(W, dtype=complex)
-    energy = np.real(np.einsum("ti,ij,tj->t", traj.states.conj(), W, traj.states))
-    supply = 2.0 * np.real(np.einsum("ti,ti->t", traj.inputs.conj(), traj.outputs))
-    if E is not None:
-        E = np.asarray(E, dtype=complex)
-        supply = supply + 2.0 * np.real(
-            np.einsum("ti,ij,tj->t", traj.inputs.conj(), E, traj.inputs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = np.real(np.einsum("ti,ij,tj->t", traj.states.conj(), W, traj.states))
+        supply = 2.0 * np.real(np.einsum("ti,ti->t", traj.inputs.conj(), traj.outputs))
+        if E is not None:
+            E = np.asarray(E, dtype=complex)
+            supply = supply + 2.0 * np.real(
+                np.einsum("ti,ij,tj->t", traj.inputs.conj(), E, traj.inputs)
+            )
+        dt = np.diff(times)
+        cumulative = np.concatenate(
+            [[0.0], np.cumsum(0.5 * dt * (supply[:-1] + supply[1:]))]
         )
-    dt = np.diff(times)
-    cumulative = np.concatenate(
-        [[0.0], np.cumsum(0.5 * dt * (supply[:-1] + supply[1:]))]
-    )
-    defect = cumulative - (energy - energy[0])
-    scale = np.max(np.abs(energy)) + np.max(np.abs(cumulative)) + 1.0
+        defect = cumulative - (energy - energy[0])
+        scale = np.max(np.abs(energy)) + np.max(np.abs(cumulative)) + 1.0
+    finite = np.isfinite(energy) & np.isfinite(cumulative) & np.isfinite(defect)
+    if not (finite.all() and np.isfinite(scale)):
+        t = times[np.argmin(finite)] if not finite.all() else times[-1]
+        raise NonFiniteState(f"stored or supplied energy overflows by t = {t:.6g}")
     tol = (1e-6 * scale) if tol is None else float(tol)
     return EnergyAudit(
         times=times,

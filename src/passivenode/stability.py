@@ -1,12 +1,22 @@
-"""Strong/weak stability analysis of the closed loop.
+"""Strong stability of the closed loop, decided once.
 
-At finite dimension the Benchimol-style conditions reduce to subspace
-computations: the unobservable space N (largest A-invariant subspace of
-ker C), its dual counterpart, and the unitary part X^u of the contraction
-semigroup (largest subspace invariant under both A and A* on which the
-generator is skew).  The closed loop is strongly stable whenever N or N^d
-meets X^u only at the origin; a persistent imaginary-axis eigenvalue of
-the closed loop rules stability out.
+At finite dimension sigma(A) is finite, so weak, strong and exponential
+stability of the closed loop are one fact.  It is decided on the scattering
+intermediate Sigma^s of the stabilizing-feedback synthesis, whose A is the
+closed-loop A.  Sigma^s is scattering passive, so A + A* <= -C*C and
+A + A* <= -BB*: an eigenvector x for an eigenvalue i*omega has
+0 = x*(A + A*)x <= -||Cx||^2, hence Cx = 0, B*x = 0 and (A + A*)x = 0
+(the Hautus/PBH argument; Hautus 1969, Benchimol 1978, SIAM J. Control
+Optim. 16).  So the unitary part X^u lies in both the unobservable space N
+and its dual N^d, and these are equivalent: cweak (N ∩ X^u = {0}), bweak
+(N^d ∩ X^u = {0}), X^u = {0}, no closed-loop eigenvalue on the imaginary
+axis, and a Hurwitz closed loop.
+
+benchimol_conditions computes N and N^d by two staircase sweeps and then
+X^u as the largest {A, A*}-invariant subspace H of ker(A + A*) ∩ N ∩ N^d,
+so dim X^u never exceeds dim N or dim N^d.  Every rank decision uses the
+one relative tolerance linalg.SUBSPACE_TOL, and stability_verdict reads
+every field of its report from the one decision "H = {0}".
 """
 
 import enum
@@ -22,13 +32,14 @@ from .node import resolvent
 
 class StabilityVerdict(enum.Enum):
     STRONGLY_STABLE = "StronglyStable"
-    WEAKLY_STABLE = "WeaklyStable"
-    INCONCLUSIVE = "Inconclusive"
     NOT_STABLE = "NotStable"
 
 
-def _imag_axis_tol(A):
-    return 1e-9 * (1.0 + np.linalg.norm(A, 2))
+def _require_negative(forms, scale, message):
+    """Raise NotContraction(message) unless every form is <= 0 to
+    CONTRACTION_TOL * scale."""
+    if any(-linalg.min_eig_herm(-F) > linalg.CONTRACTION_TOL * scale for F in forms):
+        raise NotContraction(message)
 
 
 def unobservable_space(node):
@@ -54,15 +65,20 @@ def unitary_subspace(node, require_contraction=True):
     """
     A, _, _, _ = node.orthonormal
     Q = linalg.hermitize(A + A.conj().T)
-    if require_contraction and linalg.spectral_abscissa(Q) > 1e-8 * (1.0 + np.linalg.norm(A, 2)):
-        raise NotContraction("WA + A*W is not negative semidefinite")
-    kernel = linalg.null_basis(Q)
-    return linalg.largest_invariant_in(kernel, [A, A.conj().T])
+    if require_contraction:
+        _require_negative([Q], 1.0 + np.linalg.norm(A, 2),
+                          "WA + A*W is not negative semidefinite")
+    return linalg.largest_invariant_in(linalg.null_basis(Q), [A, A.conj().T])
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Subspace bases, spectra and verdict of the stability analysis."""
+    """Subspace bases, spectra and verdict of the stability analysis.
+
+    Every field but the informational open-loop imaginary_spectrum and the
+    raw closed_loop_max_real follows from unitary_basis (H): the verdict is
+    StronglyStable exactly when H = {0}.
+    """
 
     unobservable_basis: np.ndarray
     uncontrollable_dual_basis: np.ndarray
@@ -76,7 +92,7 @@ class StabilityReport:
 
     @property
     def closed_loop_hurwitz(self):
-        return self.closed_loop_max_real < 0.0
+        return self.verdict is StabilityVerdict.STRONGLY_STABLE
 
     def as_dict(self):
         return {
@@ -95,19 +111,35 @@ class StabilityReport:
 
 
 def benchimol_conditions(node, require_contraction=True):
-    """Evaluate the two sufficient conditions for strong stability.
+    """Decide cweak and bweak for a scattering-passive node.
 
-    cweak: N ∩ X^u = {0} (unobservable space meets the unitary part
-    trivially); bweak: the dual counterpart with ker B*.  Returns
-    (cweak, bweak, N_basis, Nd_basis, Xu_basis), all in W-orthonormal
-    coordinates.
+    Precondition: A + A* <= -C*C and A + A* <= -BB* in W-orthonormal
+    coordinates, as for every scattering-passive node.  Then ker(A + A*)
+    lies in ker C and in ker B*, so X^u lies in N and in N^d, and
+    X^u = N ∩ X^u = N^d ∩ X^u = H, the largest {A, A*}-invariant subspace
+    of ker(A + A*) ∩ N ∩ N^d.  H is found by one staircase sweep, and is {0}
+    without one when N or N^d is.  cweak and bweak both hold exactly when
+    H = {0}.  Returns (cweak, bweak, N_basis, Nd_basis, H_basis), all in
+    W-orthonormal coordinates.  With require_contraction (the default) the
+    precondition is checked and NotContraction raised when it fails.
     """
+    A, B, C, _ = node.orthonormal
+    Q = linalg.hermitize(A + A.conj().T)
+    if require_contraction:
+        _require_negative(
+            [Q + C.conj().T @ C, Q + B @ B.conj().T],
+            1.0 + np.linalg.norm(A, 2) + np.linalg.norm(B, 2) ** 2 + np.linalg.norm(C, 2) ** 2,
+            "A + A* <= -C*C or A + A* <= -BB* fails",
+        )
     N = unobservable_space(node)
     Nd = uncontrollable_dual_space(node)
-    Xu = unitary_subspace(node, require_contraction=require_contraction)
-    cweak = linalg.subspace_intersection(N, Xu).shape[1] == 0
-    bweak = linalg.subspace_intersection(Nd, Xu).shape[1] == 0
-    return cweak, bweak, N, Nd, Xu
+    H = np.zeros((node.n, 0), dtype=complex)
+    if N.shape[1] and Nd.shape[1]:
+        # x = N c lies in ker(A + A*) and in N^d; Q is scaled as in null_basis(Q)
+        M = np.vstack([Q @ N / max(1.0, np.linalg.norm(Q, 2)), N - Nd @ (Nd.conj().T @ N)])
+        H = linalg.largest_invariant_in(N @ linalg.null_basis(M), [A, A.conj().T])
+    holds = H.shape[1] == 0
+    return holds, holds, N, Nd, H
 
 
 def closed_loop_spectrum_gate(node, K, lam):
@@ -128,44 +160,35 @@ def closed_loop_spectrum_gate(node, K, lam):
     return True
 
 
-def _imag_eigs(vals, tol):
-    return tuple(complex(v) for v in vals if abs(v.real) < tol)
-
-
 def stability_verdict(node, E, kappa):
     """Full stability analysis of the closed loop under u = -kappa y.
 
-    Runs the stabilizing-feedback synthesis, evaluates the Benchimol
-    conditions on the scattering intermediate, and inspects the closed-loop
-    spectrum.  At finite dimension either sufficient condition already
-    yields strong (in fact exponential, when no imaginary eigenvalues
-    remain) stability.
+    Runs the stabilizing-feedback synthesis and decides benchimol_conditions
+    on its scattering intermediate, whose A is the closed-loop A.  The
+    verdict is StronglyStable (in fact exponentially stable) exactly when
+    H = X^u = {0}; otherwise the closed-loop imaginary spectrum is the
+    spectrum of A on H.  closed_loop_max_real is the raw spectral abscissa
+    of the closed loop and decides nothing; imaginary_spectrum lists the
+    open-loop eigenvalues within IMAG_AXIS_TOL * (1 + ||A||) of the axis.
     """
     syn = stabilizing_feedback(node, E, kappa)
-    closed = syn.closed_loop
-    cweak, bweak, N, Nd, Xu = benchimol_conditions(
+    cweak, bweak, N, Nd, H = benchimol_conditions(
         syn.scattering_intermediate, require_contraction=False
     )
-    Acl = closed.orthonormal[0]
-    cl_eigs = np.linalg.eigvals(Acl)
-    cl_imag = _imag_eigs(cl_eigs, _imag_axis_tol(Acl))
-    max_real = float(np.max(cl_eigs.real, initial=-np.inf))
+    Acl = syn.closed_loop.orthonormal[0]
+    cl_imag = tuple(complex(v) for v in np.linalg.eigvals(H.conj().T @ Acl @ H))
+    max_real = float(np.max(np.linalg.eigvals(Acl).real, initial=-np.inf))
     A = node.orthonormal[0]
-    open_imag = _imag_eigs(np.linalg.eigvals(A), _imag_axis_tol(A))
-    if cweak or bweak:
-        verdict = StabilityVerdict.STRONGLY_STABLE
-    elif cl_imag:
-        verdict = StabilityVerdict.NOT_STABLE
-    else:
-        verdict = StabilityVerdict.INCONCLUSIVE
+    axis_tol = linalg.IMAG_AXIS_TOL * (1.0 + np.linalg.norm(A, 2))
+    open_imag = tuple(complex(v) for v in np.linalg.eigvals(A) if abs(v.real) < axis_tol)
     report = StabilityReport(
         unobservable_basis=N,
         uncontrollable_dual_basis=Nd,
-        unitary_basis=Xu,
+        unitary_basis=H,
         imaginary_spectrum=open_imag,
         cweak_holds=cweak,
         bweak_holds=bweak,
-        verdict=verdict,
+        verdict=StabilityVerdict.STRONGLY_STABLE if cweak else StabilityVerdict.NOT_STABLE,
         closed_loop_imaginary_spectrum=cl_imag,
         closed_loop_max_real=max_real,
     )

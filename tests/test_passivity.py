@@ -1,4 +1,4 @@
-"""Passivity certificates, minimal shifts, positive part, PR scan."""
+"""Passivity certificates, minimal shifts, positive part."""
 
 import numpy as np
 import pytest
@@ -12,13 +12,11 @@ from passivenode import (
     minimal_E_esad,
     minimal_E_selfadjoint,
     positive_part,
-    positive_real_scan,
     shift_feedthrough,
 )
 from passivenode import passivity
 from passivenode.errors import (
     ASSViolated,
-    GridPointInSpectrum,
     NotColocated,
     NotESAD,
     NotSelfAdjointDissipative,
@@ -176,18 +174,3 @@ def test_positive_part():
     Ez, cz, kz = positive_part(-np.eye(2))
     assert cz == 0.0 and np.isinf(kz) and np.allclose(Ez, 0.0)
 
-
-def test_positive_real_scan():
-    node = random_passive_node(4)
-    grid = [complex(0.2 + 0.3 * i, (-1) ** i * 0.7 * i) for i in range(10)]
-    scan = positive_real_scan(node, grid)
-    assert scan.nonnegative
-    # a strongly violated feedthrough shows up in G + G* near infinity
-    D = np.asarray(node.D)
-    delta = np.linalg.norm(D + D.conj().T, 2) + 1.0
-    bad = shift_feedthrough(node, -delta * np.eye(node.m))
-    grid = [complex(50.0, 0.0), complex(100.0, 3.0)]
-    scan_bad = positive_real_scan(bad, grid)
-    assert scan_bad.min_eigenvalue < 0
-    with pytest.raises(GridPointInSpectrum):
-        positive_real_scan(node, [-1.0 + 0.0j])

@@ -15,6 +15,7 @@ from passivenode import (
     beam_model,
     check_impedance,
     closed_loop_spectrum_gate,
+    energy_audit,
     eval_transfer,
     io,
     linalg,
@@ -30,6 +31,7 @@ from passivenode.errors import (
     InvalidTolerance,
     LambdaInOpenLoopSpectrum,
     NonFiniteMatrix,
+    NonFiniteState,
     OmegaInSpectrum,
     PassiveNodeError,
     SchemaError,
@@ -254,6 +256,26 @@ def test_simulate_rejects_bad_grid(T, steps, tmp_path, capsys):
     path = _write(tmp_path, io.node_to_dict(node))
     assert main(["simulate", path, "--t-final", str(T), "--steps", str(steps)]) == 1
     assert "error: InvalidTimeGrid:" in capsys.readouterr().err
+
+
+def test_energy_audit_overflow_is_non_finite_state(tmp_path, capsys):
+    # every state is finite, but ||z||_W^2 ~ 1e320 is not; warnings are errors here
+    node = random_passive_node(1)
+    u = lambda t: 1e160 * np.cos(t) * np.ones(node.m)
+    traj = simulate(node, np.zeros(node.n), u, 10.0, steps=20)
+    assert np.isfinite(traj.states).all()
+    with pytest.raises(NonFiniteState, match="energy overflows"):
+        energy_audit(traj, W=node.W)
+    # the stored energy stays 0 and only the supply 2 Re <u, y> = 2 |u|^2 overflows
+    through = StateSpaceNode([[-1.0]], [[0.0]], [[0.0]], [[1.0]])
+    traj = simulate(through, [0.0], lambda t: np.array([1e160]), 1.0, steps=10)
+    with pytest.raises(NonFiniteState, match="energy overflows"):
+        energy_audit(traj)
+    path = _write(tmp_path, io.node_to_dict(node))
+    assert main(["simulate", path, "--amplitude", "1e160", "--steps", "20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: NonFiniteState:" in captured.err
 
 
 # -- huge JSON integers ------------------------------------------------------------

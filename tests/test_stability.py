@@ -1,5 +1,7 @@
 """Subspace computations and stability verdicts."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,21 +15,24 @@ from passivenode import (
     unitary_subspace,
     unobservable_space,
 )
-from passivenode import linalg
+from passivenode import io, linalg
+from passivenode.cli import main
 from passivenode.errors import LambdaInOpenLoopSpectrum, NotContraction
 from passivenode.stability import StabilityVerdict, uncontrollable_dual_space
 
 from conftest import random_almost_passive, random_passive_node
 
 
-def _augment_dark_mode(node, omega):
-    """Append a decoupled undamped, unobservable, uncontrollable mode."""
+def _augment_dark_mode(node, omega, r=None):
+    """Append an undamped mode at i*omega, with B row r and C column r*
+    (colocated coupling; without r it is unobservable and uncontrollable)."""
     n = node.n
+    r = np.zeros((1, node.m)) if r is None else r
     A = np.zeros((n + 1, n + 1), dtype=complex)
     A[:n, :n] = node.A
     A[n, n] = 1j * omega
-    B = np.vstack([node.B, np.zeros((1, node.m))])
-    C = np.hstack([node.C, np.zeros((node.p, 1))])
+    B = np.vstack([node.B, r])
+    C = np.hstack([node.C, r.conj().T])
     return StateSpaceNode(A, B, C, node.D)
 
 
@@ -188,3 +193,48 @@ def test_benchimol_conditions_shapes():
     cweak, bweak, N, Nd, Xu = benchimol_conditions(syn.scattering_intermediate)
     assert N.shape[0] == node.n and Nd.shape[0] == node.n and Xu.shape[0] == node.n
     assert cweak and bweak
+
+
+def test_stability_reports_agree_with_themselves():
+    # a dark mode coupled with strength 1e-k, k = 0..16: from well damped,
+    # through the tolerance, to numerically dark
+    contradictions = []
+    for seed in range(20):
+        base, E = random_almost_passive(seed)
+        rng = np.random.default_rng(seed + 77)
+        r = rng.standard_normal((1, base.m)) + 1j * rng.standard_normal((1, base.m))
+        kappa = 0.9 / np.max(np.clip(np.linalg.eigvalsh(E), 0.0, None))
+        for k in range(17):
+            node = _augment_dark_mode(base, 0.4 + 0.15 * seed, 10.0**-k * r)
+            report, _ = stability_verdict(node, E, kappa)
+            d = report.as_dict()
+            facts = {
+                report.verdict is StabilityVerdict.STRONGLY_STABLE,
+                report.cweak_holds,
+                report.bweak_holds,
+                report.closed_loop_hurwitz,
+                not report.closed_loop_imaginary_spectrum,
+                d["dim_unitary"] == 0,
+            }
+            nested = d["dim_unitary"] <= min(d["dim_unobservable"], d["dim_uncontrollable_dual"])
+            if len(facts) != 1 or not nested:
+                contradictions.append((seed, k))
+    assert contradictions == []
+
+
+def test_cli_stability_exit_codes(tmp_path, capsys):
+    base, E = random_almost_passive(0)
+    beam, E_beam = beam_model(BeamParameters(n_modes=8))
+    kappa = 0.9 / np.max(np.clip(np.linalg.eigvalsh(E), 0.0, None))
+    for name, node, shift, gain, code in [
+        ("dark", _augment_dark_mode(base, 1.3), E, kappa, 2),
+        ("beam", beam, E_beam, 1.0, 0),
+    ]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(io.dumps_canonical(io.node_to_dict(node)))
+        epath = tmp_path / f"{name}_E.json"
+        epath.write_text(io.dumps_canonical(io.matrix_to_json(shift)))
+        assert main(["stability", str(path), "--kappa", str(float(gain)),
+                     "--e-matrix", str(epath)]) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == ("NotStable" if code else "StronglyStable")
