@@ -32,6 +32,7 @@ from .passivity import (
     check_impedance,
     check_impedance_reciprocal,
     check_scattering,
+    minimal_E,
     minimal_E_colocated_at,
     minimal_E_esad,
     minimal_E_selfadjoint,
@@ -95,6 +96,7 @@ __all__ = [
     "laguerre_functions",
     "load_node",
     "load_plant",
+    "minimal_E",
     "minimal_E_colocated_at",
     "minimal_E_esad",
     "minimal_E_selfadjoint",

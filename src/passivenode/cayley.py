@@ -124,8 +124,7 @@ def check_discrete_passivity(disc, kind):
         bot = np.hstack([Cd - Bd.conj().T @ Ad, Dd + Dd.conj().T - Bd.conj().T @ Bd])
         form = np.vstack([top, bot])
     form = linalg.hermitize(form)
-    val, vec = linalg.min_eig_with_vector(form)
-    passive = val >= -linalg.psd_tol(form)
+    val, vec, passive = linalg.psd_eig(form)
     return PassivityCertificate(
         kind=kind,
         verdict=Verdict.PASSIVE if passive else Verdict.NOT_PASSIVE,

@@ -3,7 +3,7 @@
 Verbs:
 
     check      certify impedance/scattering passivity of a node file
-    minimal-e  compute a minimal impedance shift for a structured node
+    minimal-e  compute the minimal impedance shift of a node
     cayley     internal Cayley transform (or its inverse) of a node file
     feedback   stabilizing static output feedback synthesis
     stability  strong-stability analysis of the closed loop
@@ -67,9 +67,8 @@ def _cmd_minimal_e(args):
         E = passivity.minimal_E_esad(node, s=args.s)
     elif args.method == "selfadjoint":
         E = passivity.minimal_E_selfadjoint(node, s=args.s)
-    else:  # feedthrough
-        D = np.asarray(node.D)
-        E = -0.5 * (D + D.conj().T)
+    else:  # general
+        E = passivity.minimal_E(node)
     Eplus, c, kappa0 = passivity.positive_part(E)
     doc = {
         "E": io.matrix_to_json(E),
@@ -192,15 +191,17 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("minimal-e", help="minimal impedance shift for a structured node")
+    p = sub.add_parser("minimal-e", help="minimal impedance shift of a node")
     p.add_argument("node")
     p.add_argument("--method",
-                   choices=["colocated", "esad", "selfadjoint", "feedthrough"],
-                   default="esad")
+                   choices=["colocated", "esad", "selfadjoint", "general"],
+                   default="esad",
+                   help="general works on any node; the others first check "
+                   "their structural class")
     p.add_argument("--omega", type=float, default=0.0,
                    help="frequency for the colocated method")
     p.add_argument("--s", type=_complex_arg, default=1.0 + 0.0j,
-                   help="resolvent point for esad/selfadjoint methods")
+                   help="point the esad/selfadjoint methods check to lie in rho(A)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_minimal_e)
 

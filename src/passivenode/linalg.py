@@ -34,8 +34,18 @@ SUBSPACE_TOL = 1e-8
 CONTRACTION_TOL = 1e-8
 
 #: slack, relative to 1 + ||A|| or 1 + ||B||, for the structural identities
-#: A = A*, A <= 0 and C = B* of the minimal-E formulas
+#: A = A* and C = B* of the minimal-E class checks, and for C - B* = 0 on
+#: ker(A + A*) in the minimal-E formula
 STRUCTURE_TOL = 1e-9
+
+#: slack, relative to 1 + ||Q||, for the dissipation Q = -(A + A*) >= 0 of
+#: the minimal-E formula and its class checks, and for the damping M >= 0 of
+#: a second-order plant
+DISSIPATION_TOL = 1e-10
+
+#: slack, relative to 1 + ||C(iwI - A)^-1||, for the resolvent-colocation
+#: identity B*(iwI + A*)^-1 = C(iwI - A)^-1
+COLOCATION_TOL = 1e-8
 
 #: open-loop eigenvalues within IMAG_AXIS_TOL * (1 + ||A||) of the imaginary
 #: axis are reported; the report is informational and decides nothing
@@ -89,9 +99,12 @@ def checked_inv(M, error, message):
     return Minv
 
 
-def psd_tol(form):
-    """Scale-invariant PSD slack: a form passes if lambda_min >= -psd_tol."""
-    return base_tol() * (1.0 + np.linalg.norm(form, 2))
+def psd_tol(eigenvalues):
+    """Scale-invariant PSD slack of a self-adjoint form, from its eigenvalues.
+
+    A form passes if lambda_min >= -psd_tol; max |lambda| is its 2-norm.
+    """
+    return base_tol() * (1.0 + np.abs(eigenvalues).max(initial=0.0))
 
 
 def hermitize(M):
@@ -114,10 +127,13 @@ def min_eig_herm(M):
     return float(np.linalg.eigvalsh(hermitize(M))[0])
 
 
-def min_eig_with_vector(M):
-    """Smallest eigenvalue and a corresponding unit eigenvector."""
+def psd_eig(M):
+    """Smallest eigenvalue, a unit eigenvector for it, and whether M >= 0.
+
+    M passes when lambda_min >= -psd_tol, the slack read off the same eigh.
+    """
     vals, vecs = np.linalg.eigh(hermitize(M))
-    return float(vals[0]), vecs[:, 0]
+    return float(vals[0]), vecs[:, 0], bool(vals[0] >= -psd_tol(vals))
 
 
 def null_basis(M):

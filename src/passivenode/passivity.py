@@ -3,9 +3,11 @@
 The impedance / scattering tests are fixed quadratic forms evaluated in the
 W-orthonormal coordinates of the node; a form passes when its minimum
 eigenvalue is above the scale-invariant slack -tol*(1+||form||).  The
-minimal-shift operations return the smallest self-adjoint E making
-Sigma_E = (A, B, C, G+E) impedance passive, for the structured classes that
-admit a closed formula.
+smallest self-adjoint E making Sigma_E = (A, B, C, D+E) impedance passive
+comes from one formula, :func:`minimal_E`: the Schur complement of the
+bounded impedance form.  The structured functions (``minimal_E_esad``,
+``minimal_E_selfadjoint``, ``minimal_E_colocated_at``) are class checks
+followed by a call to it.
 """
 
 import enum
@@ -17,6 +19,7 @@ from . import linalg
 from .errors import (
     ASSViolated,
     NotColocated,
+    NotAlmostPassive,
     NotESAD,
     NotSelfAdjointDissipative,
     NotSquare,
@@ -116,11 +119,10 @@ def _certify(kind, forms, test_points):
     witness = None
     passive = True
     for form in forms:
-        val, vec = linalg.min_eig_with_vector(form)
+        val, vec, psd = linalg.psd_eig(form)
         if val < worst:
             worst, witness = val, vec
-        if val < -linalg.psd_tol(form):
-            passive = False
+        passive = passive and psd
     return PassivityCertificate(
         kind=kind,
         verdict=Verdict.PASSIVE if passive else Verdict.NOT_PASSIVE,
@@ -138,8 +140,7 @@ def check_impedance(node, test_points=None):
     {1, 2+i, 2-i, 10} intersected with rho(A)) -- the verdicts agree
     ("for some, hence for every, s").
     """
-    if node.p != node.m:
-        raise NotSquare("impedance passivity needs p = m")
+    _require_square(node)
     pts, forms = _point_forms(node, impedance_form_at, test_points)
     return _certify(PassivityKind.IMPEDANCE, [impedance_block_bounded(node)] + forms, pts)
 
@@ -160,8 +161,7 @@ def check_impedance_reciprocal(node, E, omega):
      [B* Aw^-* + C Aw^-1, 2E + G(iw) + G(iw)*]] >= 0.
     Agrees with check_impedance(shift_feedthrough(node, E)).
     """
-    if node.p != node.m:
-        raise NotSquare("impedance passivity needs p = m")
+    _require_square(node)
     s = 1j * float(omega)
     _, B, C, _ = node.orthonormal
     E = linalg.assert_hermitian(E, "E")
@@ -173,81 +173,126 @@ def check_impedance_reciprocal(node, E, omega):
     return _certify(PassivityKind.IMPEDANCE, [form], (s,))
 
 
-def colocation_residual_at(node, omega):
-    """Residual of B*(iwI + A*)^-1 = C(iwI - A)^-1 (orthonormal coordinates).
-
-    Returns (residual, ||C(iwI - A)^-1||, G(iw)); raises OmegaInSpectrum
-    when iw is in the spectrum of A.
-    """
-    _, B, C, _ = node.orthonormal
-    s = 1j * float(omega)
-    R, G = resolvent(node, s, OmegaInSpectrum, f"i*omega = {s} is in the spectrum of A")
-    # (iwI + A*)^-1 = -((iwI - A)^-1)* = -R*
-    lhs = -B.conj().T @ R.conj().T
-    rhs = C @ R
-    return float(np.linalg.norm(lhs - rhs, 2)), float(np.linalg.norm(rhs, 2)), G
-
-
-def minimal_E_colocated_at(node, omega):
-    """Minimal shift E = -1/2 [G(iw) + G(iw)*] for resolvent-colocated nodes.
-
-    Requires iw in rho(A) and the resolvent-colocation identity
-    B*(iwI + A*)^-1 = C(iwI - A)^-1 to hold to tolerance.
-    """
-    resid, scale, G = colocation_residual_at(node, omega)
-    if resid > 1e-8 * (1.0 + scale):
-        raise ASSViolated(
-            f"colocation resolvent identity fails at omega={omega} (residual {resid:.2e})"
-        )
-    return -linalg.hermitize(G)
+def _require_square(node):
+    if node.p != node.m:
+        raise NotSquare("impedance passivity needs p = m")
 
 
 def _require_colocated(node):
+    _require_square(node)
     _, B, C, _ = node.orthonormal
     if np.linalg.norm(C - B.conj().T, 2) > linalg.STRUCTURE_TOL * (1.0 + np.linalg.norm(B, 2)):
         raise NotColocated("C = B* (in the W inner product) does not hold")
 
 
-def minimal_E_esad(node, s=1.0 + 0.0j):
-    """Minimal shift for essentially skew-adjoint dissipative colocated nodes.
+def _require_resolvent_point(node, s):
+    s = complex(s)
+    resolvent(node, s, SingularResolvent, f"s = {s} is in the spectrum of A")
 
-    E = -1/2 [G(s) + G(s)*] + 1/2 B*(s̄I - A*)^-1 [2 Re(s) I + Q] (sI - A)^-1 B
-    with Q = -(A + A*) >= 0; the value is independent of s in rho(A).
-    Raises SingularResolvent when s is in the spectrum of A.
+
+def _dissipation_eigh(node):
+    """Eigenpairs of Q = -(A + A*) (orthonormal) and whether Q >= 0.
+
+    Q counts as positive semidefinite when its smallest eigenvalue is at
+    least -DISSIPATION_TOL * (1 + ||Q||).
     """
-    A, B, _, _ = node.orthonormal
-    Q = linalg.hermitize(-(A + A.conj().T))
-    if linalg.min_eig_herm(Q) < -1e-10 * (1.0 + np.linalg.norm(Q, 2)):
+    lam, V = np.linalg.eigh(linalg.hermitize(-node.dissipation_form()))
+    scale = 1.0 + np.abs(lam).max(initial=0.0)
+    return lam, V, lam.min(initial=0.0) >= -linalg.DISSIPATION_TOL * scale
+
+
+def minimal_E(node):
+    """Least self-adjoint E making Sigma_E = (A, B, C, D + E) impedance passive.
+
+    With Q = -(A + A*) in W-orthonormal coordinates, Sigma_E is passive iff
+    the bounded form of :func:`impedance_block_bounded`,
+    [[Q, C* - B], [C - B*, D + D* + 2E]], is positive semidefinite.  Its
+    Schur complement in the Q block gives the least such E in the Loewner
+    order (Willems 1972, "Dissipative dynamical systems", Arch. Rational
+    Mech. Anal. 45):
+
+        E_min = 1/2 [(C - B*) Q^+ (C* - B) - (D + D*)].
+
+    An E exists iff Q >= 0 and C - B* vanishes on ker Q; otherwise
+    NotAlmostPassive is raised.  ker Q is cut at SUBSPACE_TOL, the rank rule
+    of linalg.null_basis, and C - B* counts as zero on it to STRUCTURE_TOL,
+    the rule of the C = B* class check.  Raises NotSquare when p != m.
+    """
+    _require_square(node)
+    _, B, C, D = node.orthonormal
+    lam, V, dissipative = _dissipation_eigh(node)
+    if not dissipative:
+        raise NotAlmostPassive(
+            f"Q = -(A + A*) has the eigenvalue {lam[0]:.3e} < 0: no shift E "
+            "makes the node impedance passive"
+        )
+    F = (C - B.conj().T) @ V
+    kernel = np.abs(lam) <= linalg.SUBSPACE_TOL * max(1.0, np.abs(lam).max(initial=0.0))
+    resid = np.linalg.norm(F[:, kernel], 2)
+    if resid > linalg.STRUCTURE_TOL * (1.0 + np.linalg.norm(B, 2)):
+        raise NotAlmostPassive(
+            f"C - B* is nonzero on ker(A + A*): ||(C - B*)k|| = {resid:.3e} for the "
+            "worst unit k in the kernel, so no shift E makes the node impedance passive"
+        )
+    Fr = F[:, ~kernel]
+    return linalg.hermitize(0.5 * (Fr / lam[~kernel]) @ Fr.conj().T - 0.5 * (D + D.conj().T))
+
+
+def minimal_E_colocated_at(node, omega):
+    """Minimal shift of a resolvent-colocated node: :func:`minimal_E` after a class check.
+
+    Requires iw in rho(A) (OmegaInSpectrum otherwise) and the
+    resolvent-colocation identity B*(iwI + A*)^-1 = C(iwI - A)^-1 to hold
+    to COLOCATION_TOL (ASSViolated otherwise).  Where an E exists it equals
+    -1/2 [G(iw) + G(iw)*].
+    """
+    _require_square(node)
+    _, B, C, _ = node.orthonormal
+    s = 1j * float(omega)
+    R, _ = resolvent(node, s, OmegaInSpectrum, f"i*omega = {s} is in the spectrum of A")
+    # (iwI + A*)^-1 = -((iwI - A)^-1)* = -R*
+    CR = C @ R
+    resid = np.linalg.norm(B.conj().T @ R.conj().T + CR, 2)
+    if resid > linalg.COLOCATION_TOL * (1.0 + np.linalg.norm(CR, 2)):
+        raise ASSViolated(
+            f"colocation resolvent identity fails at omega={omega} (residual {resid:.2e})"
+        )
+    return minimal_E(node)
+
+
+def minimal_E_esad(node, s=1.0 + 0.0j):
+    """Minimal shift of an essentially skew-adjoint dissipative colocated node.
+
+    Class check (Q = -(A + A*) >= 0, p = m, C = B*) followed by
+    :func:`minimal_E`; at finite dimension the value is -1/2 (D + D*).  s
+    is kept from the resolvent form of the formula, whose value does not
+    depend on s: it is only checked to lie in rho(A), and
+    SingularResolvent is raised when it does not.
+    """
+    if not _dissipation_eigh(node)[2]:
         raise NotESAD("Q = -(A + A*) is not positive semidefinite")
     _require_colocated(node)
-    s = complex(s)
-    R, G = resolvent(node, s, SingularResolvent, f"s = {s} is in the spectrum of A")
-    RB = R @ B
-    E = -0.5 * (G + G.conj().T) + 0.5 * RB.conj().T @ (2.0 * s.real * np.eye(node.n) + Q) @ RB
-    return linalg.hermitize(E)
+    _require_resolvent_point(node, s)
+    return minimal_E(node)
 
 
 def minimal_E_selfadjoint(node, s=1.0 + 0.0j):
     """Minimal shift for self-adjoint dissipative A with C = B*.
 
-    E = -1/2 [G(s) + G(s)*] + B*(s̄I - A)^-1 [Re(s) I - A] (sI - A)^-1 B,
-    independent of s in the open right half-plane.  Raises SingularResolvent
-    when s is in the spectrum of A.
+    Class check (A = A* <= 0, p = m, C = B*) followed by
+    :func:`minimal_E`.  A <= 0 is decided as Q = -(A + A*) >= 0, by the
+    test minimal_E makes.  s is only checked to lie in rho(A), as in
+    :func:`minimal_E_esad`.
     """
-    A, B, _, _ = node.orthonormal
+    A, _, _, _ = node.orthonormal
     tol = linalg.STRUCTURE_TOL * (1.0 + np.linalg.norm(A, 2))
     if np.linalg.norm(A - A.conj().T, 2) > tol:
         raise NotSelfAdjointDissipative("A is not self-adjoint")
-    if -linalg.min_eig_herm(-A) > tol:
+    if not _dissipation_eigh(node)[2]:
         raise NotSelfAdjointDissipative("A is not negative semidefinite")
     _require_colocated(node)
-    s = complex(s)
-    R, G = resolvent(node, s, SingularResolvent, f"s = {s} is in the spectrum of A")
-    RB = R @ B
-    # A = A*, so (s̄I - A)^-1 = ((sI - A)^-1)* and B*(s̄I - A)^-1 = (RB)*
-    term = RB.conj().T @ (s.real * np.eye(node.n) - A) @ RB
-    E = -0.5 * (G + G.conj().T) + term
-    return linalg.hermitize(E)
+    _require_resolvent_point(node, s)
+    return minimal_E(node)
 
 
 def positive_part(E):

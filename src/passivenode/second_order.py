@@ -7,9 +7,10 @@ x = (q, q') with energy weight W = diag(A0, I):
     A = [[0, I], [-A0, -M]].
 
 Three couplings are provided: a colocated velocity channel, a non-colocated
-channel with its minimal impedance shift, and a two-channel configuration
-mixing position-type and velocity-type measurements.  The flexible-beam
-builder discretizes a free-free Euler-Bernoulli beam by modal truncation.
+channel and a two-channel configuration mixing position-type and
+velocity-type measurements; each builder returns the node together with
+its minimal impedance shift.  The flexible-beam builder discretizes a
+free-free Euler-Bernoulli beam by modal truncation.
 """
 
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from scipy.optimize import brentq
 from . import linalg
 from .errors import DimensionMismatch, RootFindingFailure, SingularA0, SingularM
 from .node import StateSpaceNode
+from .passivity import minimal_E
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,7 @@ class SecondOrderPlant:
             raise DimensionMismatch("A0, M, C0 dimensions do not conform")
         if linalg.min_eig_herm(A0) <= 0:
             raise SingularA0("stiffness A0 must be positive definite")
-        if linalg.min_eig_herm(M) < -1e-10 * (1.0 + np.linalg.norm(M, 2)):
+        if linalg.min_eig_herm(M) < -linalg.DISSIPATION_TOL * (1.0 + np.linalg.norm(M, 2)):
             raise DimensionMismatch("damping M must be positive semidefinite")
         for name, val in (("A0", A0), ("M", M), ("C0", C0)):
             val.setflags(write=False)
@@ -51,7 +53,8 @@ class SecondOrderPlant:
             val = getattr(self, name)
             if val is not None:
                 val = linalg.as_matrix(val, name)
-                if val.shape[-1] != n0 and val.shape[0] != n0:
+                # B0 may come as n0 x m or as m x n0; C1 is always p1 x n0
+                if val.shape[1] != n0 and (name == "C1" or val.shape[0] != n0):
                     raise DimensionMismatch(f"{name} does not conform with A0")
             object.__setattr__(self, name, val)
 
@@ -86,14 +89,15 @@ def build_colocated(plant):
 def build_noncolocated(plant):
     """Velocity sensing C0 with a different input coupling B0.
 
-    B = [0; B0], y = C0 q'.  With invertible damping M the minimal
-    impedance shift is E = 1/4 (C0 - B0*) M^-1 (C0* - B0), the Schur
-    complement of the damping block in the bounded impedance form.
+    B = [0; B0], y = C0 q'.  Damping M must be invertible.  The minimal
+    impedance shift is passivity.minimal_E of the node, which here
+    evaluates to E = 1/4 (C0 - B0*) M^-1 (C0* - B0), the Schur complement
+    of the damping block in the bounded impedance form.
     """
     if plant.B0 is None:
         raise DimensionMismatch("plant must provide B0 for the non-colocated build")
-    Minv = linalg.checked_inv(plant.M, SingularM,
-                              "damping M must be invertible for the non-colocated shift")
+    linalg.checked_inv(plant.M, SingularM,
+                       "damping M must be invertible for the non-colocated shift")
     A, W = _first_order(plant)
     n0 = plant.n0
     B0 = plant.B0 if plant.B0.shape[0] == n0 else plant.B0.conj().T
@@ -105,9 +109,7 @@ def build_noncolocated(plant):
     C = np.hstack([np.zeros((p, n0), dtype=complex), plant.C0])
     D = np.zeros((p, m), dtype=complex)
     node = StateSpaceNode(A, B, C, D, W=W, meta="second-order non-colocated")
-    diff = plant.C0 - B0.conj().T
-    E_min = 0.25 * diff @ Minv @ diff.conj().T
-    return node, linalg.hermitize(E_min)
+    return node, minimal_E(node)
 
 
 def build_two_channel(plant):
@@ -119,8 +121,9 @@ def build_two_channel(plant):
         C = [[0, C0], [C1, 2 C2]],  C2 = C1 A0^-1 M,
         D = [[0, D0], [0, D2]],  D0 = C0 A0^-1 C1*,  D2 = C2 A0^-1 C1*,
 
-    and the minimal shift is E = -1/2 [[0, D1*], [D1, 0]] with
-    D1 = C1 A0^-1 C0*.  The realization satisfies C A^-1 + B* A^-* = 0.
+    and the minimal shift, passivity.minimal_E of the node, evaluates to
+    E = -1/2 [[0, D1*], [D1, 0]] with D1 = C1 A0^-1 C0*.  The realization
+    satisfies C A^-1 + B* A^-* = 0.
     """
     if plant.C1 is None:
         raise DimensionMismatch("plant must provide C1 for the two-channel build")
@@ -131,7 +134,6 @@ def build_two_channel(plant):
     A0inv_C1h = np.linalg.solve(plant.A0, C1.conj().T)
     C2 = C1 @ np.linalg.solve(plant.A0, plant.M)
     D0 = C0 @ A0inv_C1h
-    D1 = C1 @ np.linalg.solve(plant.A0, C0.conj().T)
     D2 = C2 @ A0inv_C1h
     Z = np.zeros
     B = np.block([[Z((n0, p0), dtype=complex), A0inv_C1h],
@@ -141,9 +143,7 @@ def build_two_channel(plant):
     D = np.block([[Z((p0, p0), dtype=complex), D0],
                   [Z((p1, p0), dtype=complex), D2]])
     node = StateSpaceNode(A, B, C, D, W=W, meta="second-order two-channel")
-    E_min = -0.5 * np.block([[Z((p0, p0), dtype=complex), D1.conj().T],
-                             [D1, Z((p1, p1), dtype=complex)]])
-    return node, linalg.hermitize(E_min)
+    return node, minimal_E(node)
 
 
 # ---------------------------------------------------------------------------

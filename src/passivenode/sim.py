@@ -222,7 +222,7 @@ def adversarial_input(node, E=None, amplitude=1.0):
 
     probe = node if E is None else shift_feedthrough(node, E)
     form = impedance_block_bounded(probe)
-    val, vec = linalg.min_eig_with_vector(form)
+    val, vec, _ = linalg.psd_eig(form)
     x_orth = vec[: node.n]
     u0 = vec[node.n:]
     z0 = node.to_state(amplitude * x_orth)

@@ -107,6 +107,20 @@ def test_cli_minimal_e(tmp_path, capsys):
     assert E.shape == (2, 2)
 
 
+def test_cli_minimal_e_general_matches_builder(tmp_path, capsys):
+    from conftest import random_second_order
+
+    from passivenode import build_noncolocated
+
+    node, E_min = build_noncolocated(random_second_order(0, with_B0=True))
+    path = _write_node(tmp_path, node)
+    assert main(["minimal-e", path, "--method", "general"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["method"] == "general"
+    E = io.matrix_from_json(doc["E"], "E")
+    assert np.linalg.norm(E - E_min, 2) <= 1e-12 * (1.0 + np.linalg.norm(E_min, 2))
+
+
 def test_cli_feedback_and_stability(tmp_path, capsys):
     from conftest import random_almost_passive
 

@@ -2,21 +2,28 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passivenode import (
+    SecondOrderPlant,
     StateSpaceNode,
+    build_colocated,
     check_impedance,
     check_impedance_reciprocal,
     check_scattering,
+    minimal_E,
     minimal_E_colocated_at,
     minimal_E_esad,
     minimal_E_selfadjoint,
     positive_part,
     shift_feedthrough,
 )
-from passivenode import passivity
+from passivenode import io, passivity
+from passivenode.cli import main
 from passivenode.errors import (
     ASSViolated,
+    NotAlmostPassive,
     NotColocated,
     NotESAD,
     NotSelfAdjointDissipative,
@@ -26,8 +33,10 @@ from passivenode.errors import (
 
 from conftest import (
     esad_colocated_node,
+    random_almost_passive,
     random_nonpassive_node,
     random_passive_node,
+    random_second_order,
     selfadjoint_colocated_node,
 )
 
@@ -161,6 +170,68 @@ def test_minimal_E_colocated_rejects_violation():
     node = random_passive_node(0)  # generic node: identity fails
     with pytest.raises(ASSViolated):
         minimal_E_colocated_at(node, 0.3)
+
+
+def test_minimal_E_rejects_non_square(tmp_path, capsys):
+    # p = 1, m = 2: C - B* would broadcast to 2 x 1 instead of failing
+    node = StateSpaceNode([[-1.0]], [[1.0, 1.0]], [[1.0]], [[0.0, 0.0]])
+    for fn in (minimal_E, minimal_E_esad, minimal_E_selfadjoint):
+        with pytest.raises(NotSquare):
+            fn(node)
+    with pytest.raises(NotSquare):
+        minimal_E_colocated_at(node, 0.0)
+    path = tmp_path / "node.json"
+    io.save_node(node, path)
+    assert main(["minimal-e", str(path), "--method", "esad"]) == 1
+    assert "error: NotSquare:" in capsys.readouterr().err
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), n=st.sampled_from([0, 1, 3, 5]),
+       m=st.integers(1, 3), weight=st.booleans())
+def test_minimal_E_is_least_passivating_shift(seed, n, m, weight):
+    node, _ = random_almost_passive(seed, n=n, m=m, weight=weight)
+    E = minimal_E(node)
+    assert np.allclose(E, E.conj().T)
+    assert check_impedance(shift_feedthrough(node, E)).passive
+    assert not check_impedance(shift_feedthrough(node, E - 1e-3 * np.eye(m))).passive
+
+
+def test_minimal_E_none_when_undamped_and_noncolocated():
+    # M = 0 makes A skew in the energy inner product, so ker Q is the whole
+    # state space, and C - B* = [0, C0 - B0*] does not vanish on it
+    plant = random_second_order(0, with_B0=True)
+    undamped = SecondOrderPlant(A0=plant.A0, M=np.zeros((plant.n0, plant.n0)), C0=plant.C0)
+    col, _ = build_colocated(undamped)
+    B = np.vstack([np.zeros((plant.n0, 2)), plant.B0])
+    node = StateSpaceNode(col.A, B, col.C, col.D, W=col.W)
+    with pytest.raises(NotAlmostPassive, match="nonzero on ker"):
+        minimal_E(node)
+
+
+def test_minimal_E_colocated_at_without_dissipation_raises():
+    # C = B*(iwI + A*)^-1 (iwI - A) satisfies the resolvent-colocation
+    # identity at omega for any A; with A + A* indefinite no shift exists
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((3, 3)) + np.diag([1.0, 0.0, -1.0])
+    B = rng.standard_normal((3, 2))
+    omega = 0.7
+    C = B.T @ np.linalg.solve(1j * omega * np.eye(3) + A.T, 1j * omega * np.eye(3) - A)
+    node = StateSpaceNode(A, B, C, rng.standard_normal((2, 2)))
+    assert np.linalg.eigvalsh(A + A.T)[-1] > 0
+    with pytest.raises(NotAlmostPassive, match="eigenvalue"):
+        minimal_E_colocated_at(node, omega)
+
+
+def test_selfadjoint_class_check_agrees_with_minimal_E():
+    # a slightly positive eigenvalue of A is caught by the class check, with
+    # the same Q >= 0 test the formula makes
+    B = np.array([[1.0], [1.0]])
+    node = StateSpaceNode(np.diag([-1.0, 5e-10]), B, B.T, [[0.0]])
+    with pytest.raises(NotSelfAdjointDissipative):
+        minimal_E_selfadjoint(node)
+    with pytest.raises(NotAlmostPassive):
+        minimal_E(node)
 
 
 def test_positive_part():

@@ -30,6 +30,16 @@ def test_plant_validation():
         SecondOrderPlant(A0=-np.eye(3), M=np.eye(3), C0=np.ones((1, 3)))
 
 
+def test_plant_C1_must_have_n0_columns():
+    A0, M, C0 = np.eye(3), np.eye(3), np.ones((1, 3))
+    with pytest.raises(DimensionMismatch):
+        SecondOrderPlant(A0=A0, M=M, C0=C0, C1=np.ones((3, 2)))
+    # B0 is read in either orientation
+    for B0 in (np.ones((3, 1)), np.ones((1, 3))):
+        node, _ = build_noncolocated(SecondOrderPlant(A0=A0, M=M, C0=C0, B0=B0))
+        assert node.m == 1
+
+
 def test_build_colocated_passive_and_colocated():
     for seed in range(5):
         plant = random_second_order(seed)
