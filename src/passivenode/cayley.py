@@ -124,13 +124,13 @@ def check_discrete_passivity(disc, kind):
         bot = np.hstack([Cd - Bd.conj().T @ Ad, Dd + Dd.conj().T - Bd.conj().T @ Bd])
         form = np.vstack([top, bot])
     form = linalg.hermitize(form)
-    val, vec, passive = linalg.psd_eig(form)
+    vals, vecs, passive = linalg.psd_eig(form)
     return PassivityCertificate(
         kind=kind,
         verdict=Verdict.PASSIVE if passive else Verdict.NOT_PASSIVE,
         test_points=(),
-        min_eigenvalue=val,
-        witness=vec,
+        min_eigenvalue=float(vals[0]),
+        witness=vecs[:, 0],
     )
 
 

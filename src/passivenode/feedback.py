@@ -22,7 +22,7 @@ from .errors import (
     SingularIMinusKD,
     SingularIPlusKD,
 )
-from .node import StateSpaceNode, shift_feedthrough
+from .node import StateSpaceNode, shift_feedthrough, shift_matrix
 from .passivity import check_impedance, positive_part
 
 
@@ -127,9 +127,10 @@ def stabilizing_feedback(node, E, kappa, certify=True):
         alpha = sqrt(2 kappa (1 - kappa c)),  beta = (1 - 2 kappa c)/alpha,
         A^kappa = A^s,  B^kappa = B^s / alpha,  C^kappa = -C^s / alpha,
 
-    which coincides with output_feedback(node, -kappa I).
+    which coincides with output_feedback(node, -kappa I).  E must be m x m
+    (DimensionMismatch otherwise).
     """
-    E = linalg.assert_hermitian(E, "E")
+    E = linalg.assert_hermitian(shift_matrix(E, (node.m, node.m)), "E")
     kappa = float(kappa)
     Eplus, c, kappa0 = positive_part(E)
     if certify:

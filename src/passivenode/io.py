@@ -9,6 +9,7 @@ import json
 
 import numpy as np
 
+from . import linalg
 from .cayley import DiscreteSystem
 from .errors import ParseError, SchemaError
 from .node import StateSpaceNode
@@ -226,7 +227,8 @@ def _load_json(path):
 
 
 def load_matrix(path, name="matrix"):
-    return matrix_from_json(_load_json(path), name)
+    """Matrix file -> read-only complex matrix, checked by linalg.as_matrix."""
+    return linalg.as_matrix(matrix_from_json(_load_json(path), name), name)
 
 
 def load_node(path):

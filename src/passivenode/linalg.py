@@ -1,19 +1,22 @@
 """Small numerical linear-algebra helpers shared across modules.
 
-Every invertibility decision (s in rho(A), I + kD, I - KD, Ad + I, M) is
-made by :func:`checked_inv`, which forms the inverse once for the caller to
-reuse.  For s in rho(A) of a node its one caller is ``node.resolvent``,
-which inverts the W-orthonormal sI - A.  M is singular when LAPACK finds a
-zero pivot, M^-1 is not finite, or RCOND * max(1, ||M||_1) * ||M^-1||_1 >= 1
-(sigma_min <= RCOND * max(1, sigma_max) in 1-norms, equal up to a factor
-n).  RCOND is fixed; PASSIVE_NODE_TOL does not change it.
+Three kinds of numerical question, one rule each:
 
-All subspace computations return orthonormal bases (columns) and make rank
-decisions by thresholding singular values at the one relative tolerance
-SUBSPACE_TOL, so the invariant-subspace logic behind the stability verdict
-stays robust for the desk-scale problems this library targets: up to a
-few hundred states (the 100-mode beam has n = 198).  Every routine here
-costs at most O(n^3).
+* Invertibility (s in rho(A), I + kD, I - KD, Ad + I, M): :func:`checked_inv`
+  forms the inverse once for the caller to reuse; for s in rho(A) its one
+  caller is ``node.resolvent``.  M is singular when LAPACK finds a zero
+  pivot, M^-1 is not finite, or RCOND * max(1, ||M||_1) * ||M^-1||_1 >= 1.
+  W > 0 and A0 > 0 are the pivots of :func:`cholesky`.
+* Rank: subspace routines return orthonormal bases (columns) and cut
+  singular values at the relative SUBSPACE_TOL.
+* Sign and identity: a form is >= 0 when lambda_min >= -psd_tol, read off
+  the same eigh (:func:`psd_eig`); a residual R of an identity is zero when
+  ||R||_2 <= :func:`scaled_tol` of the matrix it is measured against.  Both
+  are base_tol() (PASSIVE_NODE_TOL, default 1e-9) times 1 + a norm.
+
+RCOND and SUBSPACE_TOL are fixed.  Every routine here costs at most O(n^3)
+for the desk-scale problems this library targets (the 100-mode beam has
+n = 198).
 """
 
 import os
@@ -28,28 +31,6 @@ RCOND = 1e-12
 #: singular values below this (relative) count as zero in every subspace
 #: rank decision, and so in the stability verdict
 SUBSPACE_TOL = 1e-8
-
-#: slack, relative to 1 + ||A|| (plus ||B||^2 + ||C||^2 where they enter),
-#: for "A + A* <= 0" and the dissipation inequalities of a contraction
-CONTRACTION_TOL = 1e-8
-
-#: slack, relative to 1 + ||A|| or 1 + ||B||, for the structural identities
-#: A = A* and C = B* of the minimal-E class checks, and for C - B* = 0 on
-#: ker(A + A*) in the minimal-E formula
-STRUCTURE_TOL = 1e-9
-
-#: slack, relative to 1 + ||Q||, for the dissipation Q = -(A + A*) >= 0 of
-#: the minimal-E formula and its class checks, and for the damping M >= 0 of
-#: a second-order plant
-DISSIPATION_TOL = 1e-10
-
-#: slack, relative to 1 + ||C(iwI - A)^-1||, for the resolvent-colocation
-#: identity B*(iwI + A*)^-1 = C(iwI - A)^-1
-COLOCATION_TOL = 1e-8
-
-#: open-loop eigenvalues within IMAG_AXIS_TOL * (1 + ||A||) of the imaginary
-#: axis are reported; the report is informational and decides nothing
-IMAG_AXIS_TOL = 1e-9
 
 #: larger entries are rejected, so that a product of up to six entries stays
 #: finite (the scattering forms multiply four)
@@ -107,6 +88,11 @@ def psd_tol(eigenvalues):
     return base_tol() * (1.0 + np.abs(eigenvalues).max(initial=0.0))
 
 
+def scaled_tol(M):
+    """Slack base_tol() * (1 + ||M||_2) of an identity residual measured against M."""
+    return base_tol() * (1.0 + np.linalg.norm(M, 2))
+
+
 def hermitize(M):
     """Self-adjoint part (M + M*)/2."""
     M = np.asarray(M, dtype=complex)
@@ -115,25 +101,32 @@ def hermitize(M):
 
 def assert_hermitian(M, what="matrix"):
     M = np.asarray(M, dtype=complex)
-    if np.linalg.norm(M - M.conj().T, 2) > base_tol() * (1.0 + np.linalg.norm(M, 2)):
+    if np.linalg.norm(M - M.conj().T, 2) > scaled_tol(M):
         raise NotSelfAdjoint(f"{what} is not self-adjoint to tolerance")
     return hermitize(M)
 
 
-def min_eig_herm(M):
-    """Smallest eigenvalue of a self-adjoint matrix (+inf for an empty one)."""
-    if M.size == 0:
-        return np.inf
-    return float(np.linalg.eigvalsh(hermitize(M))[0])
-
-
 def psd_eig(M):
-    """Smallest eigenvalue, a unit eigenvector for it, and whether M >= 0.
+    """Eigenvalues (ascending), unit eigenvectors and whether M >= 0.
 
-    M passes when lambda_min >= -psd_tol, the slack read off the same eigh.
+    The one sign rule: the self-adjoint part of M passes when
+    lambda_min >= -psd_tol, the slack read off the same eigh.  An empty M
+    passes.
     """
     vals, vecs = np.linalg.eigh(hermitize(M))
-    return float(vals[0]), vecs[:, 0], bool(vals[0] >= -psd_tol(vals))
+    return vals, vecs, bool(np.all(vals >= -psd_tol(vals)))
+
+
+def cholesky(M, error, message):
+    """Lower factor L with M = L L* of a self-adjoint M.
+
+    Raises error(message) unless M is positive definite, which is decided
+    by the pivots of the factorization itself.  Reads the lower triangle.
+    """
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        raise error(message) from None
 
 
 def null_basis(M):

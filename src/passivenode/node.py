@@ -6,8 +6,9 @@ self-adjoint positive-definite weight W defining the state inner product
 All matrices are stored as complex arrays and are immutable after
 construction.
 
-The weight is handled once, at construction: a W-orthonormal copy of the
-realization is cached (coordinates x~ = L* x with W = L L*), so every
+The weight is handled once, at construction: its Cholesky factor L
+(W = L L*) decides W > 0, and a W-orthonormal copy of the realization
+(coordinates x~ = L* x) is cached from it, so every
 downstream PSD/eigen test can run as a plain unweighted test on that copy.
 The same copy carries the resolvent: :func:`resolvent` is the one place
 that decides whether s is in rho(A) and that computes G(s).  n = 0 is a
@@ -71,10 +72,9 @@ class StateSpaceNode:
         if W.shape != (n, n):
             raise DimensionMismatch("W must be n x n")
         W = linalg.assert_hermitian(W, "W")
-        if linalg.min_eig_herm(W) <= 0:
-            raise DimensionMismatch("W must be positive definite")
+        L = linalg.cholesky(W, DimensionMismatch, "W must be positive definite")
         W.setflags(write=False)
-        for name, val in (("A", A), ("B", B), ("C", C), ("D", D), ("W", W)):
+        for name, val in (("A", A), ("B", B), ("C", C), ("D", D), ("W", W), ("_chol", L)):
             object.__setattr__(self, name, val)
 
     @property
@@ -92,11 +92,6 @@ class StateSpaceNode:
     @property
     def is_identity_weight(self):
         return np.array_equal(self.W, np.eye(self.n))
-
-    @cached_property
-    def _chol(self):
-        """Lower factor L with W = L L*."""
-        return np.linalg.cholesky(linalg.hermitize(self.W))
 
     @cached_property
     def orthonormal(self):
@@ -168,11 +163,18 @@ def dual_node(node):
     return StateSpaceNode(Ad, Bd, Cd, Dd, W=W, meta=f"dual({node.meta})" if node.meta else "dual")
 
 
+def shift_matrix(E, shape):
+    """E as a finite matrix (linalg.as_matrix) of the given shape.
+
+    The one check of a feedthrough shift wherever it enters; raises
+    DimensionMismatch when E does not have the shape.
+    """
+    E = linalg.as_matrix(E, "E")
+    if E.shape != shape:
+        raise DimensionMismatch(f"shift must be {shape[0]} x {shape[1]}, got {E.shape}")
+    return E
+
+
 def shift_feedthrough(node, E):
     """Node Sigma_E: same generating triple, transfer function G + E."""
-    E = np.atleast_2d(np.asarray(E, dtype=complex))
-    if E.shape != node.D.shape:
-        raise DimensionMismatch(
-            f"shift must be {node.D.shape[0]} x {node.D.shape[1]}, got {E.shape}"
-        )
-    return replace(node, D=np.asarray(node.D) + E)
+    return replace(node, D=node.D + shift_matrix(E, node.D.shape))

@@ -2,8 +2,9 @@
 
 The impedance / scattering tests are fixed quadratic forms evaluated in the
 W-orthonormal coordinates of the node; a form passes when its minimum
-eigenvalue is above the scale-invariant slack -tol*(1+||form||).  The
-smallest self-adjoint E making Sigma_E = (A, B, C, D+E) impedance passive
+eigenvalue is above the scale-invariant slack -tol*(1+||form||) of
+linalg.psd_eig, and the minimal-E functions decide Q >= 0 by the same call.
+The smallest self-adjoint E making Sigma_E = (A, B, C, D+E) impedance passive
 comes from one formula, :func:`minimal_E`: the Schur complement of the
 bounded impedance form.  The structured functions (``minimal_E_esad``,
 ``minimal_E_selfadjoint``, ``minimal_E_colocated_at``) are class checks
@@ -26,7 +27,7 @@ from .errors import (
     OmegaInSpectrum,
     SingularResolvent,
 )
-from .node import resolvent
+from .node import resolvent, shift_matrix
 
 DEFAULT_TEST_POINTS = (1.0 + 0.0j, 2.0 + 1.0j, 2.0 - 1.0j, 10.0 + 0.0j)
 
@@ -119,9 +120,9 @@ def _certify(kind, forms, test_points):
     witness = None
     passive = True
     for form in forms:
-        val, vec, psd = linalg.psd_eig(form)
-        if val < worst:
-            worst, witness = val, vec
+        vals, vecs, psd = linalg.psd_eig(form)
+        if vals[0] < worst:
+            worst, witness = vals[0], vecs[:, 0]
         passive = passive and psd
     return PassivityCertificate(
         kind=kind,
@@ -159,12 +160,13 @@ def check_impedance_reciprocal(node, E, omega):
     With Aw = A - i*omega*I the form is
     [[-Aw^-1 - Aw^-*, Aw^-1 B + Aw^-* C*],
      [B* Aw^-* + C Aw^-1, 2E + G(iw) + G(iw)*]] >= 0.
-    Agrees with check_impedance(shift_feedthrough(node, E)).
+    Agrees with check_impedance(shift_feedthrough(node, E)).  E must be
+    m x m (DimensionMismatch otherwise).
     """
     _require_square(node)
     s = 1j * float(omega)
     _, B, C, _ = node.orthonormal
-    E = linalg.assert_hermitian(E, "E")
+    E = linalg.assert_hermitian(shift_matrix(E, (node.m, node.m)), "E")
     R, G = resolvent(node, s, OmegaInSpectrum, f"i*omega = {s} is in the spectrum of A")
     X = -(R @ B + R.conj().T @ C.conj().T)  # Aw^-1 = -R
     top = np.hstack([R + R.conj().T, X])
@@ -181,24 +183,13 @@ def _require_square(node):
 def _require_colocated(node):
     _require_square(node)
     _, B, C, _ = node.orthonormal
-    if np.linalg.norm(C - B.conj().T, 2) > linalg.STRUCTURE_TOL * (1.0 + np.linalg.norm(B, 2)):
+    if np.linalg.norm(C - B.conj().T, 2) > linalg.scaled_tol(B):
         raise NotColocated("C = B* (in the W inner product) does not hold")
 
 
 def _require_resolvent_point(node, s):
     s = complex(s)
     resolvent(node, s, SingularResolvent, f"s = {s} is in the spectrum of A")
-
-
-def _dissipation_eigh(node):
-    """Eigenpairs of Q = -(A + A*) (orthonormal) and whether Q >= 0.
-
-    Q counts as positive semidefinite when its smallest eigenvalue is at
-    least -DISSIPATION_TOL * (1 + ||Q||).
-    """
-    lam, V = np.linalg.eigh(linalg.hermitize(-node.dissipation_form()))
-    scale = 1.0 + np.abs(lam).max(initial=0.0)
-    return lam, V, lam.min(initial=0.0) >= -linalg.DISSIPATION_TOL * scale
 
 
 def minimal_E(node):
@@ -214,22 +205,25 @@ def minimal_E(node):
         E_min = 1/2 [(C - B*) Q^+ (C* - B) - (D + D*)].
 
     An E exists iff Q >= 0 and C - B* vanishes on ker Q; otherwise
-    NotAlmostPassive is raised.  ker Q is cut at SUBSPACE_TOL, the rank rule
-    of linalg.null_basis, and C - B* counts as zero on it to STRUCTURE_TOL,
-    the rule of the C = B* class check.  Raises NotSquare when p != m.
+    NotAlmostPassive is raised.  Q >= 0 is linalg.psd_eig, the test the
+    certificate makes.  ker Q holds every eigenvalue up to SUBSPACE_TOL, the
+    rank rule of linalg.null_basis, so a slightly negative one that the sign
+    rule accepted is never divided by; C - B* counts as zero on it to
+    linalg.scaled_tol(B), the rule of the C = B* class check.  Raises
+    NotSquare when p != m.
     """
     _require_square(node)
     _, B, C, D = node.orthonormal
-    lam, V, dissipative = _dissipation_eigh(node)
+    lam, V, dissipative = linalg.psd_eig(-node.dissipation_form())
     if not dissipative:
         raise NotAlmostPassive(
             f"Q = -(A + A*) has the eigenvalue {lam[0]:.3e} < 0: no shift E "
             "makes the node impedance passive"
         )
     F = (C - B.conj().T) @ V
-    kernel = np.abs(lam) <= linalg.SUBSPACE_TOL * max(1.0, np.abs(lam).max(initial=0.0))
+    kernel = lam <= linalg.SUBSPACE_TOL * max(1.0, np.abs(lam).max(initial=0.0))
     resid = np.linalg.norm(F[:, kernel], 2)
-    if resid > linalg.STRUCTURE_TOL * (1.0 + np.linalg.norm(B, 2)):
+    if resid > linalg.scaled_tol(B):
         raise NotAlmostPassive(
             f"C - B* is nonzero on ker(A + A*): ||(C - B*)k|| = {resid:.3e} for the "
             "worst unit k in the kernel, so no shift E makes the node impedance passive"
@@ -243,8 +237,8 @@ def minimal_E_colocated_at(node, omega):
 
     Requires iw in rho(A) (OmegaInSpectrum otherwise) and the
     resolvent-colocation identity B*(iwI + A*)^-1 = C(iwI - A)^-1 to hold
-    to COLOCATION_TOL (ASSViolated otherwise).  Where an E exists it equals
-    -1/2 [G(iw) + G(iw)*].
+    to linalg.scaled_tol of C(iwI - A)^-1 (ASSViolated otherwise).  Where
+    an E exists it equals -1/2 [G(iw) + G(iw)*].
     """
     _require_square(node)
     _, B, C, _ = node.orthonormal
@@ -253,7 +247,7 @@ def minimal_E_colocated_at(node, omega):
     # (iwI + A*)^-1 = -((iwI - A)^-1)* = -R*
     CR = C @ R
     resid = np.linalg.norm(B.conj().T @ R.conj().T + CR, 2)
-    if resid > linalg.COLOCATION_TOL * (1.0 + np.linalg.norm(CR, 2)):
+    if resid > linalg.scaled_tol(CR):
         raise ASSViolated(
             f"colocation resolvent identity fails at omega={omega} (residual {resid:.2e})"
         )
@@ -269,7 +263,7 @@ def minimal_E_esad(node, s=1.0 + 0.0j):
     depend on s: it is only checked to lie in rho(A), and
     SingularResolvent is raised when it does not.
     """
-    if not _dissipation_eigh(node)[2]:
+    if not linalg.psd_eig(-node.dissipation_form())[2]:
         raise NotESAD("Q = -(A + A*) is not positive semidefinite")
     _require_colocated(node)
     _require_resolvent_point(node, s)
@@ -285,10 +279,9 @@ def minimal_E_selfadjoint(node, s=1.0 + 0.0j):
     :func:`minimal_E_esad`.
     """
     A, _, _, _ = node.orthonormal
-    tol = linalg.STRUCTURE_TOL * (1.0 + np.linalg.norm(A, 2))
-    if np.linalg.norm(A - A.conj().T, 2) > tol:
+    if np.linalg.norm(A - A.conj().T, 2) > linalg.scaled_tol(A):
         raise NotSelfAdjointDissipative("A is not self-adjoint")
-    if not _dissipation_eigh(node)[2]:
+    if not linalg.psd_eig(-node.dissipation_form())[2]:
         raise NotSelfAdjointDissipative("A is not negative semidefinite")
     _require_colocated(node)
     _require_resolvent_point(node, s)

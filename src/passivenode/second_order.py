@@ -42,9 +42,8 @@ class SecondOrderPlant:
         n0 = A0.shape[0]
         if M.shape != (n0, n0) or C0.shape[1] != n0:
             raise DimensionMismatch("A0, M, C0 dimensions do not conform")
-        if linalg.min_eig_herm(A0) <= 0:
-            raise SingularA0("stiffness A0 must be positive definite")
-        if linalg.min_eig_herm(M) < -linalg.DISSIPATION_TOL * (1.0 + np.linalg.norm(M, 2)):
+        linalg.cholesky(A0, SingularA0, "stiffness A0 must be positive definite")
+        if not linalg.psd_eig(M)[2]:
             raise DimensionMismatch("damping M must be positive semidefinite")
         for name, val in (("A0", A0), ("M", M), ("C0", C0)):
             val.setflags(write=False)

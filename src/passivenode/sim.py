@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidTimeGrid, NonFiniteState
+from .node import shift_matrix
 
 
 @dataclass(frozen=True)
@@ -145,8 +146,9 @@ def energy_audit(traj, W=None, E=None, tol=None):
                   - (||z(tau)||_W^2 - ||z(0)||_W^2)
 
     integrated with the trapezoid rule on the simulation grid.  The
-    tolerance scales with the energy magnitude along the trajectory.
-    Raises NonFiniteState when the stored or the supplied energy (or their
+    tolerance scales with the energy magnitude along the trajectory.  E is
+    checked as in shift_feedthrough (m x m, finite entries).  Raises
+    NonFiniteState when the stored or the supplied energy (or their
     balance) overflows, as it does for a finite but huge trajectory.
     """
     times = traj.times
@@ -156,7 +158,8 @@ def energy_audit(traj, W=None, E=None, tol=None):
         energy = np.real(np.einsum("ti,ij,tj->t", traj.states.conj(), W, traj.states))
         supply = 2.0 * np.real(np.einsum("ti,ti->t", traj.inputs.conj(), traj.outputs))
         if E is not None:
-            E = np.asarray(E, dtype=complex)
+            m = traj.inputs.shape[1]
+            E = shift_matrix(E, (m, m))
             supply = supply + 2.0 * np.real(
                 np.einsum("ti,ij,tj->t", traj.inputs.conj(), E, traj.inputs)
             )
@@ -222,8 +225,8 @@ def adversarial_input(node, E=None, amplitude=1.0):
 
     probe = node if E is None else shift_feedthrough(node, E)
     form = impedance_block_bounded(probe)
-    val, vec, _ = linalg.psd_eig(form)
-    x_orth = vec[: node.n]
-    u0 = vec[node.n:]
+    vals, vecs, _ = linalg.psd_eig(form)
+    x_orth = vecs[: node.n, 0]
+    u0 = vecs[node.n:, 0]
     z0 = node.to_state(amplitude * x_orth)
-    return z0, amplitude * u0, val
+    return z0, amplitude * u0, float(vals[0])

@@ -35,13 +35,6 @@ class StabilityVerdict(enum.Enum):
     NOT_STABLE = "NotStable"
 
 
-def _require_negative(forms, scale, message):
-    """Raise NotContraction(message) unless every form is <= 0 to
-    CONTRACTION_TOL * scale."""
-    if any(-linalg.min_eig_herm(-F) > linalg.CONTRACTION_TOL * scale for F in forms):
-        raise NotContraction(message)
-
-
 def unobservable_space(node):
     """Orthonormal basis (in W-orthonormal coordinates) of the largest
     A-invariant subspace contained in ker C."""
@@ -61,13 +54,13 @@ def unitary_subspace(node, require_contraction=True):
     The largest subspace invariant under both A and A* on which
     A + A* = 0; equivalently the span of imaginary-axis eigenvectors when
     the semigroup is a contraction.  Raises NotContraction when
-    WA + A*W <= 0 fails (unless require_contraction=False).
+    WA + A*W <= 0 fails, by the sign rule of linalg.psd_eig (unless
+    require_contraction=False).
     """
     A, _, _, _ = node.orthonormal
     Q = linalg.hermitize(A + A.conj().T)
-    if require_contraction:
-        _require_negative([Q], 1.0 + np.linalg.norm(A, 2),
-                          "WA + A*W is not negative semidefinite")
+    if require_contraction and not linalg.psd_eig(-Q)[2]:
+        raise NotContraction("WA + A*W is not negative semidefinite")
     return linalg.largest_invariant_in(linalg.null_basis(Q), [A, A.conj().T])
 
 
@@ -121,16 +114,15 @@ def benchimol_conditions(node, require_contraction=True):
     without one when N or N^d is.  cweak and bweak both hold exactly when
     H = {0}.  Returns (cweak, bweak, N_basis, Nd_basis, H_basis), all in
     W-orthonormal coordinates.  With require_contraction (the default) the
-    precondition is checked and NotContraction raised when it fails.
+    precondition is checked, by the sign rule of linalg.psd_eig, and
+    NotContraction raised when it fails.
     """
     A, B, C, _ = node.orthonormal
     Q = linalg.hermitize(A + A.conj().T)
-    if require_contraction:
-        _require_negative(
-            [Q + C.conj().T @ C, Q + B @ B.conj().T],
-            1.0 + np.linalg.norm(A, 2) + np.linalg.norm(B, 2) ** 2 + np.linalg.norm(C, 2) ** 2,
-            "A + A* <= -C*C or A + A* <= -BB* fails",
-        )
+    if require_contraction and not all(
+        linalg.psd_eig(-F)[2] for F in (Q + C.conj().T @ C, Q + B @ B.conj().T)
+    ):
+        raise NotContraction("A + A* <= -C*C or A + A* <= -BB* fails")
     N = unobservable_space(node)
     Nd = uncontrollable_dual_space(node)
     H = np.zeros((node.n, 0), dtype=complex)
@@ -169,7 +161,7 @@ def stability_verdict(node, E, kappa):
     H = X^u = {0}; otherwise the closed-loop imaginary spectrum is the
     spectrum of A on H.  closed_loop_max_real is the raw spectral abscissa
     of the closed loop and decides nothing; imaginary_spectrum lists the
-    open-loop eigenvalues within IMAG_AXIS_TOL * (1 + ||A||) of the axis.
+    open-loop eigenvalues within linalg.scaled_tol(A) of the axis.
     """
     syn = stabilizing_feedback(node, E, kappa)
     cweak, bweak, N, Nd, H = benchimol_conditions(
@@ -179,7 +171,7 @@ def stability_verdict(node, E, kappa):
     cl_imag = tuple(complex(v) for v in np.linalg.eigvals(H.conj().T @ Acl @ H))
     max_real = float(np.max(np.linalg.eigvals(Acl).real, initial=-np.inf))
     A = node.orthonormal[0]
-    axis_tol = linalg.IMAG_AXIS_TOL * (1.0 + np.linalg.norm(A, 2))
+    axis_tol = linalg.scaled_tol(A)
     open_imag = tuple(complex(v) for v in np.linalg.eigvals(A) if abs(v.real) < axis_tol)
     report = StabilityReport(
         unobservable_basis=N,

@@ -18,8 +18,9 @@ from passivenode import (
     minimal_E_selfadjoint,
     positive_part,
     shift_feedthrough,
+    unitary_subspace,
 )
-from passivenode import io, passivity
+from passivenode import io, linalg, passivity
 from passivenode.cli import main
 from passivenode.errors import (
     ASSViolated,
@@ -29,6 +30,7 @@ from passivenode.errors import (
     NotSelfAdjointDissipative,
     NotSquare,
     OmegaInSpectrum,
+    PassiveNodeError,
 )
 
 from conftest import (
@@ -227,11 +229,43 @@ def test_selfadjoint_class_check_agrees_with_minimal_E():
     # a slightly positive eigenvalue of A is caught by the class check, with
     # the same Q >= 0 test the formula makes
     B = np.array([[1.0], [1.0]])
-    node = StateSpaceNode(np.diag([-1.0, 5e-10]), B, B.T, [[0.0]])
+    node = StateSpaceNode(np.diag([-1.0, 5e-9]), B, B.T, [[0.0]])
     with pytest.raises(NotSelfAdjointDissipative):
         minimal_E_selfadjoint(node)
     with pytest.raises(NotAlmostPassive):
         minimal_E(node)
+
+
+def _decides(call):
+    """True when call() returns, False when it raises a PassiveNodeError."""
+    try:
+        call()
+    except PassiveNodeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("tol", [None, "1e-11", "1e-7"])
+@pytest.mark.parametrize("f", [-3.0, 0.3, 3.0])
+def test_one_sign_rule_for_every_decision(f, tol, monkeypatch):
+    # A = diag(-1, f*tol), C = B*, D = 0: Q = -(A + A*) = diag(2, -2f*tol)
+    # has lambda_min >= -tol * (1 + ||Q||) exactly when f <= 1.5, so the
+    # certificate, every minimal-E function and the contraction check of
+    # unitary_subspace answer alike, whatever PASSIVE_NODE_TOL is
+    if tol is None:
+        monkeypatch.delenv("PASSIVE_NODE_TOL", raising=False)
+    else:
+        monkeypatch.setenv("PASSIVE_NODE_TOL", tol)
+    B = np.array([[1.0], [1.0]])
+    node = StateSpaceNode(np.diag([-1.0, f * linalg.base_tol()]), B, B.T, [[0.0]])
+    decisions = {
+        "check_impedance": check_impedance(node).passive,
+        "minimal_E": _decides(lambda: minimal_E(node)),
+        "minimal_E_esad": _decides(lambda: minimal_E_esad(node)),
+        "minimal_E_selfadjoint": _decides(lambda: minimal_E_selfadjoint(node)),
+        "unitary_subspace": _decides(lambda: unitary_subspace(node)),
+    }
+    assert decisions == dict.fromkeys(decisions, f <= 0.3)
 
 
 def test_positive_part():

@@ -14,6 +14,7 @@ from passivenode import (
     StateSpaceNode,
     beam_model,
     check_impedance,
+    check_impedance_reciprocal,
     closed_loop_spectrum_gate,
     energy_audit,
     eval_transfer,
@@ -22,6 +23,7 @@ from passivenode import (
     minimal_E_esad,
     output_feedback,
     simulate,
+    stabilizing_feedback,
 )
 from passivenode.cli import main
 from passivenode.passivity import impedance_form_at
@@ -276,6 +278,53 @@ def test_energy_audit_overflow_is_non_finite_state(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: NonFiniteState:" in captured.err
+
+
+# -- the shift E ------------------------------------------------------------------
+
+
+def _matrix_doc(M):
+    return [[[float(np.real(v)), float(np.imag(v))] for v in row] for row in M]
+
+
+_NAN_E = [[np.nan, 0.0], [0.0, 1.0]]
+_HUGE_E = [[1e300, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("E", [_NAN_E, [[np.inf, 0.0], [0.0, 1.0]], _HUGE_E])
+def test_load_matrix_rejects_non_finite_entries(E, tmp_path):
+    with pytest.raises(NonFiniteMatrix):
+        io.load_matrix(_write(tmp_path, _matrix_doc(E), "E.json"), "E")
+
+
+@pytest.mark.parametrize("verb, E, error", [
+    (["feedback", "--kappa", "1"], _NAN_E, "NonFiniteMatrix"),
+    (["stability", "--kappa", "1"], _NAN_E, "NonFiniteMatrix"),
+    (["simulate"], np.zeros((3, 3)), "DimensionMismatch"),
+    (["simulate"], [[1.0]], "DimensionMismatch"),
+    (["simulate"], _HUGE_E, "NonFiniteMatrix"),
+])
+def test_cli_rejects_a_bad_shift(verb, E, error, tmp_path, capsys):
+    beam = str(tmp_path / "b.json")
+    assert main(["beam", "--n-modes", "4", "--out", beam]) == 0
+    capsys.readouterr()
+    e_path = _write(tmp_path, _matrix_doc(E), "E.json")
+    assert main([verb[0], beam, *verb[1:], "--e-matrix", e_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {error}:")
+
+
+@pytest.mark.parametrize("E", [np.zeros((3, 3)), [[1.0]]])
+def test_a_shift_that_is_not_m_by_m_is_rejected(E):
+    node = beam_model(BeamParameters(n_modes=4))[0]
+    traj = simulate(node, np.zeros(node.n), lambda t: np.ones(node.m), 1.0, steps=10)
+    with pytest.raises(DimensionMismatch):
+        energy_audit(traj, W=node.W, E=E)
+    with pytest.raises(DimensionMismatch):
+        check_impedance_reciprocal(node, E, 0.5)
+    with pytest.raises(DimensionMismatch):
+        stabilizing_feedback(node, E, 1.0, certify=False)
 
 
 # -- huge JSON integers ------------------------------------------------------------
