@@ -17,7 +17,6 @@ that realizes this correspondence on signals.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import linalg
 from .errors import (
@@ -164,9 +163,9 @@ def laguerre_functions(t, alpha, K):
 def laguerre_coefficients(u, alpha, K, T, steps=4000):
     """Laguerre coefficients u_k = int_0^T u(t) conj(ell_k(t)) dt.
 
-    u is a callable t -> vector (or scalar); returns shape (K, m).
-    Simpson quadrature on a uniform grid with `steps` panels; T should
-    cover the support of u up to the decay of e^{-Re(alpha) t}.
+    u is a callable t -> vector (or scalar); returns shape (K, m).  One
+    linalg.simpson over a uniform grid of `steps` (made even) panels; T
+    should cover the support of u up to the decay of e^{-Re(alpha) t}.
     """
     steps = int(steps)
     if steps % 2:
@@ -174,11 +173,7 @@ def laguerre_coefficients(u, alpha, K, T, steps=4000):
     t = np.linspace(0.0, float(T), steps + 1)
     U = np.array([np.atleast_1d(np.asarray(u(ti), dtype=complex)) for ti in t])
     ell = laguerre_functions(t, alpha, K)
-    coeffs = np.empty((K, U.shape[1]), dtype=complex)
-    for k in range(K):
-        integ = U * np.conj(ell[k])[:, None]
-        coeffs[k] = simpson(integ, x=t, axis=0)
-    return coeffs
+    return linalg.simpson(ell.conj().T[:, :, None] * U[:, None, :], t)
 
 
 def discrete_response(disc, u_coeffs):

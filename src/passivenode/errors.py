@@ -101,10 +101,6 @@ class SingularM(PassiveNodeError):
     """Damping matrix M is singular."""
 
 
-class RootFindingFailure(PassiveNodeError):
-    """Bracketed root search for beam mode frequencies failed."""
-
-
 class InvalidTimeGrid(PassiveNodeError):
     """Simulation needs steps >= 1 and a finite horizon T > 0."""
 

@@ -172,3 +172,18 @@ def largest_invariant_in(Q, ops):
         V = np.hstack([V, new])
     return null_basis(V.conj().T)
 
+
+def simpson(y, x):
+    """Composite Simpson integral over x of y, which has one row per point of x.
+
+    x must be uniform with an even number of panels: weights h/3 (1, 4, 2, 4, ..., 4, 1).
+    """
+    x = np.asarray(x, dtype=float)
+    panels = x.size - 1
+    if panels < 2 or panels % 2 or np.shape(y)[:1] != (x.size,):
+        raise DimensionMismatch(f"Simpson needs an even panel count and one row of y per point, "
+                                f"got {panels} panels and y of shape {np.shape(y)}")
+    w = np.full(x.size, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return np.tensordot(w * ((x[-1] - x[0]) / (3 * panels)), y, axes=1)

@@ -65,13 +65,7 @@ class StateSpaceNode:
             raise DimensionMismatch("C must have n columns")
         if D.shape != (C.shape[0], B.shape[1]):
             raise DimensionMismatch("D must be p x m")
-        W = self.W
-        if W is None:
-            W = np.eye(n, dtype=complex)
-        W = linalg.as_matrix(W, "W")
-        if W.shape != (n, n):
-            raise DimensionMismatch("W must be n x n")
-        W = linalg.assert_hermitian(W, "W")
+        W = weight_matrix(self.W, n)
         L = linalg.cholesky(W, DimensionMismatch, "W must be positive definite")
         W.setflags(write=False)
         for name, val in (("A", A), ("B", B), ("C", C), ("D", D), ("W", W), ("_chol", L)):
@@ -161,6 +155,16 @@ def dual_node(node):
     Cd = node.B.conj().T @ W
     Dd = node.D.conj().T
     return StateSpaceNode(Ad, Bd, Cd, Dd, W=W, meta=f"dual({node.meta})" if node.meta else "dual")
+
+
+def weight_matrix(W, n):
+    """W checked as a state weight (linalg.as_matrix, n x n, W = W*); I when None."""
+    if W is None:
+        return np.eye(n, dtype=complex)
+    W = linalg.as_matrix(W, "W")
+    if W.shape != (n, n):
+        raise DimensionMismatch(f"W must be {n} x {n}, got {W.shape}")
+    return linalg.assert_hermitian(W, "W")
 
 
 def shift_matrix(E, shape):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidTimeGrid, NonFiniteState
-from .node import shift_matrix
+from .node import shift_matrix, weight_matrix
 
 
 @dataclass(frozen=True)
@@ -146,14 +146,14 @@ def energy_audit(traj, W=None, E=None, tol=None):
                   - (||z(tau)||_W^2 - ||z(0)||_W^2)
 
     integrated with the trapezoid rule on the simulation grid.  The
-    tolerance scales with the energy magnitude along the trajectory.  E is
-    checked as in shift_feedthrough (m x m, finite entries).  Raises
-    NonFiniteState when the stored or the supplied energy (or their
-    balance) overflows, as it does for a finite but huge trajectory.
+    tolerance scales with the energy magnitude along the trajectory.  W and
+    E are checked by weight_matrix and shift_matrix.  Raises NonFiniteState
+    when the stored or the supplied energy (or their balance) overflows, as
+    it does for a finite but huge trajectory.
     """
     times = traj.times
     n = traj.states.shape[1]
-    W = np.eye(n) if W is None else np.asarray(W, dtype=complex)
+    W = weight_matrix(W, n)
     with np.errstate(over="ignore", invalid="ignore"):
         energy = np.real(np.einsum("ti,ij,tj->t", traj.states.conj(), W, traj.states))
         supply = 2.0 * np.real(np.einsum("ti,ti->t", traj.inputs.conj(), traj.outputs))

@@ -5,6 +5,7 @@ import pytest
 
 from passivenode import (
     StateSpaceNode,
+    linalg,
     check_discrete_passivity,
     discrete_response,
     discrete_transfer,
@@ -18,6 +19,7 @@ from passivenode.cayley import DiscreteSystem
 from passivenode.errors import (
     AlphaInSpectrum,
     AlphaNotRightHalfPlane,
+    DimensionMismatch,
     MinusOneEigenvalue,
     NonPositiveAlpha,
 )
@@ -108,6 +110,41 @@ def test_laguerre_coefficient_oracle():
     coeffs = laguerre_coefficients(lambda t: np.atleast_1d(np.exp(-t)), 1.0, 6, 60.0, steps=20000)
     assert coeffs[0, 0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-9)
     assert np.max(np.abs(coeffs[1:])) < 1e-9
+
+
+@pytest.mark.parametrize("panels", [2, 4, 4000])
+def test_simpson_matches_scipy(panels):
+    from scipy.integrate import simpson
+
+    x = np.linspace(-0.5, 2.0, panels + 1)
+    real = np.exp(x) * (2.0 + np.cos(3.0 * x))
+    cplx = np.exp((1.0 + 2.0j) * x)
+    columns = np.stack([real, cplx, 1.0 + x**2 - 1j * x], axis=1)
+    for y in (real, cplx, columns):
+        ref = simpson(y, x=x, axis=0)
+        np.testing.assert_allclose(linalg.simpson(y, x), ref, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("panels", [1, 3, 4001])
+def test_simpson_rejects_an_odd_panel_count(panels):
+    x = np.linspace(0.0, 1.0, panels + 1)
+    with pytest.raises(DimensionMismatch):
+        linalg.simpson(np.ones_like(x), x)
+
+
+def test_laguerre_coefficients_match_per_k_scipy_simpson():
+    from scipy.integrate import simpson
+
+    def u(t):
+        return np.array([np.exp(-t) * np.cos(3.0 * t), np.sin(t) * np.exp(-0.5 * t)])
+
+    alpha, K, T, steps = 0.8 + 0.3j, 10, 40.0, 4000
+    t = np.linspace(0.0, T, steps + 1)
+    U = np.array([u(ti) for ti in t])
+    ell = laguerre_functions(t, alpha, K)
+    ref = np.array([simpson(U * np.conj(ell[k])[:, None], x=t, axis=0) for k in range(K)])
+    coeffs = laguerre_coefficients(u, alpha, K, T, steps=steps)
+    assert np.max(np.abs(coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_laguerre_io_correspondence_scalar_oracle():

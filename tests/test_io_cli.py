@@ -1,10 +1,15 @@
 """JSON round-trips, schema errors, and end-to-end CLI fixtures."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import passivenode
 from passivenode import io
 from passivenode.cli import main
 from passivenode.errors import ParseError, SchemaError
@@ -173,3 +178,49 @@ def test_cli_error_exit_code(tmp_path, capsys):
     # a negative kappa is an error
     assert main(["feedback", path, "--kappa", "-1.0"]) == 1
     capsys.readouterr()
+
+
+# -- scipy stays off the import path ------------------------------------------
+
+
+def _python(code, *args, cwd=None):
+    """Run code in a fresh interpreter that imports this passivenode."""
+    src = str(Path(passivenode.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_cli_import_loads_no_scipy():
+    result = _python("import sys, passivenode.cli; "
+                     "print([k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')])")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+# each verb with its usual exit code; the beam is impedance but not scattering passive
+_VERBS = [
+    (["beam", "--n-modes", "8", "--out", "b.json"], 0),
+    (["check", "b.json"], 0),
+    (["check", "b.json", "--kind", "scattering"], 2),
+    (["minimal-e", "b.json", "--method", "general"], 0),
+    (["cayley", "b.json"], 0),
+    (["feedback", "b.json", "--kappa", "1"], 0),
+    (["stability", "b.json", "--kappa", "1"], 0),
+    (["simulate", "b.json", "--steps", "20000"], 0),
+    (["beam", "--kappa", "1"], 0),
+]
+
+
+def test_every_cli_verb_runs_with_scipy_blocked(tmp_path):
+    code = (
+        "import json, pathlib, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from passivenode.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "pathlib.Path('codes.json').write_text(json.dumps(codes))\n"
+    )
+    result = _python(code, json.dumps([argv for argv, _ in _VERBS]), cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert json.loads((tmp_path / "codes.json").read_text()) == [exit_code for _, exit_code in _VERBS]

@@ -34,6 +34,7 @@ from passivenode.errors import (
     LambdaInOpenLoopSpectrum,
     NonFiniteMatrix,
     NonFiniteState,
+    NotSelfAdjoint,
     OmegaInSpectrum,
     PassiveNodeError,
     SchemaError,
@@ -278,6 +279,18 @@ def test_energy_audit_overflow_is_non_finite_state(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: NonFiniteState:" in captured.err
+
+
+@pytest.mark.parametrize("W, error", [
+    (np.eye(3), DimensionMismatch),
+    ([[np.nan, 0.0], [0.0, 1.0]], NonFiniteMatrix),
+    ([[1.0, 0.5], [0.0, 1.0]], NotSelfAdjoint),
+])
+def test_energy_audit_checks_W_as_a_node_does(W, error):
+    node = random_passive_node(0, n=2)
+    traj = simulate(node, np.zeros(node.n), lambda t: np.ones(node.m), 1.0, steps=10)
+    with pytest.raises(error):
+        energy_audit(traj, W=W)
 
 
 # -- the shift E ------------------------------------------------------------------

@@ -103,6 +103,28 @@ def test_beam_frequencies_solve_characteristic_equation():
     assert sym[:4] == [True, False, True, False]
 
 
+def _beam_frequencies_brentq(n_modes):
+    """Reference: one brentq per tan(b) +- tanh(b) bracket, in increasing order."""
+    from scipy.optimize import brentq
+
+    roots = []
+    for j in range(n_modes):
+        roots.append((brentq(lambda x: np.tan(x) + np.tanh(x), (2 * j + 1) * np.pi / 2 + 1e-9,
+                             (j + 1) * np.pi - 1e-9, xtol=1e-14, rtol=1e-15), True))
+        roots.append((brentq(lambda x: np.tan(x) - np.tanh(x), (j + 1) * np.pi + 1e-9,
+                             (2 * j + 3) * np.pi / 2 - 1e-9, xtol=1e-14, rtol=1e-15), False))
+    roots.sort()
+    return np.array([r for r, _ in roots[:n_modes]]), [s for _, s in roots[:n_modes]]
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 10, 300])
+def test_beam_frequencies_match_brentq(n_modes):
+    betas, sym = beam_frequencies(n_modes)
+    ref, ref_sym = _beam_frequencies_brentq(n_modes)
+    np.testing.assert_allclose(betas, ref, rtol=1e-14, atol=0.0)
+    assert sym == ref_sym
+
+
 def test_beam_mode_shapes_satisfy_free_end_conditions():
     betas, sym = beam_frequencies(6)
     h = 1e-6
