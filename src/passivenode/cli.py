@@ -11,7 +11,8 @@ Verbs:
     beam       build the free-free beam example node
 
 Results are printed as canonical JSON.  Exit status: 0 for a positive
-verdict (or plain success), 2 for a negative verdict, 1 for errors.
+verdict (or plain success), 2 for a negative verdict, 1 for errors,
+usage errors included.
 """
 
 import argparse
@@ -38,23 +39,31 @@ def _emit(doc, out=None):
     sys.stdout.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as ParseError, so that it exits 1 like any error."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def _complex_arg(text):
-    """Parse 're' or 're,im' into a complex number."""
+    """Parse 're' or 're,im' into a complex number with finite parts."""
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise argparse.ArgumentTypeError(f"cannot parse complex value {text!r}")
+    try:
+        z = complex(*map(float, parts)) if len(parts) <= 2 else np.nan
+    except ValueError:
+        z = np.nan
+    if not np.isfinite(z):
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r} as a finite 're' or 're,im'")
+    return z
 
 
 def _cmd_check(args):
     node = io.load_node(args.node)
-    pts = [complex(s) for s in map(_complex_arg, args.points)] if args.points else None
     if args.kind == "impedance":
-        cert = passivity.check_impedance(node, test_points=pts)
+        cert = passivity.check_impedance(node, test_points=args.points or None)
     else:
-        cert = passivity.check_scattering(node, test_points=pts)
+        cert = passivity.check_scattering(node, test_points=args.points or None)
     _emit(cert.as_dict(), args.out)
     return EXIT_OK if cert.passive else EXIT_NEGATIVE
 
@@ -176,7 +185,7 @@ def _cmd_beam(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="passivenode",
         description="Passivity certification and output-feedback stabilization "
         "for finite-dimensional system nodes.",
@@ -186,7 +195,7 @@ def build_parser():
     p = sub.add_parser("check", help="certify passivity of a node file")
     p.add_argument("node", help="path to a node JSON file")
     p.add_argument("--kind", choices=["impedance", "scattering"], default="impedance")
-    p.add_argument("--points", nargs="*", default=None,
+    p.add_argument("--points", nargs="*", type=_complex_arg, default=None,
                    help="test points as 're' or 're,im' (default internal set)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_check)
@@ -261,9 +270,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except PassiveNodeError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)

@@ -110,7 +110,7 @@ class NonFiniteState(PassiveNodeError):
 
 
 class ParseError(PassiveNodeError):
-    """Input file is not valid JSON."""
+    """Input file is not valid JSON, or the command line is not valid."""
 
 
 class SchemaError(PassiveNodeError):

@@ -54,7 +54,7 @@ def diagonal_transform(node, k, certify=True):
     Bs = root * node.B @ IkD_inv
     Cs = -root * IkD_inv @ node.C
     Ds = IkD_inv @ (np.eye(m) - k * np.asarray(node.D))
-    return StateSpaceNode(As, Bs, Cs, Ds, W=None if node.is_identity_weight else node.W,
+    return StateSpaceNode(As, Bs, Cs, Ds, W=node.W,
                           meta=node.meta)
 
 
@@ -88,7 +88,7 @@ def output_feedback(node, K):
     BK = node.B @ IKD_inv
     CK = node.C + D @ IKD_inv_K @ node.C
     DK = D @ IKD_inv
-    return StateSpaceNode(AK, BK, CK, DK, W=None if node.is_identity_weight else node.W,
+    return StateSpaceNode(AK, BK, CK, DK, W=node.W,
                           meta=node.meta)
 
 
@@ -153,7 +153,7 @@ def stabilizing_feedback(node, E, kappa, certify=True):
         np.asarray(sigma_s.B) / alpha,
         -np.asarray(sigma_s.C) / alpha,
         (beta / alpha) * np.eye(node.m) - np.asarray(sigma_s.D) / alpha**2,
-        W=None if node.is_identity_weight else node.W,
+        W=node.W,
         meta=node.meta,
     )
     return FeedbackSynthesis(

@@ -100,8 +100,15 @@ def hermitize(M):
 
 
 def assert_hermitian(M, what="matrix"):
+    """Self-adjoint part of M; NotSelfAdjoint unless ||M - M*||_2 <= scaled_tol(M).
+
+    A residual that is exactly zero passes under any slack, so an exactly
+    self-adjoint M (a W handed on to a derived node) takes no norm.
+    """
     M = np.asarray(M, dtype=complex)
-    if np.linalg.norm(M - M.conj().T, 2) > scaled_tol(M):
+    resid = M - M.conj().T
+    # a NaN is nonzero, so it takes the norm path
+    if resid.any() and np.linalg.norm(resid, 2) > scaled_tol(M):
         raise NotSelfAdjoint(f"{what} is not self-adjoint to tolerance")
     return hermitize(M)
 

@@ -1,8 +1,13 @@
 """Passivity certification and minimal feedthrough shifts.
 
-The impedance / scattering tests are fixed quadratic forms evaluated in the
-W-orthonormal coordinates of the node; a form passes when its minimum
-eigenvalue is above the scale-invariant slack -tol*(1+||form||) of
+Each kind of passivity has one bounded form, a quadratic form in (x, u)
+with y = Cx + Du, in the W-orthonormal coordinates of the node:
+:func:`impedance_block_bounded` and :func:`scattering_block_bounded`.  Every
+resolvent form is that bounded form in the variables x = x' + (sI - A)^-1 B u
+(the reciprocal form then sets x' = -(sI - A)^-1 x''): a congruence T* F T
+with T invertible, which by Sylvester's law of inertia has the inertia of F,
+so the verdict holds for some, hence for every, s.  A form passes when its
+minimum eigenvalue is above the scale-invariant slack -tol*(1+||form||) of
 linalg.psd_eig, and the minimal-E functions decide Q >= 0 by the same call.
 The smallest self-adjoint E making Sigma_E = (A, B, C, D+E) impedance passive
 comes from one formula, :func:`minimal_E`: the Schur complement of the
@@ -69,38 +74,58 @@ class PassivityCertificate:
 
 
 def impedance_block_bounded(node):
-    """Bounded-triple impedance form [[-A-A*, C*-B], [C-B*, D+D*]] (orthonormal)."""
+    """Bounded-triple impedance form [[-A-A*, C*-B], [C-B*, D+D*]] (orthonormal).
+
+    As a quadratic form in (x, u) it is 2 Re<y, u> - 2 Re<Ax + Bu, x>.
+    """
     A, B, C, D = node.orthonormal
     top = np.hstack([-(A + A.conj().T), C.conj().T - B])
     bot = np.hstack([C - B.conj().T, D + D.conj().T])
     return linalg.hermitize(np.vstack([top, bot]))
 
 
-def _resolvent_blocks(node, s):
-    A, B, C, _ = node.orthonormal
-    R, G = resolvent(node, s, OmegaInSpectrum, f"test point {s} is in the spectrum of A")
-    RB = R @ B
-    M11 = A + A.conj().T
-    M12 = (s * np.eye(node.n) + A.conj().T) @ RB
-    M22 = 2.0 * s.real * (RB.conj().T @ RB)
-    return A, B, C, G, M11, M12, M22
+def scattering_block_bounded(node):
+    """Bounded-triple scattering form (orthonormal)
+    [[-(A + A*) - C*C, -(B + C*D)], [-(B + C*D)*, I - D*D]].
+
+    As a quadratic form in (x, u) it is ||u||^2 - ||y||^2 - 2 Re<Ax + Bu, x>.
+    """
+    A, B, C, D = node.orthonormal
+    X = -(B + C.conj().T @ D)
+    top = np.hstack([-(A + A.conj().T) - C.conj().T @ C, X])
+    bot = np.hstack([X.conj().T, np.eye(node.m) - D.conj().T @ D])
+    return linalg.hermitize(np.vstack([top, bot]))
+
+
+def _resolvent_congruence(node, form, s, message):
+    """(T* form T, R) for T = [[I, R B], [0, I]], R = (sI - A)^-1 (orthonormal).
+
+    T is the change of variables x = x' + R B u, applied blockwise in
+    O((n + m) n m).  Raises OmegaInSpectrum(message) when s is not in rho(A).
+    """
+    R, _ = resolvent(node, s, OmegaInSpectrum, message)
+    RB = R @ node.orthonormal[1]
+    n = node.n
+    F = np.array(form)
+    F[:, n:] += F[:, :n] @ RB
+    F[n:, :] += RB.conj().T @ F[:n, :]
+    return F, R
 
 
 def impedance_form_at(node, s):
-    """Impedance test form at a resolvent point s (PSD iff passive)."""
-    A, B, C, G, M11, M12, M22 = _resolvent_blocks(node, complex(s))
-    top = np.hstack([-M11, C.conj().T - M12])
-    bot = np.hstack([C - M12.conj().T, G + G.conj().T - M22])
-    return linalg.hermitize(np.vstack([top, bot]))
+    """Impedance test form at s in rho(A): the bounded form in x = x' + (sI - A)^-1 B u."""
+    s = complex(s)
+    F, _ = _resolvent_congruence(node, impedance_block_bounded(node), s,
+                                 f"test point {s} is in the spectrum of A")
+    return linalg.hermitize(F)
 
 
 def scattering_form_at(node, s):
-    """Scattering test form at a resolvent point s (PSD iff passive)."""
-    A, B, C, G, M11, M12, M22 = _resolvent_blocks(node, complex(s))
-    m = G.shape[1]
-    top = np.hstack([-(M11 + C.conj().T @ C), -(M12 + C.conj().T @ G)])
-    bot = np.hstack([-(M12 + C.conj().T @ G).conj().T, np.eye(m) - M22 - G.conj().T @ G])
-    return linalg.hermitize(np.vstack([top, bot]))
+    """Scattering test form at s in rho(A): the bounded form in x = x' + (sI - A)^-1 B u."""
+    s = complex(s)
+    F, _ = _resolvent_congruence(node, scattering_block_bounded(node), s,
+                                 f"test point {s} is in the spectrum of A")
+    return linalg.hermitize(F)
 
 
 def _point_forms(node, form_at, test_points):
@@ -136,10 +161,9 @@ def _certify(kind, forms, test_points):
 def check_impedance(node, test_points=None):
     """Certify impedance passivity.
 
-    The bounded-triple block form is always tested; the resolvent-point
-    form is additionally evaluated at the given test points (default
-    {1, 2+i, 2-i, 10} intersected with rho(A)) -- the verdicts agree
-    ("for some, hence for every, s").
+    The bounded form is always tested; its congruences at the given test
+    points (default {1, 2+i, 2-i, 10} intersected with rho(A)) are tested
+    too, and the verdict ANDs them all.
     """
     _require_square(node)
     pts, forms = _point_forms(node, impedance_form_at, test_points)
@@ -147,32 +171,47 @@ def check_impedance(node, test_points=None):
 
 
 def check_scattering(node, test_points=None):
-    """Certify scattering passivity via the resolvent-point test form."""
+    """Certify scattering passivity at the test points (default as for impedance).
+
+    Each point form is a congruence of :func:`scattering_block_bounded`.
+    Raises OmegaInSpectrum when no test point lies in rho(A).
+    """
     pts, forms = _point_forms(node, scattering_form_at, test_points)
     if not pts:
         raise OmegaInSpectrum("no usable test points in rho(A)")
     return _certify(PassivityKind.SCATTERING, forms, pts)
 
 
-def check_impedance_reciprocal(node, E, omega):
-    """Impedance test for Sigma_E through the reciprocal-system block form.
+def _reciprocal_form(node, E, s):
+    """Reciprocal-system impedance form of Sigma_E at s = i*omega (orthonormal).
 
-    With Aw = A - i*omega*I the form is
+    With Aw = A - i*omega*I = -R^-1 it reads
     [[-Aw^-1 - Aw^-*, Aw^-1 B + Aw^-* C*],
-     [B* Aw^-* + C Aw^-1, 2E + G(iw) + G(iw)*]] >= 0.
-    Agrees with check_impedance(shift_feedthrough(node, E)).  E must be
-    m x m (DimensionMismatch otherwise).
+     [B* Aw^-* + C Aw^-1, 2E + G(iw) + G(iw)*]]:
+    the bounded form of Sigma_E under the resolvent change of variables
+    followed by x' = -R x'', so T = [[-R, RB], [0, I]].
+    """
+    E = linalg.assert_hermitian(shift_matrix(E, (node.m, node.m)), "E")
+    n = node.n
+    F = impedance_block_bounded(node)
+    F[n:, n:] += 2.0 * E
+    F, R = _resolvent_congruence(node, F, s, f"i*omega = {s} is in the spectrum of A")
+    F[:, :n] = -F[:, :n] @ R
+    F[:n, :] = -R.conj().T @ F[:n, :]
+    return linalg.hermitize(F)
+
+
+def check_impedance_reciprocal(node, E, omega):
+    """Impedance test for Sigma_E through the reciprocal-system form.
+
+    That form (:func:`_reciprocal_form`) is a congruence of the bounded form
+    of Sigma_E, so the verdict agrees with
+    check_impedance(shift_feedthrough(node, E)).  E must be m x m
+    (DimensionMismatch otherwise).
     """
     _require_square(node)
     s = 1j * float(omega)
-    _, B, C, _ = node.orthonormal
-    E = linalg.assert_hermitian(shift_matrix(E, (node.m, node.m)), "E")
-    R, G = resolvent(node, s, OmegaInSpectrum, f"i*omega = {s} is in the spectrum of A")
-    X = -(R @ B + R.conj().T @ C.conj().T)  # Aw^-1 = -R
-    top = np.hstack([R + R.conj().T, X])
-    bot = np.hstack([X.conj().T, 2.0 * E + G + G.conj().T])
-    form = linalg.hermitize(np.vstack([top, bot]))
-    return _certify(PassivityKind.IMPEDANCE, [form], (s,))
+    return _certify(PassivityKind.IMPEDANCE, [_reciprocal_form(node, E, s)], (s,))
 
 
 def _require_square(node):

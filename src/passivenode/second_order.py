@@ -152,10 +152,10 @@ def build_two_channel(plant):
 class BeamParameters:
     """Physical data of the free-free beam on (-1, 1).
 
-    rho_a : mass per unit length, rho_a > 0.
-    EI : flexural rigidity in the stiffness term, EI > 0.
+    rho_a : mass per unit length, 0 < rho_a < inf.
+    EI : flexural rigidity in the stiffness term, 0 < EI < inf.
     EbarI : Kelvin-Voigt damping coefficient (proportional to stiffness),
-        EbarI >= 0.
+        0 <= EbarI < inf.
     n_modes : number of modes kept in the modal truncation, including the
         two rigid-body modes.
     """
@@ -166,8 +166,10 @@ class BeamParameters:
     n_modes: int = 8
 
     def __post_init__(self):
-        if self.rho_a <= 0 or self.EI <= 0 or self.EbarI < 0:
-            raise DimensionMismatch("beam parameters must satisfy rho_a, EI > 0, EbarI >= 0")
+        # "not" so that a NaN fails too
+        if not (0 < self.rho_a < np.inf and 0 < self.EI < np.inf and 0 <= self.EbarI < np.inf):
+            raise DimensionMismatch(
+                "beam parameters must satisfy 0 < rho_a, EI < inf and 0 <= EbarI < inf")
         if int(self.n_modes) < 2:
             raise DimensionMismatch("need at least the two rigid-body modes")
         object.__setattr__(self, "n_modes", int(self.n_modes))

@@ -48,18 +48,17 @@ def uncontrollable_dual_space(node):
     return linalg.largest_invariant_in(linalg.null_basis(B.conj().T), [A.conj().T])
 
 
-def unitary_subspace(node, require_contraction=True):
+def unitary_subspace(node):
     """Unitary part X^u of the semigroup, in W-orthonormal coordinates.
 
     The largest subspace invariant under both A and A* on which
     A + A* = 0; equivalently the span of imaginary-axis eigenvectors when
     the semigroup is a contraction.  Raises NotContraction when
-    WA + A*W <= 0 fails, by the sign rule of linalg.psd_eig (unless
-    require_contraction=False).
+    WA + A*W <= 0 fails, by the sign rule of linalg.psd_eig.
     """
     A, _, _, _ = node.orthonormal
     Q = linalg.hermitize(A + A.conj().T)
-    if require_contraction and not linalg.psd_eig(-Q)[2]:
+    if not linalg.psd_eig(-Q)[2]:
         raise NotContraction("WA + A*W is not negative semidefinite")
     return linalg.largest_invariant_in(linalg.null_basis(Q), [A, A.conj().T])
 

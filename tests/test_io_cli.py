@@ -180,6 +180,47 @@ def test_cli_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("verb, option", [("check", "--points"), ("cayley", "--alpha"),
+                                          ("minimal-e", "--s")])
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "1,-inf", "1,2,3"])
+def test_cli_complex_arguments_must_be_finite_numbers(verb, option, value, tmp_path, capsys):
+    path = _write_node(tmp_path, random_passive_node(0))
+    assert main([verb, path, option, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: ParseError: argument {option}: cannot parse")
+
+
+def test_cli_points_are_the_certified_points(tmp_path, capsys):
+    path = _write_node(tmp_path, random_passive_node(0))
+    assert main(["check", path, "--points", "1", "2,-1"]) == 0
+    assert json.loads(capsys.readouterr().out)["test_points"] == [[1, 0], [2, -1]]
+
+
+@pytest.mark.parametrize("argv", [["check", "{path}", "--kind", "bogus"],
+                                  ["stability", "{path}"],
+                                  ["bogus"],
+                                  []])
+def test_cli_usage_errors_exit_1(argv, tmp_path, capsys):
+    path = _write_node(tmp_path, random_passive_node(0))
+    assert main([arg.format(path=path) for arg in argv]) == 1
+    assert capsys.readouterr().err.startswith("error: ParseError: ")
+
+
+def test_cli_help_exits_0(capsys):
+    for argv in (["--help"], ["check", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: passivenode")
+
+
+def test_cli_beam_rejects_non_finite_parameters(capsys):
+    for argv in (["--rho-a", "inf"], ["--ebar-i", "nan"]):
+        assert main(["beam", "--n-modes", "4", *argv]) == 1
+        assert capsys.readouterr().err.startswith("error: DimensionMismatch: beam parameters")
+
+
 # -- scipy stays off the import path ------------------------------------------
 
 

@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from passivenode import (
+    BeamParameters,
     StateSpaceNode,
+    beam_model,
+    diagonal_transform,
     dual_node,
     eval_transfer,
+    output_feedback,
     shift_feedthrough,
+    stabilizing_feedback,
 )
 from passivenode.errors import DimensionMismatch, NotSelfAdjoint, SingularResolvent
 
@@ -34,6 +39,37 @@ def test_weight_must_be_hermitian_positive():
         StateSpaceNode(A, B, C, D, W=np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(DimensionMismatch):
         StateSpaceNode(A, B, C, D, W=np.diag([1.0, -1.0]))
+
+
+def test_derived_nodes_take_no_2_norm_of_an_unchanged_W(monkeypatch):
+    beam, E = beam_model(BeamParameters(n_modes=6))
+    W_shaped = []
+    norm = np.linalg.norm
+
+    def spy(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.shape(x) == beam.W.shape:
+            W_shaped.append(x)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    derived = [
+        shift_feedthrough(beam, E),
+        output_feedback(beam, -1.0),
+        diagonal_transform(beam, 1.0, certify=False),
+        stabilizing_feedback(beam, E, 1.0, certify=False).closed_loop,
+    ]
+    assert W_shaped == []
+    for node in derived:
+        assert np.array_equal(node.W, beam.W)
+
+
+def test_a_W_off_self_adjoint_beyond_the_slack_is_rejected():
+    A, B, C, D = -np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1))
+    W = np.array([[2.0, 0.5], [0.5, 1.0]])
+    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    StateSpaceNode(A, B, C, D, W=W + 1e-12 * skew)  # within the slack
+    with pytest.raises(NotSelfAdjoint):
+        StateSpaceNode(A, B, C, D, W=W + 1e-6 * skew)
 
 
 def test_transfer_scalar_oracle():

@@ -108,6 +108,77 @@ def test_reciprocal_omega_in_spectrum():
         check_impedance_reciprocal(node, np.zeros((1, 1)), 2.0)
 
 
+# -- every resolvent form is a congruence of the bounded form of its kind -------
+
+
+def _oracle_point_forms(node, s):
+    """The impedance and scattering forms at s, as the block formulas read."""
+    A, B, C, D = node.orthonormal
+    Ch = C.conj().T
+    R = np.linalg.inv(s * np.eye(node.n) - A)
+    RB = R @ B
+    G = C @ RB + D
+    M11 = A + A.conj().T
+    M12 = (s * np.eye(node.n) + A.conj().T) @ RB
+    M22 = 2.0 * s.real * (RB.conj().T @ RB)
+    impedance = np.block([[-M11, Ch - M12], [C - M12.conj().T, G + G.conj().T - M22]])
+    X = -(M12 + Ch @ G)
+    scattering = np.block([[-(M11 + Ch @ C), X],
+                           [X.conj().T, np.eye(node.m) - M22 - G.conj().T @ G]])
+    return impedance, scattering
+
+
+def _oracle_reciprocal_form(node, E, omega):
+    """[[R + R*, X], [X*, 2E + G + G*]], R = (iw - A)^-1, X = -(RB + R*C*)."""
+    A, B, C, D = node.orthonormal
+    R = np.linalg.inv(1j * omega * np.eye(node.n) - A)
+    G = C @ R @ B + D
+    X = -(R @ B + R.conj().T @ C.conj().T)
+    return np.block([[R + R.conj().T, X], [X.conj().T, 2.0 * E + G + G.conj().T]])
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def test_point_forms_match_the_block_formulas():
+    worst = 0.0
+    for seed in range(32):
+        m = 1 + seed % 3
+        node = shift_feedthrough(
+            random_passive_node(seed, n=2 + seed % 5, m=m, weight=seed % 2 == 0),
+            -0.2 * (seed % 4) * np.eye(m),
+        )
+        for s in (1.0, 2.0 + 1.0j, 2.0 - 1.0j, 10.0):
+            impedance, scattering = _oracle_point_forms(node, complex(s))
+            worst = max(worst, _rel(passivity.impedance_form_at(node, s), impedance),
+                        _rel(passivity.scattering_form_at(node, s), scattering))
+        H = np.random.default_rng(seed).standard_normal((m, m))
+        E = H + H.T
+        for omega in (0.0, 0.7, -2.0):
+            form = passivity._reciprocal_form(node, E, 1j * omega)
+            worst = max(worst, _rel(form, _oracle_reciprocal_form(node, E, omega)))
+    assert worst <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 6), m=st.integers(1, 3),
+       weight=st.booleans(), shift=st.floats(-3.0, 3.0))
+def test_point_forms_have_the_inertia_of_the_bounded_form(seed, n, m, weight, shift):
+    # Sylvester's law of inertia: T* F T has the inertia of F for invertible T
+    node = shift_feedthrough(random_passive_node(seed, n, m, weight=weight),
+                             shift * np.eye(m))
+    kinds = ((passivity.impedance_block_bounded, passivity.impedance_form_at),
+             (passivity.scattering_block_bounded, passivity.scattering_form_at))
+    for bounded, form_at in kinds:
+        vals = np.linalg.eigvalsh(bounded(node))
+        if np.abs(vals).min() < 1e-6:
+            continue
+        negative = np.sum(vals < 0)
+        for s in passivity.DEFAULT_TEST_POINTS:
+            assert np.sum(np.linalg.eigvalsh(form_at(node, s)) < 0) == negative
+
+
 def test_minimal_E_esad_s_independent_and_tight():
     for seed in range(5):
         node = esad_colocated_node(seed)

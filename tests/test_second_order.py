@@ -178,3 +178,10 @@ def test_beam_parameter_validation():
         BeamParameters(rho_a=-1.0)
     with pytest.raises(DimensionMismatch):
         BeamParameters(n_modes=1)
+
+
+@pytest.mark.parametrize("field", ["rho_a", "EI", "EbarI"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_beam_parameters_must_be_finite(field, value):
+    with pytest.raises(DimensionMismatch):
+        BeamParameters(**{field: value})
