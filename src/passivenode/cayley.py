@@ -22,12 +22,14 @@ from . import linalg
 from .errors import (
     AlphaInSpectrum,
     AlphaNotRightHalfPlane,
+    DimensionMismatch,
+    InvalidTimeGrid,
     MinusOneEigenvalue,
     NonPositiveAlpha,
     SingularResolvent,
 )
 from .node import StateSpaceNode, resolvent
-from .passivity import PassivityCertificate, PassivityKind, Verdict
+from .passivity import PassivityKind, _certify
 
 
 @dataclass(frozen=True)
@@ -122,15 +124,7 @@ def check_discrete_passivity(disc, kind):
         top = np.hstack([np.eye(n) - Ad.conj().T @ Ad, Cd.conj().T - Ad.conj().T @ Bd])
         bot = np.hstack([Cd - Bd.conj().T @ Ad, Dd + Dd.conj().T - Bd.conj().T @ Bd])
         form = np.vstack([top, bot])
-    form = linalg.hermitize(form)
-    vals, vecs, passive = linalg.psd_eig(form)
-    return PassivityCertificate(
-        kind=kind,
-        verdict=Verdict.PASSIVE if passive else Verdict.NOT_PASSIVE,
-        test_points=(),
-        min_eigenvalue=float(vals[0]),
-        witness=vecs[:, 0],
-    )
+    return _certify(kind, [form], ())
 
 
 def laguerre_functions(t, alpha, K):
@@ -142,11 +136,15 @@ def laguerre_functions(t, alpha, K):
 
     computed through the stable recurrence for f_k(x) = e^{-x/2} L_k(x):
     (k+1) f_{k+1} = (2k+1-x) f_k - k f_{k-1}.  Returns shape (K, len(t)).
+    K must be an integer >= 0 (DimensionMismatch otherwise).
     """
     alpha = complex(alpha)
     a, b = alpha.real, alpha.imag
     if a <= 0:
         raise NonPositiveAlpha(f"alpha = {alpha} must have Re(alpha) > 0")
+    if isinstance(K, bool) or not isinstance(K, (int, np.integer)) or K < 0:
+        raise DimensionMismatch(f"the number K of Laguerre functions must be an integer >= 0, "
+                                f"got {K!r}")
     t = np.asarray(t, dtype=float)
     x = 2.0 * a * t
     out = np.empty((K, t.size), dtype=complex)
@@ -165,12 +163,16 @@ def laguerre_coefficients(u, alpha, K, T, steps=4000):
 
     u is a callable t -> vector (or scalar); returns shape (K, m).  One
     linalg.simpson over a uniform grid of `steps` (made even) panels; T
-    should cover the support of u up to the decay of e^{-Re(alpha) t}.
+    should cover the support of u up to the decay of e^{-Re(alpha) t}, and
+    must be finite and > 0 (InvalidTimeGrid otherwise).
     """
+    T = linalg.float_or_nan(T)
+    if not 0.0 < T < np.inf:
+        raise InvalidTimeGrid(f"need a finite T > 0, got T={T}")
     steps = int(steps)
     if steps % 2:
         steps += 1
-    t = np.linspace(0.0, float(T), steps + 1)
+    t = np.linspace(0.0, T, steps + 1)
     U = np.array([np.atleast_1d(np.asarray(u(ti), dtype=complex)) for ti in t])
     ell = laguerre_functions(t, alpha, K)
     return linalg.simpson(ell.conj().T[:, :, None] * U[:, None, :], t)

@@ -7,7 +7,7 @@ Verbs:
     cayley     internal Cayley transform (or its inverse) of a node file
     feedback   stabilizing static output feedback synthesis
     stability  strong-stability analysis of the closed loop
-    simulate   RK4 simulation with an energy audit; optional CSV export
+    simulate   exact exponential simulation with an energy audit; optional CSV export
     beam       build the free-free beam example node
 
 Results are printed as canonical JSON.  Exit status: 0 for a positive

@@ -6,7 +6,7 @@ class PassiveNodeError(Exception):
 
 
 class DimensionMismatch(PassiveNodeError):
-    """Matrix dimensions are not conformable."""
+    """Matrix dimensions are not conformable, or a size is not a valid count."""
 
 
 class NonFiniteMatrix(PassiveNodeError):
@@ -14,7 +14,7 @@ class NonFiniteMatrix(PassiveNodeError):
 
 
 class InvalidTolerance(PassiveNodeError):
-    """PASSIVE_NODE_TOL is not a finite positive number."""
+    """PASSIVE_NODE_TOL is not a finite number > 0, or an audit tol not one >= 0."""
 
 
 class SingularResolvent(PassiveNodeError):
@@ -102,7 +102,7 @@ class SingularM(PassiveNodeError):
 
 
 class InvalidTimeGrid(PassiveNodeError):
-    """Simulation needs steps >= 1 and a finite horizon T > 0."""
+    """A time grid needs an integer steps >= 1 and a finite horizon T > 0."""
 
 
 class NonFiniteState(PassiveNodeError):

@@ -19,6 +19,7 @@ for the desk-scale problems this library targets (the 100-mode beam has
 n = 198).
 """
 
+import math
 import os
 
 import numpy as np
@@ -40,13 +41,18 @@ ENTRY_LIMIT = 1e50
 def base_tol():
     """Base relative tolerance; PASSIVE_NODE_TOL (finite, > 0) overrides the default."""
     text = os.environ.get("PASSIVE_NODE_TOL", "1e-9")
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = np.nan
+    tol = float_or_nan(text)
     if not 0.0 < tol < np.inf:
         raise InvalidTolerance(f"PASSIVE_NODE_TOL = {text!r} is not a finite number > 0")
     return tol
+
+
+def float_or_nan(x):
+    """float(x), or NaN when x does not convert, so that a range test rejects it."""
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        return np.nan
 
 
 def as_matrix(M, name):
@@ -178,6 +184,44 @@ def largest_invariant_in(Q, ops):
         new = u[:, : int(np.sum(sv > SUBSPACE_TOL * max(1.0, sv[0])))]
         V = np.hstack([V, new])
     return null_basis(V.conj().T)
+
+
+#: coefficients b_0..b_13 of the degree-13 Pade approximant to e^x, and the
+#: 1-norm up to which it is accurate to double precision (Higham 2005)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def expm(A):
+    """Matrix exponential e^A by scaling and squaring.
+
+    One fixed degree-13 Pade approximant r(X) = (V - U)^-1 (V + U) at
+    X = A / 2^s, with s the least power that brings ||X||_1 down to
+    theta_13, squared s times (Higham 2005, "The scaling and squaring
+    method for the matrix exponential revisited", SIAM J. Matrix Anal.
+    Appl. 26).  A non-finite A gives an all-NaN result.
+    """
+    A = np.asarray(A, dtype=complex)
+    norm = np.linalg.norm(A, 1) if A.size else 0.0
+    if not np.isfinite(norm):
+        return np.full(A.shape, np.nan, dtype=complex)
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    X = A / 2.0**s
+    b = _PADE13
+    eye = np.eye(A.shape[0])
+    X2 = X @ X
+    X4 = X2 @ X2
+    X6 = X4 @ X2
+    U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
+             + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * eye)
+    V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
+         + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye)
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 def simpson(y, x):

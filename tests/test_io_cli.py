@@ -172,6 +172,17 @@ def test_cli_beam_pipeline(tmp_path, capsys):
     assert node.n == 22
 
 
+def test_cli_simulate_defaults_on_the_stiff_beam(tmp_path, capsys):
+    # the 100-mode beam (n = 198) has |lambda| up to 5.7e6: |h lambda| ~ 3e4
+    # at the default T = 10 and 2000 steps
+    beam = str(tmp_path / "b100.json")
+    assert main(["beam", "--n-modes", "100", "--out", beam]) == 0
+    capsys.readouterr()
+    assert main(["simulate", beam]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is True and doc["steps"] == 2000
+
+
 def test_cli_error_exit_code(tmp_path, capsys):
     path = _write_node(tmp_path, random_passive_node(0))
     # kappa far outside the admissible range for a zero shift is still fine;
@@ -265,3 +276,17 @@ def test_every_cli_verb_runs_with_scipy_blocked(tmp_path):
     result = _python(code, json.dumps([argv for argv, _ in _VERBS]), cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert json.loads((tmp_path / "codes.json").read_text()) == [exit_code for _, exit_code in _VERBS]
+
+
+def test_sampled_input_simulation_runs_with_scipy_blocked():
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np, passivenode as pn\n"
+        "node = pn.StateSpaceNode([[-1.0]], [[1.0]], [[1.0]], [[0.0]])\n"
+        "traj = pn.simulate(node, [0.0], np.cos(np.linspace(0.0, 1.0, 11)), 1.0, steps=10)\n"
+        "print(pn.energy_audit(traj).passed)\n"
+    )
+    result = _python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "True"

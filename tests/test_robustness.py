@@ -19,6 +19,8 @@ from passivenode import (
     energy_audit,
     eval_transfer,
     io,
+    laguerre_coefficients,
+    laguerre_functions,
     linalg,
     minimal_E_esad,
     output_feedback,
@@ -249,6 +251,36 @@ def test_cli_rejects_non_finite_node(tmp_path, capsys):
 
 
 # -- simulation grid ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("steps", [True, 2.7, 2.0, "2"])
+def test_simulate_steps_must_be_an_integer(steps):
+    node = random_passive_node(0)
+    with pytest.raises(InvalidTimeGrid):
+        simulate(node, np.zeros(node.n), lambda t: np.zeros(node.m), 1.0, steps=steps)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-3, "abc", 1j])
+def test_energy_audit_tol_must_be_finite_and_nonnegative(tol):
+    node = random_passive_node(0)
+    traj = simulate(node, np.zeros(node.n), lambda t: np.ones(node.m), 1.0, steps=10)
+    assert energy_audit(traj, W=node.W, tol=0.0).tol == 0.0
+    with pytest.raises(InvalidTolerance):
+        energy_audit(traj, W=node.W, tol=tol)
+
+
+@pytest.mark.parametrize("K", [-1, 2.5, True])
+def test_laguerre_K_must_be_a_nonnegative_integer(K):
+    with pytest.raises(DimensionMismatch):
+        laguerre_functions([0.0, 1.0], 1.0, K)
+    with pytest.raises(DimensionMismatch):
+        laguerre_coefficients(lambda t: 1.0, 1.0, K, 1.0, steps=10)
+
+
+@pytest.mark.parametrize("T", [np.nan, 0.0, -1.0, np.inf])
+def test_laguerre_coefficients_need_a_finite_positive_horizon(T):
+    with pytest.raises(InvalidTimeGrid):
+        laguerre_coefficients(lambda t: 1.0, 1.0, 3, T, steps=10)
 
 
 @pytest.mark.parametrize("T, steps", [(1.0, 0), (1.0, -3), (0.0, 10), (np.nan, 10)])

@@ -1,11 +1,11 @@
-"""RK4 simulation, energy audits, CSV export."""
+"""Exact exponential simulation, energy audits, CSV export."""
 
 import csv
 
 import numpy as np
 import pytest
 
-from passivenode import StateSpaceNode, adversarial_input, energy_audit, simulate
+from passivenode import StateSpaceNode, adversarial_input, energy_audit, linalg, simulate
 from passivenode.errors import DimensionMismatch, NonFiniteState
 from passivenode.sim import export_csv
 
@@ -101,23 +101,43 @@ def test_csv_export(tmp_path):
     assert float(rows[1][0]) == 0.0
 
 
-# -- the RK4 propagator ----------------------------------------------------------
+# -- the exponential propagator ------------------------------------------------
 
 
-def test_one_step_is_classical_rk4():
+def test_one_step_is_exact_for_a_quadratic_input():
+    # u(t) = c0 + c1 t + c2 t^2 makes (z, u, u', u'') one linear system with
+    # generator [[A, B, 0, 0], [0, 0, I, 0], [0, 0, 0, I], [0, 0, 0, 0]]; at
+    # h = 0.3 the node has |h lambda| = 5.3, beyond where RK4 is stable
+    from scipy.linalg import expm
+
     node = random_passive_node(3, weight=True)
     A, B = np.asarray(node.A), np.asarray(node.B)
-    u = lambda t: np.array([np.cos(3.0 * t) + 0.5j, np.exp(-t) * np.sin(5.0 * t)])
+    n, m = B.shape
+    c0, c1, c2 = np.array([1.0 + 0.5j, -2.0]), np.array([0.5, 3.0j]), np.array([-4.0, 1.0 - 2.0j])
+    u = lambda t: c0 + c1 * t + c2 * t**2
     z0 = np.array([1.0, -0.5j, 0.25, 2.0], dtype=complex)
     h = 0.3
-    f = lambda t, z: A @ z + B @ u(t)
-    k1 = f(0.0, z0)
-    k2 = f(h / 2, z0 + h / 2 * k1)
-    k3 = f(h / 2, z0 + h / 2 * k2)
-    k4 = f(h, z0 + h * k3)
-    expected = z0 + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    G = np.zeros((n + 3 * m, n + 3 * m), dtype=complex)
+    G[:n, :n], G[:n, n:n + m] = A, B
+    G[n:n + 2 * m, n + m:] = np.eye(2 * m)
+    expected = (expm(h * G) @ np.concatenate([z0, c0, c1, 2.0 * c2]))[:n]
     z1 = simulate(node, z0, u, h, steps=1).states[1]
     assert np.linalg.norm(z1 - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 12])
+@pytest.mark.parametrize("norm", [1e-3, 0.1, 1.0, 5.0, 10.0, 1e2])
+def test_expm_matches_scipy(n, norm):
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if n:
+        M *= norm / np.linalg.norm(M, 1)
+    expected = expm(M)
+    result = linalg.expm(M)
+    assert result.shape == (n, n)
+    assert np.linalg.norm(result - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class _CountingInput:
@@ -150,6 +170,28 @@ def test_sampled_input_is_kept_exactly_at_the_grid_points():
     traj = simulate(node, np.zeros(4), samples, 2.0, steps=200)
     assert np.array_equal(traj.inputs, samples)
     assert np.array_equal(simulate(node, np.zeros(4), samples.T, 2.0, steps=200).inputs, samples)
+
+
+def test_square_sampled_input_keeps_its_layout():
+    # m = steps + 1 = 3: the samples are read as (steps + 1, m), never transposed
+    node = StateSpaceNode(-np.eye(3), np.eye(3), np.eye(3), np.zeros((3, 3)))
+    samples = np.arange(9.0).reshape(3, 3)
+    assert np.array_equal(simulate(node, np.zeros(3), samples, 1.0, steps=2).inputs, samples)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 4, 50])
+def test_sampled_half_points_are_exact_for_cubics(steps):
+    # a cubic in t is reproduced at every half-point (a line and a parabola
+    # through all the samples when there are two or three); the half-points
+    # enter the state only, so compare with the same input given as a callable
+    node = random_passive_node(4)
+    coef = np.array([[1.0, 2.0j], [-2.0, 0.5], [0.7j, 3.0], [0.5, -1.0j]])[:min(steps, 3) + 1]
+    cubic = lambda t: sum(c * t**j for j, c in enumerate(coef))
+    times = np.linspace(0.0, 2.0, steps + 1)
+    samples = np.array([cubic(t) for t in times])
+    sampled = simulate(node, np.zeros(4), samples, 2.0, steps=steps).states
+    called = simulate(node, np.zeros(4), cubic, 2.0, steps=steps).states
+    assert np.linalg.norm(sampled - called) <= 1e-13 * np.linalg.norm(called)
 
 
 # -- typed shape and finiteness errors ---------------------------------------------
