@@ -1,11 +1,13 @@
 """JSON serialization for nodes, discrete systems and second-order plants.
 
 Complex matrices are stored as nested lists of [re, im] pairs.  Output is
-canonical: keys sorted, floats printed with 17 significant digits so a
-load/save roundtrip is bit-stable.
+canonical: keys sorted, floats written as Python's shortest round-trip repr
+(0.0, -0.0, 0.1), so every value reads back bit-exactly and a load/save
+round trip reproduces the text.
 """
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -16,41 +18,20 @@ from .node import StateSpaceNode
 from .second_order import SecondOrderPlant
 
 
-def _fmt_float(x):
-    x = float(x)
-    if x != x or x in (float("inf"), float("-inf")):
-        raise SchemaError("non-finite value cannot be serialized")
-    return f"{x:.17g}"
-
-
-def _canonical(obj):
-    """Render obj to canonical JSON text (sorted keys, 17-digit floats)."""
-    if isinstance(obj, dict):
-        items = sorted(obj.items())
-        return "{" + ", ".join(f"{json.dumps(k)}: {_canonical(v)}" for k, v in items) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_canonical(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise SchemaError(f"cannot serialize object of type {type(obj).__name__}")
-
-
 def dumps_canonical(obj):
-    return _canonical(obj) + "\n"
+    """Canonical JSON text of obj: sorted keys, shortest round-trip floats."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise SchemaError("non-finite value cannot be serialized") from None
+    except TypeError as exc:
+        raise SchemaError(f"cannot serialize: {exc}") from None
 
 
 def matrix_to_json(M):
     """Complex matrix -> nested [[ [re, im], ... ], ...] lists."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
-    return [[[float(v.real), float(v.imag)] for v in row] for row in M]
+    return np.stack([M.real, M.imag], -1).tolist()
 
 
 def _is_real(v):
@@ -70,29 +51,50 @@ def _complex(re, im, name):
         raise SchemaError(f"{name} holds an integer too large for a float") from None
 
 
-def matrix_from_json(data, name, rows=None, cols=None):
-    """Nested [re, im] lists -> complex matrix, with shape validation.
-
-    [] is accepted only when rows = 0 (a 0 x cols matrix).
-    """
-    if not isinstance(data, list) or not (data or rows == 0):
+def _reject(data, name):
+    """Raise the SchemaError naming the first fault of a matrix that
+    matrix_from_json could not build."""
+    if not isinstance(data, list) or not data:
         raise SchemaError(f"{name} must be a non-empty list of rows")
-    width = None
-    out = []
     for i, row in enumerate(data):
         if not isinstance(row, list):
             raise SchemaError(f"{name} row {i} is not a list")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if len(row) != len(data[0]):
             raise SchemaError(f"{name} has ragged rows")
-        vals = []
         for j, entry in enumerate(row):
             if not _is_pair(entry):
                 raise SchemaError(f"{name}[{i}][{j}] is not an [re, im] pair")
-            vals.append(_complex(entry[0], entry[1], f"{name}[{i}][{j}]"))
-        out.append(vals)
-    M = np.array(out, dtype=complex) if out else np.zeros((0, cols or 0), dtype=complex)
+            _complex(entry[0], entry[1], f"{name}[{i}][{j}]")
+    raise SchemaError(f"{name} holds a number whose type is not int or float")
+
+
+def _pairs(data):
+    """data as a (rows, cols, 2) float array by one np.array call, or None.
+
+    The numbers are gated to int and float first, because numpy would
+    convert booleans and numeric strings.
+    """
+    try:
+        if set(map(type, chain.from_iterable(chain.from_iterable(data)))) <= {int, float}:
+            pairs = np.array(data, dtype=float)
+            return pairs.reshape(len(data), 0, 2) if pairs.shape[1:] == (0,) else pairs
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return None
+
+
+def matrix_from_json(data, name, rows=None, cols=None):
+    """Nested [re, im] lists -> complex matrix, with shape validation.
+
+    [] is accepted only when rows = 0 (a 0 x cols matrix).  The matrix is a
+    complex view of the float pairs, so every bit is kept, -0.0 included.
+    """
+    if rows == 0 and isinstance(data, list) and not data:
+        return np.zeros((0, cols or 0), dtype=complex)
+    pairs = _pairs(data)
+    if pairs is None or pairs.ndim != 3 or pairs.shape[2] != 2:
+        _reject(data, name)
+    M = pairs.view(complex)[..., 0]
     if rows is not None and M.shape[0] != rows:
         raise SchemaError(f"{name} must have {rows} rows, got {M.shape[0]}")
     if cols is not None and M.shape[1] != cols:
@@ -242,11 +244,6 @@ def save_node(node, path):
 
 def load_discrete(path):
     return discrete_from_dict(_load_json(path))
-
-
-def save_discrete(disc, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(discrete_to_dict(disc)))
 
 
 def load_plant(path):

@@ -51,6 +51,51 @@ def test_ragged_rows_rejected():
         io.matrix_from_json([[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0]]], "A")
 
 
+_PAIRS_2x2 = [[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0], [4.0, 0.0]]]
+
+
+@pytest.mark.parametrize("data, shape, message", [
+    ([[[True, 0.0]]], {}, "A[0][0] is not an [re, im] pair"),
+    ([[[1.0, "2"]]], {}, "A[0][0] is not an [re, im] pair"),
+    ([[[None, 0.0]]], {}, "A[0][0] is not an [re, im] pair"),
+    ([[{"re": 1.0, "im": 0.0}]], {}, "A[0][0] is not an [re, im] pair"),
+    ([[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0], [False, 0.0]]], {},
+     "A[1][1] is not an [re, im] pair"),
+    ([[[1.0]]], {}, "A[0][0] is not an [re, im] pair"),
+    ([[[1.0, 0.0, 2.0]]], {}, "A[0][0] is not an [re, im] pair"),
+    ([[1.0, 0.0]], {}, "A[0][0] is not an [re, im] pair"),
+    ([[[1.0, 0.0]], 5], {}, "A row 1 is not a list"),
+    ([[[1.0, 0.0]], "ab"], {}, "A row 1 is not a list"),
+    ([[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0]]], {}, "A has ragged rows"),
+    ([[[[1.0, 0.0], [2.0, 0.0]]]], {}, "A[0][0] is not an [re, im] pair"),
+    ([[[0.0, 10**400]]], {}, "A[0][0] holds an integer too large for a float"),
+    ([], {"rows": 2}, "A must be a non-empty list of rows"),
+    ({}, {}, "A must be a non-empty list of rows"),
+    (_PAIRS_2x2, {"rows": 3}, "A must have 3 rows, got 2"),
+    (_PAIRS_2x2, {"rows": 2, "cols": 1}, "A must have 1 columns, got 2"),
+    ([[], []], {"rows": 2, "cols": 1}, "A must have 1 columns, got 0"),
+])
+def test_malformed_matrix_messages(data, shape, message):
+    with pytest.raises(SchemaError) as exc:
+        io.matrix_from_json(data, "A", **shape)
+    assert str(exc.value) == message
+
+
+def test_numpy_scalars_in_a_matrix_document_are_rejected():
+    with pytest.raises(SchemaError, match="A holds a number whose type is not int or float"):
+        io.matrix_from_json([[[np.float64(1.0), 0.0]]], "A")
+
+
+@pytest.mark.parametrize("value, message", [
+    (float("nan"), "non-finite value cannot be serialized"),
+    (float("-inf"), "non-finite value cannot be serialized"),
+    (1j, "type complex"),
+])
+def test_unserializable_values_are_schema_errors(value, message):
+    with pytest.raises(SchemaError, match=message):
+        io.dumps_canonical({"x": [value]})
+
+
 def test_schema_errors():
     with pytest.raises(SchemaError):
         io.node_from_dict({"n": 1, "m": 1, "p": 1, "A": [[[0, 0]]], "B": [[[1, 0]]], "C": [[[1, 0]]]})

@@ -209,6 +209,66 @@ def test_json_booleans_are_not_numbers(site, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# -- bit-stable round trip -------------------------------------------------------
+
+_TINY = 2.2250738585072014e-308  # the smallest normal float
+_EDGE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, _TINY, -_TINY,
+                     linalg.ENTRY_LIMIT, -linalg.ENTRY_LIMIT]),
+    st.floats(-_TINY, _TINY),  # subnormals
+    st.floats(0.5 * linalg.ENTRY_LIMIT, linalg.ENTRY_LIMIT),
+    st.floats(-linalg.ENTRY_LIMIT, -0.5 * linalg.ENTRY_LIMIT),
+    st.floats(-linalg.ENTRY_LIMIT, linalg.ENTRY_LIMIT),
+)
+
+
+@st.composite
+def _node_documents(draw):
+    """A node document as node_to_dict writes it, with edge-case entries.
+
+    W, when present, is a positive diagonal with +0.0 elsewhere: a node
+    stores W = (W + W*)/2, which turns an imaginary -0.0 on the diagonal
+    into +0.0, so a W with signed zeros is not what a node writes.
+    """
+    n = draw(st.sampled_from([0, 1, 3]))
+    m = draw(st.sampled_from([0, 1, 2]))
+
+    def matrix(rows, cols):
+        return [[[draw(_EDGE), draw(_EDGE)] for _ in range(cols)] for _ in range(rows)]
+
+    doc = {"n": n, "m": m, "p": m, "A": matrix(n, n), "B": matrix(n, m),
+           "C": matrix(m, n), "D": matrix(m, m)}
+    if n and draw(st.booleans()):
+        diag = [draw(st.one_of(_EDGE, st.floats(0.5, 2.0)).filter(lambda x: x > 0 and x != 1.0))
+                for _ in range(n)]
+        doc["W"] = [[[diag[i] if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        doc["meta"] = draw(st.text(min_size=1, max_size=4))
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=_node_documents())
+def test_node_documents_round_trip_bit_exactly(doc):
+    text = io.dumps_canonical(doc)
+    node = io.node_from_dict(json.loads(text))
+    assert io.dumps_canonical(io.node_to_dict(node)) == text
+    for key in "ABCDW":
+        if key in doc:
+            assert getattr(node, key).tobytes() == np.array(doc[key], dtype=float).tobytes()
+
+
+def test_beam_file_is_a_fixed_point_of_save_and_load(tmp_path):
+    beam, _ = beam_model(BeamParameters(n_modes=4))
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    io.save_node(beam, first)
+    loaded = io.load_node(first)
+    io.save_node(loaded, second)
+    assert second.read_text() == first.read_text()
+    for key in "ABCDW":
+        assert getattr(loaded, key).tobytes() == getattr(beam, key).tobytes()
+
+
 # -- n = 0 -----------------------------------------------------------------------
 
 
