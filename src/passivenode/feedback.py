@@ -1,11 +1,11 @@
-"""Diagonal transform, static output feedback, and stabilizing synthesis.
+"""Static output feedback, the diagonal transform, and stabilizing synthesis.
 
-The diagonal transform with parameter k > 0 turns an impedance-passive node
-Sigma into the scattering-passive node realizing
-G^s = (I - kG)(I + kG)^-1.  The stabilizing-feedback route composes the
-minimal shift E, its positive part, and the diagonal transform into the
-closed loop produced by the static output feedback u = -kappa y, and the
-two constructions are algebraically identical.
+Each node here is the closed loop of u = K y + v from one inverse of
+I - KD (_closed_loop), read through a recombination of its signals.  The
+diagonal transform at k > 0 is the loop at K = -kI: it turns an
+impedance-passive node Sigma into the scattering-passive node realizing
+G^s = (I - kG)(I + kG)^-1.  The stabilizing synthesis reads the loop at
+K = -kappa I both as it is and, rescaled, as a scattering-passive node.
 """
 
 import math
@@ -26,36 +26,32 @@ from .node import StateSpaceNode, shift_feedthrough, shift_matrix
 from .passivity import check_impedance, positive_part
 
 
-def diagonal_transform(node, k, certify=True):
+def diagonal_transform(node, k):
     """Scattering-passive node with transfer (I - kG)(I + kG)^-1, k > 0.
 
-        A^s = A - k B (I + kD)^-1 C,   B^s = sqrt(2k) B (I + kD)^-1,
-        C^s = -sqrt(2k) (I + kD)^-1 C, D^s = (I + kD)^-1 (I - kD).
+    The closed loop of u = -k y + v read through v = sqrt(2k) u^s and
+    y^s = u^s - sqrt(2k) y, so u^s = (u + ky)/sqrt(2k), y^s = (u - ky)/sqrt(2k):
 
-    The signal identity ||u^s||^2 - ||y^s||^2 = 2 Re <y, u> with
-    u^s = sqrt(k/2)(u/k + y), y^s = sqrt(k/2)(u/k - y) makes the result
-    scattering passive exactly when the input is impedance passive, which
-    is certified up front unless certify=False.
+        A^s = A^K,  B^s = sqrt(2k) B^K,  C^s = -sqrt(2k) C^K,  D^s = I - 2k D^K
+
+    at K = -kI.  The signal identity ||u^s||^2 - ||y^s||^2 = 2 Re <y, u>
+    makes the result scattering passive exactly when the input is impedance
+    passive, which is certified first (NotImpedancePassive otherwise).
+    Raises SingularIPlusKD when I + kD is singular.
     """
     k = float(k)
     if k <= 0:
         raise KappaOutOfRange(f"diagonal transform parameter k = {k} must be positive")
-    if certify:
-        cert = check_impedance(node)
-        if not cert.passive:
-            raise NotImpedancePassive(
-                f"node is not impedance passive (min eigenvalue {cert.min_eigenvalue:.3e})"
-            )
+    cert = check_impedance(node)
+    if not cert.passive:
+        raise NotImpedancePassive(
+            f"node is not impedance passive (min eigenvalue {cert.min_eigenvalue:.3e})"
+        )
     m = node.m
-    IkD_inv = linalg.checked_inv(np.eye(m) + k * np.asarray(node.D), SingularIPlusKD,
-                                 "I + k D is singular")
+    AK, BK, CK, DK = _closed_loop(node, -k * np.eye(m), SingularIPlusKD, "I + k D is singular")
     root = math.sqrt(2.0 * k)
-    As = node.A - k * node.B @ IkD_inv @ node.C
-    Bs = root * node.B @ IkD_inv
-    Cs = -root * IkD_inv @ node.C
-    Ds = IkD_inv @ (np.eye(m) - k * np.asarray(node.D))
-    return StateSpaceNode(As, Bs, Cs, Ds, W=node.W,
-                          meta=node.meta)
+    return StateSpaceNode(AK, root * BK, -root * CK, np.eye(m) - 2.0 * k * DK,
+                          W=node.W, meta=node.meta)
 
 
 def gain_matrix(node, K):
@@ -69,27 +65,34 @@ def gain_matrix(node, K):
         raise DimensionMismatch(f"K must broadcast to {node.m} x {node.p}") from None
 
 
-def output_feedback(node, K):
-    """Closed loop under static output feedback u = K y + v.
+def _closed_loop(node, K, error, message):
+    """(A^K, B^K, C^K, D^K) of u = K y + v; error(message) if I - KD is singular.
 
         A^K = A + B K (I - DK)^-1 C,  B^K = B (I - KD)^-1,
         C^K = (I - DK)^-1 C,          D^K = D (I - KD)^-1.
 
     Only I - KD is inverted: K (I - DK)^-1 = (I - KD)^-1 K and
-    (I - DK)^-1 = I + D (I - KD)^-1 K.  K is read by gain_matrix.  Raises
-    SingularIMinusKD when I - KD is singular.
+    (I - DK)^-1 = I + D (I - KD)^-1 K.  K is read by gain_matrix.
     """
     K = gain_matrix(node, K)
     D = np.asarray(node.D)
-    IKD_inv = linalg.checked_inv(np.eye(node.m) - K @ D, SingularIMinusKD,
-                                 "I - K D is singular; feedback inadmissible")
+    IKD_inv = linalg.checked_inv(np.eye(node.m) - K @ D, error, message)
     IKD_inv_K = IKD_inv @ K
     AK = node.A + node.B @ IKD_inv_K @ node.C
     BK = node.B @ IKD_inv
     CK = node.C + D @ IKD_inv_K @ node.C
     DK = D @ IKD_inv
-    return StateSpaceNode(AK, BK, CK, DK, W=node.W,
-                          meta=node.meta)
+    return AK, BK, CK, DK
+
+
+def output_feedback(node, K):
+    """Closed loop under static output feedback u = K y + v.
+
+    The node of _closed_loop; K is read by gain_matrix.  Raises
+    SingularIMinusKD when I - KD is singular.
+    """
+    loop = _closed_loop(node, K, SingularIMinusKD, "I - K D is singular; feedback inadmissible")
+    return StateSpaceNode(*loop, W=node.W, meta=node.meta)
 
 
 @dataclass(frozen=True)
@@ -115,47 +118,40 @@ class FeedbackSynthesis:
         }
 
 
-def stabilizing_feedback(node, E, kappa, certify=True):
+def stabilizing_feedback(node, E, kappa):
     """Closed loop of an almost impedance-passive node under u = -kappa y.
 
-    E is a self-adjoint shift making Sigma_E impedance passive (certified
-    unless certify=False); with c = ||E^+|| the admissible gains are
-    0 < kappa < kappa0 = 1/c (any kappa > 0 when c = 0).  The construction
-    passes Sigma_{cI} through the diagonal transform at
-    k = kappa / (1 - kappa c) and rescales:
+    E is a self-adjoint shift making Sigma_E impedance passive, which is
+    certified (NotAlmostPassive otherwise); with c = ||E^+|| the admissible
+    gains are 0 < kappa < kappa0 = 1/c (any kappa > 0 when c = 0).  One
+    closed loop (A^kappa, B^kappa, C^kappa, D^kappa) of u = -kappa y + v
+    gives both nodes: closed_loop is that loop, and with
 
         alpha = sqrt(2 kappa (1 - kappa c)),  beta = (1 - 2 kappa c)/alpha,
-        A^kappa = A^s,  B^kappa = B^s / alpha,  C^kappa = -C^s / alpha,
 
-    which coincides with output_feedback(node, -kappa I).  E must be m x m
-    (DimensionMismatch otherwise).
+    scattering_intermediate is (A^kappa, alpha B^kappa, -alpha C^kappa,
+    alpha beta I - alpha^2 D^kappa).  Since
+    I + k(D + cI) = (I + kappa D)/(1 - kappa c), the intermediate is the
+    diagonal transform of Sigma_{cI} at k = kappa/(1 - kappa c), so it is
+    scattering passive.  E must be m x m (DimensionMismatch otherwise).
     """
     E = linalg.assert_hermitian(shift_matrix(E, (node.m, node.m)), "E")
     kappa = float(kappa)
-    Eplus, c, kappa0 = positive_part(E)
-    if certify:
-        cert = check_impedance(shift_feedthrough(node, E))
-        if not cert.passive:
-            raise NotAlmostPassive(
-                f"Sigma_E is not impedance passive (min eigenvalue {cert.min_eigenvalue:.3e})"
-            )
+    _, c, kappa0 = positive_part(E)
+    cert = check_impedance(shift_feedthrough(node, E))
+    if not cert.passive:
+        raise NotAlmostPassive(
+            f"Sigma_E is not impedance passive (min eigenvalue {cert.min_eigenvalue:.3e})"
+        )
     if not (0.0 < kappa < kappa0):
         raise KappaOutOfRange(
             f"kappa = {kappa} outside the admissible open interval (0, {kappa0})"
         )
-    k = kappa if c == 0.0 else kappa / (1.0 - kappa * c)
-    node_c = shift_feedthrough(node, c * np.eye(node.m))
-    sigma_s = diagonal_transform(node_c, k, certify=False)
+    m = node.m
+    AK, BK, CK, DK = _closed_loop(node, -kappa * np.eye(m), SingularIPlusKD,
+                                  "I + kappa D is singular")
     alpha = math.sqrt(2.0 * kappa * (1.0 - kappa * c))
     beta = (1.0 - 2.0 * kappa * c) / alpha
-    closed = StateSpaceNode(
-        sigma_s.A,
-        np.asarray(sigma_s.B) / alpha,
-        -np.asarray(sigma_s.C) / alpha,
-        (beta / alpha) * np.eye(node.m) - np.asarray(sigma_s.D) / alpha**2,
-        W=node.W,
-        meta=node.meta,
-    )
     return FeedbackSynthesis(
         E=E,
         c=c,
@@ -163,6 +159,9 @@ def stabilizing_feedback(node, E, kappa, certify=True):
         kappa=kappa,
         alpha=alpha,
         beta=beta,
-        closed_loop=closed,
-        scattering_intermediate=sigma_s,
+        closed_loop=StateSpaceNode(AK, BK, CK, DK, W=node.W, meta=node.meta),
+        scattering_intermediate=StateSpaceNode(
+            AK, alpha * BK, -alpha * CK, (alpha * beta) * np.eye(m) - alpha**2 * DK,
+            W=node.W, meta=node.meta,
+        ),
     )

@@ -109,12 +109,15 @@ def assert_hermitian(M, what="matrix"):
     """Self-adjoint part of M; NotSelfAdjoint unless ||M - M*||_2 <= scaled_tol(M).
 
     A residual that is exactly zero passes under any slack, so an exactly
-    self-adjoint M (a W handed on to a derived node) takes no norm.
+    self-adjoint M (a W handed on to a derived node) takes no norm, and is
+    returned as it is: hermitize would flip the sign of some of its zeros.
     """
     M = np.asarray(M, dtype=complex)
     resid = M - M.conj().T
+    if not resid.any():
+        return M
     # a NaN is nonzero, so it takes the norm path
-    if resid.any() and np.linalg.norm(resid, 2) > scaled_tol(M):
+    if np.linalg.norm(resid, 2) > scaled_tol(M):
         raise NotSelfAdjoint(f"{what} is not self-adjoint to tolerance")
     return hermitize(M)
 

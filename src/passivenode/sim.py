@@ -25,7 +25,6 @@ right-hand side minus the left-hand side, which must stay nonnegative up
 to tolerance for an (almost) impedance-passive node with shift E.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,28 +224,21 @@ def export_csv(traj, path, audit=None):
     """Write the trajectory (and optional running defect) as CSV.
 
     Columns: t, Re/Im of each state, input and output component, and the
-    running defect when an audit is supplied.
+    running defect when an audit is supplied.  Every value is written with
+    17 significant digits, so it reads back bit-exactly; lines end in CRLF.
     """
-    n = traj.states.shape[1]
-    m = traj.inputs.shape[1]
-    p = traj.outputs.shape[1]
+    T = len(traj.times)
     header = ["t"]
-    header += [f"z{i}_{part}" for i in range(n) for part in ("re", "im")]
-    header += [f"u{i}_{part}" for i in range(m) for part in ("re", "im")]
-    header += [f"y{i}_{part}" for i in range(p) for part in ("re", "im")]
+    columns = [traj.times[:, None]]
+    for sym, M in (("z", traj.states), ("u", traj.inputs), ("y", traj.outputs)):
+        header += [f"{sym}{i}_{part}" for i in range(M.shape[1]) for part in ("re", "im")]
+        columns.append(np.stack([M.real, M.imag], -1).reshape(T, 2 * M.shape[1]))
     if audit is not None:
         header.append("defect")
+        columns.append(audit.defect[:, None])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, t in enumerate(traj.times):
-            row = [f"{t:.17g}"]
-            for vec in (traj.states[i], traj.inputs[i], traj.outputs[i]):
-                for v in vec:
-                    row += [f"{v.real:.17g}", f"{v.imag:.17g}"]
-            if audit is not None:
-                row.append(f"{audit.defect[i]:.17g}")
-            writer.writerow(row)
+        np.savetxt(fh, np.hstack(columns), fmt="%.17g", delimiter=",",
+                   header=",".join(header), comments="", newline="\r\n")
 
 
 def adversarial_input(node, E=None, amplitude=1.0):

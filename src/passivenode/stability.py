@@ -166,7 +166,8 @@ def stability_verdict(node, E, kappa):
     cweak, bweak, N, Nd, H = benchimol_conditions(
         syn.scattering_intermediate, require_contraction=False
     )
-    Acl = syn.closed_loop.orthonormal[0]
+    # the closed-loop A, W-orthonormalized and cached by benchimol_conditions
+    Acl = syn.scattering_intermediate.orthonormal[0]
     cl_imag = tuple(complex(v) for v in np.linalg.eigvals(H.conj().T @ Acl @ H))
     max_real = float(np.max(np.linalg.eigvals(Acl).real, initial=-np.inf))
     A = node.orthonormal[0]

@@ -67,7 +67,7 @@ def test_criterion_3_diagonal_transform():
     for seed in range(20):
         node = random_passive_node(seed, weight=(seed % 3 == 0))
         for k in (0.5, 1.0, 3.0):
-            sct = pn.diagonal_transform(node, k, certify=False)
+            sct = pn.diagonal_transform(node, k)
             if not pn.check_scattering(sct).passive:
                 ok = False
             pts = [complex(rng.uniform(0.02, 8.0), rng.uniform(-8.0, 8.0))
@@ -96,7 +96,7 @@ def test_criterion_4_feedback_route_equivalence():
         node, E = random_almost_passive(seed, weight=(seed % 4 == 0))
         _, c, kappa0 = pn.positive_part(E)
         kappa = 1.0 if np.isinf(kappa0) else 0.9 * kappa0
-        syn = pn.stabilizing_feedback(node, E, kappa, certify=False)
+        syn = pn.stabilizing_feedback(node, E, kappa)
         direct = pn.output_feedback(node, -kappa * np.eye(node.m))
         err = max(
             np.linalg.norm(

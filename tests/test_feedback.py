@@ -10,6 +10,7 @@ from passivenode import (
     eval_transfer,
     output_feedback,
     positive_part,
+    shift_feedthrough,
     stabilizing_feedback,
 )
 from passivenode.errors import (
@@ -31,18 +32,30 @@ def test_diagonal_transform_scalar_oracle():
         assert eval_transfer(sct, s)[0, 0] == pytest.approx(s / (s + 2.0))
 
 
+def _rel_err(X, Y):
+    return np.linalg.norm(np.asarray(X) - np.asarray(Y), 2) / max(1.0, np.linalg.norm(Y, 2))
+
+
 def test_diagonal_transform_scattering_passive():
     for seed in range(6):
         node = random_passive_node(seed, weight=(seed % 2 == 0))
+        m = node.m
         for k in (0.5, 1.0, 3.0):
             sct = diagonal_transform(node, k)
             assert check_scattering(sct).passive
+            # the closed loop of u = -k y + v, recombined as v = sqrt(2k) u^s,
+            # y^s = u^s - sqrt(2k) y
+            loop = output_feedback(node, -k * np.eye(m))
+            root = np.sqrt(2.0 * k)
+            for X, Y in ((sct.A, loop.A), (sct.B, root * loop.B), (sct.C, -root * loop.C),
+                         (sct.D, np.eye(m) - 2.0 * k * loop.D), (sct.W, node.W)):
+                assert _rel_err(X, Y) < 1e-12
             # Moebius transfer identity (I - kG)(I + kG)^-1
-            for s in (1.0, 2.0 + 1.0j):
+            for s in (1.0, 2.0 + 1.0j, 0.5 - 0.4j):
                 G = eval_transfer(node, s)
                 lhs = eval_transfer(sct, s)
                 rhs = np.linalg.solve(
-                    (np.eye(node.m) + k * G).conj().T, (np.eye(node.m) - k * G).conj().T
+                    (np.eye(m) + k * G).conj().T, (np.eye(m) - k * G).conj().T
                 ).conj().T
                 assert np.linalg.norm(lhs - rhs, 2) < 1e-9
 
@@ -53,9 +66,10 @@ def test_diagonal_transform_rejects_nonpassive():
 
 
 def test_diagonal_transform_singular_feedthrough():
-    node = StateSpaceNode([[-1.0]], [[1.0]], [[1.0]], [[-1.0]])
+    # impedance passive (D + D* = -2e-12 is within the slack), yet I + kD = 0
+    node = StateSpaceNode([[-1.0]], [[1.0]], [[1.0]], [[-1e-12]])
     with pytest.raises(SingularIPlusKD):
-        diagonal_transform(node, 1.0, certify=False)
+        diagonal_transform(node, 1e12)
 
 
 def test_output_feedback_transfer_identity():
@@ -91,6 +105,18 @@ def test_stabilizing_feedback_matches_direct_feedback():
             assert err < 1e-9
         assert syn.c == pytest.approx(c)
         assert syn.kappa0 == pytest.approx(kappa0)
+        # both nodes are scalar multiples of the one closed loop
+        loop, inter = syn.closed_loop, syn.scattering_intermediate
+        alpha, beta = syn.alpha, syn.beta
+        assert np.array_equal(loop.A, inter.A)
+        assert np.array_equal(inter.B, alpha * loop.B)
+        assert np.array_equal(inter.C, -alpha * loop.C)
+        assert np.array_equal(inter.D, (alpha * beta) * np.eye(node.m) - alpha**2 * loop.D)
+        # the intermediate is the diagonal transform of Sigma_{cI} at kappa/(1 - kappa c)
+        sct = diagonal_transform(shift_feedthrough(node, c * np.eye(node.m)),
+                                 kappa / (1.0 - kappa * c))
+        for name in "ABCD":
+            assert _rel_err(getattr(inter, name), getattr(sct, name)) < 1e-12
 
 
 def test_stabilizing_feedback_closed_loop_contraction():

@@ -55,8 +55,8 @@ def test_derived_nodes_take_no_2_norm_of_an_unchanged_W(monkeypatch):
     derived = [
         shift_feedthrough(beam, E),
         output_feedback(beam, -1.0),
-        diagonal_transform(beam, 1.0, certify=False),
-        stabilizing_feedback(beam, E, 1.0, certify=False).closed_loop,
+        diagonal_transform(beam, 1.0),
+        stabilizing_feedback(beam, E, 1.0).closed_loop,
     ]
     assert W_shaped == []
     for node in derived:

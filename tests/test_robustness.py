@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from passivenode import (
@@ -226,9 +226,9 @@ _EDGE = st.one_of(
 def _node_documents(draw):
     """A node document as node_to_dict writes it, with edge-case entries.
 
-    W, when present, is a positive diagonal with +0.0 elsewhere: a node
-    stores W = (W + W*)/2, which turns an imaginary -0.0 on the diagonal
-    into +0.0, so a W with signed zeros is not what a node writes.
+    W, when present, is a positive diagonal with zeros of either sign
+    elsewhere: an exactly self-adjoint W is stored as it is, signed zeros
+    included.
     """
     n = draw(st.sampled_from([0, 1, 3]))
     m = draw(st.sampled_from([0, 1, 2]))
@@ -241,14 +241,27 @@ def _node_documents(draw):
     if n and draw(st.booleans()):
         diag = [draw(st.one_of(_EDGE, st.floats(0.5, 2.0)).filter(lambda x: x > 0 and x != 1.0))
                 for _ in range(n)]
-        doc["W"] = [[[diag[i] if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
+        zero = st.sampled_from([0.0, -0.0])
+        doc["W"] = [[[diag[i] if i == j else draw(zero), draw(zero)] for j in range(n)]
+                    for i in range(n)]
     if draw(st.booleans()):
         doc["meta"] = draw(st.text(min_size=1, max_size=4))
     return doc
 
 
+_SIGNED_ZERO_W_DOC = {
+    "n": 2, "m": 1, "p": 1,
+    "A": [[[-1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
+    "B": [[[1.0, 0.0]], [[0.0, 0.0]]],
+    "C": [[[1.0, 0.0], [0.0, 0.0]]],
+    "D": [[[0.0, 0.0]]],
+    "W": [[[2.0, -0.0], [-0.0, -0.0]], [[-0.0, 0.0], [3.0, 0.0]]],
+}
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(doc=_node_documents())
+@example(doc=_SIGNED_ZERO_W_DOC)
 def test_node_documents_round_trip_bit_exactly(doc):
     text = io.dumps_canonical(doc)
     node = io.node_from_dict(json.loads(text))
@@ -429,7 +442,7 @@ def test_a_shift_that_is_not_m_by_m_is_rejected(E):
     with pytest.raises(DimensionMismatch):
         check_impedance_reciprocal(node, E, 0.5)
     with pytest.raises(DimensionMismatch):
-        stabilizing_feedback(node, E, 1.0, certify=False)
+        stabilizing_feedback(node, E, 1.0)
 
 
 # -- huge JSON integers ------------------------------------------------------------

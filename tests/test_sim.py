@@ -101,6 +101,29 @@ def test_csv_export(tmp_path):
     assert float(rows[1][0]) == 0.0
 
 
+def test_csv_cells_read_back_bit_exactly(tmp_path):
+    # a transposed square sampled input: traj.inputs is not C-contiguous
+    node = StateSpaceNode(-np.eye(3), np.eye(3), np.eye(3), np.zeros((3, 3)))
+    samples = np.array([[-0.0, 1 / 3, 5e-324], [0.1, -0.0, -2.5], [1e-300, 0.0, -1 / 7]])
+    traj = simulate(node, np.array([-0.0, 1.0, 1j]), samples.T, 1.0, steps=2)
+    assert not traj.inputs.flags.c_contiguous
+    audit = energy_audit(traj, W=node.W)
+    path = tmp_path / "traj.csv"
+    export_csv(traj, path, audit=audit)
+    raw = path.read_bytes()
+    assert raw.count(b"\r\n") == raw.count(b"\n") == 4
+    table = np.array([[float(x) for x in line.split(b",")] for line in raw.splitlines()[1:]])
+    expected = []
+    for i, t in enumerate(traj.times):
+        row = [t]
+        for vec in (traj.states[i], traj.inputs[i], traj.outputs[i]):
+            for v in vec:
+                row += [v.real, v.imag]
+        expected.append(row + [audit.defect[i]])
+    assert table.tobytes() == np.array(expected).tobytes()
+    assert np.signbit(table[table == 0.0]).any()  # a -0.0 made the trip
+
+
 # -- the exponential propagator ------------------------------------------------
 
 
