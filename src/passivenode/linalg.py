@@ -14,6 +14,12 @@ Three kinds of numerical question, one rule each:
   ||R||_2 <= :func:`scaled_tol` of the matrix it is measured against.  Both
   are base_tol() (PASSIVE_NODE_TOL, default 1e-9) times 1 + a norm.
 
+Real data runs in real arithmetic.  This is decided once, in
+StateSpaceNode.orthonormal, which hands out real arrays for a node whose
+matrices have no nonzero imaginary part; the routines here keep the dtype
+they are given (none of them forces complex), so a real node goes to the
+real LAPACK kernels.  Stored node matrices (as_matrix) stay complex.
+
 RCOND and SUBSPACE_TOL are fixed.  Every routine here costs at most O(n^3)
 for the desk-scale problems this library targets (the 100-mode beam has
 n = 198).
@@ -100,8 +106,8 @@ def scaled_tol(M):
 
 
 def hermitize(M):
-    """Self-adjoint part (M + M*)/2."""
-    M = np.asarray(M, dtype=complex)
+    """Self-adjoint part (M + M*)/2, real when M is."""
+    M = np.asarray(M)
     return 0.5 * (M + M.conj().T)
 
 
@@ -146,46 +152,62 @@ def cholesky(M, error, message):
 
 
 def null_basis(M):
-    """Orthonormal basis of the null space of M (columns; may be empty)."""
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
+    """Orthonormal basis of the null space of M (columns; may be empty), real when M is."""
+    M = np.atleast_2d(np.asarray(M))
     if M.shape[0] == 0:
-        return np.eye(M.shape[1], dtype=complex)
+        return np.eye(M.shape[1], dtype=np.result_type(M, float))
     _, sv, vh = np.linalg.svd(M)
-    cutoff = SUBSPACE_TOL * max(1.0, sv[0] if sv.size else 0.0)
-    rank = int(np.sum(sv > cutoff))
-    return vh[rank:].conj().T
+    return vh[_rank(sv):].conj().T
 
 
-def largest_invariant_in(Q, ops):
-    """Largest subspace of range(Q) mapped into itself by every op in ops.
+def _rank(sv):
+    """Count of the singular values sv (descending) above SUBSPACE_TOL * max(1, sv[0])."""
+    return int(np.sum(sv > SUBSPACE_TOL * max(1.0, sv[0] if sv.size else 0.0)))
 
-    Computed as a complement: it is the orthogonal complement of the
-    smallest subspace that contains range(Q)^perp and is invariant under
-    every op*.  That subspace is grown by one deflated block-Krylov sweep,
-    the orthogonal staircase of Paige (1981, "Properties of numerical
-    algorithms related to computing controllability", IEEE TAC 26(1)) and
-    Van Dooren (1981, "The generalized eigenstructure problem in linear
-    system theory", IEEE TAC 26(1)): each step maps the newest block
-    through every op*, orthogonalizes the images against the basis so far
-    (twice, for stability) and keeps the directions above SUBSPACE_TOL
-    times the block's own largest singular value.  Each direction is found
-    once, and the work per step is O(n^2) times the block width, so the
-    sweep costs O(n^3) for a fixed number of ops.
+
+def _range_basis(X):
+    """Orthonormal basis of range(X) from a thin SVD, cut by the rule of _rank."""
+    u, sv, _ = np.linalg.svd(X, full_matrices=False)
+    return u[:, :_rank(sv)]
+
+
+def largest_invariant_in(M, ops):
+    """Largest subspace of ker M mapped into itself by every op in ops.
+
+    M is an annihilator (k x n, any k >= 0), not a basis of the subspace.
+    Computed as a complement: the subspace is the orthogonal complement of
+    the smallest subspace that contains range(M*) = (ker M)^perp and is
+    invariant under every op*.  That subspace is grown by one deflated
+    block-Krylov sweep, the orthogonal staircase of Paige (1981,
+    "Properties of numerical algorithms related to computing
+    controllability", IEEE TAC 26(1)) and Van Dooren (1981, "The
+    generalized eigenstructure problem in linear system theory", IEEE TAC
+    26(1)).  It starts from a thin SVD of M*, cut by the rank rule of
+    :func:`null_basis`; each step maps the newest block through every op*,
+    orthogonalizes the images against the basis so far (twice, for
+    stability) and keeps the directions above SUBSPACE_TOL times the
+    block's own largest singular value.  Each direction is found once, and
+    the work per step is O(n^2) times the block width, so the sweep costs
+    O(n^3) for a fixed number of ops.  When the sweep fills all n
+    dimensions the result is an empty n x 0 basis, with no n x n
+    factorization; otherwise one complement SVD returns it.  The basis is
+    real when M and every op are.
     """
-    Q = np.atleast_2d(np.asarray(Q, dtype=complex))
-    n = Q.shape[0]
+    M = np.atleast_2d(np.asarray(M))
+    n = M.shape[1]
     adjoints = [op.conj().T for op in ops]
-    V = null_basis(Q.conj().T)
+    V = _range_basis(M.conj().T)
     new = V
     while new.shape[1] and V.shape[1] < n:
         W = np.hstack([op @ new for op in adjoints])
         for _ in range(2):
             W = W - V @ (V.conj().T @ W)
-        u, sv, _ = np.linalg.svd(W, full_matrices=False)
-        # relative to this block, not to ||op||: after deflation the images
-        # of a stiff op can be small yet genuinely new
-        new = u[:, : int(np.sum(sv > SUBSPACE_TOL * max(1.0, sv[0])))]
+        # the cut is relative to this block, not to ||op||: after deflation
+        # the images of a stiff op can be small yet genuinely new
+        new = _range_basis(W)
         V = np.hstack([V, new])
+    if V.shape[1] >= n:
+        return np.zeros((n, 0), dtype=V.dtype)
     return null_basis(V.conj().T)
 
 

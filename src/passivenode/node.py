@@ -10,6 +10,8 @@ The weight is handled once, at construction: its Cholesky factor L
 (W = L L*) decides W > 0, and a W-orthonormal copy of the realization
 (coordinates x~ = L* x) is cached from it, so every
 downstream PSD/eigen test can run as a plain unweighted test on that copy.
+That copy is real when the node is (:attr:`StateSpaceNode.orthonormal`), so
+a real node runs in real arithmetic.
 The same copy carries the resolvent: :func:`resolvent` is the one place
 that decides whether s is in rho(A) and that computes G(s).  n = 0 is a
 valid node (its transfer function is the constant D).
@@ -89,15 +91,26 @@ class StateSpaceNode:
 
     @cached_property
     def orthonormal(self):
-        """(A~, B~, C~, D) in W-orthonormal coordinates x~ = L* x."""
-        if self.is_identity_weight:
-            return self.A, self.B, self.C, self.D
-        L = self._chol
-        Lh = L.conj().T
-        A = Lh @ np.linalg.solve(Lh.T, self.A.T).T  # L* A L^-*
-        B = Lh @ self.B
-        C = np.linalg.solve(Lh.T, self.C.T).T       # C L^-*
-        return A, B, C, self.D
+        """(A~, B~, C~, D) in W-orthonormal coordinates x~ = L* x, read-only.
+
+        A real node (A, B, C, D and W without a nonzero imaginary part) gets
+        all four as real float64 arrays, computed from the real parts of its
+        matrices and of L: this is the one place where data becomes real, so
+        that a real node runs in real arithmetic downstream.  Any other node
+        gets complex arrays, as stored.  The stored matrices stay complex.
+        """
+        mats = (self.A, self.B, self.C, self.D, self._chol)
+        if not any(M.imag.any() for M in mats):
+            mats = tuple(M.real for M in mats)
+        A, B, C, D, L = mats
+        if not self.is_identity_weight:
+            Lh = L.conj().T
+            A = Lh @ np.linalg.solve(Lh.T, A.T).T  # L* A L^-*
+            B = Lh @ B
+            C = np.linalg.solve(Lh.T, C.T).T       # C L^-*
+            for M in (A, B, C):
+                M.setflags(write=False)
+        return A, B, C, D
 
     def orthonormalized(self):
         """Equivalent node with W = I (same transfer function)."""
@@ -124,34 +137,39 @@ class StateSpaceNode:
 def resolvent(node, s, error, message):
     """(R, G(s)) with R = (sI - A~)^-1 in W-orthonormal coordinates.
 
-    G(s) = C~ R B~ + D equals C (sI - A)^-1 B + D.  Raises error(message)
-    when s is not in rho(A) to working precision (linalg.checked_inv).
+    G(s) = C~ R B~ + D equals C (sI - A)^-1 B + D.  Both are real for a
+    real node at a real s.  Raises error(message) when s is not in rho(A)
+    to working precision (linalg.checked_inv).
     """
     A, B, C, D = node.orthonormal
-    R = linalg.checked_inv(s * np.eye(node.n) - A, error, message)
+    s = complex(s)
+    # a real s keeps a real node in real arithmetic
+    R = linalg.checked_inv((s if s.imag else s.real) * np.eye(node.n) - A, error, message)
     return R, C @ (R @ B) + D
 
 
 def eval_transfer(node, s):
-    """Evaluate G(s) = C (sI - A)^-1 B + D.
+    """Evaluate G(s) = C (sI - A)^-1 B + D, as a complex array.
 
     Raises SingularResolvent when sI - A is singular to working precision.
     """
-    return resolvent(node, s, SingularResolvent,
-                     f"s = {s} is in the spectrum of A to working precision")[1]
+    G = resolvent(node, s, SingularResolvent,
+                  f"s = {s} is in the spectrum of A to working precision")[1]
+    return G.astype(complex, copy=False)
 
 
 def dual_node(node):
     """Dual node with generating triple (A*, C*, B*) and feedthrough D*.
 
     Adjoints are taken in the W-weighted state inner product, so
-    A* = W^-1 A^H W, C* = W^-1 C^H and B* = B^H W.  The dual transfer
-    function satisfies G_dual(s) = G(conj(s))*.
+    A* = W^-1 A^H W, C* = W^-1 C^H and B* = B^H W.  W^-1 is applied by
+    two solves with the Cholesky factor W = L L* that decided W > 0.  The
+    dual transfer function satisfies G_dual(s) = G(conj(s))*.
     """
-    W = node.W
-    Winv = np.linalg.inv(W)
-    Ad = Winv @ node.A.conj().T @ W
-    Bd = Winv @ node.C.conj().T
+    W, L = node.W, node._chol
+    X = np.hstack([node.A.conj().T @ W, node.C.conj().T])
+    X = np.linalg.solve(L.conj().T, np.linalg.solve(L, X))
+    Ad, Bd = X[:, :node.n], X[:, node.n:]
     Cd = node.B.conj().T @ W
     Dd = node.D.conj().T
     return StateSpaceNode(Ad, Bd, Cd, Dd, W=W, meta=f"dual({node.meta})" if node.meta else "dual")

@@ -106,7 +106,7 @@ def _resolvent_congruence(node, form, s, message):
     R, _ = resolvent(node, s, OmegaInSpectrum, message)
     RB = R @ node.orthonormal[1]
     n = node.n
-    F = np.array(form)
+    F = np.array(form, dtype=np.result_type(form, RB))
     F[:, n:] += F[:, :n] @ RB
     F[n:, :] += RB.conj().T @ F[:n, :]
     return F, R
@@ -194,6 +194,7 @@ def _reciprocal_form(node, E, s):
     E = linalg.assert_hermitian(shift_matrix(E, (node.m, node.m)), "E")
     n = node.n
     F = impedance_block_bounded(node)
+    F = np.array(F, dtype=np.result_type(F, E))
     F[n:, n:] += 2.0 * E
     F, R = _resolvent_congruence(node, F, s, f"i*omega = {s} is in the spectrum of A")
     F[:, :n] = -F[:, :n] @ R

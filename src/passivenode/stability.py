@@ -39,13 +39,13 @@ def unobservable_space(node):
     """Orthonormal basis (in W-orthonormal coordinates) of the largest
     A-invariant subspace contained in ker C."""
     A, _, C, _ = node.orthonormal
-    return linalg.largest_invariant_in(linalg.null_basis(C), [A])
+    return linalg.largest_invariant_in(C, [A])
 
 
 def uncontrollable_dual_space(node):
     """Largest A*-invariant subspace contained in ker B* (orthonormal coords)."""
     A, B, _, _ = node.orthonormal
-    return linalg.largest_invariant_in(linalg.null_basis(B.conj().T), [A.conj().T])
+    return linalg.largest_invariant_in(B.conj().T, [A.conj().T])
 
 
 def unitary_subspace(node):
@@ -60,7 +60,7 @@ def unitary_subspace(node):
     Q = linalg.hermitize(A + A.conj().T)
     if not linalg.psd_eig(-Q)[2]:
         raise NotContraction("WA + A*W is not negative semidefinite")
-    return linalg.largest_invariant_in(linalg.null_basis(Q), [A, A.conj().T])
+    return linalg.largest_invariant_in(Q, [A, A.conj().T])
 
 
 @dataclass(frozen=True)
@@ -124,11 +124,13 @@ def benchimol_conditions(node, require_contraction=True):
         raise NotContraction("A + A* <= -C*C or A + A* <= -BB* fails")
     N = unobservable_space(node)
     Nd = uncontrollable_dual_space(node)
-    H = np.zeros((node.n, 0), dtype=complex)
+    H = np.zeros((node.n, 0), dtype=N.dtype)
     if N.shape[1] and Nd.shape[1]:
         # x = N c lies in ker(A + A*) and in N^d; Q is scaled as in null_basis(Q)
         M = np.vstack([Q @ N / max(1.0, np.linalg.norm(Q, 2)), N - Nd @ (Nd.conj().T @ N)])
-        H = linalg.largest_invariant_in(N @ linalg.null_basis(M), [A, A.conj().T])
+        K = N @ linalg.null_basis(M)
+        # I - KK* annihilates exactly range(K), which lies in N ∩ N^d
+        H = linalg.largest_invariant_in(np.eye(node.n) - K @ K.conj().T, [A, A.conj().T])
     holds = H.shape[1] == 0
     return holds, holds, N, Nd, H
 

@@ -61,16 +61,25 @@ def _assert_invariant(V, ops):
 
 def test_largest_invariant_in_edge_shapes():
     A = np.diag([-1.0, -2.0, 1j])
+    # n = 0
+    assert linalg.largest_invariant_in(np.zeros((2, 0)), [np.zeros((0, 0))]).shape == (0, 0)
     assert linalg.largest_invariant_in(np.zeros((0, 0)), [np.zeros((0, 0))]).shape == (0, 0)
-    assert linalg.largest_invariant_in(np.zeros((3, 0)), [A]).shape == (3, 0)
-    # C = 0: ker C is C^n, which every op leaves invariant
+    # no constraint (M of shape (0, n)): ker M is C^n, which every op leaves invariant
+    V = linalg.largest_invariant_in(np.zeros((0, 3)), [A])
+    assert V.shape == (3, 3)
+    assert np.linalg.norm(V.conj().T @ V - np.eye(3)) < 1e-12
+    # C = 0 annihilates nothing either
     node = StateSpaceNode(A, np.ones((3, 1)), np.zeros((1, 3)), [[0.0]])
     assert unobservable_space(node).shape == (3, 3)
-    # a zero op maps everything to 0, which lies in any subspace
-    Q = np.eye(3)[:, :2]
-    V = linalg.largest_invariant_in(Q, [np.zeros((3, 3))])
+    # M of full column rank: ker M = {0}, without a sweep
+    assert linalg.largest_invariant_in(np.eye(3), [A]).shape == (3, 0)
+    assert linalg.largest_invariant_in(np.ones((4, 3)) + np.eye(4, 3), [A]).shape == (3, 0)
+    # a zero op maps everything to 0, which lies in any subspace: the result is ker M
+    M = np.eye(3)[2:]
+    V = linalg.largest_invariant_in(M, [np.zeros((3, 3))])
     assert V.shape == (3, 2)
-    assert np.linalg.norm(V - Q @ (Q.T @ V)) < 1e-12
+    assert np.linalg.norm(M @ V) < 1e-12
+    assert np.linalg.norm(V.conj().T @ V - np.eye(2)) < 1e-12
 
 
 def test_hidden_mode_subspaces_have_known_dimension():
@@ -87,6 +96,68 @@ def test_hidden_mode_subspaces_have_known_dimension():
             _assert_invariant(Xu, [A, A.conj().T])
             assert np.linalg.norm(C @ N, 2) <= 1e-8 * (1.0 + np.linalg.norm(C, 2))
             assert np.linalg.norm(B.conj().T @ Nd, 2) <= 1e-8 * (1.0 + np.linalg.norm(B, 2))
+
+
+def _double_complement_invariant_in(Q, ops):
+    """Reference staircase from a basis Q of the subspace: it starts from
+    null_basis(Q*), the complement of the complement, and ends with a
+    complement SVD whatever the sweep found."""
+    n = Q.shape[0]
+    V = linalg.null_basis(Q.conj().T)
+    new = V
+    while new.shape[1] and V.shape[1] < n:
+        W = np.hstack([op.conj().T @ new for op in ops])
+        for _ in range(2):
+            W = W - V @ (V.conj().T @ W)
+        u, sv, _ = np.linalg.svd(W, full_matrices=False)
+        new = u[:, : int(np.sum(sv > linalg.SUBSPACE_TOL * max(1.0, sv[0])))]
+        V = np.hstack([V, new])
+    return linalg.null_basis(V.conj().T)
+
+
+def _projector_distance(U, V):
+    return np.linalg.norm(U @ U.conj().T - V @ V.conj().T, 2)
+
+
+def test_annihilator_staircase_matches_double_complement():
+    for n, seed in [(6, 0), (9, 1), (14, 2)]:
+        for k in range(1, n // 2 + 1):
+            node = _hidden_mode_node(100 * n + 10 * seed + k, n, k)
+            A, B, C, _ = node.orthonormal
+            Q = linalg.hermitize(A + A.conj().T)
+            N = _double_complement_invariant_in(linalg.null_basis(C), [A])
+            Nd = _double_complement_invariant_in(linalg.null_basis(B.conj().T), [A.conj().T])
+            Xu = _double_complement_invariant_in(linalg.null_basis(Q), [A, A.conj().T])
+            for new, old in [(unobservable_space(node), N),
+                             (uncontrollable_dual_space(node), Nd),
+                             (unitary_subspace(node), Xu)]:
+                assert new.shape == old.shape == (n, k)
+                assert _projector_distance(new, old) <= 1e-10
+            # H inside N ∩ N^d, from the same N and N^d
+            M = np.vstack([Q @ N / max(1.0, np.linalg.norm(Q, 2)), N - Nd @ (Nd.conj().T @ N)])
+            H_old = _double_complement_invariant_in(N @ linalg.null_basis(M), [A, A.conj().T])
+            H = benchimol_conditions(node, require_contraction=False)[4]
+            assert H.shape == H_old.shape == (n, k)
+            assert _projector_distance(H, H_old) <= 1e-10
+
+
+def test_beam_verdict_makes_no_n_by_n_svd(monkeypatch):
+    node, E = beam_model(BeamParameters(n_modes=100))
+    n = node.n
+    svd = np.linalg.svd
+    sides = []
+
+    def spy(a, full_matrices=True, compute_uv=True, hermitian=False):
+        rows, cols = np.shape(a)[-2:]
+        # the largest square factor: U and V^H with full matrices, else the thin width
+        sides.append(max(rows, cols) if full_matrices and compute_uv else min(rows, cols))
+        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, hermitian=hermitian)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    report, _ = stability_verdict(node, E, 1.0)
+    assert report.verdict is StabilityVerdict.STRONGLY_STABLE
+    assert sides, "the staircase ran no SVD"
+    assert max(sides) < n
 
 
 def test_beam_100_modes_strongly_stable_with_trivial_subspaces():
