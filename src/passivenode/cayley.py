@@ -29,7 +29,7 @@ from .errors import (
     SingularResolvent,
 )
 from .node import StateSpaceNode, resolvent
-from .passivity import PassivityKind, _certify
+from .passivity import PassivityKind, _certify, _require_square
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,9 @@ def discrete_transfer(disc, z):
 def check_discrete_passivity(disc, kind):
     """Certify discrete passivity of the quadruple.
 
-    Scattering: the block matrix [[Ad, Bd], [Cd, Dd]] is a contraction.
-    Impedance: [[I, Cd*], [Cd, Dd + Dd*]] - [[Ad* Ad, Ad* Bd],
-    [Bd* Ad, Bd* Bd]] >= 0.
+    Scattering (any p and m): the block matrix [[Ad, Bd], [Cd, Dd]] is a
+    contraction.  Impedance: [[I, Cd*], [Cd, Dd + Dd*]] - [[Ad* Ad, Ad* Bd],
+    [Bd* Ad, Bd* Bd]] >= 0, which needs p = m (NotSquare otherwise).
     """
     kind = PassivityKind(kind) if not isinstance(kind, PassivityKind) else kind
     Ad, Bd, Cd, Dd = disc.Ad, disc.Bd, disc.Cd, disc.Dd
@@ -121,6 +121,7 @@ def check_discrete_passivity(disc, kind):
         M = np.block([[Ad, Bd], [Cd, Dd]])
         form = np.eye(M.shape[1]) - M.conj().T @ M
     else:
+        _require_square(disc)
         top = np.hstack([np.eye(n) - Ad.conj().T @ Ad, Cd.conj().T - Ad.conj().T @ Bd])
         bot = np.hstack([Cd - Bd.conj().T @ Ad, Dd + Dd.conj().T - Bd.conj().T @ Bd])
         form = np.vstack([top, bot])

@@ -6,6 +6,9 @@ diagonal transform at k > 0 is the loop at K = -kI: it turns an
 impedance-passive node Sigma into the scattering-passive node realizing
 G^s = (I - kG)(I + kG)^-1.  The stabilizing synthesis reads the loop at
 K = -kappa I both as it is and, rescaled, as a scattering-passive node.
+Both take their precondition (Sigma, or Sigma_E, impedance passive) from
+one eigendecomposition of the bounded impedance form of Sigma_E, the form
+passivity.minimal_E solves; no shifted node and no resolvent is formed.
 """
 
 import math
@@ -22,8 +25,8 @@ from .errors import (
     SingularIMinusKD,
     SingularIPlusKD,
 )
-from .node import StateSpaceNode, shift_feedthrough, shift_matrix
-from .passivity import check_impedance, positive_part
+from .node import StateSpaceNode
+from .passivity import _certify_shifted, positive_part
 
 
 def diagonal_transform(node, k):
@@ -36,13 +39,14 @@ def diagonal_transform(node, k):
 
     at K = -kI.  The signal identity ||u^s||^2 - ||y^s||^2 = 2 Re <y, u>
     makes the result scattering passive exactly when the input is impedance
-    passive, which is certified first (NotImpedancePassive otherwise).
-    Raises SingularIPlusKD when I + kD is singular.
+    passive.  That is certified first, by the bounded impedance form alone
+    (NotImpedancePassive otherwise; NotSquare when p != m).  Raises
+    SingularIPlusKD when I + kD is singular.
     """
     k = float(k)
     if k <= 0:
         raise KappaOutOfRange(f"diagonal transform parameter k = {k} must be positive")
-    cert = check_impedance(node)
+    cert, _ = _certify_shifted(node)
     if not cert.passive:
         raise NotImpedancePassive(
             f"node is not impedance passive (min eigenvalue {cert.min_eigenvalue:.3e})"
@@ -121,11 +125,15 @@ class FeedbackSynthesis:
 def stabilizing_feedback(node, E, kappa):
     """Closed loop of an almost impedance-passive node under u = -kappa y.
 
-    E is a self-adjoint shift making Sigma_E impedance passive, which is
-    certified (NotAlmostPassive otherwise); with c = ||E^+|| the admissible
-    gains are 0 < kappa < kappa0 = 1/c (any kappa > 0 when c = 0).  One
-    closed loop (A^kappa, B^kappa, C^kappa, D^kappa) of u = -kappa y + v
-    gives both nodes: closed_loop is that loop, and with
+    E is a self-adjoint shift making Sigma_E impedance passive.  That is
+    certified by the bounded impedance form of Sigma_E,
+    [[-(A + A*), C* - B], [C - B*, D + D* + 2E]] >= 0, whose least solution
+    E is passivity.minimal_E, so minimal_E(node) itself is accepted
+    (NotAlmostPassive otherwise; NotSquare when p != m).  With c = ||E^+||
+    the admissible gains are 0 < kappa < kappa0 = 1/c (any kappa > 0 when
+    c = 0).  One closed loop (A^kappa, B^kappa, C^kappa, D^kappa) of
+    u = -kappa y + v, from the one inverse of I + kappa D, gives both
+    nodes, and no other node is built: closed_loop is that loop, and with
 
         alpha = sqrt(2 kappa (1 - kappa c)),  beta = (1 - 2 kappa c)/alpha,
 
@@ -135,10 +143,9 @@ def stabilizing_feedback(node, E, kappa):
     diagonal transform of Sigma_{cI} at k = kappa/(1 - kappa c), so it is
     scattering passive.  E must be m x m (DimensionMismatch otherwise).
     """
-    E = linalg.assert_hermitian(shift_matrix(E, (node.m, node.m)), "E")
+    cert, E = _certify_shifted(node, E)
     kappa = float(kappa)
     _, c, kappa0 = positive_part(E)
-    cert = check_impedance(shift_feedthrough(node, E))
     if not cert.passive:
         raise NotAlmostPassive(
             f"Sigma_E is not impedance passive (min eigenvalue {cert.min_eigenvalue:.3e})"

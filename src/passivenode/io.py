@@ -207,15 +207,27 @@ def plant_to_dict(plant):
     return d
 
 
+def _rows(data):
+    return len(data) if isinstance(data, list) else None
+
+
 def plant_from_dict(d):
+    """Plant document -> SecondOrderPlant; each matrix is read with the shape it must have.
+
+    n0 is the row count of A0 (0 for []).  A0 and M are n0 x n0, C0 and C1
+    have n0 columns, and B0 has n0 rows or n0 columns (B0 = [] reads as
+    0 x n0).  A matrix with no rows is [] in a document.
+    """
     _require(d, "plant", ("A0", "M", "C0"))
-    return SecondOrderPlant(
-        A0=matrix_from_json(d["A0"], "A0"),
-        M=matrix_from_json(d["M"], "M"),
-        C0=matrix_from_json(d["C0"], "C0"),
-        B0=matrix_from_json(d["B0"], "B0") if "B0" in d else None,
-        C1=matrix_from_json(d["C1"], "C1") if "C1" in d else None,
-    )
+    n0 = _rows(d["A0"])
+
+    def read(key, cols):
+        return matrix_from_json(d[key], key, rows=_rows(d[key]), cols=cols) if key in d else None
+
+    # only a B0 with n0 > 0 rows is read as n0 x m; any other is m x n0
+    b0_cols = None if n0 and _rows(d.get("B0")) == n0 else n0
+    return SecondOrderPlant(A0=read("A0", n0), M=read("M", n0), C0=read("C0", n0),
+                            B0=read("B0", b0_cols), C1=read("C1", n0))
 
 
 def _load_json(path):

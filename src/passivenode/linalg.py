@@ -226,12 +226,14 @@ def expm(A):
     X = A / 2^s, with s the least power that brings ||X||_1 down to
     theta_13, squared s times (Higham 2005, "The scaling and squaring
     method for the matrix exponential revisited", SIAM J. Matrix Anal.
-    Appl. 26).  A non-finite A gives an all-NaN result.
+    Appl. 26).  A non-finite A gives an all-NaN result.  A real A
+    (integers included) gives a float64 result, a complex A a complex one.
     """
-    A = np.asarray(A, dtype=complex)
+    A = np.asarray(A)
+    A = A.astype(np.result_type(A, float), copy=False)
     norm = np.linalg.norm(A, 1) if A.size else 0.0
     if not np.isfinite(norm):
-        return np.full(A.shape, np.nan, dtype=complex)
+        return np.full(A.shape, np.nan, dtype=A.dtype)
     s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
     X = A / 2.0**s
     b = _PADE13

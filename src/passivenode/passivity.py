@@ -13,7 +13,10 @@ The smallest self-adjoint E making Sigma_E = (A, B, C, D+E) impedance passive
 comes from one formula, :func:`minimal_E`: the Schur complement of the
 bounded impedance form.  The structured functions (``minimal_E_esad``,
 ``minimal_E_selfadjoint``, ``minimal_E_colocated_at``) are class checks
-followed by a call to it.
+followed by a call to it.  The feedback synthesis and
+sim.adversarial_input decide impedance passivity of Sigma_E from that
+bounded form alone (:func:`_certify_shifted`), so they accept the E that
+minimal_E returns; :func:`check_impedance` also ANDs its point forms.
 """
 
 import enum
@@ -112,28 +115,28 @@ def _resolvent_congruence(node, form, s, message):
     return F, R
 
 
+def _point_form(node, form, s):
+    """The bounded form in x = x' + (sI - A)^-1 B u, at s in rho(A)."""
+    F, _ = _resolvent_congruence(node, form, s, f"test point {s} is in the spectrum of A")
+    return linalg.hermitize(F)
+
+
 def impedance_form_at(node, s):
     """Impedance test form at s in rho(A): the bounded form in x = x' + (sI - A)^-1 B u."""
-    s = complex(s)
-    F, _ = _resolvent_congruence(node, impedance_block_bounded(node), s,
-                                 f"test point {s} is in the spectrum of A")
-    return linalg.hermitize(F)
+    return _point_form(node, impedance_block_bounded(node), complex(s))
 
 
 def scattering_form_at(node, s):
     """Scattering test form at s in rho(A): the bounded form in x = x' + (sI - A)^-1 B u."""
-    s = complex(s)
-    F, _ = _resolvent_congruence(node, scattering_block_bounded(node), s,
-                                 f"test point {s} is in the spectrum of A")
-    return linalg.hermitize(F)
+    return _point_form(node, scattering_block_bounded(node), complex(s))
 
 
-def _point_forms(node, form_at, test_points):
-    """form_at(node, s) at the test points in rho(A); one inverse per point."""
+def _point_forms(node, form, test_points):
+    """The bounded form at the test points in rho(A); one inverse per point."""
     pts, forms = [], []
     for s in map(complex, DEFAULT_TEST_POINTS if test_points is None else test_points):
         try:
-            forms.append(form_at(node, s))
+            forms.append(_point_form(node, form, s))
         except OmegaInSpectrum:
             continue
         pts.append(s)
@@ -166,8 +169,9 @@ def check_impedance(node, test_points=None):
     too, and the verdict ANDs them all.
     """
     _require_square(node)
-    pts, forms = _point_forms(node, impedance_form_at, test_points)
-    return _certify(PassivityKind.IMPEDANCE, [impedance_block_bounded(node)] + forms, pts)
+    F = impedance_block_bounded(node)
+    pts, forms = _point_forms(node, F, test_points)
+    return _certify(PassivityKind.IMPEDANCE, [F] + forms, pts)
 
 
 def check_scattering(node, test_points=None):
@@ -176,10 +180,40 @@ def check_scattering(node, test_points=None):
     Each point form is a congruence of :func:`scattering_block_bounded`.
     Raises OmegaInSpectrum when no test point lies in rho(A).
     """
-    pts, forms = _point_forms(node, scattering_form_at, test_points)
+    pts, forms = _point_forms(node, scattering_block_bounded(node), test_points)
     if not pts:
         raise OmegaInSpectrum("no usable test points in rho(A)")
     return _certify(PassivityKind.SCATTERING, forms, pts)
+
+
+def _shifted_form(node, E):
+    """(F, E): the bounded impedance form F of Sigma_E and the checked shift E.
+
+    F is :func:`impedance_block_bounded` with D + D* + 2E in its u block:
+    the form whose Schur complement :func:`minimal_E` takes.  Raises
+    NotSquare when p != m; E must be a self-adjoint m x m matrix
+    (DimensionMismatch or NotSelfAdjoint otherwise), and None reads as 0.
+    A real node with a real E keeps a real F.
+    """
+    _require_square(node)
+    m = node.m
+    E = linalg.assert_hermitian(shift_matrix(np.zeros((m, m)) if E is None else E, (m, m)), "E")
+    F = impedance_block_bounded(node)
+    E2 = 2.0 * (E if E.imag.any() else E.real)
+    F = F.astype(np.result_type(F, E2), copy=False)
+    F[node.n:, node.n:] += E2
+    return F, E
+
+
+def _certify_shifted(node, E=None):
+    """(certificate, E) of Sigma_E from the bounded form of :func:`_shifted_form` alone.
+
+    At finite dimension that form decides impedance passivity of Sigma_E
+    exactly, and it is the form minimal_E solves, so Sigma_E passes at
+    E = minimal_E(node).  The witness is the most negative direction (x, u).
+    """
+    F, E = _shifted_form(node, E)
+    return _certify(PassivityKind.IMPEDANCE, [F], ()), E
 
 
 def _reciprocal_form(node, E, s):
@@ -191,11 +225,8 @@ def _reciprocal_form(node, E, s):
     the bounded form of Sigma_E under the resolvent change of variables
     followed by x' = -R x'', so T = [[-R, RB], [0, I]].
     """
-    E = linalg.assert_hermitian(shift_matrix(E, (node.m, node.m)), "E")
     n = node.n
-    F = impedance_block_bounded(node)
-    F = np.array(F, dtype=np.result_type(F, E))
-    F[n:, n:] += 2.0 * E
+    F, _ = _shifted_form(node, E)
     F, R = _resolvent_congruence(node, F, s, f"i*omega = {s} is in the spectrum of A")
     F[:, :n] = -F[:, :n] @ R
     F[:n, :] = -R.conj().T @ F[:n, :]
@@ -210,7 +241,6 @@ def check_impedance_reciprocal(node, E, omega):
     check_impedance(shift_feedthrough(node, E)).  E must be m x m
     (DimensionMismatch otherwise).
     """
-    _require_square(node)
     s = 1j * float(omega)
     return _certify(PassivityKind.IMPEDANCE, [_reciprocal_form(node, E, s)], (s,))
 

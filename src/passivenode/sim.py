@@ -32,6 +32,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, InvalidTimeGrid, InvalidTolerance, NonFiniteState
 from .node import shift_matrix, weight_matrix
+from .passivity import _certify_shifted
 
 
 @dataclass(frozen=True)
@@ -244,19 +245,13 @@ def export_csv(traj, path, audit=None):
 def adversarial_input(node, E=None, amplitude=1.0):
     """Constant input exposing a passivity violation, when one exists.
 
-    Takes the eigenvector for the most negative eigenvalue of the bounded
-    impedance form of Sigma_E, splits it into (state, input) components and
-    returns (z0, u0, eigenvalue).  Driving the node from z0 with the
-    constant input u0 makes the instantaneous defect rate negative, so a
-    short simulation yields a strictly negative energy-audit defect.
+    Takes the witness of the bounded impedance form of Sigma_E (E = None
+    reads as 0), the eigenvector of its most negative eigenvalue, splits it
+    into (state, input) components and returns (z0, u0, eigenvalue).
+    Driving the node from z0 with the constant input u0 makes the
+    instantaneous defect rate negative, so a short simulation yields a
+    strictly negative energy-audit defect.  Raises NotSquare when p != m.
     """
-    from .node import shift_feedthrough
-    from .passivity import impedance_block_bounded
-
-    probe = node if E is None else shift_feedthrough(node, E)
-    form = impedance_block_bounded(probe)
-    vals, vecs, _ = linalg.psd_eig(form)
-    x_orth = vecs[: node.n, 0]
-    u0 = vecs[node.n:, 0]
-    z0 = node.to_state(amplitude * x_orth)
-    return z0, amplitude * u0, float(vals[0])
+    cert, _ = _certify_shifted(node, E)
+    z0 = node.to_state(amplitude * cert.witness[:node.n])
+    return z0, amplitude * cert.witness[node.n:], cert.min_eigenvalue

@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from passivenode import (
+    BeamParameters,
     StateSpaceNode,
+    beam_model,
     check_scattering,
     diagonal_transform,
     eval_transfer,
+    linalg,
+    minimal_E,
     output_feedback,
     positive_part,
     shift_feedthrough,
     stabilizing_feedback,
+    stability_verdict,
 )
 from passivenode.errors import (
     KappaOutOfRange,
@@ -164,3 +169,53 @@ def test_stabilizing_feedback_passive_node_any_gain():
     syn = stabilizing_feedback(node, E, 10.0)
     assert np.isinf(syn.kappa0)
     assert syn.c == 0.0
+
+
+# -- the synthesis certifies Sigma_E by the bounded form minimal_E solves -------
+
+
+def test_stability_verdict_accepts_minimal_E_on_the_edge_family():
+    # Q = diag(2, -2f e-9): its negative eigenvalue is inside the slack, so
+    # minimal_E returns E = 0 here, and the synthesis must accept that E
+    accepted = 0
+    for f in np.linspace(0.97, 1.49, 750):
+        node = StateSpaceNode(np.diag([-1.0, f * 1e-9]), [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
+        try:
+            E = minimal_E(node)
+        except NotAlmostPassive:
+            continue
+        stability_verdict(node, E, 1.0)
+        accepted += 1
+    # at the default slack and looser every node has an E (at 1e-11 none has)
+    assert accepted == 750 or linalg.base_tol() < 1e-9
+
+
+def test_stabilizing_feedback_accepts_exactly_minimal_E():
+    for seed in range(50):
+        node, _ = random_almost_passive(seed)
+        E = minimal_E(node)
+        _, _, kappa0 = positive_part(E)
+        kappa = 1.0 if np.isinf(kappa0) else 0.5 * kappa0
+        stabilizing_feedback(node, E, kappa)
+        with pytest.raises(NotAlmostPassive):
+            stabilizing_feedback(node, E - 1e-3 * np.eye(node.m), kappa)
+
+
+def test_stabilizing_feedback_makes_one_inverse_and_two_nodes(monkeypatch):
+    beam, E = beam_model(BeamParameters(n_modes=100))
+    assert beam.n == 198
+    counts = {"inv": 0, "node": 0}
+    checked_inv, post_init = linalg.checked_inv, StateSpaceNode.__post_init__
+
+    def spy_inv(*args):
+        counts["inv"] += 1
+        return checked_inv(*args)
+
+    def spy_node(self):
+        counts["node"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(linalg, "checked_inv", spy_inv)
+    monkeypatch.setattr(StateSpaceNode, "__post_init__", spy_node)
+    stabilizing_feedback(beam, E, 1.0)
+    assert counts == {"inv": 1, "node": 2}

@@ -12,12 +12,16 @@ from passivenode import (
     DiscreteSystem,
     SecondOrderPlant,
     StateSpaceNode,
+    adversarial_input,
     beam_model,
+    check_discrete_passivity,
     check_impedance,
     check_impedance_reciprocal,
     closed_loop_spectrum_gate,
+    diagonal_transform,
     energy_audit,
     eval_transfer,
+    internal_cayley,
     io,
     laguerre_coefficients,
     laguerre_functions,
@@ -37,6 +41,7 @@ from passivenode.errors import (
     NonFiniteMatrix,
     NonFiniteState,
     NotSelfAdjoint,
+    NotSquare,
     OmegaInSpectrum,
     PassiveNodeError,
     SchemaError,
@@ -271,6 +276,81 @@ def test_node_documents_round_trip_bit_exactly(doc):
             assert getattr(node, key).tobytes() == np.array(doc[key], dtype=float).tobytes()
 
 
+def _edge_matrix(draw, rows, cols):
+    return [[[draw(_EDGE), draw(_EDGE)] for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def _plant_documents(draw):
+    """A plant document as plant_to_dict writes it, n0 = 0 included.
+
+    A0 is a positive and M a nonnegative diagonal, with zeros of either sign
+    elsewhere, so both are exactly self-adjoint and stored as they are.  B0
+    comes in either orientation, n0 x m or m x n0.
+    """
+    n0 = draw(st.sampled_from([0, 1, 3]))
+    count = st.sampled_from([0, 1, 2])
+    zero = st.sampled_from([0.0, -0.0])
+
+    def diagonal(entry):
+        d = [draw(entry) for _ in range(n0)]
+        return [[[d[i] if i == j else draw(zero), draw(zero)] for j in range(n0)]
+                for i in range(n0)]
+
+    doc = {"A0": diagonal(st.one_of(_EDGE, st.floats(0.5, 2.0)).filter(lambda x: x > 0)),
+           "M": diagonal(st.one_of(_EDGE, st.floats(0.0, 2.0)).filter(lambda x: x >= 0)),
+           "C0": _edge_matrix(draw, draw(count), n0)}
+    if draw(st.booleans()):
+        m = draw(count)
+        doc["B0"] = _edge_matrix(draw, *((n0, m) if draw(st.booleans()) else (m, n0)))
+    if draw(st.booleans()):
+        doc["C1"] = _edge_matrix(draw, draw(count), n0)
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=_plant_documents())
+def test_plant_documents_round_trip_bit_exactly(doc):
+    text = io.dumps_canonical(doc)
+    plant = io.plant_from_dict(json.loads(text))
+    assert io.dumps_canonical(io.plant_to_dict(plant)) == text
+    for key in doc:
+        assert getattr(plant, key).tobytes() == np.array(doc[key], dtype=float).tobytes()
+
+
+@st.composite
+def _discrete_documents(draw):
+    """A discrete document as discrete_to_dict writes it; p and m need not agree."""
+    n = draw(st.sampled_from([0, 1, 3]))
+    m, p = draw(st.sampled_from([0, 1, 2])), draw(st.sampled_from([0, 1, 2]))
+    return {"n": n, "m": m, "p": p,
+            "Ad": _edge_matrix(draw, n, n), "Bd": _edge_matrix(draw, n, m),
+            "Cd": _edge_matrix(draw, p, n), "Dd": _edge_matrix(draw, p, m),
+            "alpha": [draw(_EDGE.filter(lambda x: x > 0)), draw(_EDGE)]}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=_discrete_documents())
+def test_discrete_documents_round_trip_bit_exactly(doc):
+    text = io.dumps_canonical(doc)
+    disc = io.discrete_from_dict(json.loads(text))
+    assert io.dumps_canonical(io.discrete_to_dict(disc)) == text
+    for key in ("Ad", "Bd", "Cd", "Dd"):
+        assert getattr(disc, key).tobytes() == np.array(doc[key], dtype=float).tobytes()
+
+
+def test_plant_files_round_trip_at_n0_zero(tmp_path):
+    plant = SecondOrderPlant(A0=np.zeros((0, 0)), M=np.zeros((0, 0)), C0=np.zeros((2, 0)),
+                             C1=np.zeros((1, 0)))
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    io.save_plant(plant, first)
+    assert json.loads(first.read_text())["A0"] == []
+    loaded = io.load_plant(first)
+    io.save_plant(loaded, second)
+    assert second.read_text() == first.read_text()
+    assert (loaded.n0, loaded.C0.shape, loaded.C1.shape) == (0, (2, 0), (1, 0))
+
+
 def test_beam_file_is_a_fixed_point_of_save_and_load(tmp_path):
     beam, _ = beam_model(BeamParameters(n_modes=4))
     first, second = tmp_path / "a.json", tmp_path / "b.json"
@@ -280,6 +360,34 @@ def test_beam_file_is_a_fixed_point_of_save_and_load(tmp_path):
     assert second.read_text() == first.read_text()
     for key in "ABCDW":
         assert getattr(loaded, key).tobytes() == getattr(beam, key).tobytes()
+
+
+# -- p != m ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (2, 1)])
+def test_every_impedance_question_rejects_a_non_square_node(p, m, tmp_path, capsys):
+    # p = 3, m = 2 once broadcast to a ValueError, p = 2, m = 1 to a wrongly shaped form
+    rng = np.random.default_rng(10 * p + m)
+    node = StateSpaceNode(-2.0 * np.eye(2), rng.standard_normal((2, m)),
+                          rng.standard_normal((p, 2)), np.zeros((p, m)))
+    E = np.zeros((m, m))
+    disc = internal_cayley(node)
+    for call in (lambda: adversarial_input(node), lambda: adversarial_input(node, E=E),
+                 lambda: diagonal_transform(node, 1.0), lambda: stabilizing_feedback(node, E, 1.0),
+                 lambda: check_discrete_passivity(disc, "Impedance")):
+        with pytest.raises(NotSquare):
+            call()
+    scattering = check_discrete_passivity(disc, "Scattering")
+    assert scattering.witness.shape == (2 + m,)
+    path = str(tmp_path / "node.json")
+    io.save_node(node, path)
+    for verb in (["cayley", "--kind", "impedance"], ["feedback", "--kappa", "1"],
+                 ["stability", "--kappa", "1"], ["simulate", "--adversarial"]):
+        assert main([verb[0], path, *verb[1:]]) == 1, verb
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: NotSquare:"), verb
 
 
 # -- n = 0 -----------------------------------------------------------------------

@@ -5,11 +5,19 @@ import csv
 import numpy as np
 import pytest
 
-from passivenode import StateSpaceNode, adversarial_input, energy_audit, linalg, simulate
+from passivenode import (
+    StateSpaceNode,
+    adversarial_input,
+    energy_audit,
+    linalg,
+    shift_feedthrough,
+    simulate,
+)
 from passivenode.errors import DimensionMismatch, NonFiniteState
+from passivenode.passivity import impedance_block_bounded
 from passivenode.sim import export_csv
 
-from conftest import random_nonpassive_node, random_passive_node
+from conftest import random_almost_passive, random_nonpassive_node, random_passive_node
 
 
 def test_rk4_matches_exact_exponential():
@@ -87,6 +95,20 @@ def test_adversarial_input_produces_violation():
         assert audit.min_defect < -1e-3
 
 
+def test_adversarial_input_is_the_bottom_of_the_bounded_form_of_sigma_E():
+    # the eigenvalue of the form of the shifted node, D + E + (D + E)*, which
+    # the shift now enters as D + D* + 2E
+    for seed in range(6):
+        node, E = random_almost_passive(seed, weight=(seed % 2 == 0))
+        for shift in (None, E, 0.5 * E):
+            F = impedance_block_bounded(node if shift is None else shift_feedthrough(node, shift))
+            expected = np.linalg.eigvalsh(F)[0]
+            z0, u0, lam = adversarial_input(node, E=shift, amplitude=3.0)
+            assert abs(lam - expected) <= 1e-12 * (1.0 + np.linalg.norm(F, 2))
+            # a unit witness (x, u) in W-orthonormal coordinates, scaled by 3
+            assert node.weighted_norm_sq(z0) + np.linalg.norm(u0) ** 2 == pytest.approx(9.0)
+
+
 def test_csv_export(tmp_path):
     node = random_passive_node(0)
     u = lambda t: np.array([np.cos(t), np.sin(t)])
@@ -161,6 +183,20 @@ def test_expm_matches_scipy(n, norm):
     result = linalg.expm(M)
     assert result.shape == (n, n)
     assert np.linalg.norm(result - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("n", [0, 3, 12])
+def test_expm_keeps_a_real_matrix_real(n):
+    from scipy.linalg import expm
+
+    M = np.random.default_rng(n).standard_normal((n, n)) * 2.0
+    result = linalg.expm(M)
+    assert result.dtype == np.float64
+    assert np.linalg.norm(result - expm(M)) <= 1e-12 * max(1.0, np.linalg.norm(expm(M)))
+    assert linalg.expm(np.eye(3, dtype=int)).dtype == np.float64
+    bad = linalg.expm(np.full((2, 2), np.inf))
+    assert bad.dtype == np.float64 and np.isnan(bad).all()
+    assert linalg.expm(np.full((2, 2), np.nan, dtype=complex)).dtype == np.complex128
 
 
 class _CountingInput:
