@@ -110,9 +110,7 @@ def _cmd_cayley(args):
 
 def _cmd_feedback(args):
     node = io.load_node(args.node)
-    E = io.load_matrix(args.e_matrix, "E") if args.e_matrix else np.zeros(
-        (node.m, node.m), dtype=complex
-    )
+    E = io.load_matrix(args.e_matrix, "E") if args.e_matrix else None
     syn = stabilizing_feedback(node, E, args.kappa)
     doc = syn.as_dict()
     doc["closed_loop"] = io.node_to_dict(syn.closed_loop)
@@ -122,9 +120,7 @@ def _cmd_feedback(args):
 
 def _cmd_stability(args):
     node = io.load_node(args.node)
-    E = io.load_matrix(args.e_matrix, "E") if args.e_matrix else np.zeros(
-        (node.m, node.m), dtype=complex
-    )
+    E = io.load_matrix(args.e_matrix, "E") if args.e_matrix else None
     report, syn = stability.stability_verdict(node, E, args.kappa)
     doc = report.as_dict()
     doc["synthesis"] = syn.as_dict()
@@ -140,7 +136,7 @@ def _cmd_simulate(args):
         z0, u0, _ = sim.adversarial_input(node, E=E, amplitude=args.amplitude)
         u = lambda t: u0
     else:
-        z0 = np.zeros(node.n, dtype=complex)
+        z0 = np.zeros(node.n)
         if args.z0:
             try:
                 entries = json.loads(args.z0)

@@ -59,13 +59,17 @@ def diagonal_transform(node, k):
 
 
 def gain_matrix(node, K):
-    """K as an m x p complex array, broadcast like numpy (a scalar fills it).
+    """K as an m x p array, broadcast like numpy (a scalar fills it).
 
-    Raises DimensionMismatch when K does not broadcast to (m, p).
+    A real K stays real (integers become float64), so the closed loop of a
+    real node under a real gain is built in real arithmetic.  Raises
+    DimensionMismatch when K is not numeric or does not broadcast to (m, p).
     """
     try:
-        return np.broadcast_to(np.atleast_2d(np.asarray(K, dtype=complex)), (node.m, node.p))
-    except ValueError:
+        K = np.asarray(K)
+        K = K.astype(np.result_type(K, float), copy=False)
+        return np.broadcast_to(np.atleast_2d(K), (node.m, node.p))
+    except (TypeError, ValueError):
         raise DimensionMismatch(f"K must broadcast to {node.m} x {node.p}") from None
 
 
@@ -125,8 +129,8 @@ class FeedbackSynthesis:
 def stabilizing_feedback(node, E, kappa):
     """Closed loop of an almost impedance-passive node under u = -kappa y.
 
-    E is a self-adjoint shift making Sigma_E impedance passive.  That is
-    certified by the bounded impedance form of Sigma_E,
+    E is a self-adjoint shift making Sigma_E impedance passive (None reads
+    as 0).  That is certified by the bounded impedance form of Sigma_E,
     [[-(A + A*), C* - B], [C - B*, D + D* + 2E]] >= 0, whose least solution
     E is passivity.minimal_E, so minimal_E(node) itself is accepted
     (NotAlmostPassive otherwise; NotSquare when p != m).  With c = ||E^+||

@@ -29,7 +29,7 @@ def dumps_canonical(obj):
 
 
 def matrix_to_json(M):
-    """Complex matrix -> nested [[ [re, im], ... ], ...] lists."""
+    """Matrix -> nested [[ [re, im], ... ], ...] lists (a real entry gets im = +0.0)."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     return np.stack([M.real, M.imag], -1).tolist()
 
@@ -241,7 +241,7 @@ def _load_json(path):
 
 
 def load_matrix(path, name="matrix"):
-    """Matrix file -> read-only complex matrix, checked by linalg.as_matrix."""
+    """Matrix file -> read-only matrix, checked and stored by linalg.as_matrix."""
     return linalg.as_matrix(matrix_from_json(_load_json(path), name), name)
 
 

@@ -14,11 +14,11 @@ Three kinds of numerical question, one rule each:
   ||R||_2 <= :func:`scaled_tol` of the matrix it is measured against.  Both
   are base_tol() (PASSIVE_NODE_TOL, default 1e-9) times 1 + a norm.
 
-Real data runs in real arithmetic.  This is decided once, in
-StateSpaceNode.orthonormal, which hands out real arrays for a node whose
-matrices have no nonzero imaginary part; the routines here keep the dtype
-they are given (none of them forces complex), so a real node goes to the
-real LAPACK kernels.  Stored node matrices (as_matrix) stay complex.
+Real data runs in real arithmetic.  This is decided once, where a matrix
+enters (:func:`as_matrix`): it is stored as float64 when every imaginary
+part is +0.0, and as complex128 otherwise.  The routines here keep the
+dtype they are given (none of them forces complex), so a real node goes to
+the real LAPACK kernels.
 
 RCOND and SUBSPACE_TOL are fixed.  Every routine here costs at most O(n^3)
 for the desk-scale problems this library targets (the 100-mode beam has
@@ -62,20 +62,24 @@ def float_or_nan(x):
 
 
 def as_matrix(M, name):
-    """Read-only 2-D complex copy of M.
+    """Read-only 2-D copy of M: float64 when every imaginary part is +0.0, else complex128.
 
-    A NaN or inf entry, or a real or imaginary part beyond ENTRY_LIMIT,
-    raises NonFiniteMatrix: such an entry makes the forms overflow.
+    The entries are read and checked as complex numbers.  A NaN or inf
+    entry, or a real or imaginary part beyond ENTRY_LIMIT, raises
+    NonFiniteMatrix: such an entry makes the forms overflow.  The real/
+    complex rule is bitwise, so a matrix with an imaginary -0.0 stays
+    complex and is written back as it was read.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
+    M = np.array(M, dtype=complex, order="C", ndmin=2)
     if M.ndim != 2:
         raise DimensionMismatch(f"{name} must be a matrix")
-    M = M.copy()
     # one pass over the real and imaginary parts; a NaN fails the comparison too
     if not np.abs(M.view(float)).max(initial=0.0) <= ENTRY_LIMIT:
         if not np.isfinite(M).all():
             raise NonFiniteMatrix(f"{name} has a non-finite entry")
         raise NonFiniteMatrix(f"{name} has an entry beyond {ENTRY_LIMIT:g} in magnitude")
+    if not M.imag.view(np.uint64).any():
+        M = M.real.copy()
     M.setflags(write=False)
     return M
 
@@ -117,8 +121,10 @@ def assert_hermitian(M, what="matrix"):
     A residual that is exactly zero passes under any slack, so an exactly
     self-adjoint M (a W handed on to a derived node) takes no norm, and is
     returned as it is: hermitize would flip the sign of some of its zeros.
+    A real M stays real.
     """
-    M = np.asarray(M, dtype=complex)
+    M = np.asarray(M)
+    M = M.astype(np.result_type(M, float), copy=False)
     resid = M - M.conj().T
     if not resid.any():
         return M

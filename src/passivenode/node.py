@@ -3,15 +3,16 @@
 A :class:`StateSpaceNode` is a quadruple (A, B, C, D) together with a
 self-adjoint positive-definite weight W defining the state inner product
 <x, y> = y* W x.  The transfer function is G(s) = C (sI - A)^-1 B + D.
-All matrices are stored as complex arrays and are immutable after
-construction.
+Every matrix is stored as linalg.as_matrix reads it (float64 when all its
+imaginary parts are +0.0, complex128 otherwise) and is immutable after
+construction; a node may mix the two.
 
 The weight is handled once, at construction: its Cholesky factor L
 (W = L L*) decides W > 0, and a W-orthonormal copy of the realization
 (coordinates x~ = L* x) is cached from it, so every
 downstream PSD/eigen test can run as a plain unweighted test on that copy.
-That copy is real when the node is (:attr:`StateSpaceNode.orthonormal`), so
-a real node runs in real arithmetic.
+That copy keeps the dtypes of the stored matrices, so a real node runs in
+real arithmetic.
 The same copy carries the resolvent: :func:`resolvent` is the one place
 that decides whether s is in rho(A) and that computes G(s).  n = 0 is a
 valid node (its transfer function is the constant D).
@@ -93,16 +94,11 @@ class StateSpaceNode:
     def orthonormal(self):
         """(A~, B~, C~, D) in W-orthonormal coordinates x~ = L* x, read-only.
 
-        A real node (A, B, C, D and W without a nonzero imaginary part) gets
-        all four as real float64 arrays, computed from the real parts of its
-        matrices and of L: this is the one place where data becomes real, so
-        that a real node runs in real arithmetic downstream.  Any other node
-        gets complex arrays, as stored.  The stored matrices stay complex.
+        Computed from the stored matrices as they are, so each keeps the
+        dtype numpy promotion gives it: a real node (the beam) gets four
+        float64 arrays and runs in real arithmetic downstream.
         """
-        mats = (self.A, self.B, self.C, self.D, self._chol)
-        if not any(M.imag.any() for M in mats):
-            mats = tuple(M.real for M in mats)
-        A, B, C, D, L = mats
+        A, B, C, D, L = self.A, self.B, self.C, self.D, self._chol
         if not self.is_identity_weight:
             Lh = L.conj().T
             A = Lh @ np.linalg.solve(Lh.T, A.T).T  # L* A L^-*
@@ -119,13 +115,14 @@ class StateSpaceNode:
 
     def to_state(self, x_orth):
         """Map a W-orthonormal-coordinate vector back to original coordinates."""
+        x_orth = np.asarray(x_orth, dtype=np.complex128)
         if self.is_identity_weight:
-            return np.asarray(x_orth, dtype=complex)
-        return np.linalg.solve(self._chol.conj().T, np.asarray(x_orth, dtype=complex))
+            return x_orth
+        return np.linalg.solve(self._chol.conj().T, x_orth)
 
     def weighted_norm_sq(self, x):
         """||x||_W^2 = x* W x (real)."""
-        x = np.asarray(x, dtype=complex)
+        x = np.asarray(x)
         return float(np.real(x.conj() @ (self.W @ x)))
 
     def dissipation_form(self):
@@ -155,7 +152,7 @@ def eval_transfer(node, s):
     """
     G = resolvent(node, s, SingularResolvent,
                   f"s = {s} is in the spectrum of A to working precision")[1]
-    return G.astype(complex, copy=False)
+    return np.asarray(G, dtype=np.complex128)
 
 
 def dual_node(node):
@@ -178,7 +175,7 @@ def dual_node(node):
 def weight_matrix(W, n):
     """W checked as a state weight (linalg.as_matrix, n x n, W = W*); I when None."""
     if W is None:
-        return np.eye(n, dtype=complex)
+        return np.eye(n)
     W = linalg.as_matrix(W, "W")
     if W.shape != (n, n):
         raise DimensionMismatch(f"W must be {n} x {n}, got {W.shape}")

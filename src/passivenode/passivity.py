@@ -144,14 +144,22 @@ def _point_forms(node, form, test_points):
 
 
 def _certify(kind, forms, test_points):
+    """Certificate of the forms, which pass when each is >= 0 (linalg.psd_eig).
+
+    The witness is the eigenvector of the least eigenvalue over all forms.
+    A form of size 0 (n + m = 0) passes, and when every form is empty the
+    certificate reports min_eigenvalue 0.0 and an empty witness.
+    """
     worst = np.inf
     witness = None
     passive = True
     for form in forms:
         vals, vecs, psd = linalg.psd_eig(form)
-        if vals[0] < worst:
+        if vals.size and vals[0] < worst:
             worst, witness = vals[0], vecs[:, 0]
         passive = passive and psd
+    if witness is None:
+        worst, witness = 0.0, np.zeros(0)
     return PassivityCertificate(
         kind=kind,
         verdict=Verdict.PASSIVE if passive else Verdict.NOT_PASSIVE,
@@ -199,9 +207,8 @@ def _shifted_form(node, E):
     m = node.m
     E = linalg.assert_hermitian(shift_matrix(np.zeros((m, m)) if E is None else E, (m, m)), "E")
     F = impedance_block_bounded(node)
-    E2 = 2.0 * (E if E.imag.any() else E.real)
-    F = F.astype(np.result_type(F, E2), copy=False)
-    F[node.n:, node.n:] += E2
+    F = F.astype(np.result_type(F, E), copy=False)
+    F[node.n:, node.n:] += 2.0 * E
     return F, E
 
 

@@ -62,7 +62,7 @@ class SecondOrderPlant:
 
 def _first_order(plant):
     n0 = plant.n0
-    Z = np.zeros((n0, n0), dtype=complex)
+    Z = np.zeros((n0, n0))
     A = np.block([[Z, np.eye(n0)], [-plant.A0, -plant.M]])
     W = np.block([[plant.A0, Z], [Z, np.eye(n0)]])
     return A, W
@@ -75,11 +75,11 @@ def build_colocated(plant):
     """
     A, W = _first_order(plant)
     n0, p = plant.n0, plant.C0.shape[0]
-    B = np.vstack([np.zeros((n0, p), dtype=complex), plant.C0.conj().T])
-    C = np.hstack([np.zeros((p, n0), dtype=complex), plant.C0])
-    D = np.zeros((p, p), dtype=complex)
+    B = np.vstack([np.zeros((n0, p)), plant.C0.conj().T])
+    C = np.hstack([np.zeros((p, n0)), plant.C0])
+    D = np.zeros((p, p))
     node = StateSpaceNode(A, B, C, D, W=W, meta="second-order colocated")
-    E_min = np.zeros((p, p), dtype=complex)
+    E_min = np.zeros((p, p))
     return node, E_min
 
 
@@ -102,9 +102,9 @@ def build_noncolocated(plant):
     p = plant.C0.shape[0]
     if p != m:
         raise DimensionMismatch("non-colocated build needs p = m")
-    B = np.vstack([np.zeros((n0, m), dtype=complex), B0])
-    C = np.hstack([np.zeros((p, n0), dtype=complex), plant.C0])
-    D = np.zeros((p, m), dtype=complex)
+    B = np.vstack([np.zeros((n0, m)), B0])
+    C = np.hstack([np.zeros((p, n0)), plant.C0])
+    D = np.zeros((p, m))
     node = StateSpaceNode(A, B, C, D, W=W, meta="second-order non-colocated")
     return node, minimal_E(node)
 
@@ -133,12 +133,12 @@ def build_two_channel(plant):
     D0 = C0 @ A0inv_C1h
     D2 = C2 @ A0inv_C1h
     Z = np.zeros
-    B = np.block([[Z((n0, p0), dtype=complex), A0inv_C1h],
-                  [C0.conj().T, Z((n0, p1), dtype=complex)]])
-    C = np.block([[Z((p0, n0), dtype=complex), C0],
+    B = np.block([[Z((n0, p0)), A0inv_C1h],
+                  [C0.conj().T, Z((n0, p1))]])
+    C = np.block([[Z((p0, n0)), C0],
                   [C1, 2.0 * C2]])
-    D = np.block([[Z((p0, p0), dtype=complex), D0],
-                  [Z((p1, p0), dtype=complex), D2]])
+    D = np.block([[Z((p0, p0)), D0],
+                  [Z((p1, p0)), D2]])
     node = StateSpaceNode(A, B, C, D, W=W, meta="second-order two-channel")
     return node, minimal_E(node)
 
@@ -244,6 +244,9 @@ def beam_model(params):
     (velocity, angular velocity) pair observes both of them, colocated
     negative output feedback makes the closed loop Hurwitz.
 
+    The blocks are assembled in real arithmetic, so every matrix of the
+    node, and E_min, is float64.
+
     Returns (node, E_min) with E_min = 0.
     """
     nf = params.n_modes - 2
@@ -259,26 +262,26 @@ def beam_model(params):
             modes_val.append(float(beam_mode_shape(beta, s, 0.0)) / nrm)
             modes_slope.append(float(beam_mode_slope(beta, s, 0.0)) / nrm)
         lam = betas**4
-        A0f = np.diag(params.EI / rho * lam).astype(complex)
-        Mf = np.diag(params.EbarI / rho * lam).astype(complex)
-        C0f = (np.vstack([modes_val, modes_slope]) / rho).astype(complex)
+        A0f = np.diag(params.EI / rho * lam)
+        Mf = np.diag(params.EbarI / rho * lam)
+        C0f = np.vstack([modes_val, modes_slope]) / rho
     else:
-        A0f = np.zeros((0, 0), dtype=complex)
-        Mf = np.zeros((0, 0), dtype=complex)
-        C0f = np.zeros((2, 0), dtype=complex)
+        A0f = np.zeros((0, 0))
+        Mf = np.zeros((0, 0))
+        C0f = np.zeros((2, 0))
     # rigid modes at x=0: translation (phi, phi') = (1/sqrt(2), 0),
     # rotation (0, sqrt(3/2))
-    C0r = (np.array([[1.0 / np.sqrt(2.0), 0.0], [0.0, np.sqrt(1.5)]]) / rho).astype(complex)
+    C0r = np.array([[1.0 / np.sqrt(2.0), 0.0], [0.0, np.sqrt(1.5)]]) / rho
     n = 2 * nf + 2
-    A = np.zeros((n, n), dtype=complex)
+    A = np.zeros((n, n))
     A[:nf, nf:2 * nf] = np.eye(nf)
     A[nf:2 * nf, :nf] = -A0f
     A[nf:2 * nf, nf:2 * nf] = -Mf
-    B = np.vstack([np.zeros((nf, 2), dtype=complex), C0f.conj().T, C0r.conj().T])
-    C = np.hstack([np.zeros((2, nf), dtype=complex), C0f, C0r])
-    D = np.zeros((2, 2), dtype=complex)
-    W = np.eye(n, dtype=complex)
+    B = np.vstack([np.zeros((nf, 2)), C0f.T, C0r.T])
+    C = np.hstack([np.zeros((2, nf)), C0f, C0r])
+    D = np.zeros((2, 2))
+    W = np.eye(n)
     W[:nf, :nf] = A0f
     node = StateSpaceNode(A, B, C, D, W=W, meta="free-free beam, midpoint sensing")
-    E_min = np.zeros((2, 2), dtype=complex)
+    E_min = np.zeros((2, 2))
     return node, E_min

@@ -115,9 +115,13 @@ def _input_values(u, m, times, h):
 
 
 def _propagator(A, B, h):
-    """P, G0, Gh and G1 of the exact step (see the module docstring)."""
+    """P, G0, Gh and G1 of the exact step (see the module docstring).
+
+    The block matrix K, and so its exponential, has the dtype
+    np.result_type(A, B): float64 for a real node.
+    """
     n, m = B.shape
-    K = np.zeros((n + 3 * m, n + 3 * m), dtype=complex)
+    K = np.zeros((n + 3 * m, n + 3 * m), dtype=np.result_type(A, B))
     K[:n, :n] = h * A
     K[:n, n:n + m] = h * B
     K[n:n + 2 * m, n + m:] = np.eye(2 * m)
@@ -138,7 +142,9 @@ def simulate(node, z0, u, T, steps=2000):
     at the half-points only.  Raises InvalidTimeGrid unless steps is an
     integer >= 1 and T is finite and > 0, DimensionMismatch if z0 or an
     input value has the wrong size, and NonFiniteState if the state is or
-    becomes non-finite.
+    becomes non-finite.  The trajectory is complex.  A real node's step
+    matrices are formed in real arithmetic (:func:`_propagator`) and cast
+    to complex once, so the recurrence does not cast P at every step.
     """
     T = linalg.float_or_nan(T)
     if (isinstance(steps, bool) or not isinstance(steps, (int, np.integer))
@@ -156,7 +162,7 @@ def simulate(node, z0, u, T, steps=2000):
     states = np.empty((steps + 1, node.n), dtype=complex)
     states[0] = z0.reshape(node.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        P, G0, Gh, G1 = _propagator(A, B, h)
+        P, G0, Gh, G1 = (M.astype(complex, copy=False) for M in _propagator(A, B, h))
         # states[1:] first holds every forcing term F_k = G0 u_k + Gh u_{k+1/2}
         # + G1 u_{k+1}; the recurrence then adds P z_k to each in turn
         forcing = np.hstack([inputs[:-1], half, inputs[1:]])
@@ -183,7 +189,9 @@ def energy_audit(traj, W=None, E=None, tol=None):
     supply integral is what sets the floor under the defect, and that
     floor depends on the grid, not on the slack of the eigenvalue
     decisions.  A given tol must be a finite number >= 0 (InvalidTolerance
-    otherwise).  W and E are checked by weight_matrix and shift_matrix.
+    otherwise).  W is checked by weight_matrix; E by shift_matrix and
+    linalg.assert_hermitian (NotSelfAdjoint unless E = E*), as for the
+    synthesis and adversarial_input.
     Raises NonFiniteState when the stored or the supplied energy (or their
     balance) overflows, as it does for a finite but huge trajectory.
     """
@@ -198,7 +206,7 @@ def energy_audit(traj, W=None, E=None, tol=None):
         supply = 2.0 * np.real(np.einsum("ti,ti->t", traj.inputs.conj(), traj.outputs))
         if E is not None:
             m = traj.inputs.shape[1]
-            E = shift_matrix(E, (m, m))
+            E = linalg.assert_hermitian(shift_matrix(E, (m, m)), "E")
             supply = supply + 2.0 * np.real(
                 np.einsum("ti,ti->t", traj.inputs.conj(), traj.inputs @ E.T)
             )

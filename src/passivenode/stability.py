@@ -20,6 +20,7 @@ every field of its report from the one decision "H = {0}".
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +99,9 @@ class StabilityReport:
             "closed_loop_imaginary_spectrum": [
                 [w.real, w.imag] for w in self.closed_loop_imaginary_spectrum
             ],
-            "closed_loop_max_real": self.closed_loop_max_real,
+            # the spectrum of a node with n = 0 is empty, and JSON has no -inf
+            "closed_loop_max_real": (None if math.isinf(self.closed_loop_max_real)
+                                     else self.closed_loop_max_real),
         }
 
 
@@ -161,8 +164,9 @@ def stability_verdict(node, E, kappa):
     verdict is StronglyStable (in fact exponentially stable) exactly when
     H = X^u = {0}; otherwise the closed-loop imaginary spectrum is the
     spectrum of A on H.  closed_loop_max_real is the raw spectral abscissa
-    of the closed loop and decides nothing; imaginary_spectrum lists the
-    open-loop eigenvalues within linalg.scaled_tol(A) of the axis.
+    of the closed loop (-inf for n = 0, written as null by as_dict) and
+    decides nothing; imaginary_spectrum lists the open-loop eigenvalues
+    within linalg.scaled_tol(A) of the axis.
     """
     syn = stabilizing_feedback(node, E, kappa)
     cweak, bweak, N, Nd, H = benchimol_conditions(

@@ -2,8 +2,8 @@
 
 The complex copy is the phase similarity P = diag(e^{i theta_k}):
 (P*AP, P*B, CP, D) with W = P*WP.  It has the transfer function and the
-passivity and stability properties of the real node, but no real matrix,
-so it takes the complex path everywhere.
+passivity and stability properties of the real node, but complex A, B
+and C, so it takes the complex path everywhere.
 """
 
 import numpy as np
@@ -16,8 +16,10 @@ from passivenode import (
     beam_model,
     check_impedance,
     check_scattering,
+    io,
     minimal_E,
     positive_part,
+    stabilizing_feedback,
     stability_verdict,
 )
 from passivenode.passivity import impedance_block_bounded, scattering_block_bounded
@@ -100,8 +102,10 @@ def test_real_and_complex_paths_agree(kind, seed):
     # the real node takes the real path, its complex copy the complex one
     assert all(M.dtype == np.float64 for M in node.orthonormal)
     assert twin.orthonormal[0].dtype == np.complex128
-    # the stored matrices stay complex on both
+    # the real node stores float64; its copy stores complex A, B and C (D is shared)
     for M in (node.A, node.B, node.C, node.D, node.W):
+        assert M.dtype == np.float64
+    for M in (twin.A, twin.B, twin.C):
         assert M.dtype == np.complex128
 
     _certificates_agree(check_impedance(node), check_impedance(twin),
@@ -123,3 +127,16 @@ def test_real_and_complex_paths_agree(kind, seed):
     Acl = syn.scattering_intermediate.orthonormal[0]
     assert Acl.dtype == report.unobservable_basis.dtype == np.float64
     assert _close(report.closed_loop_max_real, report_twin.closed_loop_max_real, Acl)
+
+
+def test_the_beam_and_its_closed_loop_are_stored_real():
+    node, E_min = beam_model(BeamParameters(n_modes=12))
+    assert all(M.dtype == np.float64 for M in (node.A, node.B, node.C, node.D, node.W, E_min))
+    syn = stabilizing_feedback(node, E_min, 1.0)
+    for loop in (syn.closed_loop, syn.scattering_intermediate):
+        assert all(M.dtype == np.float64 for M in (loop.A, loop.B, loop.C, loop.D, loop.W))
+    # assembled in real arithmetic, the file has no imaginary -0.0
+    doc = io.node_to_dict(node)
+    for key in "ABCDW":
+        pairs = np.array(doc[key], dtype=float).reshape(-1, 2)
+        assert not pairs[:, 1].view(np.uint64).any()

@@ -17,6 +17,7 @@ from passivenode import (
     check_discrete_passivity,
     check_impedance,
     check_impedance_reciprocal,
+    check_scattering,
     closed_loop_spectrum_gate,
     diagonal_transform,
     energy_audit,
@@ -30,6 +31,7 @@ from passivenode import (
     output_feedback,
     simulate,
     stabilizing_feedback,
+    stability_verdict,
 )
 from passivenode.cli import main
 from passivenode.passivity import impedance_form_at
@@ -264,6 +266,15 @@ _SIGNED_ZERO_W_DOC = {
 }
 
 
+def _assert_stored_as_read(M, pairs):
+    """M, read as [re, im] pairs, holds the bits of the document's pairs, and
+    M is float64 exactly when every imaginary part there is +0.0 bit for bit."""
+    pairs = np.array(pairs, dtype=float)
+    assert np.asarray(M, dtype=complex).tobytes() == pairs.tobytes()
+    real = not pairs.reshape(-1, 2)[:, 1].view(np.uint64).any()
+    assert M.dtype == (np.float64 if real else np.complex128)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(doc=_node_documents())
 @example(doc=_SIGNED_ZERO_W_DOC)
@@ -273,7 +284,7 @@ def test_node_documents_round_trip_bit_exactly(doc):
     assert io.dumps_canonical(io.node_to_dict(node)) == text
     for key in "ABCDW":
         if key in doc:
-            assert getattr(node, key).tobytes() == np.array(doc[key], dtype=float).tobytes()
+            _assert_stored_as_read(getattr(node, key), doc[key])
 
 
 def _edge_matrix(draw, rows, cols):
@@ -315,7 +326,7 @@ def test_plant_documents_round_trip_bit_exactly(doc):
     plant = io.plant_from_dict(json.loads(text))
     assert io.dumps_canonical(io.plant_to_dict(plant)) == text
     for key in doc:
-        assert getattr(plant, key).tobytes() == np.array(doc[key], dtype=float).tobytes()
+        _assert_stored_as_read(getattr(plant, key), doc[key])
 
 
 @st.composite
@@ -336,7 +347,7 @@ def test_discrete_documents_round_trip_bit_exactly(doc):
     disc = io.discrete_from_dict(json.loads(text))
     assert io.dumps_canonical(io.discrete_to_dict(disc)) == text
     for key in ("Ad", "Bd", "Cd", "Dd"):
-        assert getattr(disc, key).tobytes() == np.array(doc[key], dtype=float).tobytes()
+        _assert_stored_as_read(getattr(disc, key), doc[key])
 
 
 def test_plant_files_round_trip_at_n0_zero(tmp_path):
@@ -405,6 +416,42 @@ def test_node_without_state(tmp_path, capsys):
     assert loaded.B.shape == (0, 2) and loaded.C.shape == (2, 0)
     assert main(["check", str(p1)]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "Passive"
+
+
+def _empty_node():
+    return StateSpaceNode(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)))
+
+
+def test_an_empty_form_is_passive_with_min_eigenvalue_zero():
+    node = _empty_node()
+    for cert in (check_impedance(node), check_scattering(node)):
+        assert cert.passive and cert.min_eigenvalue == 0.0
+        assert cert.witness.shape == (0,) and cert.as_dict()["witness"] == []
+    z0, u0, lam = adversarial_input(node)
+    assert z0.shape == u0.shape == (0,) and lam == 0.0
+    report, syn = stability_verdict(node, None, 1.0)
+    assert syn.closed_loop.n == 0
+    assert report.closed_loop_max_real == -np.inf
+    assert report.as_dict()["closed_loop_max_real"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["check", "--kind", "scattering"],
+    ["minimal-e", "--method", "general"],
+    ["feedback", "--kappa", "1"],
+    ["stability", "--kappa", "1"],
+    ["simulate", "--adversarial", "--steps", "10"],
+])
+def test_every_verb_answers_on_a_node_with_n_m_p_zero(argv, tmp_path, capsys):
+    # the file save_node writes for such a node
+    path = tmp_path / "n0.json"
+    io.save_node(_empty_node(), path)
+    assert json.loads(path.read_text()) == {"A": [], "B": [], "C": [], "D": [],
+                                            "m": 0, "n": 0, "p": 0}
+    assert main([argv[0], str(path), *argv[1:]]) in (0, 2)
+    out = capsys.readouterr().out
+    assert out == io.dumps_canonical(json.loads(out))
 
 
 # -- non-finite matrices ---------------------------------------------------------
@@ -506,6 +553,17 @@ def test_energy_audit_checks_W_as_a_node_does(W, error):
         energy_audit(traj, W=W)
 
 
+def test_energy_audit_rejects_a_non_self_adjoint_shift():
+    # E is checked as adversarial_input checks it, not audited by its self-adjoint part
+    node = beam_model(BeamParameters(n_modes=4))[0]
+    traj = simulate(node, np.zeros(node.n), lambda t: np.ones(node.m), 1.0, steps=10)
+    E = [[0.0, 1.0], [0.0, 0.0]]
+    with pytest.raises(NotSelfAdjoint):
+        energy_audit(traj, W=node.W, E=E)
+    with pytest.raises(NotSelfAdjoint):
+        adversarial_input(node, E)
+
+
 # -- the shift E ------------------------------------------------------------------
 
 
@@ -529,6 +587,7 @@ def test_load_matrix_rejects_non_finite_entries(E, tmp_path):
     (["simulate"], np.zeros((3, 3)), "DimensionMismatch"),
     (["simulate"], [[1.0]], "DimensionMismatch"),
     (["simulate"], _HUGE_E, "NonFiniteMatrix"),
+    (["simulate"], [[0.0, 1.0], [0.0, 0.0]], "NotSelfAdjoint"),
 ])
 def test_cli_rejects_a_bad_shift(verb, E, error, tmp_path, capsys):
     beam = str(tmp_path / "b.json")

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from passivenode import (
+    BeamParameters,
     StateSpaceNode,
     adversarial_input,
+    beam_model,
     energy_audit,
     linalg,
     shift_feedthrough,
@@ -15,7 +17,7 @@ from passivenode import (
 )
 from passivenode.errors import DimensionMismatch, NonFiniteState
 from passivenode.passivity import impedance_block_bounded
-from passivenode.sim import export_csv
+from passivenode.sim import _propagator, export_csv
 
 from conftest import random_almost_passive, random_nonpassive_node, random_passive_node
 
@@ -275,3 +277,14 @@ def test_non_finite_start_raises_non_finite_state(bad):
     samples[4] = bad
     with pytest.raises(NonFiniteState):
         simulate(node, [1.0], samples, 1.0, steps=10)
+
+
+def test_propagator_of_a_real_node_is_real():
+    node = beam_model(BeamParameters(n_modes=12))[0]
+    h = 10.0 / 2000
+    real = _propagator(node.A, node.B, h)
+    assert all(M.dtype == np.float64 for M in real)
+    # the same step matrices as the complex path
+    for M, ref in zip(real, _propagator(node.A.astype(complex), node.B, h)):
+        assert ref.dtype == np.complex128
+        assert np.abs(M - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
