@@ -54,10 +54,13 @@ def base_tol():
 
 
 def float_or_nan(x):
-    """float(x), or NaN when x does not convert, so that a range test rejects it."""
+    """float(x), or NaN when x does not convert, so that a range test rejects it.
+
+    An integer too large for a double does not convert either.
+    """
     try:
         return float(x)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return np.nan
 
 
@@ -194,27 +197,36 @@ def largest_invariant_in(M, ops):
     stability) and keeps the directions above SUBSPACE_TOL times the
     block's own largest singular value.  Each direction is found once, and
     the work per step is O(n^2) times the block width, so the sweep costs
-    O(n^3) for a fixed number of ops.  When the sweep fills all n
-    dimensions the result is an empty n x 0 basis, with no n x n
-    factorization; otherwise one complement SVD returns it.  The basis is
-    real when M and every op are.
+    O(n^3) for a fixed number of ops.  The basis lives in one preallocated
+    n x n column-major buffer: each block is written into its next columns
+    (clipped to the columns left) and the images are orthogonalized in
+    place against the columns filled so far, so no step copies the basis.
+    When the sweep fills all n dimensions the result is an empty n x 0
+    basis, with no n x n factorization; otherwise one complement SVD
+    returns it.  The basis is real when M and every op are.
     """
     M = np.atleast_2d(np.asarray(M))
     n = M.shape[1]
     adjoints = [op.conj().T for op in ops]
-    V = _range_basis(M.conj().T)
-    new = V
-    while new.shape[1] and V.shape[1] < n:
-        W = np.hstack([op @ new for op in adjoints])
+    start = _range_basis(M.conj().T)
+    V = np.empty((n, n), dtype=np.result_type(start, *adjoints), order="F")
+    real = not np.iscomplexobj(V)
+    lo, k = 0, start.shape[1]
+    V[:, :k] = start
+    while lo < k < n:
+        W = np.hstack([op @ V[:, lo:k] for op in adjoints])
+        B = V[:, :k]
+        Bh = B.T if real else B.conj().T
         for _ in range(2):
-            W = W - V @ (V.conj().T @ W)
+            W -= B @ (Bh @ W)
         # the cut is relative to this block, not to ||op||: after deflation
         # the images of a stiff op can be small yet genuinely new
-        new = _range_basis(W)
-        V = np.hstack([V, new])
-    if V.shape[1] >= n:
+        new = _range_basis(W)[:, :n - k]
+        lo, k = k, k + new.shape[1]
+        V[:, lo:k] = new
+    if k >= n:
         return np.zeros((n, 0), dtype=V.dtype)
-    return null_basis(V.conj().T)
+    return null_basis(V[:, :k].conj().T)
 
 
 #: coefficients b_0..b_13 of the degree-13 Pade approximant to e^x, and the

@@ -13,6 +13,7 @@ its minimal impedance shift.  The flexible-beam builder discretizes a
 free-free Euler-Bernoulli beam by modal truncation.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,7 +158,10 @@ class BeamParameters:
     EbarI : Kelvin-Voigt damping coefficient (proportional to stiffness),
         0 <= EbarI < inf.
     n_modes : number of modes kept in the modal truncation, including the
-        two rigid-body modes.
+        two rigid-body modes; an int or numpy integer >= 2.
+
+    The physical data must be real numbers (a bool or a string is not) and
+    are stored as float.  Any other value raises DimensionMismatch.
     """
 
     rho_a: float = 1.0
@@ -166,13 +170,27 @@ class BeamParameters:
     n_modes: int = 8
 
     def __post_init__(self):
-        # "not" so that a NaN fails too
-        if not (0 < self.rho_a < np.inf and 0 < self.EI < np.inf and 0 <= self.EbarI < np.inf):
+        n_modes = self.n_modes
+        if (isinstance(n_modes, bool) or not isinstance(n_modes, (int, np.integer))
+                or n_modes < 2):
             raise DimensionMismatch(
-                "beam parameters must satisfy 0 < rho_a, EI < inf and 0 <= EbarI < inf")
-        if int(self.n_modes) < 2:
-            raise DimensionMismatch("need at least the two rigid-body modes")
-        object.__setattr__(self, "n_modes", int(self.n_modes))
+                f"n_modes must be an integer >= 2 (the two rigid-body modes), got {n_modes!r}")
+        values = {}
+        for name in ("rho_a", "EI", "EbarI"):
+            value = getattr(self, name)
+            # a string or a bool is not a physical value, even where float() reads it
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            values[name] = linalg.float_or_nan(value) if real else np.nan
+        # "not" so that a NaN fails too
+        if not (0 < values["rho_a"] < np.inf and 0 < values["EI"] < np.inf
+                and 0 <= values["EbarI"] < np.inf):
+            raise DimensionMismatch(
+                "beam parameters must be real numbers with 0 < rho_a, EI < inf and "
+                f"0 <= EbarI < inf, got rho_a={self.rho_a!r}, EI={self.EI!r}, "
+                f"EbarI={self.EbarI!r}")
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n_modes", int(n_modes))
 
 
 def beam_frequencies(n_modes):
@@ -214,14 +232,6 @@ def beam_mode_shape(beta, symmetric, x):
     return np.sinh(beta) * np.sin(beta * x) + np.sin(beta) * np.sinh(beta * x)
 
 
-def beam_mode_slope(beta, symmetric, x):
-    """Derivative of the unnormalized free-free mode shape."""
-    x = np.asarray(x, dtype=float)
-    if symmetric:
-        return beta * (-np.sinh(beta) * np.sin(beta * x) - np.sin(beta) * np.sinh(beta * x))
-    return beta * (np.sinh(beta) * np.cos(beta * x) + np.sin(beta) * np.cosh(beta * x))
-
-
 def beam_model(params):
     """Modal realization of the damped free-free beam on (-1, 1).
 
@@ -244,6 +254,20 @@ def beam_model(params):
     (velocity, angular velocity) pair observes both of them, colocated
     negative output feedback makes the closed loop Hurwitz.
 
+    The flexible couplings are the value (symmetric modes) or slope
+    (antisymmetric modes) at 0 of the unit-norm mode shape, with the norm
+    integral taken in closed form for all modes at once.  It is written
+    relative to sinh^2 beta, as the integral N of (phi / sinh beta)^2 over
+    (-1, 1), so that nothing overflows at any beta.  With
+    r = sin b / sinh b = 2 sin b e^-b / (1 - e^-2b), q = coth b and
+    sigma = sin 2b / (2b):
+
+        symmetric:      N = 1 + sigma + r^2 + (q sin^2 b - 2 sin b (q sin b + cos b)) / b,
+        antisymmetric:  N = 1 - sigma - r^2 + (q sin^2 b + 2 sin b (q sin b - cos b)) / b,
+
+    and the couplings are (1 - r) / sqrt(N) and b (1 + r) / sqrt(N).  The
+    last term of N vanishes at the roots of tan b +- tanh b = 0.
+
     The blocks are assembled in real arithmetic, so every matrix of the
     node, and E_min, is float64.
 
@@ -253,14 +277,16 @@ def beam_model(params):
     rho = params.rho_a
     if nf:
         betas, sym = beam_frequencies(nf)
-        modes_val = []
-        modes_slope = []
-        x = np.linspace(-1.0, 1.0, 4001)
-        for beta, s in zip(betas, sym):
-            phi = beam_mode_shape(beta, s, x)
-            nrm = np.sqrt(linalg.simpson(phi**2, x))
-            modes_val.append(float(beam_mode_shape(beta, s, 0.0)) / nrm)
-            modes_slope.append(float(beam_mode_slope(beta, s, 0.0)) / nrm)
+        sign = np.where(sym, 1.0, -1.0)
+        sin, cos = np.sin(betas), np.cos(betas)
+        decay = np.exp(-2.0 * betas)
+        r = 2.0 * sin * np.exp(-betas) / (1.0 - decay)
+        q = (1.0 + decay) / (1.0 - decay)
+        sigma = np.sin(2.0 * betas) / (2.0 * betas)
+        root = np.sqrt(1.0 + sign * (sigma + r**2)
+                       + (q * sin**2 - 2.0 * sin * (sign * q * sin + cos)) / betas)
+        modes_val = np.where(sym, (1.0 - r) / root, 0.0)
+        modes_slope = np.where(sym, 0.0, betas * (1.0 + r) / root)
         lam = betas**4
         A0f = np.diag(params.EI / rho * lam)
         Mf = np.diag(params.EbarI / rho * lam)

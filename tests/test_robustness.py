@@ -488,7 +488,8 @@ def test_simulate_steps_must_be_an_integer(steps):
         simulate(node, np.zeros(node.n), lambda t: np.zeros(node.m), 1.0, steps=steps)
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-3, "abc", 1j])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-3, "abc", 1j,
+                                 pytest.param(10**400, id="int-1e400")])
 def test_energy_audit_tol_must_be_finite_and_nonnegative(tol):
     node = random_passive_node(0)
     traj = simulate(node, np.zeros(node.n), lambda t: np.ones(node.m), 1.0, steps=10)
@@ -505,7 +506,8 @@ def test_laguerre_K_must_be_a_nonnegative_integer(K):
         laguerre_coefficients(lambda t: 1.0, 1.0, K, 1.0, steps=10)
 
 
-@pytest.mark.parametrize("T", [np.nan, 0.0, -1.0, np.inf])
+@pytest.mark.parametrize("T", [np.nan, 0.0, -1.0, np.inf,
+                               pytest.param(10**400, id="int-1e400")])
 def test_laguerre_coefficients_need_a_finite_positive_horizon(T):
     with pytest.raises(InvalidTimeGrid):
         laguerre_coefficients(lambda t: 1.0, 1.0, 3, T, steps=10)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import quad_vec, simpson
 
 from passivenode import (
     BeamParameters,
@@ -173,11 +173,77 @@ def test_beam_closed_loop_strongly_stable():
     assert report.closed_loop_hurwitz
 
 
+def _beam_couplings(node, n_modes):
+    """Coupling of each flexible mode in B: its value at 0 if symmetric, else its slope."""
+    nf = n_modes - 2
+    _, sym = beam_frequencies(nf)
+    return np.where(sym, node.B[nf:2 * nf, 0], node.B[nf:2 * nf, 1])
+
+
+@pytest.mark.parametrize("n_modes", [8, 24, 50, 100])
+def test_beam_couplings_match_the_simpson_norm(n_modes):
+    # the closed-form norm against the 4001-point Simpson rule on the unscaled shape
+    node, _ = beam_model(BeamParameters(n_modes=n_modes))
+    betas, sym = beam_frequencies(n_modes - 2)
+    x = np.linspace(-1.0, 1.0, 4001)
+    expected = []
+    for beta, s in zip(betas, sym):
+        norm = np.sqrt(simpson(beam_mode_shape(beta, s, x)**2, x=x))
+        value = beam_mode_shape(beta, s, 0.0) if s else beta * (np.sinh(beta) + np.sin(beta))
+        expected.append(value / norm)
+    np.testing.assert_allclose(_beam_couplings(node, n_modes), expected, rtol=1e-9, atol=0.0)
+
+
+def _scaled_mode_shape(betas, sym, x):
+    """phi / sinh(beta) with every exponential decaying, so that no beta overflows."""
+    tail = np.sin(betas) / (1.0 - np.exp(-2.0 * betas))
+    up, down = np.exp(betas * (x - 1.0)), np.exp(-betas * (x + 1.0))
+    return np.where(sym, np.cos(betas * x) - tail * (up + down),
+                    np.sin(betas * x) + tail * (up - down))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_modes", [300, 500])
+def test_wide_beam_couples_every_flexible_mode(n_modes):
+    # the unscaled shapes overflow from n_modes 228 up, which made modes uncoupled
+    node, _ = beam_model(BeamParameters(n_modes=n_modes))
+    nf = n_modes - 2
+    assert np.all(np.abs(node.B[nf:2 * nf]).max(axis=1) > 0)
+    assert np.all(np.abs(node.C[:, nf:2 * nf]).max(axis=0) > 0)
+    betas, sym = beam_frequencies(nf)
+    sym = np.array(sym)
+    # phi^2 is even: twice its integral over (0, 1)
+    half, _ = quad_vec(lambda x: _scaled_mode_shape(betas, sym, x)**2, 0.0, 1.0,
+                       epsabs=0.0, epsrel=1e-13, norm="max", limit=10000)
+    # the antisymmetric coupling is the slope at 0 of the scaled shape
+    tail = 2.0 * np.sin(betas) * np.exp(-betas) / (1.0 - np.exp(-2.0 * betas))
+    value = np.where(sym, _scaled_mode_shape(betas, sym, 0.0), betas * (1.0 + tail))
+    np.testing.assert_allclose(_beam_couplings(node, n_modes), value / np.sqrt(2.0 * half),
+                               rtol=1e-12, atol=0.0)
+
+
 def test_beam_parameter_validation():
     with pytest.raises(DimensionMismatch):
         BeamParameters(rho_a=-1.0)
     with pytest.raises(DimensionMismatch):
         BeamParameters(n_modes=1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_modes", 8.5), ("n_modes", 8.0), ("n_modes", np.nan), ("n_modes", np.inf),
+    ("n_modes", None), ("n_modes", True), ("n_modes", "8"),
+    ("EI", "1"), ("rho_a", True), ("EbarI", False), ("EI", None), ("rho_a", np.bool_(True)),
+    ("rho_a", 1j), ("EI", [1.0]), pytest.param("EI", 10**400, id="EI-int-1e400"),
+])
+def test_beam_parameters_reject_non_numbers(field, value):
+    with pytest.raises(DimensionMismatch):
+        BeamParameters(**{field: value})
+
+
+def test_beam_parameters_read_numpy_scalars():
+    params = BeamParameters(rho_a=np.float32(2.0), EI=3, EbarI=np.int64(0), n_modes=np.int64(6))
+    assert (params.rho_a, params.EI, params.EbarI, params.n_modes) == (2.0, 3.0, 0.0, 6)
+    assert type(params.n_modes) is int
 
 
 @pytest.mark.parametrize("field", ["rho_a", "EI", "EbarI"])

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passivenode import (
     BeamParameters,
@@ -139,6 +141,48 @@ def test_annihilator_staircase_matches_double_complement():
             H = benchimol_conditions(node, require_contraction=False)[4]
             assert H.shape == H_old.shape == (n, k)
             assert _projector_distance(H, H_old) <= 1e-10
+
+
+@st.composite
+def _planted_pairs(draw):
+    """(M, ops) with planted invariant subspaces inside ker M.
+
+    In a random orthonormal basis (S, P, R, T), M annihilates S, P and R
+    but not T.  A leaves S and S + P invariant, and with ops = {A, A*}
+    S also reduces A, while S + P is not A*-invariant.  So the answer is
+    generically S + P for [A] and S for [A, A*]."""
+    n = draw(st.integers(1, 20))
+    k = draw(st.integers(0, n))
+    j = draw(st.integers(0, n - k))
+    r = draw(st.integers(0, n - k - j))
+    complex_ = draw(st.booleans())
+    both = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gauss(*shape):
+        X = rng.standard_normal(shape)
+        return X + 1j * rng.standard_normal(shape) if complex_ else X
+
+    U, _ = np.linalg.qr(gauss(n, n))
+    A = gauss(n, n)
+    A[k:, :k] = 0.0
+    A[k + j:, k:k + j] = 0.0
+    if both:
+        A[:k, k:] = 0.0
+    A = U @ A @ U.conj().T
+    M = gauss(draw(st.integers(0, n)), n - k - j - r) @ U[:, k + j + r:].conj().T
+    return M, [A, A.conj().T] if both else [A]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(pair=_planted_pairs())
+def test_staircase_matches_double_complement_on_planted_pairs(pair):
+    M, ops = pair
+    V = linalg.largest_invariant_in(M, ops)
+    ref = _double_complement_invariant_in(linalg.null_basis(M), ops)
+    assert V.shape == ref.shape
+    assert _projector_distance(V, ref) <= 1e-10
+    assert np.iscomplexobj(V) == np.iscomplexobj(M)
 
 
 def test_beam_verdict_makes_no_n_by_n_svd(monkeypatch):
