@@ -25,10 +25,11 @@ from .errors import (
     DimensionMismatch,
     InvalidTimeGrid,
     MinusOneEigenvalue,
+    NonFiniteState,
     NonPositiveAlpha,
     SingularResolvent,
 )
-from .node import StateSpaceNode, resolvent
+from .node import StateSpaceNode, check_conformable, resolvent
 from .passivity import PassivityKind, _certify, _require_square
 
 
@@ -47,6 +48,7 @@ class DiscreteSystem:
             raise AlphaNotRightHalfPlane("alpha must have positive real part")
         for name in ("Ad", "Bd", "Cd", "Dd"):
             object.__setattr__(self, name, linalg.as_matrix(getattr(self, name), name))
+        check_conformable(self.Ad, self.Bd, self.Cd, self.Dd)
         object.__setattr__(self, "alpha", complex(self.alpha))
 
     @property
@@ -162,10 +164,13 @@ def laguerre_functions(t, alpha, K):
 def laguerre_coefficients(u, alpha, K, T, steps=4000):
     """Laguerre coefficients u_k = int_0^T u(t) conj(ell_k(t)) dt.
 
-    u is a callable t -> vector (or scalar); returns shape (K, m).  One
-    linalg.simpson over a uniform grid of `steps` (made even) panels; T
-    should cover the support of u up to the decay of e^{-Re(alpha) t}, and
-    must be finite and > 0 (InvalidTimeGrid otherwise).
+    u is a callable t -> vector (or scalar), read by linalg.as_signal
+    (DimensionMismatch unless its values are numbers with the same number m
+    of entries at every time, NonFiniteState if one is not finite); returns
+    shape (K, m).  One linalg.simpson over a uniform grid of `steps` (made
+    even) panels; T should cover the support of u up to the decay of
+    e^{-Re(alpha) t}, and must be finite and > 0 (InvalidTimeGrid
+    otherwise).  Coefficients that overflow raise NonFiniteState.
     """
     T = linalg.float_or_nan(T)
     if not 0.0 < T < np.inf:
@@ -174,22 +179,34 @@ def laguerre_coefficients(u, alpha, K, T, steps=4000):
     if steps % 2:
         steps += 1
     t = np.linspace(0.0, T, steps + 1)
-    U = np.array([np.atleast_1d(np.asarray(u(ti), dtype=complex)) for ti in t])
+    U = linalg.as_signal([u(ti) for ti in t], "input u(t)")
     ell = laguerre_functions(t, alpha, K)
-    return linalg.simpson(ell.conj().T[:, :, None] * U[:, None, :], t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = linalg.simpson(ell.conj().T[:, :, None] * U[:, None, :], t)
+    if not np.isfinite(coeffs).all():
+        raise NonFiniteState("the Laguerre coefficients overflow")
+    return coeffs
 
 
 def discrete_response(disc, u_coeffs):
     """Run the discrete recursion x+ = Ad x + Bd u_k, y_k = Cd x + Dd u_k.
 
     Starts from x = 0; returns the output coefficient sequence with the
-    same leading length as u_coeffs.
+    same leading length as u_coeffs.  u_coeffs is read by linalg.as_signal
+    with disc.m entries per coefficient (a 1-D array is one number per
+    coefficient); the outputs are real when the quadruple and u_coeffs are,
+    and raise NonFiniteState when they overflow.
     """
-    u_coeffs = np.atleast_2d(np.asarray(u_coeffs, dtype=complex))
+    u_coeffs = linalg.as_signal(u_coeffs, "u_coeffs", width=disc.m)
     K = u_coeffs.shape[0]
-    x = np.zeros(disc.n, dtype=complex)
-    y = np.empty((K, disc.p), dtype=complex)
-    for k in range(K):
-        y[k] = disc.Cd @ x + disc.Dd @ u_coeffs[k]
-        x = disc.Ad @ x + disc.Bd @ u_coeffs[k]
+    dtype = np.result_type(disc.Ad, disc.Bd, disc.Cd, disc.Dd, u_coeffs)
+    x = np.zeros(disc.n, dtype=dtype)
+    y = np.empty((K, disc.p), dtype=dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            y[k] = disc.Cd @ x + disc.Dd @ u_coeffs[k]
+            x = disc.Ad @ x + disc.Bd @ u_coeffs[k]
+    finite = np.all(np.isfinite(y), axis=1)
+    if not finite.all():
+        raise NonFiniteState(f"the discrete response overflows at k = {np.argmin(finite)}")
     return y

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import io, passivity, second_order, sim, stability
+from . import io, linalg, passivity, second_order, sim, stability
 from .cayley import check_discrete_passivity, internal_cayley, inverse_cayley
 from .errors import ParseError, PassiveNodeError
 from .feedback import stabilizing_feedback
@@ -56,6 +56,14 @@ def _complex_arg(text):
     if not np.isfinite(z):
         raise argparse.ArgumentTypeError(f"cannot parse {text!r} as a finite 're' or 're,im'")
     return z
+
+
+def _real_arg(text):
+    """Parse a finite real number."""
+    x = linalg.float_or_nan(text)
+    if not np.isfinite(x):
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r} as a finite number")
+    return x
 
 
 def _cmd_check(args):
@@ -203,7 +211,7 @@ def build_parser():
                    default="esad",
                    help="general works on any node; the others first check "
                    "their structural class")
-    p.add_argument("--omega", type=float, default=0.0,
+    p.add_argument("--omega", type=_real_arg, default=0.0,
                    help="frequency for the colocated method")
     p.add_argument("--s", type=_complex_arg, default=1.0 + 0.0j,
                    help="point the esad/selfadjoint methods check to lie in rho(A)")

@@ -106,7 +106,7 @@ class InvalidTimeGrid(PassiveNodeError):
 
 
 class NonFiniteState(PassiveNodeError):
-    """Simulation met a non-finite state (blow-up) or sampled input."""
+    """A signal met a non-finite state (blow-up), output or input value."""
 
 
 class ParseError(PassiveNodeError):

@@ -103,7 +103,11 @@ def matrix_from_json(data, name, rows=None, cols=None):
 
 
 def vector_from_json(data, name, length):
-    """List of numbers or [re, im] pairs -> complex vector of the given length."""
+    """List of numbers or [re, im] pairs -> vector of the given length.
+
+    Stored by linalg.real_or_complex: float64 when every imaginary part is
+    +0.0 (plain numbers give one), complex128 otherwise.
+    """
     if not isinstance(data, list):
         raise SchemaError(f"{name} must be a JSON list")
     vals = []
@@ -116,7 +120,7 @@ def vector_from_json(data, name, length):
             raise SchemaError(f"{name} entries must be numbers or [re, im] pairs")
     if len(vals) != length:
         raise SchemaError(f"{name} must have {length} entries")
-    return np.asarray(vals, dtype=complex)
+    return linalg.real_or_complex(np.asarray(vals, dtype=complex))
 
 
 def _require(d, what, keys):

@@ -15,8 +15,9 @@ Three kinds of numerical question, one rule each:
   are base_tol() (PASSIVE_NODE_TOL, default 1e-9) times 1 + a norm.
 
 Real data runs in real arithmetic.  This is decided once, where a matrix
-enters (:func:`as_matrix`): it is stored as float64 when every imaginary
-part is +0.0, and as complex128 otherwise.  The routines here keep the
+or a time-domain signal enters (:func:`as_matrix`, :func:`as_signal`): it
+is stored as float64 when every imaginary part is +0.0, and as complex128
+otherwise (:func:`real_or_complex`).  The routines here keep the
 dtype they are given (none of them forces complex), so a real node goes to
 the real LAPACK kernels.
 
@@ -30,7 +31,13 @@ import os
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidTolerance, NonFiniteMatrix, NotSelfAdjoint
+from .errors import (
+    DimensionMismatch,
+    InvalidTolerance,
+    NonFiniteMatrix,
+    NonFiniteState,
+    NotSelfAdjoint,
+)
 
 #: M counts as singular when RCOND * max(1, ||M||_1) * ||M^-1||_1 >= 1
 RCOND = 1e-12
@@ -38,6 +45,9 @@ RCOND = 1e-12
 #: singular values below this (relative) count as zero in every subspace
 #: rank decision, and so in the stability verdict
 SUBSPACE_TOL = 1e-8
+
+#: numpy kinds that count as numbers: bool, signed and unsigned integer, float, complex
+NUMBER_KINDS = "biufc"
 
 #: larger entries are rejected, so that a product of up to six entries stays
 #: finite (the scattering forms multiply four)
@@ -81,10 +91,56 @@ def as_matrix(M, name):
         if not np.isfinite(M).all():
             raise NonFiniteMatrix(f"{name} has a non-finite entry")
         raise NonFiniteMatrix(f"{name} has an entry beyond {ENTRY_LIMIT:g} in magnitude")
-    if not M.imag.view(np.uint64).any():
-        M = M.real.copy()
+    M = real_or_complex(M)
     M.setflags(write=False)
     return M
+
+
+def real_or_complex(M):
+    """The numeric array M as float64 when every imaginary part is +0.0 bit for bit, else complex128.
+
+    The one real/complex rule of the package.  A real M (bool, integer or
+    float) is float64; an array that already has its dtype is returned
+    without a copy.
+    """
+    if not np.iscomplexobj(M):
+        return M.astype(float, copy=False)
+    M = M.astype(complex, copy=False)
+    return M if M.imag.view(np.uint64).any() else M.real.copy()
+
+
+def as_signal(values, name, width=None):
+    """A time-domain signal as a (times, width) array, stored by :func:`real_or_complex`.
+
+    values holds one value per time: a number or an array of width entries
+    (of any shape), or values is already a (times, width) array, which is
+    returned without a copy when it is float64 or complex128.  Raises
+    DimensionMismatch unless every value is made of numbers (bool, integer,
+    float or complex) and every time has width entries (the same number of
+    entries when width is None), and NonFiniteState when a value is NaN or
+    infinite.
+    """
+    try:
+        S = np.asarray(values)
+    except (TypeError, ValueError):  # values of mixed shapes
+        S = None
+    if S is None or (S.ndim != 2 and not (S.ndim == 1 and S.dtype.kind in NUMBER_KINDS)):
+        try:  # values of other or mixed shapes: each is flattened
+            S = np.array([np.ravel(v) for v in values])
+        except (TypeError, ValueError):  # ragged, or not a sequence of values
+            S = None
+    if S is None or S.dtype.kind not in NUMBER_KINDS:
+        count = "the same count of numbers" if width is None else f"{width} numbers"
+        raise DimensionMismatch(f"{name} must be {count} at every time")
+    if S.ndim == 1:
+        S = S[:, None]
+    if width is not None and S.shape[1] != width:
+        raise DimensionMismatch(f"{name} must have {width} entries at every time, "
+                                f"got shape {S.shape}")
+    S = real_or_complex(S)
+    if not np.isfinite(S).all():
+        raise NonFiniteState(f"{name} holds a non-finite value")
+    return S
 
 
 def checked_inv(M, error, message):

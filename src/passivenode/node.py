@@ -59,15 +59,8 @@ class StateSpaceNode:
         B = linalg.as_matrix(self.B, "B")
         C = linalg.as_matrix(self.C, "C")
         D = linalg.as_matrix(self.D, "D")
+        check_conformable(A, B, C, D)
         n = A.shape[0]
-        if A.shape != (n, n):
-            raise DimensionMismatch("A must be square")
-        if B.shape[0] != n:
-            raise DimensionMismatch("B must have n rows")
-        if C.shape[1] != n:
-            raise DimensionMismatch("C must have n columns")
-        if D.shape != (C.shape[0], B.shape[1]):
-            raise DimensionMismatch("D must be p x m")
         W = weight_matrix(self.W, n)
         L = linalg.cholesky(W, DimensionMismatch, "W must be positive definite")
         W.setflags(write=False)
@@ -114,8 +107,12 @@ class StateSpaceNode:
         return StateSpaceNode(A, B, C, D, meta=self.meta)
 
     def to_state(self, x_orth):
-        """Map a W-orthonormal-coordinate vector back to original coordinates."""
-        x_orth = np.asarray(x_orth, dtype=np.complex128)
+        """Map a W-orthonormal-coordinate vector back to original coordinates.
+
+        Keeps the dtype numpy promotion gives it: real for a real vector and
+        a real weight.
+        """
+        x_orth = np.asarray(x_orth)
         if self.is_identity_weight:
             return x_orth
         return np.linalg.solve(self._chol.conj().T, x_orth)
@@ -129,6 +126,23 @@ class StateSpaceNode:
         """WA + A*W expressed in orthonormal coordinates (A~ + A~*)."""
         A, _, _, _ = self.orthonormal
         return A + A.conj().T
+
+
+def check_conformable(A, B, C, D):
+    """DimensionMismatch unless A is n x n, B is n x m, C is p x n and D is p x m.
+
+    The one shape rule of a quadruple, continuous (StateSpaceNode) or
+    discrete (cayley.DiscreteSystem).
+    """
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise DimensionMismatch("A must be square")
+    if B.shape[0] != n:
+        raise DimensionMismatch("B must have n rows")
+    if C.shape[1] != n:
+        raise DimensionMismatch("C must have n columns")
+    if D.shape != (C.shape[0], B.shape[1]):
+        raise DimensionMismatch("D must be p x m")
 
 
 def resolvent(node, s, error, message):

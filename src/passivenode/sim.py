@@ -15,6 +15,11 @@ are formed once per simulation, so the input is evaluated once per distinct
 time: 2 evaluations per step.  Being exact, the step is stable at any h,
 also for a stiff node such as the many-mode beam.
 
+The input is read by linalg.as_signal: the values of a callable at the
+2 steps + 1 times, or samples in the one layout (steps + 1, m).  The
+trajectory takes the dtype of its data: a real node from a real z0 under
+a real input runs in float64, and anything complex makes it complex128.
+
 The energy audit integrates the passivity balance
 
     ||z(tau)||_W^2 - ||z(0)||_W^2 <= 2 int_0^tau Re <u, y> dt
@@ -37,7 +42,11 @@ from .passivity import _certify_shifted
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled simulation result on a uniform time grid."""
+    """Sampled simulation result on a uniform time grid.
+
+    The arrays have the dtype of the data (see :func:`simulate`): float64
+    for a real node under a real z0 and input, complex128 otherwise.
+    """
 
     times: np.ndarray
     states: np.ndarray   # (steps+1, n)
@@ -82,35 +91,22 @@ def _input_values(u, m, times, h):
     """The input at the grid points t_k and at the half-points t_k + h/2.
 
     A callable is called once per distinct time, in time order.  A sampled
-    input keeps its samples at the grid points; the half-points come from
-    the cubic midpoint rule of :func:`_midpoints`.
+    input, in the layout (steps + 1, m), keeps its samples at the grid
+    points; the half-points come from the cubic midpoint rule of
+    :func:`_midpoints`.  Both are read by linalg.as_signal.
     """
     steps = len(times) - 1
-    mid = times[:-1] + 0.5 * h
     if callable(u):
-        def value(t):
-            v = np.atleast_1d(np.asarray(u(t), dtype=complex))
-            if v.size != m:
-                raise DimensionMismatch(f"input u(t) must have {m} entries, got shape {v.shape}")
-            return v.reshape(m)
-
-        grid = np.empty((steps + 1, m), dtype=complex)
-        half = np.empty((steps, m), dtype=complex)
-        for k in range(steps):
-            grid[k] = value(times[k])
-            half[k] = value(mid[k])
-        grid[steps] = value(times[steps])
-        return grid, half
-    grid = np.array(np.atleast_2d(u), dtype=complex)
-    # a square grid is read in the documented (steps + 1, m) layout
-    if m != steps + 1 and grid.shape == (m, steps + 1):
-        grid = grid.T
-    if grid.shape != (steps + 1, m):
+        t = np.empty(2 * steps + 1)
+        t[0::2] = times
+        t[1::2] = times[:-1] + 0.5 * h
+        values = linalg.as_signal([u(tk) for tk in t], "input u(t)", width=m)
+        return values[0::2], values[1::2]
+    grid = linalg.as_signal(u, "sampled input", width=m)
+    if len(grid) != steps + 1:
         raise DimensionMismatch(
             f"sampled input must have shape ({steps + 1}, {m}), got {grid.shape}"
         )
-    if not np.all(np.isfinite(grid)):
-        raise NonFiniteState("sampled input holds a non-finite value")
     return grid, _midpoints(grid)
 
 
@@ -141,10 +137,12 @@ def simulate(node, z0, u, T, steps=2000):
     as given at the grid points and interpolated by the cubic midpoint rule
     at the half-points only.  Raises InvalidTimeGrid unless steps is an
     integer >= 1 and T is finite and > 0, DimensionMismatch if z0 or an
-    input value has the wrong size, and NonFiniteState if the state is or
-    becomes non-finite.  The trajectory is complex.  A real node's step
-    matrices are formed in real arithmetic (:func:`_propagator`) and cast
-    to complex once, so the recurrence does not cast P at every step.
+    input value is not made of numbers or has the wrong size, and
+    NonFiniteState if an input value is not finite, the state is or
+    becomes non-finite, or an output overflows.  The trajectory takes the
+    dtype of its data, np.result_type(z0, inputs, step matrices): a real
+    node with a real z0 and a real input runs in float64, and anything
+    complex makes it complex128.
     """
     T = linalg.float_or_nan(T)
     if (isinstance(steps, bool) or not isinstance(steps, (int, np.integer))
@@ -152,17 +150,23 @@ def simulate(node, z0, u, T, steps=2000):
         raise InvalidTimeGrid(
             f"need an integer steps >= 1 and a finite T > 0, got steps={steps!r}, T={T}")
     steps = int(steps)
-    z0 = np.asarray(z0, dtype=complex)
-    if z0.size != node.n:
-        raise DimensionMismatch(f"z0 must have {node.n} entries, got shape {z0.shape}")
+    try:
+        z0 = np.asarray(z0)
+    except ValueError:  # a ragged sequence
+        z0 = np.asarray(None)
+    if z0.dtype.kind not in linalg.NUMBER_KINDS or z0.size != node.n:
+        raise DimensionMismatch(f"z0 must be {node.n} numbers, got {z0.dtype} of shape {z0.shape}")
+    z0 = linalg.real_or_complex(z0)
     A, B, C, D = (np.asarray(M) for M in (node.A, node.B, node.C, node.D))
     h = T / steps
     times = np.linspace(0.0, T, steps + 1)
     inputs, half = _input_values(u, node.m, times, h)
-    states = np.empty((steps + 1, node.n), dtype=complex)
-    states[0] = z0.reshape(node.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        P, G0, Gh, G1 = (M.astype(complex, copy=False) for M in _propagator(A, B, h))
+        step = _propagator(A, B, h)
+        dtype = np.result_type(z0, inputs, *step)
+        P, G0, Gh, G1 = (M.astype(dtype, copy=False) for M in step)
+        states = np.empty((steps + 1, node.n), dtype=dtype)
+        states[0] = z0.reshape(node.n)
         # states[1:] first holds every forcing term F_k = G0 u_k + Gh u_{k+1/2}
         # + G1 u_{k+1}; the recurrence then adds P z_k to each in turn
         forcing = np.hstack([inputs[:-1], half, inputs[1:]])
@@ -172,7 +176,11 @@ def simulate(node, z0, u, T, steps=2000):
     finite = np.all(np.isfinite(states), axis=1)
     if not finite.all():
         raise NonFiniteState(f"state became non-finite at t = {times[np.argmin(finite)]:.6g}")
-    outputs = states @ C.T + inputs @ D.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        outputs = states @ C.T + inputs @ D.T
+    finite = np.all(np.isfinite(outputs), axis=1)
+    if not finite.all():
+        raise NonFiniteState(f"output overflows at t = {times[np.argmin(finite)]:.6g}")
     return Trajectory(times=times, states=states, inputs=inputs, outputs=outputs)
 
 

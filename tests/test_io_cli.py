@@ -247,6 +247,16 @@ def test_cli_complex_arguments_must_be_finite_numbers(verb, option, value, tmp_p
     assert captured.err.startswith(f"error: ParseError: argument {option}: cannot parse")
 
 
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "1e400"])
+def test_cli_omega_must_be_a_finite_number(value, tmp_path, capsys):
+    # a NaN omega used to reach the resolvent and be misreported as OmegaInSpectrum
+    path = _write_node(tmp_path, random_passive_node(0))
+    assert main(["minimal-e", path, "--method", "colocated", "--omega", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ParseError: argument --omega: cannot parse")
+
+
 def test_cli_points_are_the_certified_points(tmp_path, capsys):
     path = _write_node(tmp_path, random_passive_node(0))
     assert main(["check", path, "--points", "1", "2,-1"]) == 0

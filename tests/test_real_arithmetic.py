@@ -7,18 +7,22 @@ and C, so it takes the complex path everywhere.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from passivenode import (
     BeamParameters,
     StateSpaceNode,
+    adversarial_input,
     beam_model,
     check_impedance,
     check_scattering,
+    energy_audit,
     io,
     minimal_E,
     positive_part,
+    simulate,
     stabilizing_feedback,
     stability_verdict,
 )
@@ -29,9 +33,13 @@ RTOL = 1e-8
 EPS = np.finfo(float).eps
 
 
-def _phase_copy(node, seed):
+def _phases(n, seed):
     rng = np.random.default_rng(seed)
-    P = np.diag(np.exp(1j * rng.uniform(0.1, 2.0 * np.pi - 0.1, node.n)))
+    return np.exp(1j * rng.uniform(0.1, 2.0 * np.pi - 0.1, n))
+
+
+def _phase_copy(node, seed):
+    P = np.diag(_phases(node.n, seed))
     Ph = P.conj().T
     return StateSpaceNode(Ph @ node.A @ P, Ph @ node.B, node.C @ P, node.D,
                           W=Ph @ node.W @ P)
@@ -140,3 +148,34 @@ def test_the_beam_and_its_closed_loop_are_stored_real():
     for key in "ABCDW":
         pairs = np.array(doc[key], dtype=float).reshape(-1, 2)
         assert not pairs[:, 1].view(np.uint64).any()
+
+
+@pytest.mark.parametrize("kind, seed", [("beam", 0), ("beam", 1), ("passive", 3),
+                                        ("passive", 4), ("hidden", 5)])
+def test_real_trajectories_are_float64_and_agree_with_the_complex_copy(kind, seed):
+    node = _node(kind, seed)
+    twin = _phase_copy(node, seed)
+    z0 = np.random.default_rng(seed).standard_normal(node.n)
+    u = lambda t: np.array([np.cos(t), np.sin(2.0 * t) - 0.5])
+    traj = simulate(node, z0, u, 2.0, steps=200)
+    assert traj.states.dtype == traj.inputs.dtype == traj.outputs.dtype == np.float64
+    # the copy's coordinates are P* z, with P = diag(phases)
+    phases = _phases(node.n, seed)
+    twin_traj = simulate(twin, phases.conj() * z0, u, 2.0, steps=200)
+    assert twin_traj.states.dtype == np.complex128
+    states = traj.states * phases.conj()
+    assert np.abs(twin_traj.states - states).max() <= 1e-12 * np.abs(states).max()
+    assert np.abs(twin_traj.outputs - traj.outputs).max() <= 1e-12 * np.abs(traj.outputs).max()
+    defect = energy_audit(traj, W=node.W).defect
+    twin_defect = energy_audit(twin_traj, W=twin.W).defect
+    assert np.abs(twin_defect - defect).max() <= 1e-12 * np.abs(defect).max()
+
+
+def test_adversarial_input_of_a_real_node_is_real():
+    node = _real_passive_node(2, 4, weight=True)
+    node = StateSpaceNode(node.A, node.B, node.C, node.D - 2.0 * np.eye(2), W=node.W)
+    z0, u0, _ = adversarial_input(node, amplitude=2.0)
+    assert z0.dtype == u0.dtype == np.float64
+    traj = simulate(node, z0, lambda t: u0, 0.2, steps=200)
+    assert traj.states.dtype == np.float64
+    assert not energy_audit(traj, W=node.W).passed

@@ -20,6 +20,7 @@ from passivenode import (
     check_scattering,
     closed_loop_spectrum_gate,
     diagonal_transform,
+    discrete_response,
     energy_audit,
     eval_transfer,
     internal_cayley,
@@ -471,6 +472,19 @@ def test_constructors_reject_non_finite_matrices(bad):
         SecondOrderPlant(A0=[[1.0]], M=[[1.0]], C0=[[1.0]], B0=[[bad]])
 
 
+def test_discrete_system_rejects_non_conforming_matrices():
+    # the shape rule of StateSpaceNode, with its texts
+    I2 = np.eye(2)
+    with pytest.raises(DimensionMismatch, match="B must have n rows"):
+        DiscreteSystem(I2, np.ones((3, 1)), np.ones((1, 2)), np.ones((1, 1)), 1.0)
+    with pytest.raises(DimensionMismatch, match="A must be square"):
+        DiscreteSystem(np.ones((2, 3)), np.ones((2, 1)), np.ones((1, 2)), np.ones((1, 1)), 1.0)
+    with pytest.raises(DimensionMismatch, match="C must have n columns"):
+        DiscreteSystem(I2, np.ones((2, 1)), np.ones((1, 3)), np.ones((1, 1)), 1.0)
+    with pytest.raises(DimensionMismatch, match="D must be p x m"):
+        DiscreteSystem(I2, np.ones((2, 1)), np.ones((1, 2)), np.ones((2, 1)), 1.0)
+
+
 def test_cli_rejects_non_finite_node(tmp_path, capsys):
     doc = io.node_to_dict(random_passive_node(0))
     doc["A"][0][0] = [float("nan"), 0.0]
@@ -703,3 +717,111 @@ def test_fuzzed_node_documents_end_in_a_typed_result(doc, tmp_path, capsys):
         pass
     assert main(["check", _write(tmp_path, doc)]) in (0, 1, 2)
     capsys.readouterr()
+
+
+# -- time-domain signals: one gate (linalg.as_signal) ------------------------------
+
+
+@pytest.fixture(scope="module")
+def beam4():
+    node = beam_model(BeamParameters(n_modes=4))[0]
+    return node, internal_cayley(node, 1.0)
+
+
+_ONES = lambda t: np.ones(2)  # noqa: E731  (the 4-mode beam has m = 2)
+
+#: each of these raised a bare numpy error or returned NaN before the gate
+_BAD_SIGNALS = {
+    "simulate: u(t) a string": (DimensionMismatch, lambda node, disc: simulate(
+        node, np.zeros(node.n), lambda t: "abc", 1.0, steps=10)),
+    "simulate: z0 of strings": (DimensionMismatch, lambda node, disc: simulate(
+        node, ["a"] * node.n, _ONES, 1.0, steps=10)),
+    "simulate: string samples": (DimensionMismatch, lambda node, disc: simulate(
+        node, np.zeros(node.n), [["a", "b"]] * 11, 1.0, steps=10)),
+    "simulate: ragged samples": (DimensionMismatch, lambda node, disc: simulate(
+        node, np.zeros(node.n), [[1.0, 2.0]] * 10 + [[1.0]], 1.0, steps=10)),
+    "simulate: u an object": (DimensionMismatch, lambda node, disc: simulate(
+        node, np.zeros(node.n), object(), 1.0, steps=10)),
+    "laguerre: ragged values": (DimensionMismatch, lambda node, disc: laguerre_coefficients(
+        lambda t: [1.0] * (1 + int(t > 0.5)), 1.0, 3, 1.0, steps=10)),
+    "laguerre: string values": (DimensionMismatch, lambda node, disc: laguerre_coefficients(
+        lambda t: "abc", 1.0, 3, 1.0, steps=10)),
+    "laguerre: None values": (DimensionMismatch, lambda node, disc: laguerre_coefficients(
+        lambda t: None, 1.0, 3, 1.0, steps=10)),
+    "laguerre: NaN values": (NonFiniteState, lambda node, disc: laguerre_coefficients(
+        lambda t: np.nan, 1.0, 3, 1.0, steps=10)),
+    "discrete: string coefficients": (DimensionMismatch, lambda node, disc: discrete_response(
+        disc, [["a", "b"]] * 3)),
+    "discrete: wrong width": (DimensionMismatch, lambda node, disc: discrete_response(
+        disc, np.ones((3, 3)))),
+    "discrete: NaN coefficients": (NonFiniteState, lambda node, disc: discrete_response(
+        disc, np.full((3, 2), np.nan))),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_SIGNALS))
+def test_bad_signals_raise_typed_errors(case, beam4):
+    error, call = _BAD_SIGNALS[case]
+    with pytest.raises(error):
+        call(*beam4)
+
+
+def test_huge_signals_overflow_to_non_finite_state(beam4):
+    node, disc = beam4
+    with pytest.raises(NonFiniteState, match="Laguerre coefficients overflow"):
+        laguerre_coefficients(lambda t: 1.7e308, 1.0, 3, 1.0, steps=10)
+    with pytest.raises(NonFiniteState, match="discrete response overflows"):
+        discrete_response(disc, np.full((3, 2), 1.7e308))
+    # finite states whose output C z + D u overflows
+    through = StateSpaceNode([[-1.0]], [[1.0]], [[1.0]], [[1e10]])
+    with pytest.raises(NonFiniteState, match="output overflows"):
+        simulate(through, [0.0], lambda t: np.array([1e300]), 1.0, steps=4)
+
+
+def test_signal_values_of_any_shape_are_flattened():
+    S = linalg.as_signal([1.0, [2.0], np.array([[3.0]]), True], "u", width=1)
+    assert S.dtype == np.float64 and S.tolist() == [[1.0], [2.0], [3.0], [1.0]]
+    samples = np.arange(6.0).reshape(3, 2).T
+    assert linalg.as_signal(samples, "u", width=3) is samples
+    # the real rule of as_matrix: an imaginary -0.0 keeps a signal complex
+    assert linalg.as_signal([[1 + 0j]], "u").dtype == np.float64
+    assert linalg.as_signal([[complex(1.0, -0.0)]], "u").dtype == np.complex128
+
+
+_SIGNAL_NUMBER = st.one_of(
+    st.floats(),  # finite, huge, NaN and +-inf
+    st.complex_numbers(),
+    st.integers(-(10**30), 10**30),  # beyond int64 they are not numpy numbers
+    st.booleans(),
+)
+_SIGNAL_VALUE = st.one_of(
+    _SIGNAL_NUMBER,
+    st.lists(_SIGNAL_NUMBER, min_size=2, max_size=2),  # the right width
+    st.lists(_SIGNAL_NUMBER, max_size=3),
+    st.lists(st.one_of(_SIGNAL_NUMBER, st.lists(_SIGNAL_NUMBER, max_size=2)), max_size=3),
+    st.text(max_size=2),
+    st.none(),
+)
+_SIGNAL_NODE = StateSpaceNode([[-1.0, 0.5], [-0.5, -2.0]], np.eye(2), np.eye(2), np.eye(2))
+_SIGNAL_DISC = internal_cayley(_SIGNAL_NODE, 1.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(value=_SIGNAL_VALUE, other=_SIGNAL_VALUE)
+def test_every_signal_ends_in_finite_output_or_a_typed_error(value, other):
+    node, steps = _SIGNAL_NODE, 4
+    samples = [value] * steps + [other]
+    calls = {
+        "callable": lambda: simulate(node, np.zeros(2), lambda t: value if t else other,
+                                     1.0, steps=steps).outputs,
+        "sampled": lambda: simulate(node, np.zeros(2), samples, 1.0, steps=steps).outputs,
+        "laguerre": lambda: laguerre_coefficients(lambda t: value if t else other, 1.0, 2,
+                                                  1.0, steps=steps),
+        "discrete": lambda: discrete_response(_SIGNAL_DISC, samples),
+    }
+    for call in calls.values():
+        try:
+            out = call()
+        except (DimensionMismatch, NonFiniteState):
+            continue
+        assert np.isfinite(out).all()

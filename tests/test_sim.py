@@ -230,7 +230,9 @@ def test_sampled_input_is_kept_exactly_at_the_grid_points():
     samples = np.stack([np.sin(3.0 * grid), np.cos(grid) + 1j * grid], axis=1)
     traj = simulate(node, np.zeros(4), samples, 2.0, steps=200)
     assert np.array_equal(traj.inputs, samples)
-    assert np.array_equal(simulate(node, np.zeros(4), samples.T, 2.0, steps=200).inputs, samples)
+    # the one layout is (steps + 1, m): the transpose is not guessed
+    with pytest.raises(DimensionMismatch, match="sampled input"):
+        simulate(node, np.zeros(4), samples.T, 2.0, steps=200)
 
 
 def test_square_sampled_input_keeps_its_layout():
