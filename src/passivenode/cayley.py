@@ -44,12 +44,13 @@ class DiscreteSystem:
     alpha: complex
 
     def __post_init__(self):
-        if complex(self.alpha).real <= 0:
-            raise AlphaNotRightHalfPlane("alpha must have positive real part")
+        alpha = linalg.as_point(self.alpha, "alpha", AlphaNotRightHalfPlane)
+        if alpha.real <= 0:
+            raise AlphaNotRightHalfPlane(f"alpha = {alpha} must have Re(alpha) > 0")
         for name in ("Ad", "Bd", "Cd", "Dd"):
             object.__setattr__(self, name, linalg.as_matrix(getattr(self, name), name))
         check_conformable(self.Ad, self.Bd, self.Cd, self.Dd)
-        object.__setattr__(self, "alpha", complex(self.alpha))
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def n(self):
@@ -70,7 +71,7 @@ def internal_cayley(node, alpha=1.0 + 0.0j):
     Works in the W-orthonormal coordinates of the node, so passivity
     equivalences hold with plain Euclidean norms on the discrete side.
     """
-    alpha = complex(alpha)
+    alpha = linalg.as_point(alpha, "alpha", AlphaNotRightHalfPlane)
     if alpha.real <= 0:
         raise AlphaNotRightHalfPlane(f"alpha = {alpha} must have Re(alpha) > 0")
     A, B, C, _ = node.orthonormal
@@ -103,8 +104,9 @@ def inverse_cayley(disc):
 
 
 def discrete_transfer(disc, z):
-    """Gd(z) = Cd (zI - Ad)^-1 Bd + Dd."""
-    R = linalg.checked_inv(complex(z) * np.eye(disc.n) - disc.Ad, SingularResolvent,
+    """Gd(z) = Cd (zI - Ad)^-1 Bd + Dd; z must be a finite complex number (DimensionMismatch)."""
+    z = linalg.as_point(z, "z", DimensionMismatch)
+    R = linalg.checked_inv(z * np.eye(disc.n) - disc.Ad, SingularResolvent,
                            f"z = {z} is in the spectrum of Ad to working precision")
     return disc.Cd @ (R @ disc.Bd) + disc.Dd
 
@@ -139,16 +141,19 @@ def laguerre_functions(t, alpha, K):
 
     computed through the stable recurrence for f_k(x) = e^{-x/2} L_k(x):
     (k+1) f_{k+1} = (2k+1-x) f_k - k f_{k-1}.  Returns shape (K, len(t)).
-    K must be an integer >= 0 (DimensionMismatch otherwise).
+    K must be an integer >= 0 and t real numbers (DimensionMismatch otherwise).
     """
-    alpha = complex(alpha)
+    alpha = linalg.as_point(alpha, "alpha", NonPositiveAlpha)
     a, b = alpha.real, alpha.imag
     if a <= 0:
         raise NonPositiveAlpha(f"alpha = {alpha} must have Re(alpha) > 0")
-    if isinstance(K, bool) or not isinstance(K, (int, np.integer)) or K < 0:
-        raise DimensionMismatch(f"the number K of Laguerre functions must be an integer >= 0, "
-                                f"got {K!r}")
-    t = np.asarray(t, dtype=float)
+    K = linalg.as_count(K, "the number K of Laguerre functions", 0, DimensionMismatch)
+    try:
+        t = np.asarray(t)
+    except ValueError:  # ragged
+        t = np.asarray(None)
+    if t.dtype.kind not in "biuf":
+        raise DimensionMismatch("the times t must be real numbers")
     x = 2.0 * a * t
     out = np.empty((K, t.size), dtype=complex)
     fk_prev = np.zeros_like(x)
@@ -165,19 +170,20 @@ def laguerre_coefficients(u, alpha, K, T, steps=4000):
     """Laguerre coefficients u_k = int_0^T u(t) conj(ell_k(t)) dt.
 
     u is a callable t -> vector (or scalar), read by linalg.as_signal
-    (DimensionMismatch unless its values are numbers with the same number m
-    of entries at every time, NonFiniteState if one is not finite); returns
-    shape (K, m).  One linalg.simpson over a uniform grid of `steps` (made
-    even) panels; T should cover the support of u up to the decay of
-    e^{-Re(alpha) t}, and must be finite and > 0 (InvalidTimeGrid
-    otherwise).  Coefficients that overflow raise NonFiniteState.
+    (DimensionMismatch unless u is callable and its values are numbers with
+    the same number m of entries at every time, NonFiniteState if one is not
+    finite); returns shape (K, m).  One linalg.simpson over a uniform grid of
+    `steps` (an integer >= 1, made even) panels; T should cover the support of
+    u up to the decay of e^{-Re(alpha) t}, and must be finite and > 0
+    (InvalidTimeGrid otherwise).  Coefficients that overflow raise NonFiniteState.
     """
-    T = linalg.float_or_nan(T)
-    if not 0.0 < T < np.inf:
-        raise InvalidTimeGrid(f"need a finite T > 0, got T={T}")
-    steps = int(steps)
-    if steps % 2:
-        steps += 1
+    T = linalg.as_real(T, "T", InvalidTimeGrid)
+    if T <= 0:
+        raise InvalidTimeGrid(f"T must be > 0, got {T}")
+    steps = linalg.as_count(steps, "steps", 1, InvalidTimeGrid)
+    steps += steps % 2
+    if not callable(u):
+        raise DimensionMismatch(f"u must be a callable t -> input value, got {u!r}")
     t = np.linspace(0.0, T, steps + 1)
     U = linalg.as_signal([u(ti) for ti in t], "input u(t)")
     ell = laguerre_functions(t, alpha, K)

@@ -6,7 +6,8 @@ class PassiveNodeError(Exception):
 
 
 class DimensionMismatch(PassiveNodeError):
-    """Matrix dimensions are not conformable, or a size is not a valid count."""
+    """Matrix dimensions are not conformable, a size is not a valid count, or an
+    argument is not a number of the kind it must be."""
 
 
 class NonFiniteMatrix(PassiveNodeError):

@@ -43,7 +43,7 @@ def diagonal_transform(node, k):
     (NotImpedancePassive otherwise; NotSquare when p != m).  Raises
     SingularIPlusKD when I + kD is singular.
     """
-    k = float(k)
+    k = linalg.as_real(k, "diagonal transform parameter k", KappaOutOfRange)
     if k <= 0:
         raise KappaOutOfRange(f"diagonal transform parameter k = {k} must be positive")
     cert, _ = _certify_shifted(node)
@@ -59,17 +59,16 @@ def diagonal_transform(node, k):
 
 
 def gain_matrix(node, K):
-    """K as an m x p array, broadcast like numpy (a scalar fills it).
+    """K read by linalg.as_matrix and broadcast like numpy to m x p (a scalar fills it).
 
-    A real K stays real (integers become float64), so the closed loop of a
-    real node under a real gain is built in real arithmetic.  Raises
-    DimensionMismatch when K is not numeric or does not broadcast to (m, p).
+    A real K stays real, so the closed loop of a real node under a real gain
+    is built in real arithmetic.  Raises DimensionMismatch when K does not
+    broadcast to (m, p).
     """
+    K = linalg.as_matrix(K, "K")
     try:
-        K = np.asarray(K)
-        K = K.astype(np.result_type(K, float), copy=False)
-        return np.broadcast_to(np.atleast_2d(K), (node.m, node.p))
-    except (TypeError, ValueError):
+        return np.broadcast_to(K, (node.m, node.p))
+    except ValueError:
         raise DimensionMismatch(f"K must broadcast to {node.m} x {node.p}") from None
 
 
@@ -147,8 +146,8 @@ def stabilizing_feedback(node, E, kappa):
     diagonal transform of Sigma_{cI} at k = kappa/(1 - kappa c), so it is
     scattering passive.  E must be m x m (DimensionMismatch otherwise).
     """
+    kappa = linalg.as_real(kappa, "kappa", KappaOutOfRange)
     cert, E = _certify_shifted(node, E)
-    kappa = float(kappa)
     _, c, kappa0 = positive_part(E)
     if not cert.passive:
         raise NotAlmostPassive(

@@ -21,12 +21,17 @@ otherwise (:func:`real_or_complex`).  The routines here keep the
 dtype they are given (none of them forces complex), so a real node goes to
 the real LAPACK kernels.
 
+Scalar arguments pass one gate per kind (:func:`as_count`, :func:`as_real`,
+:func:`as_point`), each raising the error its caller names.
+
 RCOND and SUBSPACE_TOL are fixed.  Every routine here costs at most O(n^3)
 for the desk-scale problems this library targets (the 100-mode beam has
 n = 198).
 """
 
+import cmath
 import math
+import numbers
 import os
 
 import numpy as np
@@ -63,29 +68,30 @@ def base_tol():
     return tol
 
 
-def float_or_nan(x):
-    """float(x), or NaN when x does not convert, so that a range test rejects it.
-
-    An integer too large for a double does not convert either.
-    """
+def float_or_nan(text):
+    """float(text), or NaN when the text is not a number, so that a range test rejects it."""
     try:
-        return float(x)
-    except (TypeError, ValueError, OverflowError):
+        return float(text)
+    except ValueError:
         return np.nan
 
 
 def as_matrix(M, name):
     """Read-only 2-D copy of M: float64 when every imaginary part is +0.0, else complex128.
 
-    The entries are read and checked as complex numbers.  A NaN or inf
-    entry, or a real or imaginary part beyond ENTRY_LIMIT, raises
-    NonFiniteMatrix: such an entry makes the forms overflow.  The real/
-    complex rule is bitwise, so a matrix with an imaginary -0.0 stays
-    complex and is written back as it was read.
+    M must be a scalar, vector or matrix of numbers (NUMBER_KINDS: a string
+    or a ragged row raises DimensionMismatch).  A NaN or inf entry, or a real
+    or imaginary part beyond ENTRY_LIMIT, raises NonFiniteMatrix: such an
+    entry makes the forms overflow.  The real/complex rule is bitwise, so a
+    matrix with an imaginary -0.0 stays complex and is written back as read.
     """
-    M = np.array(M, dtype=complex, order="C", ndmin=2)
-    if M.ndim != 2:
-        raise DimensionMismatch(f"{name} must be a matrix")
+    try:
+        M = np.asarray(M)
+    except (TypeError, ValueError):  # ragged rows
+        M = None
+    if M is None or M.dtype.kind not in NUMBER_KINDS or M.ndim > 2:
+        raise DimensionMismatch(f"{name} must be a matrix of numbers")
+    M = np.array(M, dtype=complex if M.dtype.kind == "c" else float, order="C", ndmin=2)
     # one pass over the real and imaginary parts; a NaN fails the comparison too
     if not np.abs(M.view(float)).max(initial=0.0) <= ENTRY_LIMIT:
         if not np.isfinite(M).all():
@@ -94,6 +100,33 @@ def as_matrix(M, name):
     M = real_or_complex(M)
     M.setflags(write=False)
     return M
+
+
+def as_count(value, name, minimum, error):
+    """value as an int; error unless it is an int or numpy integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def as_real(value, name, error):
+    """value as a finite float; error unless it is a numbers.Real (not a bool, nor np.bool_)."""
+    return float(_finite(value, numbers.Real, name, error))
+
+
+def as_point(value, name, error):
+    """value as a finite complex; error unless it is a numbers.Complex (not a bool)."""
+    return complex(_finite(value, numbers.Complex, name, error))
+
+
+def _finite(value, kind, name, error):
+    """value when it is a finite kind (numbers.Real or numbers.Complex) other than a bool."""
+    try:
+        if isinstance(value, kind) and not isinstance(value, bool) and cmath.isfinite(value):
+            return value
+    except OverflowError:  # an integer beyond the float range is not finite
+        pass
+    raise error(f"{name} must be a finite {kind.__name__.lower()} number, got {value!r}")
 
 
 def real_or_complex(M):

@@ -149,11 +149,11 @@ def resolvent(node, s, error, message):
     """(R, G(s)) with R = (sI - A~)^-1 in W-orthonormal coordinates.
 
     G(s) = C~ R B~ + D equals C (sI - A)^-1 B + D.  Both are real for a
-    real node at a real s.  Raises error(message) when s is not in rho(A)
-    to working precision (linalg.checked_inv).
+    real node at a real s.  s is read by linalg.as_point (DimensionMismatch);
+    raises error(message) when it is not in rho(A) (linalg.checked_inv).
     """
     A, B, C, D = node.orthonormal
-    s = complex(s)
+    s = linalg.as_point(s, "s", DimensionMismatch)
     # a real s keeps a real node in real arithmetic
     R = linalg.checked_inv((s if s.imag else s.real) * np.eye(node.n) - A, error, message)
     return R, C @ (R @ B) + D

@@ -27,6 +27,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     ASSViolated,
+    DimensionMismatch,
     NotColocated,
     NotAlmostPassive,
     NotESAD,
@@ -123,18 +124,18 @@ def _point_form(node, form, s):
 
 def impedance_form_at(node, s):
     """Impedance test form at s in rho(A): the bounded form in x = x' + (sI - A)^-1 B u."""
-    return _point_form(node, impedance_block_bounded(node), complex(s))
+    return _point_form(node, impedance_block_bounded(node), s)
 
 
 def scattering_form_at(node, s):
     """Scattering test form at s in rho(A): the bounded form in x = x' + (sI - A)^-1 B u."""
-    return _point_form(node, scattering_block_bounded(node), complex(s))
+    return _point_form(node, scattering_block_bounded(node), s)
 
 
 def _point_forms(node, form, test_points):
-    """The bounded form at the test points in rho(A); one inverse per point."""
+    """The bounded form at the test points in rho(A) (others are skipped), one inverse each."""
     pts, forms = [], []
-    for s in map(complex, DEFAULT_TEST_POINTS if test_points is None else test_points):
+    for s in DEFAULT_TEST_POINTS if test_points is None else test_points:
         try:
             forms.append(_point_form(node, form, s))
         except OmegaInSpectrum:
@@ -245,10 +246,10 @@ def check_impedance_reciprocal(node, E, omega):
 
     That form (:func:`_reciprocal_form`) is a congruence of the bounded form
     of Sigma_E, so the verdict agrees with
-    check_impedance(shift_feedthrough(node, E)).  E must be m x m
-    (DimensionMismatch otherwise).
+    check_impedance(shift_feedthrough(node, E)).  E must be m x m and omega
+    real (DimensionMismatch otherwise).
     """
-    s = 1j * float(omega)
+    s = 1j * linalg.as_real(omega, "omega", DimensionMismatch)
     return _certify(PassivityKind.IMPEDANCE, [_reciprocal_form(node, E, s)], (s,))
 
 
@@ -265,7 +266,6 @@ def _require_colocated(node):
 
 
 def _require_resolvent_point(node, s):
-    s = complex(s)
     resolvent(node, s, SingularResolvent, f"s = {s} is in the spectrum of A")
 
 
@@ -319,7 +319,7 @@ def minimal_E_colocated_at(node, omega):
     """
     _require_square(node)
     _, B, C, _ = node.orthonormal
-    s = 1j * float(omega)
+    s = 1j * linalg.as_real(omega, "omega", DimensionMismatch)
     R, _ = resolvent(node, s, OmegaInSpectrum, f"i*omega = {s} is in the spectrum of A")
     # (iwI + A*)^-1 = -((iwI - A)^-1)* = -R*
     CR = C @ R
@@ -371,7 +371,7 @@ def positive_part(E):
     Returns (E_plus, c, kappa0) with c = ||E_plus|| and kappa0 = 1/c
     (kappa0 = inf when c = 0).  ||E|| I >= E_plus >= E holds.
     """
-    E = linalg.assert_hermitian(E, "E")
+    E = linalg.assert_hermitian(linalg.as_matrix(E, "E"), "E")
     vals, vecs = np.linalg.eigh(E)
     pos = np.clip(vals, 0.0, None)
     Eplus = linalg.hermitize(vecs @ np.diag(pos) @ vecs.conj().T)

@@ -13,7 +13,6 @@ its minimal impedance shift.  The flexible-beam builder discretizes a
 free-free Euler-Bernoulli beam by modal truncation.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,8 +159,8 @@ class BeamParameters:
     n_modes : number of modes kept in the modal truncation, including the
         two rigid-body modes; an int or numpy integer >= 2.
 
-    The physical data must be real numbers (a bool or a string is not) and
-    are stored as float.  Any other value raises DimensionMismatch.
+    The physical data must be finite real numbers (a bool or a string is not)
+    and are stored as float.  Any other value raises DimensionMismatch.
     """
 
     rho_a: float = 1.0
@@ -170,27 +169,16 @@ class BeamParameters:
     n_modes: int = 8
 
     def __post_init__(self):
-        n_modes = self.n_modes
-        if (isinstance(n_modes, bool) or not isinstance(n_modes, (int, np.integer))
-                or n_modes < 2):
-            raise DimensionMismatch(
-                f"n_modes must be an integer >= 2 (the two rigid-body modes), got {n_modes!r}")
-        values = {}
-        for name in ("rho_a", "EI", "EbarI"):
-            value = getattr(self, name)
-            # a string or a bool is not a physical value, even where float() reads it
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            values[name] = linalg.float_or_nan(value) if real else np.nan
-        # "not" so that a NaN fails too
-        if not (0 < values["rho_a"] < np.inf and 0 < values["EI"] < np.inf
-                and 0 <= values["EbarI"] < np.inf):
-            raise DimensionMismatch(
-                "beam parameters must be real numbers with 0 < rho_a, EI < inf and "
-                f"0 <= EbarI < inf, got rho_a={self.rho_a!r}, EI={self.EI!r}, "
-                f"EbarI={self.EbarI!r}")
-        for name, value in values.items():
+        # n_modes counts the two rigid-body modes
+        n_modes = linalg.as_count(self.n_modes, "n_modes", 2, DimensionMismatch)
+        rho_a, EI, EbarI = (linalg.as_real(getattr(self, name), f"beam parameters: {name}",
+                                           DimensionMismatch)
+                            for name in ("rho_a", "EI", "EbarI"))
+        if not (rho_a > 0 and EI > 0 and EbarI >= 0):
+            raise DimensionMismatch("beam parameters must have 0 < rho_a, EI and 0 <= EbarI, "
+                                    f"got rho_a={rho_a}, EI={EI}, EbarI={EbarI}")
+        for name, value in (("rho_a", rho_a), ("EI", EI), ("EbarI", EbarI), ("n_modes", n_modes)):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "n_modes", int(n_modes))
 
 
 def beam_frequencies(n_modes):

@@ -144,12 +144,10 @@ def simulate(node, z0, u, T, steps=2000):
     node with a real z0 and a real input runs in float64, and anything
     complex makes it complex128.
     """
-    T = linalg.float_or_nan(T)
-    if (isinstance(steps, bool) or not isinstance(steps, (int, np.integer))
-            or steps < 1 or not 0.0 < T < np.inf):
-        raise InvalidTimeGrid(
-            f"need an integer steps >= 1 and a finite T > 0, got steps={steps!r}, T={T}")
-    steps = int(steps)
+    steps = linalg.as_count(steps, "steps", 1, InvalidTimeGrid)
+    T = linalg.as_real(T, "T", InvalidTimeGrid)
+    if T <= 0:
+        raise InvalidTimeGrid(f"T must be > 0, got {T}")
     try:
         z0 = np.asarray(z0)
     except ValueError:  # a ragged sequence
@@ -203,8 +201,10 @@ def energy_audit(traj, W=None, E=None, tol=None):
     Raises NonFiniteState when the stored or the supplied energy (or their
     balance) overflows, as it does for a finite but huge trajectory.
     """
-    if tol is not None and not 0.0 <= linalg.float_or_nan(tol) < np.inf:
-        raise InvalidTolerance(f"audit tol = {tol!r} is not a finite number >= 0")
+    if tol is not None:
+        tol = linalg.as_real(tol, "audit tol", InvalidTolerance)
+        if tol < 0:
+            raise InvalidTolerance(f"audit tol = {tol} is not >= 0")
     times = traj.times
     n = traj.states.shape[1]
     W = weight_matrix(W, n)
@@ -228,7 +228,7 @@ def energy_audit(traj, W=None, E=None, tol=None):
     if not (finite.all() and np.isfinite(scale)):
         t = times[np.argmin(finite)] if not finite.all() else times[-1]
         raise NonFiniteState(f"stored or supplied energy overflows by t = {t:.6g}")
-    tol = 1e-6 * scale if tol is None else float(tol)
+    tol = 1e-6 * scale if tol is None else tol
     return EnergyAudit(
         times=times,
         defect=defect,
@@ -268,6 +268,7 @@ def adversarial_input(node, E=None, amplitude=1.0):
     instantaneous defect rate negative, so a short simulation yields a
     strictly negative energy-audit defect.  Raises NotSquare when p != m.
     """
+    amplitude = linalg.as_real(amplitude, "amplitude", DimensionMismatch)
     cert, _ = _certify_shifted(node, E)
     z0 = node.to_state(amplitude * cert.witness[:node.n])
     return z0, amplitude * cert.witness[node.n:], cert.min_eigenvalue

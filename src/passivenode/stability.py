@@ -146,7 +146,6 @@ def closed_loop_spectrum_gate(node, K, lam):
     Raises LambdaInOpenLoopSpectrum when lam is not in rho(A).
     """
     K = gain_matrix(node, K)
-    lam = complex(lam)
     _, G = resolvent(node, lam, LambdaInOpenLoopSpectrum,
                      f"lambda = {lam} is in the open-loop spectrum")
     try:

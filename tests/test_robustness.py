@@ -21,6 +21,7 @@ from passivenode import (
     closed_loop_spectrum_gate,
     diagonal_transform,
     discrete_response,
+    discrete_transfer,
     energy_audit,
     eval_transfer,
     internal_cayley,
@@ -28,8 +29,10 @@ from passivenode import (
     laguerre_coefficients,
     laguerre_functions,
     linalg,
+    minimal_E_colocated_at,
     minimal_E_esad,
     output_feedback,
+    positive_part,
     simulate,
     stabilizing_feedback,
     stability_verdict,
@@ -37,12 +40,15 @@ from passivenode import (
 from passivenode.cli import main
 from passivenode.passivity import impedance_form_at
 from passivenode.errors import (
+    AlphaNotRightHalfPlane,
     DimensionMismatch,
     InvalidTimeGrid,
     InvalidTolerance,
+    KappaOutOfRange,
     LambdaInOpenLoopSpectrum,
     NonFiniteMatrix,
     NonFiniteState,
+    NonPositiveAlpha,
     NotSelfAdjoint,
     NotSquare,
     OmegaInSpectrum,
@@ -823,5 +829,197 @@ def test_every_signal_ends_in_finite_output_or_a_typed_error(value, other):
         try:
             out = call()
         except (DimensionMismatch, NonFiniteState):
+            continue
+        assert np.isfinite(out).all()
+
+
+_TIMES = np.linspace(0.0, 1.0, 5)
+_FEEDTHROUGH = StateSpaceNode([[-1.0]], [[1.0]], [[1.0]], [[1.0]])
+
+#: each of these raised a bare Python or numpy error, or accepted a bool, a
+#: numeric string, a NaN or a truncated value, before the scalar gates
+_BAD_ARGUMENTS = {
+    "stabilizing_feedback: kappa a string": (KappaOutOfRange, lambda node, disc: (
+        stabilizing_feedback(node, None, "abc"))),
+    "stabilizing_feedback: kappa None": (KappaOutOfRange, lambda node, disc: (
+        stabilizing_feedback(node, None, None))),
+    "stabilizing_feedback: kappa True": (KappaOutOfRange, lambda node, disc: (
+        stabilizing_feedback(node, None, True))),
+    "diagonal_transform: k a string": (KappaOutOfRange, lambda node, disc: (
+        diagonal_transform(node, "abc"))),
+    "diagonal_transform: k None": (KappaOutOfRange, lambda node, disc: (
+        diagonal_transform(node, None))),
+    "diagonal_transform: k True": (KappaOutOfRange, lambda node, disc: (
+        diagonal_transform(node, True))),
+    "internal_cayley: alpha a string": (AlphaNotRightHalfPlane, lambda node, disc: (
+        internal_cayley(node, "x"))),
+    "DiscreteSystem: NaN alpha": (AlphaNotRightHalfPlane, lambda node, disc: (
+        DiscreteSystem(disc.Ad, disc.Bd, disc.Cd, disc.Dd, np.nan))),
+    "eval_transfer: s a string": (DimensionMismatch, lambda node, disc: (
+        eval_transfer(node, "x"))),
+    "impedance_form_at: s a string": (DimensionMismatch, lambda node, disc: (
+        impedance_form_at(node, "x"))),
+    "discrete_transfer: z a string": (DimensionMismatch, lambda node, disc: (
+        discrete_transfer(disc, "x"))),
+    "closed_loop_spectrum_gate: lambda a string": (DimensionMismatch, lambda node, disc: (
+        closed_loop_spectrum_gate(node, 1.0, "x"))),
+    "closed_loop_spectrum_gate: K a string": (DimensionMismatch, lambda node, disc: (
+        closed_loop_spectrum_gate(node, "1", 1j))),
+    "check_impedance: test point a string": (DimensionMismatch, lambda node, disc: (
+        check_impedance(node, ["x"]))),
+    "check_impedance: NaN test point": (DimensionMismatch, lambda node, disc: (
+        check_impedance(node, [np.nan]))),
+    "check_scattering: NaN test point": (DimensionMismatch, lambda node, disc: (
+        check_scattering(node, [complex(np.nan, 1.0)]))),
+    "minimal_E_colocated_at: omega a string": (DimensionMismatch, lambda node, disc: (
+        minimal_E_colocated_at(node, "x"))),
+    "minimal_E_colocated_at: omega None": (DimensionMismatch, lambda node, disc: (
+        minimal_E_colocated_at(node, None))),
+    "check_impedance_reciprocal: omega a string": (DimensionMismatch, lambda node, disc: (
+        check_impedance_reciprocal(node, None, "x"))),
+    "check_impedance_reciprocal: omega None": (DimensionMismatch, lambda node, disc: (
+        check_impedance_reciprocal(node, None, None))),
+    "adversarial_input: amplitude a string": (DimensionMismatch, lambda node, disc: (
+        adversarial_input(node, None, "x"))),
+    "adversarial_input: NaN amplitude": (DimensionMismatch, lambda node, disc: (
+        adversarial_input(node, None, np.nan))),
+    "laguerre_functions: NaN alpha": (NonPositiveAlpha, lambda node, disc: (
+        laguerre_functions(_TIMES, np.nan, 3))),
+    "laguerre_functions: times of strings": (DimensionMismatch, lambda node, disc: (
+        laguerre_functions(["a", "b"], 1.0, 3))),
+    "laguerre_functions: times of numeric strings": (DimensionMismatch, lambda node, disc: (
+        laguerre_functions(["0.5", "1.0"], 1.0, 3))),
+    "laguerre_coefficients: steps a string": (InvalidTimeGrid, lambda node, disc: (
+        laguerre_coefficients(_ONES, 1.0, 3, 1.0, steps="abc"))),
+    "laguerre_coefficients: steps -4": (InvalidTimeGrid, lambda node, disc: (
+        laguerre_coefficients(_ONES, 1.0, 3, 1.0, steps=-4))),
+    "laguerre_coefficients: steps 2.7": (InvalidTimeGrid, lambda node, disc: (
+        laguerre_coefficients(_ONES, 1.0, 3, 1.0, steps=2.7))),
+    "laguerre_coefficients: steps True": (InvalidTimeGrid, lambda node, disc: (
+        laguerre_coefficients(_ONES, 1.0, 3, 1.0, steps=True))),
+    "laguerre_coefficients: T True": (InvalidTimeGrid, lambda node, disc: (
+        laguerre_coefficients(_ONES, 1.0, 3, True, steps=10))),
+    "laguerre_coefficients: u not callable": (DimensionMismatch, lambda node, disc: (
+        laguerre_coefficients(np.ones(2), 1.0, 3, 1.0, steps=10))),
+    "simulate: T True": (InvalidTimeGrid, lambda node, disc: (
+        simulate(node, np.zeros(node.n), _ONES, True, steps=10))),
+    "simulate: T a numeric string": (InvalidTimeGrid, lambda node, disc: (
+        simulate(node, np.zeros(node.n), _ONES, "1.0", steps=10))),
+    "energy_audit: tol True": (InvalidTolerance, lambda node, disc: energy_audit(
+        simulate(node, np.zeros(node.n), _ONES, 1.0, steps=10), W=node.W, tol=True)),
+    "StateSpaceNode: numeric strings": (DimensionMismatch, lambda node, disc: (
+        StateSpaceNode([["-1"]], [["1"]], [["1"]], [["0"]]))),
+    "StateSpaceNode: strings": (DimensionMismatch, lambda node, disc: (
+        StateSpaceNode([["x"]], [[1.0]], [[1.0]], [[0.0]]))),
+    "StateSpaceNode: ragged A": (DimensionMismatch, lambda node, disc: (
+        StateSpaceNode([[-1.0, 0.0], [0.0]], np.ones((2, 1)), np.ones((1, 2)), [[0.0]]))),
+    "output_feedback: K a string": (DimensionMismatch, lambda node, disc: (
+        output_feedback(node, "1"))),
+    "output_feedback: NaN K": (NonFiniteMatrix, lambda node, disc: (
+        output_feedback(_FEEDTHROUGH, np.nan))),
+    "positive_part: E a string": (DimensionMismatch, lambda node, disc: positive_part("x")),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_ARGUMENTS))
+def test_bad_arguments_raise_typed_errors(case, beam4):
+    error, call = _BAD_ARGUMENTS[case]
+    with pytest.raises(error):
+        call(*beam4)
+
+
+def test_scalar_gates_decide_each_kind_by_one_rule():
+    for value in (3, np.int64(3), np.uint8(3)):
+        assert linalg.as_count(value, "n", 1, InvalidTimeGrid) == 3
+    for value in (True, np.True_, 3.0, np.float64(3.0), "3", None, 0):
+        with pytest.raises(InvalidTimeGrid, match="n must be an integer >= 1"):
+            linalg.as_count(value, "n", 1, InvalidTimeGrid)
+    for value in (2, 2.0, np.float32(2.0), np.int64(2)):
+        x = linalg.as_real(value, "x", KappaOutOfRange)
+        assert x == 2.0 and type(x) is float
+    for value in (True, np.True_, "2", None, 1j, np.nan, -np.inf, 10**400):
+        with pytest.raises(KappaOutOfRange, match="x must be a finite real number"):
+            linalg.as_real(value, "x", KappaOutOfRange)
+    for value in (2, 2.0, 2 + 0j, np.float64(2.0), np.complex64(2.0)):
+        z = linalg.as_point(value, "z", DimensionMismatch)
+        assert z == 2.0 and type(z) is complex
+    for value in (True, np.True_, "2", None, complex(np.nan, 0.0), complex(0.0, np.inf), 10**400):
+        with pytest.raises(DimensionMismatch, match="z must be a finite complex number"):
+            linalg.as_point(value, "z", DimensionMismatch)
+
+
+def test_matrices_of_numbers_only():
+    # bool matrices are numbers, as for signals; a real ndarray is read as float64
+    assert linalg.as_matrix([[True, False]], "M").tolist() == [[1.0, 0.0]]
+    A = np.arange(4).reshape(2, 2)
+    assert linalg.as_matrix(A, "A").dtype == np.float64
+    for M in (None, object(), [["1"]], [[1.0], [1.0, 2.0]], [[10**400]]):
+        with pytest.raises(DimensionMismatch, match="M must be a matrix of numbers"):
+            linalg.as_matrix(M, "M")
+
+
+def test_numpy_scalars_read_as_python_numbers(beam4):
+    node, disc = beam4
+    f64, i64, c128 = np.float64, np.int64, np.complex128
+    z0 = np.zeros(node.n)
+    traj = simulate(node, z0, _ONES, f64(1.0), steps=i64(10))
+    assert np.array_equal(traj.states, simulate(node, z0, _ONES, 1.0, steps=10).states)
+    assert energy_audit(traj, W=node.W, tol=f64(1e-3)).tol == 1e-3
+    assert np.array_equal(laguerre_coefficients(_ONES, c128(1.0), i64(3), f64(1.0), steps=i64(9)),
+                          laguerre_coefficients(_ONES, 1.0, 3, 1.0, steps=9))
+    assert np.array_equal(laguerre_functions(_TIMES, c128(1 + 1j), i64(3)),
+                          laguerre_functions(_TIMES, 1 + 1j, 3))
+    assert np.array_equal(internal_cayley(node, c128(2.0)).Ad, internal_cayley(node, 2.0).Ad)
+    assert type(DiscreteSystem(disc.Ad, disc.Bd, disc.Cd, disc.Dd, f64(1.0)).alpha) is complex
+    assert np.array_equal(eval_transfer(node, c128(1j)), eval_transfer(node, 1j))
+    assert np.array_equal(discrete_transfer(disc, c128(0.5)), discrete_transfer(disc, 0.5))
+    assert (check_impedance(node, [c128(2 + 1j)]).min_eigenvalue
+            == check_impedance(node, [2 + 1j]).min_eigenvalue)
+    lossless = StateSpaceNode([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[0.0, 1.0]], [[0.5]])
+    assert np.array_equal(minimal_E_colocated_at(lossless, f64(2.0)),
+                          minimal_E_colocated_at(lossless, 2.0))
+    assert (check_impedance_reciprocal(node, None, i64(1)).min_eigenvalue
+            == check_impedance_reciprocal(node, None, 1.0).min_eigenvalue)
+    assert stabilizing_feedback(node, None, f64(0.5)).kappa == 0.5
+    assert np.array_equal(diagonal_transform(node, i64(1)).A, diagonal_transform(node, 1.0).A)
+    assert np.array_equal(adversarial_input(node, None, f64(2.0))[0],
+                          adversarial_input(node, None, 2.0)[0])
+    assert closed_loop_spectrum_gate(node, f64(1.0), c128(1j)) == closed_loop_spectrum_gate(
+        node, 1.0, 1j)
+
+
+_SCALAR = st.one_of(
+    st.floats(),  # finite, huge, NaN and +-inf
+    st.complex_numbers(),
+    st.integers(-(10**400), 10**400),  # beyond the float range too
+    st.booleans(),
+    st.text(max_size=2),
+    st.none(),
+)
+_SIGNAL_TRAJ = simulate(_SIGNAL_NODE, np.zeros(2), lambda t: np.ones(2), 1.0, steps=4)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(value=_SCALAR)
+def test_every_scalar_argument_ends_in_finite_output_or_a_typed_error(value):
+    node, disc = _SIGNAL_NODE, _SIGNAL_DISC
+    calls = {
+        "T": lambda: simulate(node, np.zeros(2), lambda t: np.ones(2), value, steps=4).states,
+        "tol": lambda: energy_audit(_SIGNAL_TRAJ, tol=value).defect,
+        "laguerre T": lambda: laguerre_coefficients(lambda t: 1.0, 1.0, 2, value, steps=4),
+        "laguerre alpha": lambda: laguerre_functions(_TIMES, value, 2),
+        "kappa": lambda: stabilizing_feedback(node, None, value).closed_loop.A,
+        "k": lambda: diagonal_transform(node, value).A,
+        "alpha": lambda: internal_cayley(node, value).Ad,
+        "s": lambda: eval_transfer(node, value),
+        "z": lambda: discrete_transfer(disc, value),
+        "test point": lambda: check_impedance(node, [value]).min_eigenvalue,
+        "omega": lambda: check_impedance_reciprocal(node, None, value).min_eigenvalue,
+        "amplitude": lambda: adversarial_input(node, None, value)[0],
+    }
+    for call in calls.values():
+        try:
+            out = call()
+        except PassiveNodeError:
             continue
         assert np.isfinite(out).all()
