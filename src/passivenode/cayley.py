@@ -23,7 +23,6 @@ from .errors import (
     AlphaInSpectrum,
     AlphaNotRightHalfPlane,
     DimensionMismatch,
-    InvalidTimeGrid,
     MinusOneEigenvalue,
     NonFiniteState,
     NonPositiveAlpha,
@@ -141,7 +140,7 @@ def laguerre_functions(t, alpha, K):
 
     computed through the stable recurrence for f_k(x) = e^{-x/2} L_k(x):
     (k+1) f_{k+1} = (2k+1-x) f_k - k f_{k-1}.  Returns shape (K, len(t)).
-    K must be an integer >= 0 and t real numbers (DimensionMismatch otherwise).
+    K must be an integer >= 0 and t finite reals (DimensionMismatch otherwise).
     """
     alpha = linalg.as_point(alpha, "alpha", NonPositiveAlpha)
     a, b = alpha.real, alpha.imag
@@ -152,8 +151,8 @@ def laguerre_functions(t, alpha, K):
         t = np.asarray(t)
     except ValueError:  # ragged
         t = np.asarray(None)
-    if t.dtype.kind not in "biuf":
-        raise DimensionMismatch("the times t must be real numbers")
+    if t.dtype.kind not in "biuf" or not np.isfinite(t).all():
+        raise DimensionMismatch("the times t must be finite real numbers")
     x = 2.0 * a * t
     out = np.empty((K, t.size), dtype=complex)
     fk_prev = np.zeros_like(x)
@@ -172,19 +171,14 @@ def laguerre_coefficients(u, alpha, K, T, steps=4000):
     u is a callable t -> vector (or scalar), read by linalg.as_signal
     (DimensionMismatch unless u is callable and its values are numbers with
     the same number m of entries at every time, NonFiniteState if one is not
-    finite); returns shape (K, m).  One linalg.simpson over a uniform grid of
-    `steps` (an integer >= 1, made even) panels; T should cover the support of
-    u up to the decay of e^{-Re(alpha) t}, and must be finite and > 0
-    (InvalidTimeGrid otherwise).  Coefficients that overflow raise NonFiniteState.
+    finite); returns shape (K, m).  One linalg.simpson over the uniform grid
+    linalg.time_grid(T, steps, even=True) (InvalidTimeGrid); T should cover the
+    support of u up to the decay of e^{-Re(alpha) t}.  Coefficients that
+    overflow raise NonFiniteState.
     """
-    T = linalg.as_real(T, "T", InvalidTimeGrid)
-    if T <= 0:
-        raise InvalidTimeGrid(f"T must be > 0, got {T}")
-    steps = linalg.as_count(steps, "steps", 1, InvalidTimeGrid)
-    steps += steps % 2
+    t = linalg.time_grid(T, steps, even=True)
     if not callable(u):
         raise DimensionMismatch(f"u must be a callable t -> input value, got {u!r}")
-    t = np.linspace(0.0, T, steps + 1)
     U = linalg.as_signal([u(ti) for ti in t], "input u(t)")
     ell = laguerre_functions(t, alpha, K)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -98,12 +98,8 @@ class SingularA0(PassiveNodeError):
     """Stiffness matrix A0 is singular."""
 
 
-class SingularM(PassiveNodeError):
-    """Damping matrix M is singular."""
-
-
 class InvalidTimeGrid(PassiveNodeError):
-    """A time grid needs an integer steps >= 1 and a finite horizon T > 0."""
+    """A time grid needs a finite horizon T > 0 and an integer steps >= 1 it can allocate."""
 
 
 class NonFiniteState(PassiveNodeError):

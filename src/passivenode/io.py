@@ -219,19 +219,18 @@ def plant_from_dict(d):
     """Plant document -> SecondOrderPlant; each matrix is read with the shape it must have.
 
     n0 is the row count of A0 (0 for []).  A0 and M are n0 x n0, C0 and C1
-    have n0 columns, and B0 has n0 rows or n0 columns (B0 = [] reads as
-    0 x n0).  A matrix with no rows is [] in a document.
+    have n0 columns, and B0 is n0 x m (m x n0 is a SchemaError naming B0).
+    A matrix with no rows is [] in a document.
     """
     _require(d, "plant", ("A0", "M", "C0"))
     n0 = _rows(d["A0"])
 
-    def read(key, cols):
-        return matrix_from_json(d[key], key, rows=_rows(d[key]), cols=cols) if key in d else None
+    def read(key, rows, cols=None):
+        return matrix_from_json(d[key], key, rows=rows, cols=cols) if key in d else None
 
-    # only a B0 with n0 > 0 rows is read as n0 x m; any other is m x n0
-    b0_cols = None if n0 and _rows(d.get("B0")) == n0 else n0
-    return SecondOrderPlant(A0=read("A0", n0), M=read("M", n0), C0=read("C0", n0),
-                            B0=read("B0", b0_cols), C1=read("C1", n0))
+    return SecondOrderPlant(A0=read("A0", n0, n0), M=read("M", _rows(d["M"]), n0),
+                            C0=read("C0", _rows(d["C0"]), n0), B0=read("B0", n0),
+                            C1=read("C1", _rows(d.get("C1")), n0))
 
 
 def _load_json(path):

@@ -2,7 +2,7 @@
 
 Three kinds of numerical question, one rule each:
 
-* Invertibility (s in rho(A), I + kD, I - KD, Ad + I, M): :func:`checked_inv`
+* Invertibility (s in rho(A), I + kD, I - KD, Ad + I): :func:`checked_inv`
   forms the inverse once for the caller to reuse; for s in rho(A) its one
   caller is ``node.resolvent``.  M is singular when LAPACK finds a zero
   pivot, M^-1 is not finite, or RCOND * max(1, ||M||_1) * ||M^-1||_1 >= 1.
@@ -22,7 +22,8 @@ dtype they are given (none of them forces complex), so a real node goes to
 the real LAPACK kernels.
 
 Scalar arguments pass one gate per kind (:func:`as_count`, :func:`as_real`,
-:func:`as_point`), each raising the error its caller names.
+:func:`as_point`), each raising the error its caller names, and a uniform
+time grid passes :func:`time_grid`.
 
 RCOND and SUBSPACE_TOL are fixed.  Every routine here costs at most O(n^3)
 for the desk-scale problems this library targets (the 100-mode beam has
@@ -38,6 +39,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidTimeGrid,
     InvalidTolerance,
     NonFiniteMatrix,
     NonFiniteState,
@@ -127,6 +129,23 @@ def _finite(value, kind, name, error):
     except OverflowError:  # an integer beyond the float range is not finite
         pass
     raise error(f"{name} must be a finite {kind.__name__.lower()} number, got {value!r}")
+
+
+def time_grid(T, steps, even=False):
+    """The uniform grid of steps + 1 times on [0, T] (steps made even if even is set).
+
+    InvalidTimeGrid unless T is a finite real number > 0 and steps an
+    integer >= 1 whose grid numpy can allocate.
+    """
+    T = as_real(T, "T", InvalidTimeGrid)
+    if T <= 0:
+        raise InvalidTimeGrid(f"T must be > 0, got {T}")
+    steps = as_count(steps, "steps", 1, InvalidTimeGrid)
+    steps += steps % 2 if even else 0
+    try:
+        return np.linspace(0.0, T, steps + 1)
+    except MemoryError:
+        raise InvalidTimeGrid(f"the grid of steps = {steps} cannot be allocated") from None
 
 
 def real_or_complex(M):

@@ -6,11 +6,12 @@ x = (q, q') with energy weight W = diag(A0, I):
 
     A = [[0, I], [-A0, -M]].
 
-Three couplings are provided: a colocated velocity channel, a non-colocated
-channel and a two-channel configuration mixing position-type and
-velocity-type measurements; each builder returns the node together with
-its minimal impedance shift.  The flexible-beam builder discretizes a
-free-free Euler-Bernoulli beam by modal truncation.
+Three couplings are provided: a velocity channel B = [0; B0], y = C0 q'
+(colocated at B0 = C0*, non-colocated otherwise) and a two-channel
+configuration mixing position-type and velocity-type measurements; each
+builder returns the node together with its minimal impedance shift.  The
+flexible-beam builder discretizes a free-free Euler-Bernoulli beam by
+modal truncation.
 """
 
 from dataclasses import dataclass
@@ -18,14 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, SingularA0, SingularM
+from .errors import DimensionMismatch, SingularA0
 from .node import StateSpaceNode
 from .passivity import minimal_E
 
 
 @dataclass(frozen=True)
 class SecondOrderPlant:
-    """Ingredients (A0, M, C0 [, B0, C1]) of a second-order plant."""
+    """Ingredients (A0, M, C0 [, B0, C1]) of a second-order plant.
+
+    A0 > 0 and M >= 0 (possibly singular) are n0 x n0, C0 is p x n0, B0 is
+    n0 x m (one column per input) and C1 is p1 x n0; any other shape is a
+    DimensionMismatch.
+    """
 
     A0: np.ndarray
     M: np.ndarray
@@ -46,13 +52,12 @@ class SecondOrderPlant:
         for name, val in (("A0", A0), ("M", M), ("C0", C0)):
             val.setflags(write=False)
             object.__setattr__(self, name, val)
-        for name in ("B0", "C1"):
+        for name, axis, layout in (("B0", 0, "n0 x m"), ("C1", 1, "p1 x n0")):
             val = getattr(self, name)
             if val is not None:
                 val = linalg.as_matrix(val, name)
-                # B0 may come as n0 x m or as m x n0; C1 is always p1 x n0
-                if val.shape[1] != n0 and (name == "C1" or val.shape[0] != n0):
-                    raise DimensionMismatch(f"{name} does not conform with A0")
+                if val.shape[axis] != n0:
+                    raise DimensionMismatch(f"{name} must be {layout}, n0 = {n0}, got {val.shape}")
             object.__setattr__(self, name, val)
 
     @property
@@ -68,45 +73,34 @@ def _first_order(plant):
     return A, W
 
 
-def build_colocated(plant):
-    """Colocated velocity actuation/sensing: B = [0; C0*], y = C0 q'.
-
-    Impedance passive with E = 0; B* = C in the W inner product.
-    """
+def _velocity_channel(plant, B0, meta):
+    """(node, minimal_E(node)) of B = [0; B0], C = [0, C0], D = 0."""
     A, W = _first_order(plant)
-    n0, p = plant.n0, plant.C0.shape[0]
-    B = np.vstack([np.zeros((n0, p)), plant.C0.conj().T])
+    n0, m, p = plant.n0, B0.shape[1], plant.C0.shape[0]
+    B = np.vstack([np.zeros((n0, m)), B0])
     C = np.hstack([np.zeros((p, n0)), plant.C0])
-    D = np.zeros((p, p))
-    node = StateSpaceNode(A, B, C, D, W=W, meta="second-order colocated")
-    E_min = np.zeros((p, p))
-    return node, E_min
+    node = StateSpaceNode(A, B, C, np.zeros((p, m)), W=W, meta=meta)
+    return node, minimal_E(node)
+
+
+def build_colocated(plant):
+    """Colocated velocity actuation/sensing: the velocity channel at B0 = C0*.
+
+    B* = C in the W inner product, so minimal_E returns E = 0.
+    """
+    return _velocity_channel(plant, plant.C0.conj().T, "second-order colocated")
 
 
 def build_noncolocated(plant):
-    """Velocity sensing C0 with a different input coupling B0.
+    """Velocity sensing C0 with the plant's input coupling B0: B = [0; B0], y = C0 q'.
 
-    B = [0; B0], y = C0 q'.  Damping M must be invertible.  The minimal
-    impedance shift is passivity.minimal_E of the node, which here
-    evaluates to E = 1/4 (C0 - B0*) M^-1 (C0* - B0), the Schur complement
-    of the damping block in the bounded impedance form.
+    The minimal impedance shift is passivity.minimal_E of the node, here
+    E = 1/4 (C0 - B0*) M^+ (C0* - B0) when C0 - B0* vanishes on ker M and
+    NotAlmostPassive otherwise; NotSquare unless p = m.
     """
     if plant.B0 is None:
         raise DimensionMismatch("plant must provide B0 for the non-colocated build")
-    linalg.checked_inv(plant.M, SingularM,
-                       "damping M must be invertible for the non-colocated shift")
-    A, W = _first_order(plant)
-    n0 = plant.n0
-    B0 = plant.B0 if plant.B0.shape[0] == n0 else plant.B0.conj().T
-    m = B0.shape[1]
-    p = plant.C0.shape[0]
-    if p != m:
-        raise DimensionMismatch("non-colocated build needs p = m")
-    B = np.vstack([np.zeros((n0, m)), B0])
-    C = np.hstack([np.zeros((p, n0)), plant.C0])
-    D = np.zeros((p, m))
-    node = StateSpaceNode(A, B, C, D, W=W, meta="second-order non-colocated")
-    return node, minimal_E(node)
+    return _velocity_channel(plant, plant.B0, "second-order non-colocated")
 
 
 def build_two_channel(plant):

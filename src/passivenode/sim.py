@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, InvalidTimeGrid, InvalidTolerance, NonFiniteState
+from .errors import DimensionMismatch, InvalidTolerance, NonFiniteState
 from .node import shift_matrix, weight_matrix
 from .passivity import _certify_shifted
 
@@ -135,8 +135,8 @@ def simulate(node, z0, u, T, steps=2000):
     end (see the module docstring), so u is needed at 2*steps + 1 distinct
     times: a callable is called once at each, and a sampled input is used
     as given at the grid points and interpolated by the cubic midpoint rule
-    at the half-points only.  Raises InvalidTimeGrid unless steps is an
-    integer >= 1 and T is finite and > 0, DimensionMismatch if z0 or an
+    at the half-points only.  Raises InvalidTimeGrid unless T and steps pass
+    linalg.time_grid, DimensionMismatch if z0 or an
     input value is not made of numbers or has the wrong size, and
     NonFiniteState if an input value is not finite, the state is or
     becomes non-finite, or an output overflows.  The trajectory takes the
@@ -144,10 +144,8 @@ def simulate(node, z0, u, T, steps=2000):
     node with a real z0 and a real input runs in float64, and anything
     complex makes it complex128.
     """
-    steps = linalg.as_count(steps, "steps", 1, InvalidTimeGrid)
-    T = linalg.as_real(T, "T", InvalidTimeGrid)
-    if T <= 0:
-        raise InvalidTimeGrid(f"T must be > 0, got {T}")
+    times = linalg.time_grid(T, steps)
+    steps = times.size - 1
     try:
         z0 = np.asarray(z0)
     except ValueError:  # a ragged sequence
@@ -156,8 +154,7 @@ def simulate(node, z0, u, T, steps=2000):
         raise DimensionMismatch(f"z0 must be {node.n} numbers, got {z0.dtype} of shape {z0.shape}")
     z0 = linalg.real_or_complex(z0)
     A, B, C, D = (np.asarray(M) for M in (node.A, node.B, node.C, node.D))
-    h = T / steps
-    times = np.linspace(0.0, T, steps + 1)
+    h = times[-1] / steps
     inputs, half = _input_values(u, node.m, times, h)
     with np.errstate(over="ignore", invalid="ignore"):
         step = _propagator(A, B, h)

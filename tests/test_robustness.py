@@ -304,7 +304,7 @@ def _plant_documents(draw):
 
     A0 is a positive and M a nonnegative diagonal, with zeros of either sign
     elsewhere, so both are exactly self-adjoint and stored as they are.  B0
-    comes in either orientation, n0 x m or m x n0.
+    is n0 x m.
     """
     n0 = draw(st.sampled_from([0, 1, 3]))
     count = st.sampled_from([0, 1, 2])
@@ -320,7 +320,7 @@ def _plant_documents(draw):
            "C0": _edge_matrix(draw, draw(count), n0)}
     if draw(st.booleans()):
         m = draw(count)
-        doc["B0"] = _edge_matrix(draw, *((n0, m) if draw(st.booleans()) else (m, n0)))
+        doc["B0"] = _edge_matrix(draw, n0, m)
     if draw(st.booleans()):
         doc["C1"] = _edge_matrix(draw, draw(count), n0)
     return doc
@@ -367,6 +367,16 @@ def test_plant_files_round_trip_at_n0_zero(tmp_path):
     io.save_plant(loaded, second)
     assert second.read_text() == first.read_text()
     assert (loaded.n0, loaded.C0.shape, loaded.C1.shape) == (0, (2, 0), (1, 0))
+
+
+def test_plant_document_B0_must_have_n0_rows():
+    # n0 = 3 and m = 1: the m x n0 layout is refused, not transposed
+    doc = io.plant_to_dict(SecondOrderPlant(A0=np.eye(3), M=np.eye(3), C0=np.ones((1, 3)),
+                                            B0=np.ones((3, 1))))
+    assert io.plant_from_dict(doc).B0.shape == (3, 1)
+    doc["B0"] = io.matrix_to_json(np.ones((1, 3)))
+    with pytest.raises(SchemaError, match="B0 must have 3 rows"):
+        io.plant_from_dict(doc)
 
 
 def test_beam_file_is_a_fixed_point_of_save_and_load(tmp_path):
@@ -837,7 +847,9 @@ _TIMES = np.linspace(0.0, 1.0, 5)
 _FEEDTHROUGH = StateSpaceNode([[-1.0]], [[1.0]], [[1.0]], [[1.0]])
 
 #: each of these raised a bare Python or numpy error, or accepted a bool, a
-#: numeric string, a NaN or a truncated value, before the scalar gates
+#: numeric string, a NaN or a truncated value, before the scalar and time-grid
+#: gates; numpy refuses the 7 PiB grid of 10**15 steps before it touches
+#: memory, with what was a bare MemoryError
 _BAD_ARGUMENTS = {
     "stabilizing_feedback: kappa a string": (KappaOutOfRange, lambda node, disc: (
         stabilizing_feedback(node, None, "abc"))),
@@ -889,6 +901,8 @@ _BAD_ARGUMENTS = {
         laguerre_functions(["a", "b"], 1.0, 3))),
     "laguerre_functions: times of numeric strings": (DimensionMismatch, lambda node, disc: (
         laguerre_functions(["0.5", "1.0"], 1.0, 3))),
+    "laguerre_functions: non-finite times": (DimensionMismatch, lambda node, disc: (
+        laguerre_functions([np.nan, np.inf], 1.0, 2))),
     "laguerre_coefficients: steps a string": (InvalidTimeGrid, lambda node, disc: (
         laguerre_coefficients(_ONES, 1.0, 3, 1.0, steps="abc"))),
     "laguerre_coefficients: steps -4": (InvalidTimeGrid, lambda node, disc: (
@@ -899,12 +913,16 @@ _BAD_ARGUMENTS = {
         laguerre_coefficients(_ONES, 1.0, 3, 1.0, steps=True))),
     "laguerre_coefficients: T True": (InvalidTimeGrid, lambda node, disc: (
         laguerre_coefficients(_ONES, 1.0, 3, True, steps=10))),
+    "laguerre_coefficients: steps 10**15": (InvalidTimeGrid, lambda node, disc: (
+        laguerre_coefficients(_ONES, 1.0, 3, 1.0, steps=10**15))),
     "laguerre_coefficients: u not callable": (DimensionMismatch, lambda node, disc: (
         laguerre_coefficients(np.ones(2), 1.0, 3, 1.0, steps=10))),
     "simulate: T True": (InvalidTimeGrid, lambda node, disc: (
         simulate(node, np.zeros(node.n), _ONES, True, steps=10))),
     "simulate: T a numeric string": (InvalidTimeGrid, lambda node, disc: (
         simulate(node, np.zeros(node.n), _ONES, "1.0", steps=10))),
+    "simulate: steps 10**15": (InvalidTimeGrid, lambda node, disc: (
+        simulate(node, np.zeros(node.n), _ONES, 1.0, steps=10**15))),
     "energy_audit: tol True": (InvalidTolerance, lambda node, disc: energy_audit(
         simulate(node, np.zeros(node.n), _ONES, 1.0, steps=10), W=node.W, tol=True)),
     "StateSpaceNode: numeric strings": (DimensionMismatch, lambda node, disc: (

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad_vec, simpson
 
 from passivenode import (
@@ -14,9 +16,10 @@ from passivenode import (
     check_impedance,
     check_impedance_reciprocal,
     shift_feedthrough,
+    stabilizing_feedback,
     stability_verdict,
 )
-from passivenode.errors import DimensionMismatch, SingularM
+from passivenode.errors import DimensionMismatch, NotAlmostPassive, NotSquare
 from passivenode.second_order import beam_frequencies, beam_mode_shape
 from passivenode.stability import StabilityVerdict
 
@@ -34,10 +37,11 @@ def test_plant_C1_must_have_n0_columns():
     A0, M, C0 = np.eye(3), np.eye(3), np.ones((1, 3))
     with pytest.raises(DimensionMismatch):
         SecondOrderPlant(A0=A0, M=M, C0=C0, C1=np.ones((3, 2)))
-    # B0 is read in either orientation
-    for B0 in (np.ones((3, 1)), np.ones((1, 3))):
-        node, _ = build_noncolocated(SecondOrderPlant(A0=A0, M=M, C0=C0, B0=B0))
-        assert node.m == 1
+    # B0 is n0 x m; the m x n0 layout is refused, not transposed
+    node, _ = build_noncolocated(SecondOrderPlant(A0=A0, M=M, C0=C0, B0=np.ones((3, 1))))
+    assert node.m == 1
+    with pytest.raises(DimensionMismatch, match="B0 must be n0 x m"):
+        SecondOrderPlant(A0=A0, M=M, C0=C0, B0=np.ones((1, 3)))
 
 
 def test_build_colocated_passive_and_colocated():
@@ -68,13 +72,92 @@ def test_build_noncolocated_minimal_shift():
         ).passive
 
 
-def test_build_noncolocated_requires_invertible_damping():
+def test_build_noncolocated_undamped_needs_B0_equal_C0_star():
+    # M = 0: ker M holds every velocity, and C0 - B0* does not vanish on it
     plant = random_second_order(0, with_B0=True)
-    singular = SecondOrderPlant(
+    undamped = SecondOrderPlant(
         A0=plant.A0, M=np.zeros_like(np.asarray(plant.M)), C0=plant.C0, B0=plant.B0
     )
-    with pytest.raises(SingularM):
-        build_noncolocated(singular)
+    with pytest.raises(NotAlmostPassive):
+        build_noncolocated(undamped)
+
+
+def test_build_noncolocated_with_singular_damping_is_tight():
+    # C0 - B0* = diag(-1, 0) vanishes on ker M = span(e2), so the shift is
+    # 1/4 (C0 - B0*) M^+ (C0* - B0) = diag(0.25, 0)
+    plant = SecondOrderPlant(A0=np.diag([1.0, 2.0]), M=np.diag([1.0, 0.0]), C0=np.eye(2),
+                             B0=np.diag([2.0, 1.0]))
+    node, E = build_noncolocated(plant)
+    np.testing.assert_allclose(E, np.diag([0.25, 0.0]), rtol=0.0, atol=1e-14)
+    assert stabilizing_feedback(node, E, 1.0).kappa0 == pytest.approx(4.0)
+    with pytest.raises(NotAlmostPassive):
+        stabilizing_feedback(node, E - 1e-3 * np.eye(2), 1.0)
+
+
+def test_build_noncolocated_needs_p_equal_m():
+    plant = random_second_order(0)  # p = 2
+    with pytest.raises(NotSquare):
+        build_noncolocated(SecondOrderPlant(A0=plant.A0, M=plant.M, C0=plant.C0,
+                                            B0=np.ones((plant.n0, 1))))
+
+
+def _plant(rng, n0, p, kind):
+    """A real, complex or undamped plant with A0 > 0 and M >= 0 of rank n0 - 1 or n0."""
+    def rand(*shape):
+        X = rng.standard_normal(shape)
+        return X + 1j * rng.standard_normal(shape) if kind == "complex" else X
+
+    G, H = rand(n0, n0), rand(n0, n0 - int(rng.integers(0, 2)))
+    M = np.zeros((n0, n0)) if kind == "undamped" else H @ H.conj().T
+    return SecondOrderPlant(A0=G @ G.conj().T + 0.5 * np.eye(n0), M=M, C0=rand(p, n0))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "undamped"])
+def test_build_colocated_is_the_velocity_channel_with_B0_equal_C0_star(kind):
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        plant = _plant(rng, int(rng.integers(1, 6)), int(rng.integers(1, 4)), kind)
+        node, E = build_colocated(plant)
+        same = SecondOrderPlant(A0=plant.A0, M=plant.M, C0=plant.C0, B0=plant.C0.conj().T)
+        other, _ = build_noncolocated(same)
+        for key in "ABCDW":
+            assert getattr(node, key).tobytes() == getattr(other, key).tobytes()
+        assert E.shape == (node.m, node.m) and not E.any()
+
+
+@st.composite
+def _small_plants(draw):
+    """A plant with n0 <= 3 and m, p <= 2, and a diagonal M that may hold zeros.
+
+    When m = p, B0 copies C0* on some of the rows where M is zero, so that
+    C0 - B0* may vanish on ker M and a shift exist.
+    """
+    n0 = draw(st.sampled_from([1, 2, 3]))
+    m, p = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+    entry = st.floats(-2.0, 2.0)
+    damping = [draw(st.just(0.0) | st.floats(0.25, 2.0)) for _ in range(n0)]
+    C0 = np.array([[draw(entry) for _ in range(n0)] for _ in range(p)])
+    B0 = np.array([[draw(entry) for _ in range(m)] for _ in range(n0)])
+    if m == p:
+        for i in range(n0):
+            if damping[i] == 0.0 and draw(st.booleans()):
+                B0[i] = C0[:, i]
+    return SecondOrderPlant(A0=np.diag([draw(st.floats(0.5, 2.0)) for _ in range(n0)]),
+                            M=np.diag(damping), C0=C0, B0=B0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(plant=_small_plants())
+def test_build_noncolocated_gives_a_tight_shift_or_a_typed_refusal(plant):
+    # tightness is decided by the bounded form the synthesis certifies
+    try:
+        node, E = build_noncolocated(plant)
+    except (NotAlmostPassive, NotSquare):
+        return
+    kappa = 0.5 / (1.0 + np.linalg.norm(E, 2))
+    stabilizing_feedback(node, E, kappa)
+    with pytest.raises(NotAlmostPassive):
+        stabilizing_feedback(node, E - 1e-3 * np.eye(node.m), kappa)
 
 
 def test_build_two_channel_identities():
