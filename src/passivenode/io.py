@@ -1,9 +1,15 @@
 """JSON serialization for nodes, discrete systems and second-order plants.
 
-Complex matrices are stored as nested lists of [re, im] pairs.  Output is
-canonical: keys sorted, floats written as Python's shortest round-trip repr
-(0.0, -0.0, 0.1), so every value reads back bit-exactly and a load/save
-round trip reproduces the text.
+A matrix is a list of rows.  A node document writes a float64 matrix as rows
+of plain numbers and a complex128 one as rows of [re, im] pairs.
+linalg.as_matrix has stored every node matrix as float64 exactly when all
+its imaginary parts are +0.0 bit for bit, so this dtype test applies the
+same rule.  Standalone matrices (shift files, the E outputs of the CLI) and
+discrete and plant documents keep [re, im] pairs.  The reader takes either
+form; the first entry of a matrix decides which.  Output is canonical: keys
+sorted, floats written as Python's shortest round-trip repr (0.0, -0.0,
+0.1), so every value reads back bit-exactly and what save writes is a fixed
+point of load/save.
 """
 
 import json
@@ -51,50 +57,69 @@ def _complex(re, im, name):
         raise SchemaError(f"{name} holds an integer too large for a float") from None
 
 
-def _reject(data, name):
+def _reject(data, name, real):
     """Raise the SchemaError naming the first fault of a matrix that
-    matrix_from_json could not build."""
+    matrix_from_json could not build; real is the form of its first entry."""
     if not isinstance(data, list) or not data:
         raise SchemaError(f"{name} must be a non-empty list of rows")
+    is_entry, is_other, form = ((_is_real, _is_pair, "a number") if real
+                                else (_is_pair, _is_real, "an [re, im] pair"))
     for i, row in enumerate(data):
         if not isinstance(row, list):
             raise SchemaError(f"{name} row {i} is not a list")
         if len(row) != len(data[0]):
             raise SchemaError(f"{name} has ragged rows")
-        for j, entry in enumerate(row):
-            if not _is_pair(entry):
-                raise SchemaError(f"{name}[{i}][{j}] is not an [re, im] pair")
-            _complex(entry[0], entry[1], f"{name}[{i}][{j}]")
+        for j, v in enumerate(row):
+            where = f"{name}[{i}][{j}]"
+            if is_other(v):
+                raise SchemaError(f"{name} mixes numbers and [re, im] pairs "
+                                  f"({name}[0][0] is {form}, {where} is not)")
+            if not is_entry(v):
+                raise SchemaError(f"{where} is not {form}")
+            _complex(*((v, 0) if real else v), where)
     raise SchemaError(f"{name} holds a number whose type is not int or float")
 
 
-def _pairs(data):
-    """data as a (rows, cols, 2) float array by one np.array call, or None.
+def _is_rows(data):
+    """Whether data is written as rows of numbers: its first entry is a number
+    (or its first row is empty).  Otherwise it is read as [re, im] pairs."""
+    first = data[0] if isinstance(data, list) and data else None
+    return isinstance(first, list) and (not first or _is_real(first[0]))
+
+
+def _parse(data, real):
+    """data as a float array by one np.array call, or None: (rows, cols) for
+    rows of numbers, (rows, cols, 2) for rows of [re, im] pairs.
 
     The numbers are gated to int and float first, because numpy would
     convert booleans and numeric strings.
     """
     try:
-        if set(map(type, chain.from_iterable(chain.from_iterable(data)))) <= {int, float}:
-            pairs = np.array(data, dtype=float)
-            return pairs.reshape(len(data), 0, 2) if pairs.shape[1:] == (0,) else pairs
+        entries = chain.from_iterable(data)
+        if set(map(type, entries if real else chain.from_iterable(entries))) <= {int, float}:
+            M = np.array(data, dtype=float)
+            if (M.ndim == 2) if real else (M.ndim == 3 and M.shape[2] == 2):
+                return M
     except (TypeError, ValueError, OverflowError):
         pass
     return None
 
 
 def matrix_from_json(data, name, rows=None, cols=None):
-    """Nested [re, im] lists -> complex matrix, with shape validation.
+    """Rows of numbers or rows of [re, im] pairs -> matrix, with shape validation.
 
-    [] is accepted only when rows = 0 (a 0 x cols matrix).  The matrix is a
-    complex view of the float pairs, so every bit is kept, -0.0 included.
+    Rows of numbers give a float64 matrix; rows of pairs give a complex view
+    of the float pairs, so every bit is kept, -0.0 included.  [] is accepted
+    only when rows = 0 (a 0 x cols matrix).
     """
     if rows == 0 and isinstance(data, list) and not data:
-        return np.zeros((0, cols or 0), dtype=complex)
-    pairs = _pairs(data)
-    if pairs is None or pairs.ndim != 3 or pairs.shape[2] != 2:
-        _reject(data, name)
-    M = pairs.view(complex)[..., 0]
+        return np.zeros((0, cols or 0))
+    real = _is_rows(data)
+    M = _parse(data, real)
+    if M is None:
+        _reject(data, name, real)
+    if not real:
+        M = M.view(complex)[..., 0]
     if rows is not None and M.shape[0] != rows:
         raise SchemaError(f"{name} must have {rows} rows, got {M.shape[0]}")
     if cols is not None and M.shape[1] != cols:
@@ -131,12 +156,21 @@ def _require(d, what, keys):
             raise SchemaError(f"missing required key {key!r}")
 
 
+def _size(d, key):
+    """The integer d[key]; a boolean or a negative number is rejected."""
+    if isinstance(d[key], bool) or not isinstance(d[key], int) or d[key] < 0:
+        raise SchemaError(f"{key!r} must be a nonnegative integer")
+    return d[key]
+
+
 def _dimensions(d):
-    """The integers d["n"], d["m"], d["p"]; booleans are rejected."""
-    for key in ("n", "m", "p"):
-        if isinstance(d[key], bool) or not isinstance(d[key], int) or d[key] < 0:
-            raise SchemaError(f"{key!r} must be a nonnegative integer")
-    return d["n"], d["m"], d["p"]
+    """The integers d["n"], d["m"], d["p"]."""
+    return _size(d, "n"), _size(d, "m"), _size(d, "p")
+
+
+def _node_matrix_to_json(M):
+    """A node matrix as rows of numbers when it is float64, else as [re, im] pairs."""
+    return M.tolist() if M.dtype == np.float64 else matrix_to_json(M)
 
 
 def node_to_dict(node):
@@ -144,13 +178,13 @@ def node_to_dict(node):
         "n": node.n,
         "m": node.m,
         "p": node.p,
-        "A": matrix_to_json(node.A),
-        "B": matrix_to_json(node.B),
-        "C": matrix_to_json(node.C),
-        "D": matrix_to_json(node.D),
+        "A": _node_matrix_to_json(node.A),
+        "B": _node_matrix_to_json(node.B),
+        "C": _node_matrix_to_json(node.C),
+        "D": _node_matrix_to_json(node.D),
     }
     if not node.is_identity_weight:
-        d["W"] = matrix_to_json(node.W)
+        d["W"] = _node_matrix_to_json(node.W)
     if node.meta:
         d["meta"] = node.meta
     return d
@@ -206,6 +240,7 @@ def plant_to_dict(plant):
     }
     if plant.B0 is not None:
         d["B0"] = matrix_to_json(plant.B0)
+        d["m"] = plant.B0.shape[1]
     if plant.C1 is not None:
         d["C1"] = matrix_to_json(plant.C1)
     return d
@@ -220,16 +255,19 @@ def plant_from_dict(d):
 
     n0 is the row count of A0 (0 for []).  A0 and M are n0 x n0, C0 and C1
     have n0 columns, and B0 is n0 x m (m x n0 is a SchemaError naming B0).
-    A matrix with no rows is [] in a document.
+    A matrix with no rows is [] in a document, so a document with B0 records
+    m, its column count; one without "m" takes B0's columns as written (0
+    for []).
     """
     _require(d, "plant", ("A0", "M", "C0"))
     n0 = _rows(d["A0"])
+    m = _size(d, "m") if "m" in d else None
 
     def read(key, rows, cols=None):
         return matrix_from_json(d[key], key, rows=rows, cols=cols) if key in d else None
 
     return SecondOrderPlant(A0=read("A0", n0, n0), M=read("M", _rows(d["M"]), n0),
-                            C0=read("C0", _rows(d["C0"]), n0), B0=read("B0", n0),
+                            C0=read("C0", _rows(d["C0"]), n0), B0=read("B0", n0, m),
                             C1=read("C1", _rows(d.get("C1")), n0))
 
 

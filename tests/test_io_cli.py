@@ -52,6 +52,8 @@ def test_ragged_rows_rejected():
 
 
 _PAIRS_2x2 = [[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0], [4.0, 0.0]]]
+_ROWS_2x2 = [[1.0, 2.0], [3.0, 4.0]]
+_MIXES = "A mixes numbers and [re, im] pairs"
 
 
 @pytest.mark.parametrize("data, shape, message", [
@@ -63,7 +65,8 @@ _PAIRS_2x2 = [[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0], [4.0, 0.0]]]
      "A[1][1] is not an [re, im] pair"),
     ([[[1.0]]], {}, "A[0][0] is not an [re, im] pair"),
     ([[[1.0, 0.0, 2.0]]], {}, "A[0][0] is not an [re, im] pair"),
-    ([[1.0, 0.0]], {}, "A[0][0] is not an [re, im] pair"),
+    # [[1.0, 0.0]] is a 1 x 2 real matrix; a row led by a bool is not read as numbers
+    ([[True, 0.0]], {}, "A[0][0] is not an [re, im] pair"),
     ([[[1.0, 0.0]], 5], {}, "A row 1 is not a list"),
     ([[[1.0, 0.0]], "ab"], {}, "A row 1 is not a list"),
     ([[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0]]], {}, "A has ragged rows"),
@@ -74,6 +77,24 @@ _PAIRS_2x2 = [[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0], [4.0, 0.0]]]
     (_PAIRS_2x2, {"rows": 3}, "A must have 3 rows, got 2"),
     (_PAIRS_2x2, {"rows": 2, "cols": 1}, "A must have 1 columns, got 2"),
     ([[], []], {"rows": 2, "cols": 1}, "A must have 1 columns, got 0"),
+    # rows of numbers: the first entry decides the form of the whole matrix
+    ([[1.0, True]], {}, "A[0][1] is not a number"),
+    ([[1.0, "2"]], {}, "A[0][1] is not a number"),
+    ([[1.0, None]], {}, "A[0][1] is not a number"),
+    ([[1.0], [{"re": 1.0}]], {}, "A[1][0] is not a number"),
+    ([["1", 1.0]], {}, "A[0][0] is not an [re, im] pair"),
+    ([[1.0, [2.0, 0.0]]], {}, f"{_MIXES} (A[0][0] is a number, A[0][1] is not)"),
+    ([[1.0, 2.0], [[3.0, 0.0], [4.0, 0.0]]], {},
+     f"{_MIXES} (A[0][0] is a number, A[1][0] is not)"),
+    ([[[1.0, 0.0], 2.0]], {}, f"{_MIXES} (A[0][0] is an [re, im] pair, A[0][1] is not)"),
+    ([[[1.0, 0.0]], [2.0]], {}, f"{_MIXES} (A[0][0] is an [re, im] pair, A[1][0] is not)"),
+    ([[1.0], 5], {}, "A row 1 is not a list"),
+    ([[1.0, 2.0], [3.0]], {}, "A has ragged rows"),
+    ([[1.0], []], {}, "A has ragged rows"),
+    ([[10**400]], {}, "A[0][0] holds an integer too large for a float"),
+    ([[1.0, -(10**400)]], {}, "A[0][1] holds an integer too large for a float"),
+    (_ROWS_2x2, {"rows": 3}, "A must have 3 rows, got 2"),
+    (_ROWS_2x2, {"rows": 2, "cols": 1}, "A must have 1 columns, got 2"),
 ])
 def test_malformed_matrix_messages(data, shape, message):
     with pytest.raises(SchemaError) as exc:
@@ -82,8 +103,21 @@ def test_malformed_matrix_messages(data, shape, message):
 
 
 def test_numpy_scalars_in_a_matrix_document_are_rejected():
-    with pytest.raises(SchemaError, match="A holds a number whose type is not int or float"):
-        io.matrix_from_json([[[np.float64(1.0), 0.0]]], "A")
+    for data in ([[[np.float64(1.0), 0.0]]], [[np.float64(1.0)]]):
+        with pytest.raises(SchemaError, match="A holds a number whose type is not int or float"):
+            io.matrix_from_json(data, "A")
+
+
+@pytest.mark.parametrize("data, expected", [
+    ([[1.0, 0.0]], [[1.0, 0.0]]),  # a 1 x 2 real matrix, not one [re, im] pair
+    ([[1, -0.0], [5e-324, 2**53]], [[1.0, -0.0], [5e-324, 2.0**53]]),
+    ([[], []], np.zeros((2, 0))),
+])
+def test_rows_of_numbers_read_as_a_float64_matrix(data, expected):
+    M = io.matrix_from_json(data, "A")
+    expected = np.array(expected, dtype=float)
+    assert M.dtype == np.float64 and M.shape == expected.shape
+    assert M.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("value, message", [

@@ -143,11 +143,14 @@ def test_the_beam_and_its_closed_loop_are_stored_real():
     syn = stabilizing_feedback(node, E_min, 1.0)
     for loop in (syn.closed_loop, syn.scattering_intermediate):
         assert all(M.dtype == np.float64 for M in (loop.A, loop.B, loop.C, loop.D, loop.W))
-    # assembled in real arithmetic, the file has no imaginary -0.0
+    # stored real, the file writes every matrix as rows of plain numbers
     doc = io.node_to_dict(node)
     for key in "ABCDW":
-        pairs = np.array(doc[key], dtype=float).reshape(-1, 2)
-        assert not pairs[:, 1].view(np.uint64).any()
+        M = getattr(node, key)
+        assert len(doc[key]) == M.shape[0]
+        assert all(len(row) == M.shape[1] and all(type(x) is float for x in row)
+                   for row in doc[key])
+        assert np.array(doc[key]).tobytes() == M.tobytes()
 
 
 @pytest.mark.parametrize("kind, seed", [("beam", 0), ("beam", 1), ("passive", 3),

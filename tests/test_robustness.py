@@ -1,6 +1,7 @@
 """Invertibility decisions and input validation at the library and CLI boundary."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from passivenode import (
     StateSpaceNode,
     adversarial_input,
     beam_model,
+    build_noncolocated,
     check_discrete_passivity,
     check_impedance,
     check_impedance_reciprocal,
@@ -238,26 +240,31 @@ _EDGE = st.one_of(
 
 @st.composite
 def _node_documents(draw):
-    """A node document as node_to_dict writes it, with edge-case entries.
+    """A node document with edge-case entries.
 
-    W, when present, is a positive diagonal with zeros of either sign
-    elsewhere: an exactly self-adjoint W is stored as it is, signed zeros
-    included.
+    Each matrix is drawn in one of three forms, so a document may mix them:
+    rows of numbers (as node_to_dict writes a float64 matrix), [re, im]
+    pairs, and pairs whose imaginary parts are all +0.0 (a real matrix in a
+    file written before node files held rows).  W, when present, is a
+    positive diagonal with zeros of either sign elsewhere: an exactly
+    self-adjoint W is stored as it is, signed zeros included.
     """
     n = draw(st.sampled_from([0, 1, 3]))
     m = draw(st.sampled_from([0, 1, 2]))
+    zero = st.sampled_from([0.0, -0.0])
 
-    def matrix(rows, cols):
-        return [[[draw(_EDGE), draw(_EDGE)] for _ in range(cols)] for _ in range(rows)]
+    def matrix(rows, cols, re=lambda i, j: draw(_EDGE), im=_EDGE):
+        form = draw(st.sampled_from(["rows", "pairs", "real pairs"]))
+        im = st.just(0.0) if form == "real pairs" else im
+        return [[re(i, j) if form == "rows" else [re(i, j), draw(im)] for j in range(cols)]
+                for i in range(rows)]
 
     doc = {"n": n, "m": m, "p": m, "A": matrix(n, n), "B": matrix(n, m),
            "C": matrix(m, n), "D": matrix(m, m)}
     if n and draw(st.booleans()):
         diag = [draw(st.one_of(_EDGE, st.floats(0.5, 2.0)).filter(lambda x: x > 0 and x != 1.0))
                 for _ in range(n)]
-        zero = st.sampled_from([0.0, -0.0])
-        doc["W"] = [[[diag[i] if i == j else draw(zero), draw(zero)] for j in range(n)]
-                    for i in range(n)]
+        doc["W"] = matrix(n, n, lambda i, j: diag[i] if i == j else draw(zero), zero)
     if draw(st.booleans()):
         doc["meta"] = draw(st.text(min_size=1, max_size=4))
     return doc
@@ -273,25 +280,45 @@ _SIGNED_ZERO_W_DOC = {
 }
 
 
-def _assert_stored_as_read(M, pairs):
-    """M, read as [re, im] pairs, holds the bits of the document's pairs, and
-    M is float64 exactly when every imaginary part there is +0.0 bit for bit."""
-    pairs = np.array(pairs, dtype=float)
-    assert np.asarray(M, dtype=complex).tobytes() == pairs.tobytes()
-    real = not pairs.reshape(-1, 2)[:, 1].view(np.uint64).any()
+def _assert_stored_as_read(M, data):
+    """M holds the bits of the document's matrix: rows of numbers as float64,
+    and [re, im] pairs as float64 exactly when every imaginary part there is
+    +0.0 bit for bit, as complex128 otherwise."""
+    data = np.array(data, dtype=float)
+    if data.ndim < 3:  # rows of numbers, or no entries
+        assert M.dtype == np.float64 and M.tobytes() == data.tobytes()
+        return
+    assert np.asarray(M, dtype=complex).tobytes() == data.tobytes()
+    real = not data[..., 1].view(np.uint64).any()
     assert M.dtype == (np.float64 if real else np.complex128)
+
+
+def _as_saved(doc):
+    """The node document as node_to_dict writes it back: [re, im] pairs whose
+    imaginary parts are all +0.0 bit for bit become rows of numbers."""
+    saved = dict(doc)
+    for key in "ABCDW":
+        data = np.array(doc.get(key, []), dtype=float)
+        if data.ndim == 3 and not data[..., 1].view(np.uint64).any():
+            saved[key] = data[..., 0].tolist()
+    return saved
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(doc=_node_documents())
 @example(doc=_SIGNED_ZERO_W_DOC)
 def test_node_documents_round_trip_bit_exactly(doc):
-    text = io.dumps_canonical(doc)
-    node = io.node_from_dict(json.loads(text))
-    assert io.dumps_canonical(io.node_to_dict(node)) == text
+    node = io.node_from_dict(json.loads(io.dumps_canonical(doc)))
     for key in "ABCDW":
         if key in doc:
             _assert_stored_as_read(getattr(node, key), doc[key])
+    text = io.dumps_canonical(io.node_to_dict(node))
+    assert text == io.dumps_canonical(_as_saved(doc))
+    again = io.node_from_dict(json.loads(text))
+    assert io.dumps_canonical(io.node_to_dict(again)) == text
+    for key in "ABCDW":
+        M, M_again = getattr(node, key), getattr(again, key)
+        assert M_again.dtype == M.dtype and M_again.tobytes() == M.tobytes()
 
 
 def _edge_matrix(draw, rows, cols):
@@ -304,7 +331,7 @@ def _plant_documents(draw):
 
     A0 is a positive and M a nonnegative diagonal, with zeros of either sign
     elsewhere, so both are exactly self-adjoint and stored as they are.  B0
-    is n0 x m.
+    is n0 x m, and m is recorded with it.
     """
     n0 = draw(st.sampled_from([0, 1, 3]))
     count = st.sampled_from([0, 1, 2])
@@ -320,7 +347,7 @@ def _plant_documents(draw):
            "C0": _edge_matrix(draw, draw(count), n0)}
     if draw(st.booleans()):
         m = draw(count)
-        doc["B0"] = _edge_matrix(draw, n0, m)
+        doc["B0"], doc["m"] = _edge_matrix(draw, n0, m), m
     if draw(st.booleans()):
         doc["C1"] = _edge_matrix(draw, draw(count), n0)
     return doc
@@ -332,7 +359,7 @@ def test_plant_documents_round_trip_bit_exactly(doc):
     text = io.dumps_canonical(doc)
     plant = io.plant_from_dict(json.loads(text))
     assert io.dumps_canonical(io.plant_to_dict(plant)) == text
-    for key in doc:
+    for key in doc.keys() - {"m"}:
         _assert_stored_as_read(getattr(plant, key), doc[key])
 
 
@@ -359,14 +386,42 @@ def test_discrete_documents_round_trip_bit_exactly(doc):
 
 def test_plant_files_round_trip_at_n0_zero(tmp_path):
     plant = SecondOrderPlant(A0=np.zeros((0, 0)), M=np.zeros((0, 0)), C0=np.zeros((2, 0)),
-                             C1=np.zeros((1, 0)))
+                             B0=np.zeros((0, 2)), C1=np.zeros((1, 0)))
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     io.save_plant(plant, first)
-    assert json.loads(first.read_text())["A0"] == []
+    doc = json.loads(first.read_text())
+    assert doc["A0"] == doc["B0"] == [] and doc["m"] == 2
     loaded = io.load_plant(first)
     io.save_plant(loaded, second)
     assert second.read_text() == first.read_text()
-    assert (loaded.n0, loaded.C0.shape, loaded.C1.shape) == (0, (2, 0), (1, 0))
+    assert (loaded.n0, loaded.C0.shape, loaded.B0.shape, loaded.C1.shape) == (
+        0, (2, 0), (0, 2), (1, 0))
+    # the m = 2 node the saved plant builds, not a 0 x 0 B0's NotSquare
+    assert build_noncolocated(loaded)[0].m == build_noncolocated(plant)[0].m == 2
+
+
+@pytest.mark.parametrize("doc, B0_shape", [
+    ({"A0": [], "M": [], "C0": [[], []], "B0": []}, (0, 0)),
+    ({"A0": [[[1.0, 0.0]]], "M": [[[1.0, 0.0]]], "C0": [[[1.0, 0.0]]],
+      "B0": [[[1.0, 0.0], [2.0, 0.0]]]}, (1, 2)),
+])
+def test_plant_documents_without_m_load_as_before(doc, B0_shape):
+    assert io.plant_from_dict(doc).B0.shape == B0_shape
+
+
+@pytest.mark.parametrize("m, message", [
+    (1, "B0 must have 1 columns, got 2"),
+    (True, "'m' must be a nonnegative integer"),
+    (-1, "'m' must be a nonnegative integer"),
+    (2.0, "'m' must be a nonnegative integer"),
+])
+def test_plant_document_m_must_count_the_columns_of_B0(m, message):
+    doc = io.plant_to_dict(SecondOrderPlant(A0=np.eye(1), M=np.eye(1), C0=np.ones((1, 1)),
+                                            B0=np.ones((1, 2))))
+    assert doc["m"] == 2 and io.plant_from_dict(doc).B0.shape == (1, 2)
+    with pytest.raises(SchemaError) as exc:
+        io.plant_from_dict(dict(doc, m=m))
+    assert str(exc.value) == message
 
 
 def test_plant_document_B0_must_have_n0_rows():
@@ -388,6 +443,55 @@ def test_beam_file_is_a_fixed_point_of_save_and_load(tmp_path):
     assert second.read_text() == first.read_text()
     for key in "ABCDW":
         assert getattr(loaded, key).tobytes() == getattr(beam, key).tobytes()
+
+
+#: node files written by save_node when every matrix was written as [re, im]
+#: pairs: the 4-mode beam, and a node with a complex A (one imaginary -0.0)
+#: and real B, C, D and W
+_PAIR_FILES = ["beam4_pairs.json", "mixed_pairs.json"]
+_DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("name", _PAIR_FILES)
+def test_pair_format_node_files_load_as_before_and_resave_as_a_fixed_point(name, tmp_path):
+    doc = json.loads((_DATA / name).read_text())
+    node = io.load_node(_DATA / name)
+    for key in "ABCDW":
+        _assert_stored_as_read(getattr(node, key), doc[key])
+    once, again = tmp_path / "once.json", tmp_path / "again.json"
+    io.save_node(node, once)
+    saved = json.loads(once.read_text())
+    for key in "ABCDW":
+        # a float64 matrix is written back as rows of plain numbers
+        real = getattr(node, key).dtype == np.float64
+        assert all(isinstance(x, float) is real for row in saved[key] for x in row)
+    reloaded = io.load_node(once)
+    io.save_node(reloaded, again)
+    assert again.read_text() == once.read_text()
+    for key in "ABCDW":
+        M, M_again = getattr(node, key), getattr(reloaded, key)
+        assert M_again.dtype == M.dtype and M_again.tobytes() == M.tobytes()
+
+
+def test_a_beam_file_with_imaginary_negative_zeros_stays_complex_and_in_pairs(tmp_path):
+    """The 4-mode beam as written when beams were assembled in complex
+    arithmetic: A and B carry imaginary -0.0, so under the bitwise rule they
+    load as complex128 and are written back as pairs, a fixed point of
+    load -> save; only a rebuilt beam takes the real path."""
+    path = _DATA / "beam4_signed_zero_pairs.json"
+    doc = json.loads(path.read_text())
+    node = io.load_node(path)
+    for key in "ABCDW":
+        _assert_stored_as_read(getattr(node, key), doc[key])
+    assert (node.A.dtype, node.B.dtype, node.C.dtype) == (np.complex128, np.complex128,
+                                                          np.float64)
+    saved = tmp_path / "b.json"
+    io.save_node(node, saved)
+    resaved = json.loads(saved.read_text())
+    for key in "AB":  # the same text, signed zeros included
+        assert io.dumps_canonical(resaved[key]) == io.dumps_canonical(doc[key])
+    assert all(isinstance(x, float) for row in resaved["C"] for x in row)
+    assert io.dumps_canonical(io.node_to_dict(io.load_node(saved))) == saved.read_text()
 
 
 # -- p != m ----------------------------------------------------------------------
@@ -698,26 +802,36 @@ _REAL = st.one_of(
 _NUMBER = st.one_of(_REAL, st.booleans(), st.text(max_size=2))
 _BAD_ENTRY = st.one_of(_NUMBER, st.lists(_NUMBER, max_size=3))
 _RAGGED = st.recursive(_NUMBER, lambda inner: st.lists(inner, max_size=3), max_leaves=8)
-_FUZZ_BASE = io.node_to_dict(
-    StateSpaceNode([[-1.0, 0.5], [-0.5, -2.0]], [[1.0], [0.0]], [[1.0, 0.0]], [[1.0]])
-)
+_FUZZ_NODE = StateSpaceNode([[-1.0, 0.5], [-0.5, -2.0]], [[1.0], [0.0]], [[1.0, 0.0]], [[1.0]])
+_FUZZ_ROWS = io.node_to_dict(_FUZZ_NODE)
+_FUZZ_PAIRS = {key: io.matrix_to_json(getattr(_FUZZ_NODE, key)) for key in "ABCD"}
 
 
 @st.composite
 def _fuzzed_node_documents(draw):
     """The base document with one to three entries replaced, sometimes a matrix too.
 
-    Most replacements are [re, im] pairs of finite or non-finite floats and
-    of integers up to 400 digits, so many documents reach certification.
+    Each matrix of the base is written as rows of numbers or as [re, im]
+    pairs, so a document may mix the two forms.  Most replacements are
+    entries of the matrix's own form, made of finite or non-finite floats
+    and of integers up to 400 digits, so many documents reach certification.
+    One in five is an entry of the other form, which mixes the forms inside
+    one matrix, and one in five is a number, boolean, string or list of them.
     """
-    doc = {key: [list(row) for row in val] if key in "ABCD" else val
-           for key, val in _FUZZ_BASE.items()}
+    doc = dict(_FUZZ_ROWS)
+    pairs = {key: draw(st.booleans()) for key in "ABCD"}
+    for key in "ABCD":
+        doc[key] = [list(row) for row in (_FUZZ_PAIRS if pairs[key] else _FUZZ_ROWS)[key]]
     for _ in range(draw(st.integers(1, 3))):
         key = draw(st.sampled_from("ABCD"))
         i = draw(st.integers(0, len(doc[key]) - 1))
         j = draw(st.integers(0, len(doc[key][0]) - 1))
-        bad = draw(st.integers(0, 4)) == 0
-        doc[key][i][j] = draw(_BAD_ENTRY) if bad else [draw(_REAL), draw(_REAL)]
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
+            doc[key][i][j] = draw(_BAD_ENTRY)
+        else:
+            pair = pairs[key] != (kind == 1)
+            doc[key][i][j] = [draw(_REAL), draw(_REAL)] if pair else draw(_REAL)
     if draw(st.integers(0, 4)) == 0:
         doc[draw(st.sampled_from("ABCD"))] = draw(_RAGGED)
     return doc
