@@ -30,6 +30,7 @@ from .errors import (
 )
 from .node import StateSpaceNode, check_conformable, resolvent
 from .passivity import PassivityKind, _certify, _require_square
+from .sim import _recur
 
 
 @dataclass(frozen=True)
@@ -195,17 +196,19 @@ def discrete_response(disc, u_coeffs):
     same leading length as u_coeffs.  u_coeffs is read by linalg.as_signal
     with disc.m entries per coefficient (a 1-D array is one number per
     coefficient); the outputs are real when the quadruple and u_coeffs are,
-    and raise NonFiniteState when they overflow.
+    and raise NonFiniteState when they overflow.  The states run through
+    the blocked recurrence of the simulation (sim._recur), and the outputs
+    come from them in one product.
     """
     u_coeffs = linalg.as_signal(u_coeffs, "u_coeffs", width=disc.m)
     K = u_coeffs.shape[0]
     dtype = np.result_type(disc.Ad, disc.Bd, disc.Cd, disc.Dd, u_coeffs)
-    x = np.zeros(disc.n, dtype=dtype)
-    y = np.empty((K, disc.p), dtype=dtype)
+    # the states x_0 = 0, ..., x_{K-1}: X[1:] first holds the forcing Bd u_k
+    X = np.zeros((K, disc.n), dtype=dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(K):
-            y[k] = disc.Cd @ x + disc.Dd @ u_coeffs[k]
-            x = disc.Ad @ x + disc.Bd @ u_coeffs[k]
+        np.matmul(u_coeffs[:-1], disc.Bd.T, out=X[1:])
+        _recur(disc.Ad.astype(dtype, copy=False), X)
+        y = X @ disc.Cd.T + u_coeffs @ disc.Dd.T
     finite = np.all(np.isfinite(y), axis=1)
     if not finite.all():
         raise NonFiniteState(f"the discrete response overflows at k = {np.argmin(finite)}")

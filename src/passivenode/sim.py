@@ -15,6 +15,14 @@ are formed once per simulation, so the input is evaluated once per distinct
 time: 2 evaluations per step.  Being exact, the step is stable at any h,
 also for a stiff node such as the many-mode beam.
 
+The recurrence itself runs in blocks of about sqrt(steps) steps
+(:func:`_recur`): all blocks are scanned at once from a zero start, the
+block starts are carried by P^b, and P^(j+1) times each start is added
+back, so a simulation costs about 3 sqrt(steps) batched matrix products
+(about 2 steps n^2 multiplications) instead of one Python-level product
+per step.  The power P^b must be finite: b is halved until it is, and
+b = 1 is the plain step-by-step recurrence.
+
 The input is read by linalg.as_signal: the values of a callable at the
 2 steps + 1 times, or samples in the one layout (steps + 1, m).  The
 trajectory takes the dtype of its data: a real node from a real z0 under
@@ -126,6 +134,53 @@ def _propagator(A, B, h):
     return P, F1 - 3.0 * F2 + 4.0 * F3, 4.0 * F2 - 8.0 * F3, -F2 + 4.0 * F3
 
 
+def _recur(P, S):
+    """Run the recurrence S[k+1] = P S[k] + F_k in place, in blocks of about sqrt(steps).
+
+    On entry S[0] holds z0 and S[1:] the forcing F_0, F_1, ...; P has the
+    dtype of S.  The block length b is the largest power of two with
+    b^2 <= steps whose power P^b, formed by repeated squaring, is finite:
+    a non-finite P^b would turn a zero start into 0 * inf = NaN, so the
+    squaring stops short of it, and b = 1 is the plain recurrence.  The
+    steps run in three passes of batched products, each a loop of about
+    sqrt(steps) iterations (Kogge and Stone 1973, "A parallel algorithm for
+    the efficient solution of a general class of recurrence equations";
+    Blelloch 1990, "Prefix sums and their applications"):
+
+    1. every block is scanned from a zero start at once: b - 1 products
+       (blocks x n) @ P^T;
+    2. the block starts are carried, z <- P^b z + (end of the block's scan):
+       one product per block;
+    3. P^(j+1) z_c is added to row j of block c: b - 1 more batched
+       products, iterating @ P^T on the block starts.
+
+    The tail of fewer than b steps after the last block is stepped one by
+    one.  That is about 2 steps n^2 multiplications in matrix products, plus
+    log2(b) n x n squarings.  Works on views of S: no second trajectory is
+    formed.
+    """
+    steps = max(len(S) - 1, 0)
+    b, Pb = 1, P
+    while 4 * b * b <= steps:
+        square = Pb @ Pb
+        if not np.isfinite(square).all():
+            break
+        b, Pb = 2 * b, square
+    blocks = steps // b
+    V = S[1:blocks * b + 1].reshape(blocks, b, S.shape[1])
+    PT = P.T
+    for j in range(1, b):
+        V[:, j] += V[:, j - 1] @ PT
+    for c in range(blocks):
+        V[c, -1] += Pb @ S[c * b]
+    Z = S[0:blocks * b:b]
+    for j in range(b - 1):
+        Z = Z @ PT
+        V[:, j] += Z
+    for k in range(blocks * b, steps):
+        S[k + 1] += P @ S[k]
+
+
 def simulate(node, z0, u, T, steps=2000):
     """Integrate the node from z0 under input u over [0, T] with exact exponential steps.
 
@@ -142,7 +197,10 @@ def simulate(node, z0, u, T, steps=2000):
     becomes non-finite, or an output overflows.  The trajectory takes the
     dtype of its data, np.result_type(z0, inputs, step matrices): a real
     node with a real z0 and a real input runs in float64, and anything
-    complex makes it complex128.
+    complex makes it complex128.  The recurrence runs in blocks of about
+    sqrt(steps) steps, as batched matrix products of about 2 steps n^2
+    multiplications in all; the block length b is halved until P^b is
+    finite (see the module docstring).
     """
     times = linalg.time_grid(T, steps)
     steps = times.size - 1
@@ -163,11 +221,10 @@ def simulate(node, z0, u, T, steps=2000):
         states = np.empty((steps + 1, node.n), dtype=dtype)
         states[0] = z0.reshape(node.n)
         # states[1:] first holds every forcing term F_k = G0 u_k + Gh u_{k+1/2}
-        # + G1 u_{k+1}; the recurrence then adds P z_k to each in turn
+        # + G1 u_{k+1}; the recurrence then adds P z_k to each
         forcing = np.hstack([inputs[:-1], half, inputs[1:]])
         np.matmul(forcing, np.hstack([G0, Gh, G1]).T, out=states[1:])
-        for k in range(steps):
-            states[k + 1] += P @ states[k]
+        _recur(P, states)
     finite = np.all(np.isfinite(states), axis=1)
     if not finite.all():
         raise NonFiniteState(f"state became non-finite at t = {times[np.argmin(finite)]:.6g}")

@@ -162,3 +162,25 @@ def test_laguerre_io_correspondence_scalar_oracle():
     assert ycoef[1, 0] == pytest.approx(np.sqrt(2.0) / 4.0, abs=1e-9)
     ypred = discrete_response(disc, ucoef)
     assert np.max(np.abs(ycoef - ypred)) < 1e-9
+
+
+@pytest.mark.parametrize("node, alpha", [
+    (StateSpaceNode([[-1.0, 2.0], [-2.0, -0.5]], [[1.0], [0.5]], [[1.0, 0.5]], [[0.2]]), 1.0),
+    (random_passive_node(3).orthonormalized(), 1.5 + 0.4j),
+])
+def test_discrete_response_is_the_step_by_step_recursion(node, alpha):
+    disc = internal_cayley(node, alpha)
+    rng = np.random.default_rng(3)
+    for K in (0, 1, 2, 17, 300):
+        u = rng.standard_normal((K, disc.m))
+        x = np.zeros(disc.n, dtype=complex)
+        ref = np.empty((K, disc.p), dtype=complex)
+        for k in range(K):
+            ref[k] = disc.Cd @ x + disc.Dd @ u[k]
+            x = disc.Ad @ x + disc.Bd @ u[k]
+        y = discrete_response(disc, u)
+        assert y.shape == (K, disc.p)
+        # real for a real quadruple under real coefficients
+        assert y.dtype == np.result_type(disc.Ad, disc.Bd, disc.Cd, disc.Dd, u)
+        scale = 1.0 + np.linalg.norm(ref, axis=1, keepdims=True)
+        assert np.all(np.abs(y - ref) <= 1e-12 * scale), K

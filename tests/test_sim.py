@@ -17,7 +17,7 @@ from passivenode import (
 )
 from passivenode.errors import DimensionMismatch, NonFiniteState
 from passivenode.passivity import impedance_block_bounded
-from passivenode.sim import _propagator, export_csv
+from passivenode.sim import _propagator, _recur, export_csv
 
 from conftest import random_almost_passive, random_nonpassive_node, random_passive_node
 
@@ -56,6 +56,53 @@ def test_blowup_detected():
     node = StateSpaceNode([[500.0]], [[1.0]], [[1.0]], [[0.0]])
     with pytest.raises(NonFiniteState):
         simulate(node, [1.0], lambda t: np.zeros(1), 10.0, steps=50)
+
+
+def test_blocks_keep_the_answers_of_an_unstable_node():
+    # P = e^100 on these grids, so P^8 = e^800 overflows: carrying a block
+    # start by it would turn the zero start into 0 * inf = NaN
+    node = StateSpaceNode([[500.0]], [[1.0]], [[1.0]], [[0.0]])
+    zero = lambda t: np.zeros(1)
+    traj = simulate(node, [0.0], zero, 20.0, steps=100)
+    assert traj.states.dtype == np.float64
+    assert not traj.states.any()
+    with pytest.raises(NonFiniteState, match="state became non-finite at t = 3$"):
+        simulate(node, [1e-300], zero, 20.0, steps=100)
+    with pytest.raises(NonFiniteState, match="state became non-finite at t = 1.6$"):
+        simulate(node, [1.0], zero, 10.0, steps=50)
+
+
+def _step_matrix(kind, n, dtype, rng):
+    M = rng.standard_normal((n, n))
+    if dtype == np.complex128:
+        M = M + 1j * rng.standard_normal((n, n))
+    Q = np.linalg.qr(M)[0]
+    if kind == "contractive":
+        return (0.95 * Q).astype(dtype)
+    if kind == "non-normal":
+        N = np.triu(M, 1)
+        return (0.8 * np.eye(n) + N / max(1.0, np.linalg.norm(N, 2))).astype(dtype)
+    return (1.002 * Q).astype(dtype)  # growing: 1.002^1000 is about 7
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("kind", ["contractive", "non-normal", "growing"])
+def test_blocked_recurrence_matches_the_step_by_step_loop(kind, dtype):
+    # an exact square, one below and one above it, and a short tail
+    rng = np.random.default_rng(7)
+    for n in (0, 1, 4, 14):
+        P = _step_matrix(kind, n, dtype, rng)
+        for steps in (1, 2, 3, 15, 16, 17, 1000):
+            S = rng.standard_normal((steps + 1, n)).astype(dtype)
+            if dtype == np.complex128:
+                S += 1j * rng.standard_normal((steps + 1, n))
+            ref = S.copy()
+            for k in range(steps):
+                ref[k + 1] += P @ ref[k]
+            _recur(P, S)
+            assert S.dtype == ref.dtype
+            scale = 1.0 + np.linalg.norm(ref, axis=1, keepdims=True)
+            assert np.all(np.abs(S - ref) <= 1e-12 * scale), (n, steps)
 
 
 def test_passive_audit_nonnegative():
