@@ -12,13 +12,17 @@ The weight is handled once, at construction: its Cholesky factor L
 (coordinates x~ = L* x) is cached from it, so every
 downstream PSD/eigen test can run as a plain unweighted test on that copy.
 That copy keeps the dtypes of the stored matrices, so a real node runs in
-real arithmetic.
+real arithmetic.  A node derived on the same state space (a closed loop,
+the diagonal transform, the dual, a feedthrough shift) shares W, its factor
+and the identity-weight decision with its parent, and gets its orthonormal
+copy from the parent's by the same formula that gives its matrices
+(:func:`_derived`): its A, B, C and D are validated again, W is not.
 The same copy carries the resolvent: :func:`resolvent` is the one place
 that decides whether s is in rho(A) and that computes G(s).  n = 0 is a
 valid node (its transfer function is the constant D).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -79,7 +83,7 @@ class StateSpaceNode:
     def p(self):
         return self.C.shape[0]
 
-    @property
+    @cached_property
     def is_identity_weight(self):
         return np.array_equal(self.W, np.eye(self.n))
 
@@ -183,7 +187,9 @@ def dual_node(node):
     Ad, Bd = X[:, :node.n], X[:, node.n:]
     Cd = node.B.conj().T @ W
     Dd = node.D.conj().T
-    return StateSpaceNode(Ad, Bd, Cd, Dd, W=W, meta=f"dual({node.meta})" if node.meta else "dual")
+    A, B, C, _ = node.orthonormal
+    triple = (A.conj().T, C.conj().T, B.conj().T)  # (A~*, C~*, B~*) in the same coordinates
+    return _derived(node, (Ad, Bd, Cd, Dd), triple, f"dual({node.meta})" if node.meta else "dual")
 
 
 def weight_matrix(W, n):
@@ -210,4 +216,32 @@ def shift_matrix(E, shape):
 
 def shift_feedthrough(node, E):
     """Node Sigma_E: same generating triple, transfer function G + E."""
-    return replace(node, D=node.D + shift_matrix(E, node.D.shape))
+    A, B, C, _ = node.orthonormal
+    return _derived(node, (node.A, node.B, node.C, node.D + shift_matrix(E, node.D.shape)),
+                    (A, B, C))
+
+
+def _derived(node, quad, triple, meta=None):
+    """Node (A, B, C, D) = quad on the state space of node, with its W.
+
+    The new node shares W, its Cholesky factor and the identity-weight
+    decision with node, so W is neither validated nor factored again.  triple
+    is its (A~, B~, C~) in node's W-orthonormal coordinates, cached read-only
+    as its orthonormal copy with the stored D; it is not read when W = I,
+    where that copy is the stored matrices.  The matrices pass
+    linalg.as_matrix and check_conformable as in the constructor.  meta
+    defaults to node.meta.
+    """
+    A, B, C, D = (linalg.as_matrix(M, name) for M, name in zip(quad, "ABCD"))
+    check_conformable(A, B, C, D)
+    new = object.__new__(StateSpaceNode)
+    for name, val in (("A", A), ("B", B), ("C", C), ("D", D), ("W", node.W),
+                      ("_chol", node._chol), ("meta", node.meta if meta is None else meta)):
+        object.__setattr__(new, name, val)
+    cache = vars(new)
+    cache["is_identity_weight"] = node.is_identity_weight
+    if not node.is_identity_weight:
+        for M in triple:
+            M.setflags(write=False)
+        cache["orthonormal"] = (*triple, D)
+    return new

@@ -171,7 +171,7 @@ def stability_verdict(node, E, kappa):
     cweak, bweak, N, Nd, H = benchimol_conditions(
         syn.scattering_intermediate, require_contraction=False
     )
-    # the closed-loop A, W-orthonormalized and cached by benchimol_conditions
+    # the closed-loop A in W-orthonormal coordinates, cached when the synthesis built the node
     Acl = syn.scattering_intermediate.orthonormal[0]
     cl_imag = tuple(complex(v) for v in np.linalg.eigvals(H.conj().T @ Acl @ H))
     max_real = float(np.max(np.linalg.eigvals(Acl).real, initial=-np.inf))

@@ -6,26 +6,32 @@ import pytest
 from passivenode import StateSpaceNode, shift_feedthrough
 
 
-def random_passive_node(seed, n=4, m=2, margin=0.05, weight=False):
+def random_passive_node(seed, n=4, m=2, margin=0.05, weight=False, real=False):
     """Random impedance-passive node built from a PSD bounded form.
 
     Draws a positive-definite block matrix P and reads the realization off
     the identity [[-A-A*, C*-B], [C-B*, D+D*]] = P, adding independent
-    skew parts to A and D (they do not affect the form).
+    skew parts to A and D (they do not affect the form).  With real, every
+    matrix (W included) is real; the complex draws are unchanged by it.
     """
     rng = np.random.default_rng(seed)
-    L = rng.standard_normal((n + m, n + m)) + 1j * rng.standard_normal((n + m, n + m))
+
+    def draw(shape):
+        X = rng.standard_normal(shape)
+        return X if real else X + 1j * rng.standard_normal(shape)
+
+    L = draw((n + m, n + m))
     P = L @ L.conj().T + margin * np.eye(n + m)
-    S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    S = draw((n, n))
     skew = 0.5 * (S - S.conj().T)
     A = skew - 0.5 * P[:n, :n]
-    B = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    B = draw((n, m))
     C = (P[:n, n:] + B).conj().T
-    Sd = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    Sd = draw((m, m))
     D = 0.5 * P[n:, n:] + 0.5 * (Sd - Sd.conj().T)
     if not weight:
         return StateSpaceNode(A, B, C, D)
-    R = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    R = draw((n, n))
     W = R @ R.conj().T + 0.5 * np.eye(n)
     Lh = np.linalg.cholesky(W).conj().T
     # pull the orthonormal-coordinate triple back to x = L^-* x~ coordinates
@@ -33,6 +39,16 @@ def random_passive_node(seed, n=4, m=2, margin=0.05, weight=False):
     Bo = np.linalg.solve(Lh, B)
     Co = C @ Lh
     return StateSpaceNode(Ao, Bo, Co, D, W=W)
+
+
+def assert_derived_on(derived, parent):
+    """derived shares parent's W and Cholesky factor, and its cached orthonormal
+    copy is read-only and agrees with a fresh build's to 1e-12 (1 + ||.||_2)."""
+    assert derived.W is parent.W and derived._chol is parent._chol
+    fresh = StateSpaceNode(derived.A, derived.B, derived.C, derived.D, W=derived.W).orthonormal
+    for M, X in zip(derived.orthonormal, fresh):
+        assert M.dtype == X.dtype and not M.flags.writeable
+        assert np.linalg.norm(M - X, 2) <= 1e-12 * (1.0 + np.linalg.norm(X, 2))
 
 
 def random_nonpassive_node(seed, n=4, m=2):

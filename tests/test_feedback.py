@@ -10,6 +10,7 @@ from passivenode import (
     check_scattering,
     diagonal_transform,
     eval_transfer,
+    feedback,
     linalg,
     minimal_E,
     output_feedback,
@@ -26,7 +27,12 @@ from passivenode.errors import (
     SingularIPlusKD,
 )
 
-from conftest import random_almost_passive, random_nonpassive_node, random_passive_node
+from conftest import (
+    assert_derived_on,
+    random_almost_passive,
+    random_nonpassive_node,
+    random_passive_node,
+)
 
 
 def test_diagonal_transform_scalar_oracle():
@@ -202,20 +208,84 @@ def test_stabilizing_feedback_accepts_exactly_minimal_E():
 
 
 def test_stabilizing_feedback_makes_one_inverse_and_two_nodes(monkeypatch):
+    # both nodes are derived on the plant's state space: W is neither
+    # validated nor factored again, and the intermediate's W-orthonormal
+    # copy comes with it, so the verdict runs no solve for it
     beam, E = beam_model(BeamParameters(n_modes=100))
     assert beam.n == 198
-    counts = {"inv": 0, "node": 0}
-    checked_inv, post_init = linalg.checked_inv, StateSpaceNode.__post_init__
+    counts = {"inv": 0, "cholesky": 0, "post_init": 0, "derived": 0, "solve": 0}
 
-    def spy_inv(*args):
-        counts["inv"] += 1
-        return checked_inv(*args)
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
 
-    def spy_node(self):
-        counts["node"] += 1
-        post_init(self)
+    monkeypatch.setattr(linalg, "checked_inv", spy("inv", linalg.checked_inv))
+    monkeypatch.setattr(linalg, "cholesky", spy("cholesky", linalg.cholesky))
+    monkeypatch.setattr(StateSpaceNode, "__post_init__",
+                        spy("post_init", StateSpaceNode.__post_init__))
+    monkeypatch.setattr(feedback, "_derived", spy("derived", feedback._derived))
+    syn = stabilizing_feedback(beam, E, 1.0)
+    nodes = (syn.closed_loop, syn.scattering_intermediate)
+    assert all(isinstance(node, StateSpaceNode) for node in nodes)
+    assert len({id(beam), *map(id, nodes)}) == 3
+    assert counts == {"inv": 1, "cholesky": 0, "post_init": 0, "derived": 2, "solve": 0}
 
-    monkeypatch.setattr(linalg, "checked_inv", spy_inv)
-    monkeypatch.setattr(StateSpaceNode, "__post_init__", spy_node)
-    stabilizing_feedback(beam, E, 1.0)
-    assert counts == {"inv": 1, "node": 2}
+    monkeypatch.setattr(np.linalg, "solve", spy("solve", np.linalg.solve))
+    A, B, C, D = syn.scattering_intermediate.orthonormal
+    assert counts["solve"] == 0
+    assert A.shape == (198, 198) and D is syn.scattering_intermediate.D
+
+
+def _parent_loop(node, K):
+    """The closed loop of u = K y + v by its formulas on the stored matrices."""
+    D = node.D
+    IKD_inv = linalg.checked_inv(np.eye(node.m) - K @ D, SingularIMinusKD, "")
+    IKD_inv_K = IKD_inv @ K
+    return (node.A + node.B @ IKD_inv_K @ node.C, node.B @ IKD_inv,
+            node.C + D @ IKD_inv_K @ node.C, D @ IKD_inv)
+
+
+def _assert_derived(derived, parent, expected):
+    """derived stores expected bit for bit and is derived on parent's state space."""
+    for M, X in zip((derived.A, derived.B, derived.C, derived.D), expected):
+        X = linalg.as_matrix(X, "expected")
+        assert (M.dtype, M.shape, M.tobytes()) == (X.dtype, X.shape, X.tobytes())
+    assert_derived_on(derived, parent)
+
+
+def _derivation_cases():
+    """(node, E): the beam (real, diagonal W) and dense-W nodes, real and complex."""
+    for n_modes in (4, 24, 100):
+        yield beam_model(BeamParameters(n_modes=n_modes))
+    for seed in range(3):
+        yield random_almost_passive(seed, weight=True)
+        E = 0.3 * np.eye(2)
+        yield shift_feedthrough(random_passive_node(seed, weight=True, real=True), -E), E
+    yield random_almost_passive(5)
+
+
+def test_derived_nodes_keep_the_weight_and_its_orthonormal_copy():
+    rng = np.random.default_rng(23)
+    for node, E in _derivation_cases():
+        m = node.m
+        _, _, kappa0 = positive_part(E)
+        kappa = 1.0 if np.isinf(kappa0) else 0.5 * kappa0
+        syn = stabilizing_feedback(node, E, kappa)
+        AK, BK, CK, DK = _parent_loop(node, -kappa * np.eye(m))
+        _assert_derived(syn.closed_loop, node, (AK, BK, CK, DK))
+        a, b = syn.alpha, syn.beta
+        _assert_derived(syn.scattering_intermediate, node,
+                        (AK, a * BK, -a * CK, (a * b) * np.eye(m) - a**2 * DK))
+
+        K = 0.3 * rng.standard_normal((m, node.p))
+        _assert_derived(output_feedback(node, K), node, _parent_loop(node, K))
+
+        shifted = shift_feedthrough(node, E)
+        _assert_derived(shifted, node, (node.A, node.B, node.C, node.D + linalg.as_matrix(E, "E")))
+        k = 0.7
+        AK, BK, CK, DK = _parent_loop(shifted, -k * np.eye(m))
+        root = np.sqrt(2.0 * k)
+        _assert_derived(diagonal_transform(shifted, k), node,
+                        (AK, root * BK, -root * CK, np.eye(m) - 2.0 * k * DK))

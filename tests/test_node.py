@@ -16,7 +16,7 @@ from passivenode import (
 )
 from passivenode.errors import DimensionMismatch, NotSelfAdjoint, SingularResolvent
 
-from conftest import random_passive_node
+from conftest import assert_derived_on, random_passive_node
 
 
 def test_dimension_validation():
@@ -104,12 +104,15 @@ def test_weighted_norm_matches_orthonormal_coordinates():
 
 
 def test_dual_transfer_conjugation():
-    node = random_passive_node(7, weight=True)
-    dual = dual_node(node)
-    for s in (1.0, 2.0 + 1.0j, 0.4 - 0.8j):
-        G = eval_transfer(node, np.conj(s))
-        Gd = eval_transfer(dual, s)
-        assert np.linalg.norm(Gd - G.conj().T) < 1e-9
+    for node in (random_passive_node(7, weight=True),
+                 random_passive_node(7, weight=True, real=True)):
+        dual = dual_node(node)
+        for s in (1.0, 2.0 + 1.0j, 0.4 - 0.8j):
+            G = eval_transfer(node, np.conj(s))
+            Gd = eval_transfer(dual, s)
+            assert np.linalg.norm(Gd - G.conj().T) < 1e-9
+        # the dual keeps W: its orthonormal copy is (A~*, C~*, B~*, D*) of node's
+        assert_derived_on(dual, node)
 
 
 def test_shift_feedthrough_adds_to_transfer():
