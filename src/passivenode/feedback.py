@@ -19,7 +19,7 @@ give the loop in the plant's W-orthonormal coordinates:
 
 from the same one inverse.  Every node built here is derived from the
 plant (node._derived): it re-validates its matrices but not W, shares W and
-its Cholesky factor, and caches that orthonormal copy, so no
+its factor, and caches that orthonormal copy, so no
 factorization or solve runs again.
 """
 

@@ -6,7 +6,7 @@ Three kinds of numerical question, one rule each:
   forms the inverse once for the caller to reuse; for s in rho(A) its one
   caller is ``node.resolvent``.  M is singular when LAPACK finds a zero
   pivot, M^-1 is not finite, or RCOND * max(1, ||M||_1) * ||M^-1||_1 >= 1.
-  W > 0 and A0 > 0 are the pivots of :func:`cholesky`.
+  A dense W > 0 and A0 > 0 are the pivots of :func:`cholesky`.
 * Rank: subspace routines return orthonormal bases (columns) and cut
   singular values at the relative SUBSPACE_TOL.
 * Sign and identity: a form is >= 0 when lambda_min >= -psd_tol, read off
@@ -279,7 +279,9 @@ def null_basis(M):
 
 def _rank(sv):
     """Count of the singular values sv (descending) above SUBSPACE_TOL * max(1, sv[0])."""
-    return int(np.sum(sv > SUBSPACE_TOL * max(1.0, sv[0] if sv.size else 0.0)))
+    if not sv.size:
+        return 0
+    return int(np.count_nonzero(sv > SUBSPACE_TOL * (sv[0] if sv[0] > 1.0 else 1.0)))
 
 
 def _range_basis(X):
@@ -322,7 +324,9 @@ def largest_invariant_in(M, ops):
     lo, k = 0, start.shape[1]
     V[:, :k] = start
     while lo < k < n:
-        W = np.hstack([op @ V[:, lo:k] for op in adjoints])
+        block = V[:, lo:k]
+        W = (adjoints[0] @ block if len(adjoints) == 1
+             else np.hstack([op @ block for op in adjoints]))
         B = V[:, :k]
         Bh = B.T if real else B.conj().T
         for _ in range(2):

@@ -7,15 +7,21 @@ Every matrix is stored as linalg.as_matrix reads it (float64 when all its
 imaginary parts are +0.0, complex128 otherwise) and is immutable after
 construction; a node may mix the two.
 
-The weight is handled once, at construction: its Cholesky factor L
-(W = L L*) decides W > 0, and a W-orthonormal copy of the realization
-(coordinates x~ = L* x) is cached from it, so every
-downstream PSD/eigen test can run as a plain unweighted test on that copy.
-That copy keeps the dtypes of the stored matrices, so a real node runs in
-real arithmetic.  A node derived on the same state space (a closed loop,
-the diagonal transform, the dual, a feedthrough shift) shares W, its factor
-and the identity-weight decision with its parent, and gets its orthonormal
-copy from the parent's by the same formula that gives its matrices
+The weight is handled once, at construction, by its factor L (W = L L*),
+which decides W > 0; a W-orthonormal copy of the realization (coordinates
+x~ = L* x) is cached from it, so every downstream PSD/eigen test can run as
+a plain unweighted test on that copy.  That copy keeps the dtypes of the
+stored matrices, so a real node runs in real arithmetic.  A diagonal W
+(every off-diagonal entry exactly zero, as for the energy weight of a
+modal truncation such as the beam) is decided by its entries, W > 0 when
+each is > 0, and is scaled, not factored: L = diag(sqrt(w)), and the copy,
+to_state and dual_node scale rows and columns, with no factorization and no
+solve.  Any other W gets its Cholesky factor, whose pivots decide W > 0,
+and triangular solves.  A node derived on the same state space (a closed
+loop, the diagonal transform, the dual, a feedthrough shift) shares W, its
+factor (and with it the diagonal decision) and the identity-weight decision
+with its parent, and gets its orthonormal copy from the parent's by the
+same formula that gives its matrices
 (:func:`_derived`): its A, B, C and D are validated again, W is not.
 The same copy carries the resolvent: :func:`resolvent` is the one place
 that decides whether s is in rho(A) and that computes G(s).  n = 0 is a
@@ -66,7 +72,7 @@ class StateSpaceNode:
         check_conformable(A, B, C, D)
         n = A.shape[0]
         W = weight_matrix(self.W, n)
-        L = linalg.cholesky(W, DimensionMismatch, "W must be positive definite")
+        L = _weight_factor(W)
         W.setflags(write=False)
         for name, val in (("A", A), ("B", B), ("C", C), ("D", D), ("W", W), ("_chol", L)):
             object.__setattr__(self, name, val)
@@ -85,7 +91,7 @@ class StateSpaceNode:
 
     @cached_property
     def is_identity_weight(self):
-        return np.array_equal(self.W, np.eye(self.n))
+        return self._chol.ndim == 1 and bool((np.diagonal(self.W) == 1.0).all())
 
     @cached_property
     def orthonormal(self):
@@ -96,13 +102,20 @@ class StateSpaceNode:
         float64 arrays and runs in real arithmetic downstream.
         """
         A, B, C, D, L = self.A, self.B, self.C, self.D, self._chol
-        if not self.is_identity_weight:
+        if self.is_identity_weight:
+            return A, B, C, D
+        if L.ndim == 1:  # L = diag(d): scale rows by d and columns by 1/d
+            r = 1.0 / L
+            A = L[:, None] * (A * r)
+            B = L[:, None] * B
+            C = C * r
+        else:
             Lh = L.conj().T
             A = Lh @ np.linalg.solve(Lh.T, A.T).T  # L* A L^-*
             B = Lh @ B
             C = np.linalg.solve(Lh.T, C.T).T       # C L^-*
-            for M in (A, B, C):
-                M.setflags(write=False)
+        for M in (A, B, C):
+            M.setflags(write=False)
         return A, B, C, D
 
     def orthonormalized(self):
@@ -119,7 +132,10 @@ class StateSpaceNode:
         x_orth = np.asarray(x_orth)
         if self.is_identity_weight:
             return x_orth
-        return np.linalg.solve(self._chol.conj().T, x_orth)
+        L = self._chol
+        if L.ndim == 1:
+            return (x_orth.T * (1.0 / L)).T
+        return np.linalg.solve(L.conj().T, x_orth)
 
     def weighted_norm_sq(self, x):
         """||x||_W^2 = x* W x (real)."""
@@ -178,14 +194,20 @@ def dual_node(node):
 
     Adjoints are taken in the W-weighted state inner product, so
     A* = W^-1 A^H W, C* = W^-1 C^H and B* = B^H W.  W^-1 is applied by
-    two solves with the Cholesky factor W = L L* that decided W > 0.  The
-    dual transfer function satisfies G_dual(s) = G(conj(s))*.
+    two solves with the Cholesky factor W = L L* that decided W > 0, or, for
+    a diagonal W = diag(d)^2, by scaling twice with 1/d.  The dual transfer
+    function satisfies G_dual(s) = G(conj(s))*.
     """
     W, L = node.W, node._chol
-    X = np.hstack([node.A.conj().T @ W, node.C.conj().T])
-    X = np.linalg.solve(L.conj().T, np.linalg.solve(L, X))
-    Ad, Bd = X[:, :node.n], X[:, node.n:]
-    Cd = node.B.conj().T @ W
+    if L.ndim == 1:
+        w, r = np.diagonal(W), (1.0 / L)[:, None]
+        Ad, Bd = r * (r * (node.A.conj().T * w)), r * (r * node.C.conj().T)
+        Cd = node.B.conj().T * w
+    else:
+        X = np.hstack([node.A.conj().T @ W, node.C.conj().T])
+        X = np.linalg.solve(L.conj().T, np.linalg.solve(L, X))
+        Ad, Bd = X[:, :node.n], X[:, node.n:]
+        Cd = node.B.conj().T @ W
     Dd = node.D.conj().T
     A, B, C, _ = node.orthonormal
     triple = (A.conj().T, C.conj().T, B.conj().T)  # (A~*, C~*, B~*) in the same coordinates
@@ -200,6 +222,23 @@ def weight_matrix(W, n):
     if W.shape != (n, n):
         raise DimensionMismatch(f"W must be {n} x {n}, got {W.shape}")
     return linalg.assert_hermitian(W, "W")
+
+
+def _weight_factor(W):
+    """Factor L of W = L L*, stored as its diagonal d = sqrt(w) when W is diagonal.
+
+    W is diagonal when every off-diagonal entry is exactly zero (O(n^2),
+    no copy), and then W > 0 when every w > 0; otherwise L is the Cholesky
+    factor, whose pivots decide W > 0 (linalg.cholesky).  d has W's dtype,
+    as the Cholesky factor of that W would.  DimensionMismatch unless W > 0.
+    """
+    w = np.diagonal(W)
+    if np.count_nonzero(W) != np.count_nonzero(w):
+        return linalg.cholesky(W, DimensionMismatch, "W must be positive definite")
+    # the diagonal of a self-adjoint W is real
+    if not np.all(w.real > 0.0):
+        raise DimensionMismatch("W must be positive definite")
+    return np.sqrt(w.real).astype(W.dtype, copy=False)
 
 
 def shift_matrix(E, shape):
@@ -224,8 +263,8 @@ def shift_feedthrough(node, E):
 def _derived(node, quad, triple, meta=None):
     """Node (A, B, C, D) = quad on the state space of node, with its W.
 
-    The new node shares W, its Cholesky factor and the identity-weight
-    decision with node, so W is neither validated nor factored again.  triple
+    The new node shares W, its factor and the identity-weight decision with
+    node, so W is neither validated nor factored again.  triple
     is its (A~, B~, C~) in node's W-orthonormal coordinates, cached read-only
     as its orthonormal copy with the stored D; it is not read when W = I,
     where that copy is the stored matrices.  The matrices pass

@@ -133,13 +133,23 @@ def scattering_form_at(node, s):
 
 
 def _point_forms(node, form, test_points):
-    """The bounded form at the test points in rho(A) (others are skipped), one inverse each."""
-    pts, forms = [], []
+    """The bounded form at the test points in rho(A) (others are skipped), one inverse each.
+
+    When the form is real (a real node), the form at conj(s) is the exact
+    conjugate of the form at s, with the same eigenvalues, so a point equal
+    or conjugate to one already formed is listed but not formed again.
+    """
+    real = not np.iscomplexobj(form)
+    pts, forms, formed = [], [], set()
     for s in DEFAULT_TEST_POINTS if test_points is None else test_points:
-        try:
-            forms.append(_point_form(node, form, s))
-        except OmegaInSpectrum:
-            continue
+        z = linalg.as_point(s, "s", DimensionMismatch)
+        if z not in formed:
+            try:
+                forms.append(_point_form(node, form, s))
+            except OmegaInSpectrum:
+                continue
+            if real:
+                formed.update((z, z.conjugate()))
         pts.append(s)
     return tuple(pts), forms
 

@@ -120,15 +120,15 @@ def benchimol_conditions(node, require_contraction=True):
     NotContraction raised when it fails.
     """
     A, B, C, _ = node.orthonormal
-    Q = linalg.hermitize(A + A.conj().T)
-    if require_contraction and not all(
-        linalg.psd_eig(-F)[2] for F in (Q + C.conj().T @ C, Q + B @ B.conj().T)
-    ):
-        raise NotContraction("A + A* <= -C*C or A + A* <= -BB* fails")
+    if require_contraction:
+        Q = linalg.hermitize(A + A.conj().T)
+        if not all(linalg.psd_eig(-F)[2] for F in (Q + C.conj().T @ C, Q + B @ B.conj().T)):
+            raise NotContraction("A + A* <= -C*C or A + A* <= -BB* fails")
     N = unobservable_space(node)
     Nd = uncontrollable_dual_space(node)
     H = np.zeros((node.n, 0), dtype=N.dtype)
     if N.shape[1] and Nd.shape[1]:
+        Q = linalg.hermitize(A + A.conj().T)
         # x = N c lies in ker(A + A*) and in N^d; Q is scaled as in null_basis(Q)
         M = np.vstack([Q @ N / max(1.0, np.linalg.norm(Q, 2)), N - Nd @ (Nd.conj().T @ N)])
         K = N @ linalg.null_basis(M)
@@ -136,6 +136,30 @@ def benchimol_conditions(node, require_contraction=True):
         H = linalg.largest_invariant_in(np.eye(node.n) - K @ K.conj().T, [A, A.conj().T])
     holds = H.shape[1] == 0
     return holds, holds, N, Nd, H
+
+
+#: relative widening of both slack bounds of _axis_eigenvalues; it covers the
+#: rounding of the computed norms (about n * eps relative)
+_AXIS_BOUND_GUARD = 1e-8
+
+
+def _axis_eigenvalues(A):
+    """Eigenvalues lambda of A with |Re lambda| < linalg.scaled_tol(A), bounds first.
+
+    The rule is the slack base_tol() * (1 + ||A||_2) of linalg.scaled_tol,
+    but ||A||_2 costs a full SVD.  Since ||A||_F / sqrt(n) <= ||A||_2 <=
+    ||A||_F (Golub and Van Loan, Matrix Computations, 2.3), the slack lies
+    between the two slacks these bounds give, each widened by
+    _AXIS_BOUND_GUARD; an eigenvalue outside that band is decided by the
+    bounds, and the SVD is taken only when some |Re lambda| falls inside it.
+    """
+    lam = np.linalg.eigvals(A)
+    dist = np.abs(lam.real)
+    tol, fro = linalg.base_tol(), np.linalg.norm(A)
+    low = tol * (1.0 + fro / math.sqrt(max(A.shape[0], 1))) * (1.0 - _AXIS_BOUND_GUARD)
+    high = tol * (1.0 + fro) * (1.0 + _AXIS_BOUND_GUARD)
+    slack = linalg.scaled_tol(A) if ((dist >= low) & (dist < high)).any() else low
+    return tuple(complex(v) for v in lam[dist < slack])
 
 
 def closed_loop_spectrum_gate(node, K, lam):
@@ -165,7 +189,10 @@ def stability_verdict(node, E, kappa):
     spectrum of A on H.  closed_loop_max_real is the raw spectral abscissa
     of the closed loop (-inf for n = 0, written as null by as_dict) and
     decides nothing; imaginary_spectrum lists the open-loop eigenvalues
-    within linalg.scaled_tol(A) of the axis.
+    within linalg.scaled_tol(A) of the axis.  That slack is bounded first,
+    by ||A||_F / sqrt(n) <= ||A||_2 <= ||A||_F, and its SVD taken only when
+    some |Re lambda| lies between the two bounded slacks
+    (:func:`_axis_eigenvalues`); the list is the one the SVD gives.
     """
     syn = stabilizing_feedback(node, E, kappa)
     cweak, bweak, N, Nd, H = benchimol_conditions(
@@ -175,14 +202,11 @@ def stability_verdict(node, E, kappa):
     Acl = syn.scattering_intermediate.orthonormal[0]
     cl_imag = tuple(complex(v) for v in np.linalg.eigvals(H.conj().T @ Acl @ H))
     max_real = float(np.max(np.linalg.eigvals(Acl).real, initial=-np.inf))
-    A = node.orthonormal[0]
-    axis_tol = linalg.scaled_tol(A)
-    open_imag = tuple(complex(v) for v in np.linalg.eigvals(A) if abs(v.real) < axis_tol)
     report = StabilityReport(
         unobservable_basis=N,
         uncontrollable_dual_basis=Nd,
         unitary_basis=H,
-        imaginary_spectrum=open_imag,
+        imaginary_spectrum=_axis_eigenvalues(node.orthonormal[0]),
         cweak_holds=cweak,
         bweak_holds=bweak,
         verdict=StabilityVerdict.STRONGLY_STABLE if cweak else StabilityVerdict.NOT_STABLE,

@@ -42,7 +42,7 @@ def random_passive_node(seed, n=4, m=2, margin=0.05, weight=False, real=False):
 
 
 def assert_derived_on(derived, parent):
-    """derived shares parent's W and Cholesky factor, and its cached orthonormal
+    """derived shares parent's W and its factor, and its cached orthonormal
     copy is read-only and agrees with a fresh build's to 1e-12 (1 + ||.||_2)."""
     assert derived.W is parent.W and derived._chol is parent._chol
     fresh = StateSpaceNode(derived.A, derived.B, derived.C, derived.D, W=derived.W).orthonormal

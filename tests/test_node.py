@@ -14,6 +14,7 @@ from passivenode import (
     shift_feedthrough,
     stabilizing_feedback,
 )
+from passivenode import linalg
 from passivenode.errors import DimensionMismatch, NotSelfAdjoint, SingularResolvent
 
 from conftest import assert_derived_on, random_passive_node
@@ -39,6 +40,81 @@ def test_weight_must_be_hermitian_positive():
         StateSpaceNode(A, B, C, D, W=np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(DimensionMismatch):
         StateSpaceNode(A, B, C, D, W=np.diag([1.0, -1.0]))
+
+
+def _dense_path(node):
+    """(L, (A~, B~, C~), to_state of x~ = 1..n, dual (A, B, C)) by a Cholesky factor
+    and triangular solves, as a dense W takes them."""
+    A, B, C, W = node.A, node.B, node.C, node.W
+    L = np.linalg.cholesky(W)
+    Lh = L.conj().T
+    orth = (Lh @ np.linalg.solve(Lh.T, A.T).T, Lh @ B, np.linalg.solve(Lh.T, C.T).T)
+    x = np.arange(1.0, node.n + 1.0)
+    # a node stores its matrices as linalg.as_matrix reads them
+    dual = (linalg.as_matrix(M, "M") for M in (np.linalg.solve(W, A.conj().T @ W),
+                                               np.linalg.solve(W, C.conj().T), B.conj().T @ W))
+    return L, orth, np.linalg.solve(Lh, x), dual
+
+
+def _diagonal_weight_nodes():
+    rng = np.random.default_rng(24)
+    for n_modes in (4, 24, 100, 250):
+        yield beam_model(BeamParameters(n_modes=n_modes))[0]
+    for seed in range(6):
+        n = 5
+        w = rng.uniform(0.1, 10.0, n)
+        # imaginary parts -0.0 keep W complex128 (linalg.as_matrix)
+        for W in (np.diag(w), np.diag(np.conj(w + 0j))):
+            for real in (True, False):
+                node = random_passive_node(seed, n=n, real=real)
+                yield StateSpaceNode(node.A, node.B, node.C, node.D, W=W)
+
+
+def test_a_diagonal_W_is_scaled_as_the_dense_path_factors_it():
+    # the factor, the orthonormal copy, to_state and the dual agree with the
+    # Cholesky path, dtypes included, to 1e-12 (1 + ||.||_2)
+    def close(X, Y):
+        assert X.dtype == Y.dtype and X.shape == Y.shape
+        assert np.linalg.norm(X - Y) <= 1e-12 * (1.0 + np.linalg.norm(Y, 2))
+
+    for node in _diagonal_weight_nodes():
+        L, orth, x, dual = _dense_path(node)
+        assert node._chol.ndim == 1
+        close(np.diag(node._chol), L)
+        for X, Y in zip(node.orthonormal, orth):
+            close(X, Y)
+            assert not X.flags.writeable
+        assert node.orthonormal[3] is node.D
+        close(node.to_state(np.arange(1.0, node.n + 1.0)), x)
+        d = dual_node(node)
+        for X, Y in zip((d.A, d.B, d.C), dual):
+            close(X, Y)
+        assert_derived_on(d, node)
+
+
+def test_a_diagonal_W_must_have_positive_entries():
+    A, B, C, D = -np.eye(3), np.ones((3, 1)), np.ones((1, 3)), np.zeros((1, 1))
+    for w in ([1.0, 0.0, 2.0], [1.0, -1e-300, 2.0], [-1.0, 2.0, 3.0]):
+        for W in (np.diag(w), np.diag(np.conj(np.array(w) + 0j)), np.diag(np.array(w) + 1e-13j)):
+            with pytest.raises(DimensionMismatch, match="W must be positive definite"):
+                StateSpaceNode(A, B, C, D, W=W)
+    # a dense W is still decided by its Cholesky pivots
+    with pytest.raises(DimensionMismatch, match="W must be positive definite"):
+        StateSpaceNode(A, B, C, D, W=[[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    empty = np.zeros((0, 0))
+    node = StateSpaceNode(empty, np.zeros((0, 1)), np.zeros((1, 0)), D, W=empty)
+    assert node.is_identity_weight and node.orthonormal[0].shape == (0, 0)
+    assert dual_node(node).n == 0 and node.to_state(np.zeros(0)).shape == (0,)
+
+
+def test_the_identity_weight_is_the_diagonal_of_ones():
+    A, B, C, D = -np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1))
+    for W, identity in ((None, True), (np.eye(2), True), (np.diag([1.0, 1.0 + 2e-16]), False),
+                        (np.diag([1.0 + 0j, 1.0 - 1e-13j]), True),
+                        ([[1.0, 1e-300], [1e-300, 1.0]], False)):
+        node = StateSpaceNode(A, B, C, D, W=W)
+        assert node.is_identity_weight is identity
+        assert (node.orthonormal[0] is node.A) is identity
 
 
 def test_derived_nodes_take_no_2_norm_of_an_unchanged_W(monkeypatch):

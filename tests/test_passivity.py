@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from passivenode import (
+    BeamParameters,
     SecondOrderPlant,
     StateSpaceNode,
+    beam_model,
     build_colocated,
     check_impedance,
     check_impedance_reciprocal,
@@ -24,6 +26,7 @@ from passivenode import io, linalg, passivity
 from passivenode.cli import main
 from passivenode.errors import (
     ASSViolated,
+    DimensionMismatch,
     NotAlmostPassive,
     NotColocated,
     NotESAD,
@@ -177,6 +180,53 @@ def test_point_forms_have_the_inertia_of_the_bounded_form(seed, n, m, weight, sh
         negative = np.sum(vals < 0)
         for s in passivity.DEFAULT_TEST_POINTS:
             assert np.sum(np.linalg.eigvalsh(form_at(node, s)) < 0) == negative
+
+
+def _every_point_certificate(node, kind):
+    """The certificate of check_impedance / check_scattering with every point formed."""
+    if kind is passivity.PassivityKind.IMPEDANCE:
+        F = passivity.impedance_block_bounded(node)
+        forms = [F] + [passivity._point_form(node, F, s) for s in passivity.DEFAULT_TEST_POINTS]
+    else:
+        F = passivity.scattering_block_bounded(node)
+        forms = [passivity._point_form(node, F, s) for s in passivity.DEFAULT_TEST_POINTS]
+    return passivity._certify(kind, forms, passivity.DEFAULT_TEST_POINTS)
+
+
+def test_a_real_node_forms_the_conjugate_point_once(monkeypatch):
+    # the form at 2 - i of a real node is the conjugate of the form at 2 + i:
+    # same verdict, min_eigenvalue to round-off, every point still listed
+    real_nodes = [beam_model(BeamParameters(n_modes=k))[0] for k in (4, 8, 24, 50, 100)]
+    real_nodes += [random_passive_node(seed, n=5, weight=seed % 2 == 0, real=True)
+                   for seed in range(8)]
+    real_nodes += [shift_feedthrough(node, -2.0 * np.eye(node.m)) for node in real_nodes[-4:]]
+    formed = []
+    point_form = passivity._point_form
+    monkeypatch.setattr(passivity, "_point_form",
+                        lambda node, F, s: formed.append(s) or point_form(node, F, s))
+    for node in real_nodes + [random_passive_node(3, weight=True)]:
+        real = not np.iscomplexobj(node.orthonormal[0])
+        for check, kind in ((check_impedance, passivity.PassivityKind.IMPEDANCE),
+                            (check_scattering, passivity.PassivityKind.SCATTERING)):
+            formed.clear()
+            cert = check(node)
+            assert formed == ([1.0, 2.0 + 1.0j, 10.0] if real
+                              else list(passivity.DEFAULT_TEST_POINTS))
+            ref = _every_point_certificate(node, kind)
+            assert cert.test_points == passivity.DEFAULT_TEST_POINTS
+            assert cert.verdict is ref.verdict
+            scale = 1.0 + abs(ref.min_eigenvalue)
+            assert abs(cert.min_eigenvalue - ref.min_eigenvalue) <= 1e-12 * scale
+    assert not np.iscomplexobj(real_nodes[0].orthonormal[0])
+    # a point given twice, or with its conjugate, is formed once; one in the
+    # spectrum is skipped, and a point that is not a number is rejected as before
+    node = real_nodes[0]
+    formed.clear()
+    cert = check_impedance(node, test_points=[3.0 - 1.0j, 3.0 + 1.0j, 0.0, 3.0 - 1.0j])
+    assert formed == [3.0 - 1.0j, 0.0]
+    assert cert.test_points == (3.0 - 1.0j, 3.0 + 1.0j, 3.0 - 1.0j)
+    with pytest.raises(DimensionMismatch):
+        check_impedance(node, test_points=[1.0, "abc"])
 
 
 def test_minimal_E_esad_s_independent_and_tight():

@@ -17,7 +17,7 @@ from passivenode import (
     unitary_subspace,
     unobservable_space,
 )
-from passivenode import io, linalg
+from passivenode import io, linalg, stability
 from passivenode.cli import main
 from passivenode.errors import LambdaInOpenLoopSpectrum, NotContraction
 from passivenode.stability import StabilityVerdict, uncontrollable_dual_space
@@ -202,6 +202,93 @@ def test_beam_verdict_makes_no_n_by_n_svd(monkeypatch):
     assert report.verdict is StabilityVerdict.STRONGLY_STABLE
     assert sides, "the staircase ran no SVD"
     assert max(sides) < n
+
+
+def test_beam_verdict_factors_nothing_and_solves_nothing(monkeypatch):
+    # the beam's W = diag(A0f, I, I) is scaled, not factored
+    counts = {"cholesky": 0, "solve": 0}
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy("cholesky", np.linalg.cholesky))
+    monkeypatch.setattr(np.linalg, "solve", spy("solve", np.linalg.solve))
+    node, E = beam_model(BeamParameters(n_modes=100))
+    assert node.n == 198 and node.orthonormal[0].shape == (198, 198)
+    report, _ = stability_verdict(node, E, 1.0)
+    assert report.verdict is StabilityVerdict.STRONGLY_STABLE
+    assert counts == {"cholesky": 0, "solve": 0}
+
+
+def test_the_verdict_forms_no_dissipation_on_trivial_subspaces(monkeypatch):
+    # without the contraction check, A + A* is read only when N and N^d are both nonempty
+    node, E = beam_model(BeamParameters(n_modes=24))
+    calls = []
+    hermitize = linalg.hermitize
+    monkeypatch.setattr(linalg, "hermitize", lambda M: calls.append(M) or hermitize(M))
+    report, _ = stability_verdict(node, E, 1.0)
+    assert report.verdict is StabilityVerdict.STRONGLY_STABLE
+    assert not any(np.shape(M) == (node.n, node.n) for M in calls)
+
+
+def _svd_axis_rule(A):
+    """The open-loop axis rule with its slack from the 2-norm (an SVD)."""
+    slack = linalg.scaled_tol(A)
+    return tuple(complex(v) for v in np.linalg.eigvals(A) if abs(v.real) < slack)
+
+
+def _count_axis_svds(monkeypatch, A):
+    calls = []
+    scaled_tol = linalg.scaled_tol
+    monkeypatch.setattr(linalg, "scaled_tol",
+                        lambda M: calls.append(M is A) or scaled_tol(M))
+    return calls
+
+
+def test_open_loop_axis_spectrum_follows_the_svd_rule(monkeypatch):
+    # the SVD runs only when some |Re lambda| lies between the slacks of the
+    # bounds ||A||_F / sqrt(n) <= ||A||_2 <= ||A||_F: at the default
+    # tolerance, for the beam from n_modes about 160
+    tol = linalg.base_tol()
+    for n_modes in (4, 24, 100, 150, 200, 250, 300):
+        A = beam_model(BeamParameters(n_modes=n_modes))[0].orthonormal[0]
+        want = _svd_axis_rule(A)
+        fro, dist = np.linalg.norm(A), np.abs(np.linalg.eigvals(A).real)
+        svd = any((dist >= tol * (1.0 + fro / np.sqrt(A.shape[0]))) & (dist < tol * (1.0 + fro)))
+        assert svd is (n_modes >= 200) or tol != 1e-9
+        with monkeypatch.context() as patch:
+            calls = _count_axis_svds(patch, A)
+            assert stability._axis_eigenvalues(A) == want
+        assert calls == ([True] if svd else [])
+    for n_modes in (4, 24, 100):
+        node, E = beam_model(BeamParameters(n_modes=n_modes))
+        report, _ = stability_verdict(node, E, 1.0)
+        assert report.imaginary_spectrum == _svd_axis_rule(node.orthonormal[0])
+    for seed, omega in [(0, 1.3), (1, 2.7), (2, 0.4)]:
+        base, E = random_almost_passive(seed)
+        node = _augment_dark_mode(base, omega)
+        kappa = 0.9 / np.max(np.clip(np.linalg.eigvalsh(E), 0.0, None))
+        report, _ = stability_verdict(node, E, kappa)
+        assert report.imaginary_spectrum == _svd_axis_rule(node.orthonormal[0])
+        assert any(abs(lam - 1j * omega) < 1e-12 for lam in report.imaginary_spectrum)
+
+
+@pytest.mark.parametrize("f, on_axis", [(3.8, True), (5.0, False)])
+def test_a_real_part_between_the_bounds_takes_the_svd(monkeypatch, f, on_axis):
+    # A = diag(-3, -3, -3, -f tol): ||A||_F / 2 = 2.6, ||A||_2 = 3 and ||A||_F = 5.2,
+    # so f tol lies between the slacks of the bounds and only the SVD decides it
+    tol = linalg.base_tol()
+    A = np.diag([-3.0, -3.0, -3.0, -f * tol])
+    B = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+    node = StateSpaceNode(A, B, B.T, np.zeros((2, 2)))
+    calls = _count_axis_svds(monkeypatch, node.orthonormal[0])
+    report, _ = stability_verdict(node, None, 1.0)
+    assert calls == [True]
+    assert report.imaginary_spectrum == ((complex(-f * tol),) if on_axis else ())
+    assert report.imaginary_spectrum == _svd_axis_rule(node.orthonormal[0])
 
 
 def test_beam_100_modes_strongly_stable_with_trivial_subspaces():
