@@ -34,8 +34,7 @@ EXIT_NEGATIVE = 2
 def _emit(doc, out=None):
     text = io.dumps_canonical(doc)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        io.write_text(out, text)
     sys.stdout.write(text)
 
 
@@ -148,7 +147,7 @@ def _cmd_simulate(args):
         if args.z0:
             try:
                 entries = json.loads(args.z0)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ParseError(f"--z0: invalid JSON ({exc})") from exc
             z0 = io.vector_from_json(entries, "--z0", node.n)
         omega = args.input_omega

@@ -1,5 +1,7 @@
 """Exception types raised by the passivenode library."""
 
+from contextlib import contextmanager
+
 
 class PassiveNodeError(Exception):
     """Base class for all library errors."""
@@ -107,8 +109,18 @@ class NonFiniteState(PassiveNodeError):
 
 
 class ParseError(PassiveNodeError):
-    """Input file is not valid JSON, or the command line is not valid."""
+    """Input file is not valid JSON, a file cannot be read or written, or the
+    command line is not valid."""
 
 
 class SchemaError(PassiveNodeError):
     """Input file does not match the expected schema."""
+
+
+@contextmanager
+def file_errors(path):
+    """Raise an OSError met while reading or writing path as ParseError("<path>: ...")."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from exc

@@ -9,18 +9,6 @@ K = -kappa I both as it is and, rescaled, as a scattering-passive node.
 Both take their precondition (Sigma, or Sigma_E, impedance passive) from
 one eigendecomposition of the bounded impedance form of Sigma_E, the form
 passivity.minimal_E solves; no shifted node and no resolvent is formed.
-
-Feedback keeps the state space and its inner product; only (A, B, C, D)
-change.  So the loop formulas, linear in A, B and C for a fixed K, also
-give the loop in the plant's W-orthonormal coordinates:
-
-    A~^K = A~ + B~ K (I - DK)^-1 C~,  B~^K = B~ (I - KD)^-1,
-    C~^K = (I - DK)^-1 C~,
-
-from the same one inverse.  Every node built here is derived from the
-plant (node._derived): it re-validates its matrices but not W, shares W and
-its factor, and caches that orthonormal copy, so no
-factorization or solve runs again.
 """
 
 import math
@@ -64,11 +52,9 @@ def diagonal_transform(node, k):
             f"node is not impedance passive (min eigenvalue {cert.min_eigenvalue:.3e})"
         )
     m = node.m
-    (AK, BK, CK, DK), (Ao, Bo, Co) = _closed_loop(node, -k * np.eye(m), SingularIPlusKD,
-                                                  "I + k D is singular")
+    AK, BK, CK, DK = _closed_loop(node, -k * np.eye(m), SingularIPlusKD, "I + k D is singular")
     root = math.sqrt(2.0 * k)
-    return _derived(node, (AK, root * BK, -root * CK, np.eye(m) - 2.0 * k * DK),
-                    (Ao, root * Bo, -root * Co))
+    return _derived(node, (AK, root * BK, -root * CK, np.eye(m) - 2.0 * k * DK))
 
 
 def gain_matrix(node, K):
@@ -86,26 +72,20 @@ def gain_matrix(node, K):
 
 
 def _closed_loop(node, K, error, message):
-    """Loop of u = K y + v as ((A^K, B^K, C^K, D^K), (A~^K, B~^K, C~^K)).
+    """Loop of u = K y + v as (A^K, B^K, C^K, D^K).
 
         A^K = A + B K (I - DK)^-1 C,  B^K = B (I - KD)^-1,
-        C^K = (I - DK)^-1 C,          D^K = D (I - KD)^-1,
+        C^K = (I - DK)^-1 C,          D^K = D (I - KD)^-1.
 
-    and the same formulas on the W-orthonormal triple of node give the
-    second tuple (the first triple when W = I).  Only I - KD is inverted,
-    once: K (I - DK)^-1 = (I - KD)^-1 K and (I - DK)^-1 = I + D (I - KD)^-1 K.
-    error(message) if I - KD is singular.  K is read by gain_matrix.
+    Only I - KD is inverted, once: K (I - DK)^-1 = (I - KD)^-1 K and
+    (I - DK)^-1 = I + D (I - KD)^-1 K.  error(message) if I - KD is
+    singular.  K is read by gain_matrix.
     """
     K = gain_matrix(node, K)
-    D = node.D
+    A, B, C, D = node.A, node.B, node.C, node.D
     IKD_inv = linalg.checked_inv(np.eye(node.m) - K @ D, error, message)
     IKD_inv_K = IKD_inv @ K
-
-    def loop(A, B, C):
-        return A + B @ IKD_inv_K @ C, B @ IKD_inv, C + D @ IKD_inv_K @ C
-
-    stored = (*loop(node.A, node.B, node.C), D @ IKD_inv)
-    return stored, stored[:3] if node.is_identity_weight else loop(*node.orthonormal[:3])
+    return A + B @ IKD_inv_K @ C, B @ IKD_inv, C + D @ IKD_inv_K @ C, D @ IKD_inv
 
 
 def output_feedback(node, K):
@@ -114,8 +94,8 @@ def output_feedback(node, K):
     The node of _closed_loop; K is read by gain_matrix.  Raises
     SingularIMinusKD when I - KD is singular.
     """
-    return _derived(node, *_closed_loop(node, K, SingularIMinusKD,
-                                        "I - K D is singular; feedback inadmissible"))
+    return _derived(node, _closed_loop(node, K, SingularIMinusKD,
+                                       "I - K D is singular; feedback inadmissible"))
 
 
 @dataclass(frozen=True)
@@ -175,7 +155,7 @@ def stabilizing_feedback(node, E, kappa):
         )
     m = node.m
     loop = _closed_loop(node, -kappa * np.eye(m), SingularIPlusKD, "I + kappa D is singular")
-    (AK, BK, CK, DK), (Ao, Bo, Co) = loop
+    AK, BK, CK, DK = loop
     alpha = math.sqrt(2.0 * kappa * (1.0 - kappa * c))
     beta = (1.0 - 2.0 * kappa * c) / alpha
     return FeedbackSynthesis(
@@ -185,9 +165,8 @@ def stabilizing_feedback(node, E, kappa):
         kappa=kappa,
         alpha=alpha,
         beta=beta,
-        closed_loop=_derived(node, *loop),
+        closed_loop=_derived(node, loop),
         scattering_intermediate=_derived(
-            node, (AK, alpha * BK, -alpha * CK, (alpha * beta) * np.eye(m) - alpha**2 * DK),
-            (Ao, alpha * Bo, -alpha * Co),
+            node, (AK, alpha * BK, -alpha * CK, (alpha * beta) * np.eye(m) - alpha**2 * DK)
         ),
     )

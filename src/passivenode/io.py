@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .cayley import DiscreteSystem
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, file_errors
 from .node import StateSpaceNode
 from .second_order import SecondOrderPlant
 
@@ -273,12 +273,18 @@ def plant_from_dict(d):
 
 def _load_json(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with file_errors(path), open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    # a JSONDecodeError or UnicodeDecodeError is a ValueError; nesting too
+    # deep for the decoder is a RecursionError
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+
+
+def write_text(path, text):
+    """Write text to path as UTF-8; ParseError when the file cannot be written."""
+    with file_errors(path), open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def load_matrix(path, name="matrix"):
@@ -291,8 +297,7 @@ def load_node(path):
 
 
 def save_node(node, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(node_to_dict(node)))
+    write_text(path, dumps_canonical(node_to_dict(node)))
 
 
 def load_discrete(path):
@@ -304,5 +309,4 @@ def load_plant(path):
 
 
 def save_plant(plant, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(plant_to_dict(plant)))
+    write_text(path, dumps_canonical(plant_to_dict(plant)))

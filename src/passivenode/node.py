@@ -18,11 +18,10 @@ each is > 0, and is scaled, not factored: L = diag(sqrt(w)), and the copy,
 to_state and dual_node scale rows and columns, with no factorization and no
 solve.  Any other W gets its Cholesky factor, whose pivots decide W > 0,
 and triangular solves.  A node derived on the same state space (a closed
-loop, the diagonal transform, the dual, a feedthrough shift) shares W, its
-factor (and with it the diagonal decision) and the identity-weight decision
-with its parent, and gets its orthonormal copy from the parent's by the
-same formula that gives its matrices
-(:func:`_derived`): its A, B, C and D are validated again, W is not.
+loop, the diagonal transform, the dual, a feedthrough shift) shares W and
+its factor (and with it the diagonal decision) with its parent
+(:func:`_derived`): its A, B, C and D are validated again, W is not, and
+its orthonormal copy is formed from its own matrices like any node's.
 The same copy carries the resolvent: :func:`resolvent` is the one place
 that decides whether s is in rho(A) and that computes G(s).  n = 0 is a
 valid node (its transfer function is the constant D).
@@ -209,19 +208,21 @@ def dual_node(node):
         Ad, Bd = X[:, :node.n], X[:, node.n:]
         Cd = node.B.conj().T @ W
     Dd = node.D.conj().T
-    A, B, C, _ = node.orthonormal
-    triple = (A.conj().T, C.conj().T, B.conj().T)  # (A~*, C~*, B~*) in the same coordinates
-    return _derived(node, (Ad, Bd, Cd, Dd), triple, f"dual({node.meta})" if node.meta else "dual")
+    return _derived(node, (Ad, Bd, Cd, Dd), f"dual({node.meta})" if node.meta else "dual")
 
 
 def weight_matrix(W, n):
-    """W checked as a state weight (linalg.as_matrix, n x n, W = W*); I when None."""
+    """W checked as a state weight (linalg.as_matrix, n x n, W = W*); I when None.
+
+    The self-adjoint part is stored by linalg.real_or_complex, so a W whose
+    imaginary parts cancel to +0.0 in it is real.
+    """
     if W is None:
         return np.eye(n)
     W = linalg.as_matrix(W, "W")
     if W.shape != (n, n):
         raise DimensionMismatch(f"W must be {n} x {n}, got {W.shape}")
-    return linalg.assert_hermitian(W, "W")
+    return linalg.real_or_complex(linalg.assert_hermitian(W, "W"))
 
 
 def _weight_factor(W):
@@ -255,21 +256,15 @@ def shift_matrix(E, shape):
 
 def shift_feedthrough(node, E):
     """Node Sigma_E: same generating triple, transfer function G + E."""
-    A, B, C, _ = node.orthonormal
-    return _derived(node, (node.A, node.B, node.C, node.D + shift_matrix(E, node.D.shape)),
-                    (A, B, C))
+    return _derived(node, (node.A, node.B, node.C, node.D + shift_matrix(E, node.D.shape)))
 
 
-def _derived(node, quad, triple, meta=None):
+def _derived(node, quad, meta=None):
     """Node (A, B, C, D) = quad on the state space of node, with its W.
 
-    The new node shares W, its factor and the identity-weight decision with
-    node, so W is neither validated nor factored again.  triple
-    is its (A~, B~, C~) in node's W-orthonormal coordinates, cached read-only
-    as its orthonormal copy with the stored D; it is not read when W = I,
-    where that copy is the stored matrices.  The matrices pass
-    linalg.as_matrix and check_conformable as in the constructor.  meta
-    defaults to node.meta.
+    The new node shares W and its factor with node, so W is neither
+    validated nor factored again.  The matrices pass linalg.as_matrix and
+    check_conformable as in the constructor.  meta defaults to node.meta.
     """
     A, B, C, D = (linalg.as_matrix(M, name) for M, name in zip(quad, "ABCD"))
     check_conformable(A, B, C, D)
@@ -277,10 +272,4 @@ def _derived(node, quad, triple, meta=None):
     for name, val in (("A", A), ("B", B), ("C", C), ("D", D), ("W", node.W),
                       ("_chol", node._chol), ("meta", node.meta if meta is None else meta)):
         object.__setattr__(new, name, val)
-    cache = vars(new)
-    cache["is_identity_weight"] = node.is_identity_weight
-    if not node.is_identity_weight:
-        for M in triple:
-            M.setflags(write=False)
-        cache["orthonormal"] = (*triple, D)
     return new

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, InvalidTolerance, NonFiniteState
+from .errors import DimensionMismatch, InvalidTolerance, NonFiniteState, file_errors
 from .node import shift_matrix, weight_matrix
 from .passivity import _certify_shifted
 
@@ -297,6 +297,7 @@ def export_csv(traj, path, audit=None):
     Columns: t, Re/Im of each state, input and output component, and the
     running defect when an audit is supplied.  Every value is written with
     17 significant digits, so it reads back bit-exactly; lines end in CRLF.
+    Raises ParseError when the file cannot be written.
     """
     T = len(traj.times)
     header = ["t"]
@@ -307,7 +308,7 @@ def export_csv(traj, path, audit=None):
     if audit is not None:
         header.append("defect")
         columns.append(audit.defect[:, None])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with file_errors(path), open(path, "w", newline="", encoding="utf-8") as fh:
         np.savetxt(fh, np.hstack(columns), fmt="%.17g", delimiter=",",
                    header=",".join(header), comments="", newline="\r\n")
 

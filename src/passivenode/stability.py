@@ -198,7 +198,7 @@ def stability_verdict(node, E, kappa):
     cweak, bweak, N, Nd, H = benchimol_conditions(
         syn.scattering_intermediate, require_contraction=False
     )
-    # the closed-loop A in W-orthonormal coordinates, cached when the synthesis built the node
+    # the closed-loop A in W-orthonormal coordinates
     Acl = syn.scattering_intermediate.orthonormal[0]
     cl_imag = tuple(complex(v) for v in np.linalg.eigvals(H.conj().T @ Acl @ H))
     max_real = float(np.max(np.linalg.eigvals(Acl).real, initial=-np.inf))

@@ -209,8 +209,8 @@ def test_stabilizing_feedback_accepts_exactly_minimal_E():
 
 def test_stabilizing_feedback_makes_one_inverse_and_two_nodes(monkeypatch):
     # both nodes are derived on the plant's state space: W is neither
-    # validated nor factored again, and the intermediate's W-orthonormal
-    # copy comes with it, so the verdict runs no solve for it
+    # validated nor factored again, and the beam's diagonal W is a scaling,
+    # so the intermediate's W-orthonormal copy takes no solve either
     beam, E = beam_model(BeamParameters(n_modes=100))
     assert beam.n == 198
     counts = {"inv": 0, "cholesky": 0, "post_init": 0, "derived": 0, "solve": 0}

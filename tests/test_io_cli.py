@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import passivenode
-from passivenode import io
+from passivenode import io, sim
 from passivenode.cli import main
 from passivenode.errors import ParseError, SchemaError
 
@@ -141,9 +142,43 @@ def test_schema_errors():
 
 def test_parse_error(tmp_path):
     p = tmp_path / "bad.json"
-    p.write_text("{not json")
-    with pytest.raises(ParseError):
-        io.load_node(p)
+    # not JSON, not UTF-8, and nested too deep for the decoder
+    for content in (b"{not json", b"\xff\xfe\x00", b"[" * 100000 + b"]" * 100000):
+        p.write_bytes(content)
+        with pytest.raises(ParseError, match="invalid JSON"):
+            io.load_node(p)
+
+
+def test_library_writers_raise_parse_error_on_an_unwritable_path(tmp_path):
+    node = random_passive_node(0)
+    plant = passivenode.SecondOrderPlant(A0=np.eye(2), M=np.eye(2), C0=np.eye(2))
+    traj = sim.simulate(node, np.zeros(node.n), lambda t: np.ones(node.m), 1.0, steps=10)
+    missing = tmp_path / "missing" / "out"
+    for write in (lambda: io.save_node(node, missing),
+                  lambda: io.save_plant(plant, missing),
+                  lambda: sim.export_csv(traj, missing, audit=sim.energy_audit(traj)),
+                  lambda: io.save_node(node, tmp_path)):  # a directory
+        with pytest.raises(ParseError, match="^" + re.escape(str(tmp_path))):
+            write()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("z0", ["[1,", "[" * 5000 + "]" * 5000], ids=["truncated", "too-deep"])
+def test_cli_z0_that_is_not_json_exits_1(z0, tmp_path, capsys):
+    path = _write_node(tmp_path, random_passive_node(0))
+    assert main(["simulate", path, "--z0", z0, "--steps", "10"]) == 1
+    assert capsys.readouterr().err.startswith("error: ParseError: --z0: invalid JSON")
+
+
+@pytest.mark.parametrize("argv", [["beam", "--n-modes", "4", "--out", "{out}"],
+                                  ["check", "{path}", "--out", "{out}"],
+                                  ["simulate", "{path}", "--steps", "10", "--out", "{out}"]])
+def test_cli_out_into_a_missing_directory_exits_1(argv, tmp_path, capsys):
+    path = _write_node(tmp_path, random_passive_node(0))
+    out = str(tmp_path / "missing" / "result")
+    assert main([arg.format(path=path, out=out) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ParseError: {out}: ") and err.count("\n") == 1
 
 
 def _write_node(tmp_path, node, name="node.json"):

@@ -117,6 +117,19 @@ def test_the_identity_weight_is_the_diagonal_of_ones():
         assert (node.orthonormal[0] is node.A) is identity
 
 
+def test_a_W_whose_imaginary_parts_cancel_is_real():
+    # W - W* passes the slack; its self-adjoint part has imaginary parts +0.0
+    w = np.array([0.5, 2.0, 3.0])
+    for seed, real in ((3, True), (4, False)):
+        node = random_passive_node(seed, n=3, real=real)
+        node = StateSpaceNode(node.A, node.B, node.C, node.D, W=np.diag(w + 1e-13j))
+        assert node.W.dtype == np.float64 and node._chol.dtype == np.float64
+        assert np.array_equal(node.W, np.diag(w)) and not node.W.flags.writeable
+        dual = dual_node(node)
+        assert_derived_on(dual, node)
+        assert all(M.dtype == node.A.dtype for M in (dual.A, *dual.orthonormal[:3]))
+
+
 def test_derived_nodes_take_no_2_norm_of_an_unchanged_W(monkeypatch):
     beam, E = beam_model(BeamParameters(n_modes=6))
     W_shaped = []

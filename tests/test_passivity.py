@@ -348,9 +348,10 @@ def test_minimal_E_colocated_at_without_dissipation_raises():
 
 def test_selfadjoint_class_check_agrees_with_minimal_E():
     # a slightly positive eigenvalue of A is caught by the class check, with
-    # the same Q >= 0 test the formula makes
+    # the same Q >= 0 test the formula makes; Q = diag(2, -10 tol) is outside
+    # the slack tol (1 + ||Q||) whatever PASSIVE_NODE_TOL is
     B = np.array([[1.0], [1.0]])
-    node = StateSpaceNode(np.diag([-1.0, 5e-9]), B, B.T, [[0.0]])
+    node = StateSpaceNode(np.diag([-1.0, 5 * linalg.base_tol()]), B, B.T, [[0.0]])
     with pytest.raises(NotSelfAdjointDissipative):
         minimal_E_selfadjoint(node)
     with pytest.raises(NotAlmostPassive):
