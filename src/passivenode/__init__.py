@@ -51,7 +51,6 @@ from .stability import (
     StabilityReport,
     StabilityVerdict,
     benchimol_conditions,
-    closed_loop_spectrum_gate,
     stability_verdict,
     unitary_subspace,
     unobservable_space,
@@ -83,7 +82,6 @@ __all__ = [
     "check_impedance",
     "check_impedance_reciprocal",
     "check_scattering",
-    "closed_loop_spectrum_gate",
     "diagonal_transform",
     "discrete_response",
     "discrete_transfer",

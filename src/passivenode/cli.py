@@ -248,7 +248,7 @@ def build_parser():
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--z0", default=None,
                    help="initial state as a JSON list of 're' or 're,im' values")
-    p.add_argument("--input-omega", type=float, default=1.0,
+    p.add_argument("--input-omega", type=_real_arg, default=1.0,
                    help="frequency of the default cosine input")
     p.add_argument("--amplitude", type=float, default=1.0)
     p.add_argument("--adversarial", action="store_true",

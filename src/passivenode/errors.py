@@ -92,10 +92,6 @@ class NotContraction(PassiveNodeError):
     """A does not generate a contraction semigroup (WA + A*W <= 0 fails)."""
 
 
-class LambdaInOpenLoopSpectrum(PassiveNodeError):
-    """Spectrum-gate point lies in the open-loop spectrum."""
-
-
 class SingularA0(PassiveNodeError):
     """Stiffness matrix A0 is singular."""
 

@@ -13,10 +13,12 @@ The smallest self-adjoint E making Sigma_E = (A, B, C, D+E) impedance passive
 comes from one formula, :func:`minimal_E`: the Schur complement of the
 bounded impedance form.  The structured functions (``minimal_E_esad``,
 ``minimal_E_selfadjoint``, ``minimal_E_colocated_at``) are class checks
-followed by a call to it.  The feedback synthesis and
-sim.adversarial_input decide impedance passivity of Sigma_E from that
-bounded form alone (:func:`_certify_shifted`), so they accept the E that
-minimal_E returns; :func:`check_impedance` also ANDs its point forms.
+followed by a call to it.  Whether an E exists is decided once, by the
+certificate of the bounded form of Sigma_E alone (:func:`_certify_shifted`):
+minimal_E applies it to its own candidate, and the feedback synthesis and
+sim.adversarial_input apply it to the E they are given, so they accept
+exactly the E that minimal_E returns; :func:`check_impedance` also ANDs its
+point forms.
 """
 
 import enum
@@ -291,13 +293,15 @@ def minimal_E(node):
 
         E_min = 1/2 [(C - B*) Q^+ (C* - B) - (D + D*)].
 
-    An E exists iff Q >= 0 and C - B* vanishes on ker Q; otherwise
-    NotAlmostPassive is raised.  Q >= 0 is linalg.psd_eig, the test the
-    certificate makes.  ker Q holds every eigenvalue up to SUBSPACE_TOL, the
+    Q >= 0 is decided first, by linalg.psd_eig (NotAlmostPassive
+    otherwise).  Q^+ inverts only the eigenvalues above SUBSPACE_TOL, the
     rank rule of linalg.null_basis, so a slightly negative one that the sign
-    rule accepted is never divided by; C - B* counts as zero on it to
-    linalg.scaled_tol(B), the rule of the C = B* class check.  Raises
-    NotSquare when p != m.
+    rule accepted is never divided by.  Whether an E exists is decided by
+    :func:`_certify_shifted` of this candidate, the certificate the
+    synthesis makes, and NotAlmostPassive is raised when it rejects it, as
+    it does when C - B* is nonzero on ker Q.  "Least" is exact when C - B*
+    vanishes on ker Q; a coupling on ker Q within the certificate's slack
+    is left out of E.  Raises NotSquare when p != m.
     """
     _require_square(node)
     _, B, C, D = node.orthonormal
@@ -309,14 +313,16 @@ def minimal_E(node):
         )
     F = (C - B.conj().T) @ V
     kernel = lam <= linalg.SUBSPACE_TOL * max(1.0, np.abs(lam).max(initial=0.0))
-    resid = np.linalg.norm(F[:, kernel], 2)
-    if resid > linalg.scaled_tol(B):
-        raise NotAlmostPassive(
-            f"C - B* is nonzero on ker(A + A*): ||(C - B*)k|| = {resid:.3e} for the "
-            "worst unit k in the kernel, so no shift E makes the node impedance passive"
-        )
     Fr = F[:, ~kernel]
-    return linalg.hermitize(0.5 * (Fr / lam[~kernel]) @ Fr.conj().T - 0.5 * (D + D.conj().T))
+    E = linalg.hermitize(0.5 * (Fr / lam[~kernel]) @ Fr.conj().T - 0.5 * (D + D.conj().T))
+    cert, _ = _certify_shifted(node, E)
+    if not cert.passive:
+        raise NotAlmostPassive(
+            "C - B* is nonzero on ker(A + A*): the bounded form of Sigma_E at "
+            f"the least candidate E has the eigenvalue {cert.min_eigenvalue:.3e}, "
+            "so no shift E makes the node impedance passive"
+        )
+    return E
 
 
 def minimal_E_colocated_at(node, omega):

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import LambdaInOpenLoopSpectrum, NotContraction, SingularResolvent
-from .feedback import gain_matrix, stabilizing_feedback
-from .node import resolvent
+from .errors import NotContraction
+from .feedback import stabilizing_feedback
 
 
 class StabilityVerdict(enum.Enum):
@@ -160,23 +159,6 @@ def _axis_eigenvalues(A):
     high = tol * (1.0 + fro) * (1.0 + _AXIS_BOUND_GUARD)
     slack = linalg.scaled_tol(A) if ((dist >= low) & (dist < high)).any() else low
     return tuple(complex(v) for v in lam[dist < slack])
-
-
-def closed_loop_spectrum_gate(node, K, lam):
-    """Spectrum membership of the closed loop at a point lam in rho(A).
-
-    For lam in the open-loop resolvent set, lam is in rho(A^K) exactly
-    when I - K G(lam) is invertible.  K is read as in output_feedback.
-    Raises LambdaInOpenLoopSpectrum when lam is not in rho(A).
-    """
-    K = gain_matrix(node, K)
-    _, G = resolvent(node, lam, LambdaInOpenLoopSpectrum,
-                     f"lambda = {lam} is in the open-loop spectrum")
-    try:
-        linalg.checked_inv(np.eye(node.m) - K @ G, SingularResolvent, "")
-    except SingularResolvent:
-        return False
-    return True
 
 
 def stability_verdict(node, E, kappa):

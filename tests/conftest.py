@@ -101,6 +101,33 @@ def random_almost_passive(seed, n=4, m=2, weight=False):
     return shift_feedthrough(base, -E), E
 
 
+def conditioned_rank_deficient_node(seed, n=6, m=2):
+    """Node whose bounded impedance form is PSD of rank 3, so E_min = 0 exactly,
+    moved by a similarity x -> Tx with cond(T) = 1e4.
+
+    The form [[-A-A*, C*-B], [C-B*, D+D*]] = F = GG* (G is (n + m) x 3), so
+    C - B* vanishes on ker(A + A*) only up to the rounding that
+    W = T^-* T^-1, with cond(W) = cond(T)^2, leaves in the orthonormal copy.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    G = draw((n + m, 3))
+    F = G @ G.conj().T
+    S = draw((n, n))
+    A = -0.5 * F[:n, :n] + 0.5 * (S - S.conj().T)
+    B = draw((n, m))
+    C = B.conj().T + F[n:, :n]
+    Sd = draw((m, m))
+    D = 0.5 * F[n:, n:] + 0.5 * (Sd - Sd.conj().T)
+    Q1, Q2 = np.linalg.qr(draw((n, n)))[0], np.linalg.qr(draw((n, n)))[0]
+    T = Q1 @ np.diag(np.logspace(0.0, 4.0, n)) @ Q2
+    Ti = np.linalg.inv(T)
+    return StateSpaceNode(T @ A @ Ti, T @ B, C @ Ti, D, W=Ti.conj().T @ Ti)
+
+
 def esad_colocated_node(seed, n=5, m=2, skew_only=False):
     """ESAD node with C = B*: A = skew - Q/2, Q >= 0 (Q = 0 if skew_only)."""
     rng = np.random.default_rng(seed)

@@ -326,6 +326,17 @@ def test_cli_omega_must_be_a_finite_number(value, tmp_path, capsys):
     assert captured.err.startswith("error: ParseError: argument --omega: cannot parse")
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "1e400", "abc"])
+def test_cli_input_omega_must_be_a_finite_number(value, tmp_path, capsys):
+    # an infinite omega used to reach cos(omega t), warn twice and end in NonFiniteState
+    path = _write_node(tmp_path, random_passive_node(0))
+    assert main(["simulate", path, "--input-omega", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ParseError: argument --input-omega: cannot parse")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_points_are_the_certified_points(tmp_path, capsys):
     path = _write_node(tmp_path, random_passive_node(0))
     assert main(["check", path, "--points", "1", "2,-1"]) == 0

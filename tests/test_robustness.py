@@ -20,7 +20,6 @@ from passivenode import (
     check_impedance,
     check_impedance_reciprocal,
     check_scattering,
-    closed_loop_spectrum_gate,
     diagonal_transform,
     discrete_response,
     discrete_transfer,
@@ -47,7 +46,6 @@ from passivenode.errors import (
     InvalidTimeGrid,
     InvalidTolerance,
     KappaOutOfRange,
-    LambdaInOpenLoopSpectrum,
     NonFiniteMatrix,
     NonFiniteState,
     NonPositiveAlpha,
@@ -94,23 +92,6 @@ def test_checked_inv_threshold_is_rcond_in_one_norms():
     assert linalg.checked_inv(M, SingularResolvent, "")[1, 1] == pytest.approx(5e11)
 
 
-def test_closed_loop_spectrum_gate():
-    # G(s) = 1/(s + 1); under u = 2y the closed loop has its pole at s = 1
-    node = StateSpaceNode([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
-    assert closed_loop_spectrum_gate(node, 2.0, 0.0)
-    assert not closed_loop_spectrum_gate(node, 2.0, 1.0)
-    with pytest.raises(LambdaInOpenLoopSpectrum):
-        closed_loop_spectrum_gate(node, 2.0, -1.0)
-
-
-def test_closed_loop_spectrum_gate_reads_K_like_output_feedback():
-    beam, _ = beam_model(BeamParameters(n_modes=4))
-    full = np.full((2, 2), 0.5)
-    assert closed_loop_spectrum_gate(beam, 0.5, 1.0) == closed_loop_spectrum_gate(beam, full, 1.0)
-    with pytest.raises(DimensionMismatch):
-        closed_loop_spectrum_gate(beam, np.zeros((3, 2)), 1.0)
-
-
 def test_output_feedback_rejects_nonconforming_K():
     beam, _ = beam_model(BeamParameters(n_modes=4))
     with pytest.raises(DimensionMismatch):
@@ -132,7 +113,6 @@ def test_one_resolvent_set_decision_on_beam_probes():
     # s = lambda + 10^-k and lambda + i 10^-k straddle the singularity
     # threshold; every route to (sI - A)^-1 must decide each s the same way
     beam, _ = beam_model(BeamParameters(n_modes=8))
-    K = np.zeros((2, 2))
     seen = set()
     for lam in np.linalg.eigvals(beam.A):
         for k in range(1, 17):
@@ -140,8 +120,6 @@ def test_one_resolvent_set_decision_on_beam_probes():
                 decisions = {
                     _in_rho(lambda: eval_transfer(beam, s), SingularResolvent),
                     _in_rho(lambda: impedance_form_at(beam, s), OmegaInSpectrum),
-                    _in_rho(lambda: closed_loop_spectrum_gate(beam, K, s),
-                            LambdaInOpenLoopSpectrum),
                 }
                 assert len(decisions) == 1, f"s = {s}"
                 seen |= decisions
@@ -987,10 +965,6 @@ _BAD_ARGUMENTS = {
         impedance_form_at(node, "x"))),
     "discrete_transfer: z a string": (DimensionMismatch, lambda node, disc: (
         discrete_transfer(disc, "x"))),
-    "closed_loop_spectrum_gate: lambda a string": (DimensionMismatch, lambda node, disc: (
-        closed_loop_spectrum_gate(node, 1.0, "x"))),
-    "closed_loop_spectrum_gate: K a string": (DimensionMismatch, lambda node, disc: (
-        closed_loop_spectrum_gate(node, "1", 1j))),
     "check_impedance: test point a string": (DimensionMismatch, lambda node, disc: (
         check_impedance(node, ["x"]))),
     "check_impedance: NaN test point": (DimensionMismatch, lambda node, disc: (
@@ -1116,8 +1090,6 @@ def test_numpy_scalars_read_as_python_numbers(beam4):
     assert np.array_equal(diagonal_transform(node, i64(1)).A, diagonal_transform(node, 1.0).A)
     assert np.array_equal(adversarial_input(node, None, f64(2.0))[0],
                           adversarial_input(node, None, 2.0)[0])
-    assert closed_loop_spectrum_gate(node, f64(1.0), c128(1j)) == closed_loop_spectrum_gate(
-        node, 1.0, 1j)
 
 
 _SCALAR = st.one_of(
