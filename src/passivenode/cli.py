@@ -229,7 +229,7 @@ def build_parser():
 
     p = sub.add_parser("feedback", help="stabilizing output-feedback synthesis")
     p.add_argument("node")
-    p.add_argument("--kappa", type=float, required=True)
+    p.add_argument("--kappa", type=_real_arg, required=True)
     p.add_argument("--e-matrix", default=None,
                    help="JSON file with the self-adjoint shift E (default 0)")
     p.add_argument("--out", default=None)
@@ -237,20 +237,20 @@ def build_parser():
 
     p = sub.add_parser("stability", help="strong-stability analysis of the closed loop")
     p.add_argument("node")
-    p.add_argument("--kappa", type=float, required=True)
+    p.add_argument("--kappa", type=_real_arg, required=True)
     p.add_argument("--e-matrix", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_stability)
 
     p = sub.add_parser("simulate", help="simulate the node and audit the energy balance")
     p.add_argument("node")
-    p.add_argument("--t-final", type=float, default=10.0)
+    p.add_argument("--t-final", type=_real_arg, default=10.0)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--z0", default=None,
                    help="initial state as a JSON list of 're' or 're,im' values")
     p.add_argument("--input-omega", type=_real_arg, default=1.0,
                    help="frequency of the default cosine input")
-    p.add_argument("--amplitude", type=float, default=1.0)
+    p.add_argument("--amplitude", type=_real_arg, default=1.0)
     p.add_argument("--adversarial", action="store_true",
                    help="drive the node with a passivity-violating constant input")
     p.add_argument("--e-matrix", default=None,
@@ -261,10 +261,10 @@ def build_parser():
     p = sub.add_parser("beam", help="build the free-free beam example node")
     p.add_argument("--n-modes", type=int, default=8,
                    help="total modes kept, including the two rigid-body modes")
-    p.add_argument("--rho-a", type=float, default=1.0)
-    p.add_argument("--ei", type=float, default=1.0)
-    p.add_argument("--ebar-i", type=float, default=0.01)
-    p.add_argument("--kappa", type=float, default=None,
+    p.add_argument("--rho-a", type=_real_arg, default=1.0)
+    p.add_argument("--ei", type=_real_arg, default=1.0)
+    p.add_argument("--ebar-i", type=_real_arg, default=0.01)
+    p.add_argument("--kappa", type=_real_arg, default=None,
                    help="also run the stability analysis at this gain")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_beam)

@@ -7,24 +7,21 @@ Every matrix is stored as linalg.as_matrix reads it (float64 when all its
 imaginary parts are +0.0, complex128 otherwise) and is immutable after
 construction; a node may mix the two.
 
-The weight is handled once, at construction, by its factor L (W = L L*),
-which decides W > 0; a W-orthonormal copy of the realization (coordinates
-x~ = L* x) is cached from it, so every downstream PSD/eigen test can run as
-a plain unweighted test on that copy.  That copy keeps the dtypes of the
-stored matrices, so a real node runs in real arithmetic.  A diagonal W
-(every off-diagonal entry exactly zero, as for the energy weight of a
-modal truncation such as the beam) is decided by its entries, W > 0 when
-each is > 0, and is scaled, not factored: L = diag(sqrt(w)), and the copy,
-to_state and dual_node scale rows and columns, with no factorization and no
-solve.  Any other W gets its Cholesky factor, whose pivots decide W > 0,
-and triangular solves.  A node derived on the same state space (a closed
-loop, the diagonal transform, the dual, a feedthrough shift) shares W and
-its factor (and with it the diagonal decision) with its parent
-(:func:`_derived`): its A, B, C and D are validated again, W is not, and
-its orthonormal copy is formed from its own matrices like any node's.
-The same copy carries the resolvent: :func:`resolvent` is the one place
-that decides whether s is in rho(A) and that computes G(s).  n = 0 is a
-valid node (its transfer function is the constant D).
+The weight is decided once, at construction (:func:`_weight_factor`), and
+kept as the two maps T = L* and Ti = L^-* of its factor W = L L*: for a
+diagonal W (every off-diagonal entry exactly zero, as the beam's energy
+weight), W > 0 when each w > 0 and the maps are the vectors sqrt(w) and
+1/sqrt(w); for any other W, the matrices L* and L^-* of the Cholesky
+factor, whose pivots decide W > 0.  The W-orthonormal copy (x~ = T x),
+to_state and dual_node are each one product formula in T and Ti, so every
+downstream PSD/eigen test is a plain unweighted test on the copy, in the
+dtypes of the stored matrices.  A node derived on the same state space (a
+closed loop, the diagonal transform, the dual, a feedthrough shift) shares
+W and both maps with its parent (:func:`_derived`): its A, B, C and D are
+validated again, and its copy is formed from its own matrices like any
+node's.  The same copy carries the resolvent: :func:`resolvent` is the one
+place that decides whether s is in rho(A) and that computes G(s).  n = 0
+is a valid node (its transfer function is the constant D).
 """
 
 from dataclasses import dataclass
@@ -71,9 +68,10 @@ class StateSpaceNode:
         check_conformable(A, B, C, D)
         n = A.shape[0]
         W = weight_matrix(self.W, n)
-        L = _weight_factor(W)
+        T, Ti = _weight_factor(W)
         W.setflags(write=False)
-        for name, val in (("A", A), ("B", B), ("C", C), ("D", D), ("W", W), ("_chol", L)):
+        for name, val in (("A", A), ("B", B), ("C", C), ("D", D), ("W", W),
+                          ("_chol", T), ("_chol_inv", Ti)):
             object.__setattr__(self, name, val)
 
     @property
@@ -94,25 +92,16 @@ class StateSpaceNode:
 
     @cached_property
     def orthonormal(self):
-        """(A~, B~, C~, D) in W-orthonormal coordinates x~ = L* x, read-only.
+        """(A~, B~, C~, D) = (T A Ti, T B, C Ti, D) in coordinates x~ = T x, read-only.
 
         Computed from the stored matrices as they are, so each keeps the
         dtype numpy promotion gives it: a real node (the beam) gets four
         float64 arrays and runs in real arithmetic downstream.
         """
-        A, B, C, D, L = self.A, self.B, self.C, self.D, self._chol
+        A, B, C, D, T, Ti = self.A, self.B, self.C, self.D, self._chol, self._chol_inv
         if self.is_identity_weight:
             return A, B, C, D
-        if L.ndim == 1:  # L = diag(d): scale rows by d and columns by 1/d
-            r = 1.0 / L
-            A = L[:, None] * (A * r)
-            B = L[:, None] * B
-            C = C * r
-        else:
-            Lh = L.conj().T
-            A = Lh @ np.linalg.solve(Lh.T, A.T).T  # L* A L^-*
-            B = Lh @ B
-            C = np.linalg.solve(Lh.T, C.T).T       # C L^-*
+        A, B, C = _left(T, _right(A, Ti)), _left(T, B), _right(C, Ti)
         for M in (A, B, C):
             M.setflags(write=False)
         return A, B, C, D
@@ -123,18 +112,11 @@ class StateSpaceNode:
         return StateSpaceNode(A, B, C, D, meta=self.meta)
 
     def to_state(self, x_orth):
-        """Map a W-orthonormal-coordinate vector back to original coordinates.
+        """x = Ti x~: a W-orthonormal-coordinate vector in the original coordinates.
 
-        Keeps the dtype numpy promotion gives it: real for a real vector and
-        a real weight.
+        Real for a real vector and a real weight.
         """
-        x_orth = np.asarray(x_orth)
-        if self.is_identity_weight:
-            return x_orth
-        L = self._chol
-        if L.ndim == 1:
-            return (x_orth.T * (1.0 / L)).T
-        return np.linalg.solve(L.conj().T, x_orth)
+        return _left(self._chol_inv, np.asarray(x_orth))
 
     def weighted_norm_sq(self, x):
         """||x||_W^2 = x* W x (real)."""
@@ -191,24 +173,18 @@ def eval_transfer(node, s):
 def dual_node(node):
     """Dual node with generating triple (A*, C*, B*) and feedthrough D*.
 
-    Adjoints are taken in the W-weighted state inner product, so
-    A* = W^-1 A^H W, C* = W^-1 C^H and B* = B^H W.  W^-1 is applied by
-    two solves with the Cholesky factor W = L L* that decided W > 0, or, for
-    a diagonal W = diag(d)^2, by scaling twice with 1/d.  The dual transfer
-    function satisfies G_dual(s) = G(conj(s))*.
+    Adjoints are taken in the W-weighted state inner product, the plain
+    one in W-orthonormal coordinates: the dual is the adjoint of the copy,
+    mapped back by the weight's maps, (Ti A~^H T, Ti C~^H, B~^H T, D^H) =
+    (W^-1 A^H W, W^-1 C^H, B^H W, D^H).  The dual transfer function
+    satisfies G_dual(s) = G(conj(s))*.
     """
-    W, L = node.W, node._chol
-    if L.ndim == 1:
-        w, r = np.diagonal(W), (1.0 / L)[:, None]
-        Ad, Bd = r * (r * (node.A.conj().T * w)), r * (r * node.C.conj().T)
-        Cd = node.B.conj().T * w
-    else:
-        X = np.hstack([node.A.conj().T @ W, node.C.conj().T])
-        X = np.linalg.solve(L.conj().T, np.linalg.solve(L, X))
-        Ad, Bd = X[:, :node.n], X[:, node.n:]
-        Cd = node.B.conj().T @ W
-    Dd = node.D.conj().T
-    return _derived(node, (Ad, Bd, Cd, Dd), f"dual({node.meta})" if node.meta else "dual")
+    # the adjoint of the copy; + 0.0 turns the -0.0 that conj leaves on a zero
+    # imaginary part into +0.0, so a real-valued copy has a real dual
+    Ah, Bh, Ch = (M.conj().T + 0.0 for M in node.orthonormal[:3])
+    T, Ti = node._chol, node._chol_inv
+    quad = (_left(Ti, _right(Ah, T)), _left(Ti, Ch), _right(Bh, T), node.D.conj().T)
+    return _derived(node, quad, f"dual({node.meta})" if node.meta else "dual")
 
 
 def weight_matrix(W, n):
@@ -226,20 +202,32 @@ def weight_matrix(W, n):
 
 
 def _weight_factor(W):
-    """Factor L of W = L L*, stored as its diagonal d = sqrt(w) when W is diagonal.
+    """The maps (T, Ti) = (L*, L^-*) of the factor of W = L L*; DimensionMismatch unless W > 0.
 
-    W is diagonal when every off-diagonal entry is exactly zero (O(n^2),
-    no copy), and then W > 0 when every w > 0; otherwise L is the Cholesky
-    factor, whose pivots decide W > 0 (linalg.cholesky).  d has W's dtype,
-    as the Cholesky factor of that W would.  DimensionMismatch unless W > 0.
+    A W whose off-diagonal entries are all exactly zero (O(n^2), no copy) is
+    > 0 when every w > 0, and its maps are the vectors d = sqrt(w), in W's
+    dtype as its Cholesky factor would be, and 1/d.  Any other W is decided
+    by the pivots of its Cholesky factor, and L^-* is formed once.
     """
     w = np.diagonal(W)
     if np.count_nonzero(W) != np.count_nonzero(w):
-        return linalg.cholesky(W, DimensionMismatch, "W must be positive definite")
+        Lh = linalg.cholesky(W, DimensionMismatch, "W must be positive definite").conj().T
+        return Lh, np.linalg.inv(Lh)
     # the diagonal of a self-adjoint W is real
     if not np.all(w.real > 0.0):
         raise DimensionMismatch("W must be positive definite")
-    return np.sqrt(w.real).astype(W.dtype, copy=False)
+    d = np.sqrt(w.real).astype(W.dtype, copy=False)
+    return d, 1.0 / d
+
+
+def _left(M, X):
+    """M X for a map M stored as a vector (a diagonal) or as a matrix; X may be a vector."""
+    return (X.T * M).T if M.ndim == 1 else M @ X
+
+
+def _right(X, M):
+    """X M for a map M stored as a vector (a diagonal) or as a matrix."""
+    return X * M if M.ndim == 1 else X @ M
 
 
 def shift_matrix(E, shape):
@@ -262,14 +250,14 @@ def shift_feedthrough(node, E):
 def _derived(node, quad, meta=None):
     """Node (A, B, C, D) = quad on the state space of node, with its W.
 
-    The new node shares W and its factor with node, so W is neither
+    The new node shares W and both its maps with node, so W is neither
     validated nor factored again.  The matrices pass linalg.as_matrix and
     check_conformable as in the constructor.  meta defaults to node.meta.
     """
     A, B, C, D = (linalg.as_matrix(M, name) for M, name in zip(quad, "ABCD"))
     check_conformable(A, B, C, D)
     new = object.__new__(StateSpaceNode)
-    for name, val in (("A", A), ("B", B), ("C", C), ("D", D), ("W", node.W),
-                      ("_chol", node._chol), ("meta", node.meta if meta is None else meta)):
+    for name, val in (("A", A), ("B", B), ("C", C), ("D", D), ("W", node.W), ("_chol", node._chol),
+                      ("_chol_inv", node._chol_inv), ("meta", node.meta if meta is None else meta)):
         object.__setattr__(new, name, val)
     return new

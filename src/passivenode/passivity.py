@@ -304,13 +304,17 @@ def minimal_E(node):
     is left out of E.  Raises NotSquare when p != m.
     """
     _require_square(node)
-    _, B, C, D = node.orthonormal
-    lam, V, dissipative = linalg.psd_eig(-node.dissipation_form())
+    return _minimal_E(node, *linalg.psd_eig(-node.dissipation_form()))
+
+
+def _minimal_E(node, lam, V, dissipative):
+    """:func:`minimal_E` of a square node from (lam, V, dissipative) = linalg.psd_eig(Q)."""
     if not dissipative:
         raise NotAlmostPassive(
             f"Q = -(A + A*) has the eigenvalue {lam[0]:.3e} < 0: no shift E "
             "makes the node impedance passive"
         )
+    _, B, C, D = node.orthonormal
     F = (C - B.conj().T) @ V
     kernel = lam <= linalg.SUBSPACE_TOL * max(1.0, np.abs(lam).max(initial=0.0))
     Fr = F[:, ~kernel]
@@ -356,11 +360,7 @@ def minimal_E_esad(node, s=1.0 + 0.0j):
     depend on s: it is only checked to lie in rho(A), and
     SingularResolvent is raised when it does not.
     """
-    if not linalg.psd_eig(-node.dissipation_form())[2]:
-        raise NotESAD("Q = -(A + A*) is not positive semidefinite")
-    _require_colocated(node)
-    _require_resolvent_point(node, s)
-    return minimal_E(node)
+    return _minimal_E_of_class(node, s, NotESAD("Q = -(A + A*) is not positive semidefinite"))
 
 
 def minimal_E_selfadjoint(node, s=1.0 + 0.0j):
@@ -374,11 +374,17 @@ def minimal_E_selfadjoint(node, s=1.0 + 0.0j):
     A, _, _, _ = node.orthonormal
     if np.linalg.norm(A - A.conj().T, 2) > linalg.scaled_tol(A):
         raise NotSelfAdjointDissipative("A is not self-adjoint")
-    if not linalg.psd_eig(-node.dissipation_form())[2]:
-        raise NotSelfAdjointDissipative("A is not negative semidefinite")
+    return _minimal_E_of_class(node, s, NotSelfAdjointDissipative("A is not negative semidefinite"))
+
+
+def _minimal_E_of_class(node, s, error):
+    """:func:`minimal_E` after the class checks Q >= 0 (else error), C = B* and s in rho(A)."""
+    eig = linalg.psd_eig(-node.dissipation_form())
+    if not eig[2]:
+        raise error
     _require_colocated(node)
     _require_resolvent_point(node, s)
-    return minimal_E(node)
+    return _minimal_E(node, *eig)
 
 
 def positive_part(E):

@@ -51,6 +51,16 @@ def assert_derived_on(derived, parent):
         assert (M.dtype, M.shape, M.tobytes()) == (X.dtype, X.shape, X.tobytes())
 
 
+def dense_coordinates(node, seed):
+    """node in the coordinates x = T x' of the seeded T = I + 0.1 G / sqrt(n),
+    G standard normal: the same system, with the dense weight W' = T* W T."""
+    n = node.n
+    T = np.eye(n) + 0.1 * np.random.default_rng(seed).standard_normal((n, n)) / np.sqrt(n)
+    Ti = np.linalg.inv(T)
+    return StateSpaceNode(Ti @ node.A @ T, Ti @ node.B, node.C @ T, node.D,
+                          W=T.conj().T @ node.W @ T, meta=node.meta)
+
+
 def random_nonpassive_node(seed, n=4, m=2):
     """Passive node spoiled by a negative feedthrough shift.
 

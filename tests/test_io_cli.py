@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import passivenode
-from passivenode import io, sim
+from passivenode import io, second_order, sim
 from passivenode.cli import main
 from passivenode.errors import ParseError, SchemaError
 
@@ -328,13 +328,21 @@ def test_cli_omega_must_be_a_finite_number(value, tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["inf", "nan", "1e400", "abc"])
 def test_cli_input_omega_must_be_a_finite_number(value, tmp_path, capsys):
-    # an infinite omega used to reach cos(omega t), warn twice and end in NonFiniteState
+    # an infinite omega used to reach cos(omega t), warn twice and end in NonFiniteState;
+    # every other float option is read the same way (an inf --amplitude ended in
+    # NonFiniteState, --kappa in KappaOutOfRange, a NaN --t-final in InvalidTimeGrid)
     path = _write_node(tmp_path, random_passive_node(0))
-    assert main(["simulate", path, "--input-omega", value]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ParseError: argument --input-omega: cannot parse")
-    assert captured.err.count("\n") == 1
+    for verb, option in (("simulate", "--input-omega"), ("simulate", "--t-final"),
+                         ("simulate", "--amplitude"), ("simulate --adversarial", "--amplitude"),
+                         ("feedback", "--kappa"), ("stability", "--kappa"),
+                         ("beam", "--kappa"), ("beam", "--rho-a"), ("beam", "--ei"),
+                         ("beam", "--ebar-i")):
+        argv = verb.split() + ([] if verb == "beam" else [path])
+        assert main([*argv, option, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: ParseError: argument {option}: cannot parse")
+        assert captured.err.count("\n") == 1
 
 
 def test_cli_points_are_the_certified_points(tmp_path, capsys):
@@ -362,9 +370,24 @@ def test_cli_help_exits_0(capsys):
 
 
 def test_cli_beam_rejects_non_finite_parameters(capsys):
+    # a non-finite value is a usage error; a finite one out of range is the library's
     for argv in (["--rho-a", "inf"], ["--ebar-i", "nan"]):
         assert main(["beam", "--n-modes", "4", *argv]) == 1
+        assert capsys.readouterr().err.startswith(f"error: ParseError: argument {argv[0]}")
+    for argv in (["--rho-a", "0"], ["--ebar-i", "-1"]):
+        assert main(["beam", "--n-modes", "4", *argv]) == 1
         assert capsys.readouterr().err.startswith("error: DimensionMismatch: beam parameters")
+
+
+def test_cli_beam_n_modes_above_the_limit_is_one_error_line(capsys, monkeypatch):
+    # rejected before any array is built
+    n_modes = second_order.BEAM_MAX_STATES // 2 + 2
+    monkeypatch.setattr(np, "zeros", None)
+    assert main(["beam", "--n-modes", str(n_modes)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: DimensionMismatch: n_modes")
+    assert captured.err.count("\n") == 1
 
 
 # -- scipy stays off the import path ------------------------------------------

@@ -17,7 +17,7 @@ from passivenode import (
 from passivenode import linalg
 from passivenode.errors import DimensionMismatch, NotSelfAdjoint, SingularResolvent
 
-from conftest import assert_derived_on, random_passive_node
+from conftest import assert_derived_on, dense_coordinates, random_passive_node
 
 
 def test_dimension_validation():
@@ -90,6 +90,51 @@ def test_a_diagonal_W_is_scaled_as_the_dense_path_factors_it():
         for X, Y in zip((d.A, d.B, d.C), dual):
             close(X, Y)
         assert_derived_on(d, node)
+
+
+def test_a_dense_W_is_inverted_once_and_never_solved(monkeypatch):
+    # L^-* is formed once, at construction, and handed on with L*: the closed
+    # loop, the scattering intermediate and the dual invert nothing
+    dense = dense_coordinates(beam_model(BeamParameters(n_modes=24))[0], 24)
+    n = dense.n
+    counts = {"inv": 0, "solve": 0}
+    inv, solve = np.linalg.inv, np.linalg.solve
+
+    def counted_inv(M):
+        # feedback inverts the m x m I + kappa D; only state-sized inverses count here
+        counts["inv"] += np.shape(M) == (n, n)
+        return inv(M)
+
+    def counted_solve(*args):
+        counts["solve"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    node = StateSpaceNode(dense.A, dense.B, dense.C, dense.D, W=dense.W)
+    assert counts == {"inv": 1, "solve": 0}
+    syn = stabilizing_feedback(node, np.zeros((2, 2)), 1.0)
+    derived = (syn.closed_loop, syn.scattering_intermediate, dual_node(node))
+    for x in (node, *derived):
+        x.orthonormal
+        x.to_state(np.ones(n))
+    assert counts == {"inv": 1, "solve": 0}
+    monkeypatch.undo()
+    for x in derived:
+        assert x._chol_inv is node._chol_inv
+        assert_derived_on(x, node)
+
+
+def test_the_dual_of_the_dual_is_the_node():
+    # the dual is the adjoint of the orthonormal copy mapped back, an involution;
+    # the rounding grows with cond(W), which is 3e2 for the dense beam here
+    beam = beam_model(BeamParameters(n_modes=4))[0]
+    nodes = [dense_coordinates(beam, 4), random_passive_node(7, weight=True),
+             random_passive_node(7, weight=True, real=True)]
+    for node in [*nodes, *_diagonal_weight_nodes()]:
+        twice = dual_node(dual_node(node))
+        for X, Y in zip((twice.A, twice.B, twice.C, twice.D), (node.A, node.B, node.C, node.D)):
+            assert np.linalg.norm(X - Y) <= 1e-12 * (1.0 + np.linalg.norm(Y))
 
 
 def test_a_diagonal_W_must_have_positive_entries():

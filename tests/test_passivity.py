@@ -377,6 +377,22 @@ def test_selfadjoint_class_check_agrees_with_minimal_E():
         minimal_E(node)
 
 
+def test_the_structured_minimal_E_decomposes_Q_once(monkeypatch):
+    # the class check Q >= 0 and the formula share one eigh; the certificate
+    # of the candidate E makes the other; E is minimal_E's, bit for bit
+    cases = [(minimal_E_esad, esad_colocated_node(seed)) for seed in range(4)]
+    cases += [(minimal_E_selfadjoint, selfadjoint_colocated_node(seed)) for seed in range(4)]
+    eigh = np.linalg.eigh
+    for fn, node in cases:
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M) or eigh(M))
+        E = fn(node)
+        monkeypatch.undo()
+        assert len(calls) == 2
+        E_general = minimal_E(node)
+        assert (E.dtype, E.tobytes()) == (E_general.dtype, E_general.tobytes())
+
+
 def _decides(call):
     """True when call() returns, False when it raises a PassiveNodeError."""
     try:

@@ -632,7 +632,9 @@ def test_simulate_rejects_bad_grid(T, steps, tmp_path, capsys):
         simulate(node, np.zeros(node.n), lambda t: np.zeros(node.m), T, steps=steps)
     path = _write(tmp_path, io.node_to_dict(node))
     assert main(["simulate", path, "--t-final", str(T), "--steps", str(steps)]) == 1
-    assert "error: InvalidTimeGrid:" in capsys.readouterr().err
+    # the CLI reads a non-finite --t-final as a usage error
+    error = "InvalidTimeGrid" if np.isfinite(T) else "ParseError"
+    assert f"error: {error}:" in capsys.readouterr().err
 
 
 def test_energy_audit_overflow_is_non_finite_state(tmp_path, capsys):

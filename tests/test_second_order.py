@@ -19,6 +19,7 @@ from passivenode import (
     stabilizing_feedback,
     stability_verdict,
 )
+from passivenode import second_order
 from passivenode.errors import DimensionMismatch, NotAlmostPassive, NotSquare
 from passivenode.second_order import beam_frequencies, beam_mode_shape
 from passivenode.stability import StabilityVerdict
@@ -310,6 +311,17 @@ def test_beam_parameter_validation():
         BeamParameters(rho_a=-1.0)
     with pytest.raises(DimensionMismatch):
         BeamParameters(n_modes=1)
+
+
+def test_beam_n_modes_is_bounded_above_before_anything_is_allocated(monkeypatch):
+    # the smallest n_modes whose n = 2 n_modes - 2 exceeds the limit; no array is built
+    n_modes = second_order.BEAM_MAX_STATES // 2 + 2
+    for name in ("zeros", "eye", "arange"):
+        monkeypatch.setattr(np, name, None)
+    with pytest.raises(DimensionMismatch, match="BEAM_MAX_STATES"):
+        BeamParameters(n_modes=n_modes)
+    with pytest.raises(DimensionMismatch, match="BEAM_MAX_STATES"):
+        BeamParameters(n_modes=np.int64(n_modes))
 
 
 @pytest.mark.parametrize("field, value", [

@@ -12,6 +12,8 @@ from passivenode import (
     StateSpaceNode,
     beam_model,
     benchimol_conditions,
+    check_impedance,
+    check_scattering,
     stability_verdict,
     unitary_subspace,
     unobservable_space,
@@ -21,7 +23,7 @@ from passivenode.cli import main
 from passivenode.errors import NotContraction
 from passivenode.stability import StabilityVerdict, uncontrollable_dual_space
 
-from conftest import random_almost_passive, random_passive_node
+from conftest import dense_coordinates, random_almost_passive, random_passive_node
 
 
 def _augment_dark_mode(node, omega, r=None):
@@ -220,6 +222,23 @@ def test_beam_verdict_factors_nothing_and_solves_nothing(monkeypatch):
     report, _ = stability_verdict(node, E, 1.0)
     assert report.verdict is StabilityVerdict.STRONGLY_STABLE
     assert counts == {"cholesky": 0, "solve": 0}
+
+
+@pytest.mark.parametrize("n_modes", [24, 100])
+def test_a_dense_change_of_coordinates_keeps_the_beam_verdicts(n_modes):
+    # the same system under x = T x', with a dense W (cond 2e6 and 7e8), takes
+    # the Cholesky path and must read as the diagonal beam does
+    beam, E = beam_model(BeamParameters(n_modes=n_modes))
+    dense = dense_coordinates(beam, n_modes)
+    assert np.count_nonzero(dense.W) == dense.n**2
+    reports = [stability_verdict(node, E, 1.0)[0] for node in (beam, dense)]
+    docs = [report.as_dict() for report in reports]
+    for key in ("verdict", "dim_unobservable", "dim_uncontrollable_dual", "dim_unitary"):
+        assert docs[0][key] == docs[1][key]
+    for check in (check_impedance, check_scattering):
+        assert check(beam).passive == check(dense).passive
+    top = [report.closed_loop_max_real for report in reports]
+    assert abs(top[1] - top[0]) <= 1e-8 * abs(top[0])
 
 
 def test_the_verdict_forms_no_dissipation_on_trivial_subspaces(monkeypatch):
