@@ -17,6 +17,7 @@ usage errors included.
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -39,10 +40,18 @@ def _emit(doc, out=None):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as ParseError, so that it exits 1 like any error."""
+    """Reports a usage error as ParseError, so that it exits 1 like any error,
+    and reads a token such as -1e3 or -1,2 as a negative number."""
 
     def error(self, message):
         raise ParseError(message)
+
+    def _parse_optional(self, arg_string):
+        # no option starts with -digit or -.digit, so such a token is a value;
+        # argparse alone would read -1e3 or -1,2 as an unknown option
+        if re.match(r"-\.?\d", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _complex_arg(text):

@@ -45,7 +45,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, InvalidTolerance, NonFiniteState, file_errors
 from .node import shift_matrix, weight_matrix
-from .passivity import _certify_shifted
+from .passivity import _shifted_form
 
 
 @dataclass(frozen=True)
@@ -316,14 +316,26 @@ def export_csv(traj, path, audit=None):
 def adversarial_input(node, E=None, amplitude=1.0):
     """Constant input exposing a passivity violation, when one exists.
 
-    Takes the witness of the bounded impedance form of Sigma_E (E = None
-    reads as 0), the eigenvector of its most negative eigenvalue, splits it
-    into (state, input) components and returns (z0, u0, eigenvalue).
+    Takes the bounded impedance form of Sigma_E (E = None reads as 0) and
+    its bottom eigenspace, that of the eigenvalues within linalg.psd_tol of
+    the least.  The witness is the unit projection of (0, 1_m / sqrt(m))
+    onto that eigenspace, so the rounding of eigh does not pick it within a
+    repeated eigenvalue; when the projection is zero (below base_tol()) it
+    is the eigenvector of the least eigenvalue.  The witness is split into
+    (state, input) components, and (z0, u0, least eigenvalue) returned.
     Driving the node from z0 with the constant input u0 makes the
     instantaneous defect rate negative, so a short simulation yields a
     strictly negative energy-audit defect.  Raises NotSquare when p != m.
     """
     amplitude = linalg.as_real(amplitude, "amplitude", DimensionMismatch)
-    cert, _ = _certify_shifted(node, E)
-    z0 = node.to_state(amplitude * cert.witness[:node.n])
-    return z0, amplitude * cert.witness[node.n:], cert.min_eigenvalue
+    F, _ = _shifted_form(node, E)
+    vals, vecs, _ = linalg.psd_eig(F)
+    if not vals.size:  # n = m = 0
+        return np.zeros(0), np.zeros(0), 0.0
+    bottom = vecs[:, vals <= vals[0] + linalg.psd_tol(vals)]
+    # bottom* (0, 1_m / sqrt(m))
+    c = bottom[node.n:].sum(axis=0).conj() / np.sqrt(max(node.m, 1))
+    norm = np.linalg.norm(c)
+    w = bottom @ c / norm if norm > linalg.base_tol() else vecs[:, 0]
+    z0 = node.to_state(amplitude * w[:node.n])
+    return z0, amplitude * w[node.n:], float(vals[0])

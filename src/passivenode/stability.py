@@ -69,7 +69,9 @@ class StabilityReport:
 
     Every field but the informational open-loop imaginary_spectrum and the
     raw closed_loop_max_real follows from unitary_basis (H): the verdict is
-    StronglyStable exactly when H = {0}.
+    StronglyStable exactly when H = {0}.  imaginary_spectrum lists each
+    eigenvalue lambda of the W-orthonormal A with
+    |Re lambda| < tol (1 + |lambda|) + eps ||A||_F.
     """
 
     unobservable_basis: np.ndarray
@@ -137,28 +139,18 @@ def benchimol_conditions(node, require_contraction=True):
     return holds, holds, N, Nd, H
 
 
-#: relative widening of both slack bounds of _axis_eigenvalues; it covers the
-#: rounding of the computed norms (about n * eps relative)
-_AXIS_BOUND_GUARD = 1e-8
-
-
 def _axis_eigenvalues(A):
-    """Eigenvalues lambda of A with |Re lambda| < linalg.scaled_tol(A), bounds first.
+    """Eigenvalues lambda of A with |Re lambda| < tol (1 + |lambda|) + eps ||A||_F.
 
-    The rule is the slack base_tol() * (1 + ||A||_2) of linalg.scaled_tol,
-    but ||A||_2 costs a full SVD.  Since ||A||_F / sqrt(n) <= ||A||_2 <=
-    ||A||_F (Golub and Van Loan, Matrix Computations, 2.3), the slack lies
-    between the two slacks these bounds give, each widened by
-    _AXIS_BOUND_GUARD; an eigenvalue outside that band is decided by the
-    bounds, and the SVD is taken only when some |Re lambda| falls inside it.
+    Each eigenvalue is measured on its own scale, tol = base_tol(), so a
+    stiff A does not widen the slack of its slow modes.  eps ||A||_F is the
+    rounding floor of eigvals, whose backward error is about eps ||A||
+    (Golub and Van Loan, Matrix Computations, 7.5): it keeps a zero whose
+    computed |lambda| is a rounding error larger than its slack.
     """
     lam = np.linalg.eigvals(A)
-    dist = np.abs(lam.real)
-    tol, fro = linalg.base_tol(), np.linalg.norm(A)
-    low = tol * (1.0 + fro / math.sqrt(max(A.shape[0], 1))) * (1.0 - _AXIS_BOUND_GUARD)
-    high = tol * (1.0 + fro) * (1.0 + _AXIS_BOUND_GUARD)
-    slack = linalg.scaled_tol(A) if ((dist >= low) & (dist < high)).any() else low
-    return tuple(complex(v) for v in lam[dist < slack])
+    slack = linalg.base_tol() * (1.0 + np.abs(lam)) + np.finfo(float).eps * np.linalg.norm(A)
+    return tuple(complex(v) for v in lam[np.abs(lam.real) < slack])
 
 
 def stability_verdict(node, E, kappa):
@@ -171,10 +163,9 @@ def stability_verdict(node, E, kappa):
     spectrum of A on H.  closed_loop_max_real is the raw spectral abscissa
     of the closed loop (-inf for n = 0, written as null by as_dict) and
     decides nothing; imaginary_spectrum lists the open-loop eigenvalues
-    within linalg.scaled_tol(A) of the axis.  That slack is bounded first,
-    by ||A||_F / sqrt(n) <= ||A||_2 <= ||A||_F, and its SVD taken only when
-    some |Re lambda| lies between the two bounded slacks
-    (:func:`_axis_eigenvalues`); the list is the one the SVD gives.
+    lambda with |Re lambda| < tol (1 + |lambda|) + eps ||A||_F, the slack
+    of the eigenvalue itself plus the rounding floor of eigvals
+    (:func:`_axis_eigenvalues`).
     """
     syn = stabilizing_feedback(node, E, kappa)
     cweak, bweak, N, Nd, H = benchimol_conditions(

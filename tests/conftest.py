@@ -51,11 +51,15 @@ def assert_derived_on(derived, parent):
         assert (M.dtype, M.shape, M.tobytes()) == (X.dtype, X.shape, X.tobytes())
 
 
+def dense_change(n, seed):
+    """The seeded change of coordinates T = I + 0.1 G / sqrt(n), G standard normal."""
+    return np.eye(n) + 0.1 * np.random.default_rng(seed).standard_normal((n, n)) / np.sqrt(n)
+
+
 def dense_coordinates(node, seed):
-    """node in the coordinates x = T x' of the seeded T = I + 0.1 G / sqrt(n),
-    G standard normal: the same system, with the dense weight W' = T* W T."""
-    n = node.n
-    T = np.eye(n) + 0.1 * np.random.default_rng(seed).standard_normal((n, n)) / np.sqrt(n)
+    """node in the coordinates x = T x' of T = dense_change(n, seed): the
+    same system, with the dense weight W' = T* W T."""
+    T = dense_change(node.n, seed)
     Ti = np.linalg.inv(T)
     return StateSpaceNode(Ti @ node.A @ T, Ti @ node.B, node.C @ T, node.D,
                           W=T.conj().T @ node.W @ T, meta=node.meta)

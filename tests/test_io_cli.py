@@ -15,7 +15,7 @@ from passivenode import io, second_order, sim
 from passivenode.cli import main
 from passivenode.errors import ParseError, SchemaError
 
-from conftest import random_passive_node
+from conftest import esad_colocated_node, random_passive_node
 
 
 def test_node_roundtrip_bit_identical(tmp_path):
@@ -343,6 +343,25 @@ def test_cli_input_omega_must_be_a_finite_number(value, tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith(f"error: ParseError: argument {option}: cannot parse")
         assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["feedback", "{path}", "--kappa", "-1e3"],
+    ["beam", "--ebar-i", "-1e-3"],
+    ["check", "{path}", "--points", "-1,2"],
+    ["cayley", "{path}", "--alpha", "-5e-1"],
+    ["minimal-e", "{path}", "--s", "-1e0,1"],
+    ["minimal-e", "{path}", "--method", "colocated", "--omega", "-2.5e-1"],
+])
+def test_cli_a_negative_number_reads_as_with_equals(argv, tmp_path, capsys):
+    # argparse alone takes -1e3 or -1,2 for an unknown option; the skew-adjoint
+    # colocated node gets each minimal-e method past its class check
+    path = _write_node(tmp_path, esad_colocated_node(0, skew_only=True))
+    argv = [arg.format(path=path) for arg in argv]
+    spaced = main(argv), capsys.readouterr()
+    joined = main([*argv[:-2], "=".join(argv[-2:])]), capsys.readouterr()
+    assert spaced == joined
+    assert "expected one argument" not in joined[1].err
 
 
 def test_cli_points_are_the_certified_points(tmp_path, capsys):

@@ -19,7 +19,13 @@ from passivenode.errors import DimensionMismatch, NonFiniteState
 from passivenode.passivity import impedance_block_bounded
 from passivenode.sim import _propagator, _recur, export_csv
 
-from conftest import random_almost_passive, random_nonpassive_node, random_passive_node
+from conftest import (
+    dense_change,
+    dense_coordinates,
+    random_almost_passive,
+    random_nonpassive_node,
+    random_passive_node,
+)
 
 
 def test_rk4_matches_exact_exponential():
@@ -156,6 +162,16 @@ def test_adversarial_input_is_the_bottom_of_the_bounded_form_of_sigma_E():
             assert abs(lam - expected) <= 1e-12 * (1.0 + np.linalg.norm(F, 2))
             # a unit witness (x, u) in W-orthonormal coordinates, scaled by 3
             assert node.weighted_norm_sq(z0) + np.linalg.norm(u0) ** 2 == pytest.approx(9.0)
+
+
+def test_adversarial_input_does_not_depend_on_the_realization():
+    # the form of the colocated beam has the least eigenvalue 0 on the input
+    # block and on the rigid pair, so eigh's first vector of it is up to rounding
+    node = beam_model(BeamParameters(n_modes=24))[0]
+    z0, u0, _ = adversarial_input(node)
+    z0d, u0d, _ = adversarial_input(dense_coordinates(node, 24))
+    assert np.abs(u0d - u0).max() <= 1e-8
+    assert np.abs(dense_change(node.n, 24) @ z0d - z0).max() <= 1e-8
 
 
 def test_csv_export(tmp_path):
