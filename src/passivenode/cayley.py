@@ -129,7 +129,7 @@ def check_discrete_passivity(disc, kind):
         top = np.hstack([np.eye(n) - Ad.conj().T @ Ad, Cd.conj().T - Ad.conj().T @ Bd])
         bot = np.hstack([Cd - Bd.conj().T @ Ad, Dd + Dd.conj().T - Bd.conj().T @ Bd])
         form = np.vstack([top, bot])
-    return _certify(kind, [form], ())
+    return _certify(kind, [form[None]], ())
 
 
 def laguerre_functions(t, alpha, K):

@@ -2,17 +2,22 @@
 
 Three kinds of numerical question, one rule each:
 
-* Invertibility (s in rho(A), I + kD, I - KD, Ad + I): :func:`checked_inv`
-  forms the inverse once for the caller to reuse; for s in rho(A) its one
-  caller is ``node.resolvent``.  M is singular when LAPACK finds a zero
-  pivot, M^-1 is not finite, or RCOND * max(1, ||M||_1) * ||M^-1||_1 >= 1.
-  A dense W > 0 and A0 > 0 are the pivots of :func:`cholesky`.
+* Invertibility (s in rho(A), I + kD, I - KD, Ad + I): :func:`inverses`
+  inverts a stack of matrices in one call and marks the singular ones, and
+  :func:`checked_inv` applies it to one matrix, raising the caller's error;
+  the inverse is formed once for the caller to reuse.  M is singular when
+  LAPACK finds a zero pivot, M^-1 is not finite, or
+  RCOND * max(1, ||M||_1) * ||M^-1||_1 >= 1.  A dense W > 0 and A0 > 0 are
+  the pivots of :func:`cholesky`.
 * Rank: subspace routines return orthonormal bases (columns) and cut
   singular values at the relative SUBSPACE_TOL.
-* Sign and identity: a form is >= 0 when lambda_min >= -psd_tol, read off
-  the same eigh (:func:`psd_eig`); a residual R of an identity is zero when
-  ||R||_2 <= :func:`scaled_tol` of the matrix it is measured against.  Both
-  are base_tol() (PASSIVE_NODE_TOL, default 1e-9) times 1 + a norm.
+* Sign and identity: a form is >= 0 when lambda_min >= -psd_tol, a rule
+  read off its eigenvalues alone (:func:`psd_vals`, which also decides a
+  stack of forms in one call); eigenvectors are computed, by
+  :func:`psd_eig`, only where a caller reads them.  A residual R of an
+  identity is zero when ||R||_2 <= :func:`scaled_tol` of the matrix it is
+  measured against.  Both are base_tol() (PASSIVE_NODE_TOL, default 1e-9)
+  times 1 + a norm.
 
 Real data runs in real arithmetic.  This is decided once, where a matrix
 or a time-domain signal enters (:func:`as_matrix`, :func:`as_signal`): it
@@ -131,17 +136,21 @@ def _finite(value, kind, name, error):
     raise error(f"{name} must be a finite {kind.__name__.lower()} number, got {value!r}")
 
 
-def time_grid(T, steps, even=False):
+def time_grid(T, steps, even=False, max_points=None):
     """The uniform grid of steps + 1 times on [0, T] (steps made even if even is set).
 
     InvalidTimeGrid unless T is a finite real number > 0 and steps an
-    integer >= 1 whose grid numpy can allocate.
+    integer >= 1 whose grid numpy can allocate, with at most max_points
+    points when that is given (checked before the grid is allocated).
     """
     T = as_real(T, "T", InvalidTimeGrid)
     if T <= 0:
         raise InvalidTimeGrid(f"T must be > 0, got {T}")
     steps = as_count(steps, "steps", 1, InvalidTimeGrid)
     steps += steps % 2 if even else 0
+    if max_points is not None and steps + 1 > max_points:
+        raise InvalidTimeGrid(f"steps = {steps} gives more than the {max_points} grid points "
+                              "this trajectory may hold")
     try:
         return np.linspace(0.0, T, steps + 1)
     except MemoryError:
@@ -195,14 +204,38 @@ def as_signal(values, name, width=None):
     return S
 
 
-def checked_inv(M, error, message):
-    """Inverse of the square matrix M; raises error(message) if M is singular."""
+def inverses(M):
+    """(M^-1, invertible) for a stack M (..., k, k) of square matrices.
+
+    One inverse of the whole stack.  invertible marks (shape M.shape[:-2])
+    the slices that are not singular by the rule of the module docstring;
+    the inverse of a singular slice is not to be read.  LAPACK stops at a
+    zero pivot in any slice, and then the slices are inverted one by one,
+    a zero-pivot slice left NaN.
+    """
     try:
         Minv = np.linalg.inv(M)
     except np.linalg.LinAlgError:
-        raise error(message) from None
-    # "not <" so that a NaN or inf in M^-1 also counts as singular
-    if not RCOND * max(1.0, np.linalg.norm(M, 1)) * np.linalg.norm(Minv, 1) < 1.0:
+        Minv = np.full(M.shape, np.nan, dtype=np.result_type(M, float))
+        for i in np.ndindex(M.shape[:-2]):
+            try:
+                Minv[i] = np.linalg.inv(M[i])
+            except np.linalg.LinAlgError:
+                pass
+    # "<" is False for a NaN or inf in M^-1, so such a slice is singular too
+    invertible = RCOND * np.maximum(1.0, _norm1(M)) * _norm1(Minv) < 1.0
+    return Minv, invertible
+
+
+def _norm1(M):
+    """||M||_1 (the largest column sum of |M|) of each matrix of the stack M."""
+    return np.abs(M).sum(axis=-2).max(axis=-1, initial=0.0)
+
+
+def checked_inv(M, error, message):
+    """Inverse of the square matrix M; raises error(message) if M is singular (:func:`inverses`)."""
+    Minv, invertible = inverses(M)
+    if not invertible:
         raise error(message)
     return Minv
 
@@ -211,8 +244,9 @@ def psd_tol(eigenvalues):
     """Scale-invariant PSD slack of a self-adjoint form, from its eigenvalues.
 
     A form passes if lambda_min >= -psd_tol; max |lambda| is its 2-norm.
+    eigenvalues may be a stack (..., k), one slack per form.
     """
-    return base_tol() * (1.0 + np.abs(eigenvalues).max(initial=0.0))
+    return base_tol() * (1.0 + np.abs(eigenvalues).max(axis=-1, initial=0.0))
 
 
 def scaled_tol(M):
@@ -221,9 +255,9 @@ def scaled_tol(M):
 
 
 def hermitize(M):
-    """Self-adjoint part (M + M*)/2, real when M is."""
+    """Self-adjoint part (M + M*)/2 of M, or of each matrix of a stack; real when M is."""
     M = np.asarray(M)
-    return 0.5 * (M + M.conj().T)
+    return 0.5 * (M + M.conj().swapaxes(-1, -2))
 
 
 def assert_hermitian(M, what="matrix"):
@@ -245,15 +279,31 @@ def assert_hermitian(M, what="matrix"):
     return hermitize(M)
 
 
+def psd_vals(M):
+    """Eigenvalues (ascending) of the self-adjoint part of M, and whether M >= 0.
+
+    The one sign rule: a form passes when lambda_min >= -psd_tol, the slack
+    read off its own eigenvalues.  No eigenvector is computed.  M may be a
+    stack (..., k, k): one eigvalsh decides every form, and the verdict has
+    the shape M.shape[:-2].  An empty form passes.
+    """
+    vals = np.linalg.eigvalsh(hermitize(M))
+    return vals, _passes(vals)
+
+
 def psd_eig(M):
     """Eigenvalues (ascending), unit eigenvectors and whether M >= 0.
 
-    The one sign rule: the self-adjoint part of M passes when
-    lambda_min >= -psd_tol, the slack read off the same eigh.  An empty M
-    passes.
+    The sign rule of :func:`psd_vals`, for a caller that reads the
+    eigenvectors too.
     """
     vals, vecs = np.linalg.eigh(hermitize(M))
-    return vals, vecs, bool(np.all(vals >= -psd_tol(vals)))
+    return vals, vecs, bool(_passes(vals))
+
+
+def _passes(vals):
+    """Whether lambda_min >= -psd_tol for the eigenvalues vals (..., k) of each form."""
+    return np.all(vals >= -np.expand_dims(psd_tol(vals), -1), axis=-1)
 
 
 def cholesky(M, error, message):

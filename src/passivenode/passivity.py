@@ -7,8 +7,13 @@ resolvent form is that bounded form in the variables x = x' + (sI - A)^-1 B u
 (the reciprocal form then sets x' = -(sI - A)^-1 x''): a congruence T* F T
 with T invertible, which by Sylvester's law of inertia has the inertia of F,
 so the verdict holds for some, hence for every, s.  A form passes when its
-minimum eigenvalue is above the scale-invariant slack -tol*(1+||form||) of
-linalg.psd_eig, and the minimal-E functions decide Q >= 0 by the same call.
+minimum eigenvalue is above the scale-invariant slack -tol*(1+||form||), a
+rule read off its eigenvalues alone (linalg.psd_vals).  A check builds its
+test-point forms as stacks, one per dtype, with one inverse of the stacked
+sI - A each, decides every form by one eigvalsh per stack, and computes
+eigenvectors once, for the witness of the worst form (:func:`_certify`).
+The minimal-E functions decide Q >= 0 by the same rule, in the eigh
+(linalg.psd_eig) whose eigenvectors the formula reads.
 The smallest self-adjoint E making Sigma_E = (A, B, C, D+E) impedance passive
 comes from one formula, :func:`minimal_E`: the Schur complement of the
 bounded impedance form.  The structured functions (``minimal_E_esad``,
@@ -103,82 +108,113 @@ def scattering_block_bounded(node):
     return linalg.hermitize(np.vstack([top, bot]))
 
 
-def _resolvent_congruence(node, form, s, message):
-    """(T* form T, R) for T = [[I, R B], [0, I]], R = (sI - A)^-1 (orthonormal).
+def _congruence(form, RB):
+    """T* form T for T = [[I, RB], [0, I]], at each RB of a stack (..., n, m).
 
-    T is the change of variables x = x' + R B u, applied blockwise in
-    O((n + m) n m).  Raises OmegaInSpectrum(message) when s is not in rho(A).
+    T is the change of variables x = x' + RB u, applied blockwise in
+    O((n + m) n m) per form.  Returns a stack (..., n + m, n + m) of the
+    dtype np.result_type(form, RB), not hermitized.
     """
-    R, _ = resolvent(node, s, OmegaInSpectrum, message)
-    RB = R @ node.orthonormal[1]
-    n = node.n
-    F = np.array(form, dtype=np.result_type(form, RB))
-    F[:, n:] += F[:, :n] @ RB
-    F[n:, :] += RB.conj().T @ F[:n, :]
-    return F, R
-
-
-def _point_form(node, form, s):
-    """The bounded form in x = x' + (sI - A)^-1 B u, at s in rho(A)."""
-    F, _ = _resolvent_congruence(node, form, s, f"test point {s} is in the spectrum of A")
-    return linalg.hermitize(F)
+    n = RB.shape[-2]
+    F = np.empty(RB.shape[:-2] + form.shape, dtype=np.result_type(form, RB))
+    F[...] = form
+    F[..., n:] += F[..., :n] @ RB
+    F[..., n:, :] += RB.conj().swapaxes(-1, -2) @ F[..., :n, :]
+    return F
 
 
 def impedance_form_at(node, s):
     """Impedance test form at s in rho(A): the bounded form in x = x' + (sI - A)^-1 B u."""
-    return _point_form(node, impedance_block_bounded(node), s)
+    return _form_at(node, impedance_block_bounded(node), s)
 
 
 def scattering_form_at(node, s):
     """Scattering test form at s in rho(A): the bounded form in x = x' + (sI - A)^-1 B u."""
-    return _point_form(node, scattering_block_bounded(node), s)
+    return _form_at(node, scattering_block_bounded(node), s)
 
 
-def _point_forms(node, form, test_points):
-    """The bounded form at the test points in rho(A) (others are skipped), one inverse each.
+def _form_at(node, form, s):
+    """The form at the one point s of :func:`_point_forms`; OmegaInSpectrum unless s is in rho(A)."""
+    pts, stacks = _point_forms(node, form, (s,))
+    if not pts:
+        raise OmegaInSpectrum(f"test point {s} is in the spectrum of A")
+    return linalg.hermitize(stacks[0][0])
 
-    When the form is real (a real node), the form at conj(s) is the exact
-    conjugate of the form at s, with the same eigenvalues, so a point equal
-    or conjugate to one already formed is listed but not formed again.
+
+def _point_forms(node, form, test_points, with_form=False):
+    """(points, stacks): the test points in rho(A), and the form at them stacked by dtype.
+
+    The points (default {1, 2+i, 2-i, 10}) are read by linalg.as_point.
+    A form that equals one already formed is listed but not formed again:
+    the form at a repeated point, and, when the form is real (a real node),
+    the form at conj(s), which is the exact conjugate of the form at s, with
+    the same eigenvalues.  The forms of one dtype make one stack
+    (k, n + m, n + m), so the real points of a real node stay float64, and
+    each stack takes one inverse of the stacked sI - A (linalg.inverses)
+    and one stacked :func:`_congruence`.  A point whose sI - A is singular
+    is in the spectrum of A: it is neither formed nor listed.  With
+    with_form the form itself heads the stack of its own dtype.
     """
+    A, B, _, _ = node.orthonormal
     real = not np.iscomplexobj(form)
-    pts, forms, formed = [], [], set()
-    for s in DEFAULT_TEST_POINTS if test_points is None else test_points:
-        z = linalg.as_point(s, "s", DimensionMismatch)
+    points = [(s, linalg.as_point(s, "s", DimensionMismatch))
+              for s in (DEFAULT_TEST_POINTS if test_points is None else test_points)]
+    formed = {}  # point -> the point whose form it reads
+    groups = {form.dtype: []} if with_form else {}  # dtype -> the points formed in it
+    for _, z in points:
         if z not in formed:
-            try:
-                forms.append(_point_form(node, form, s))
-            except OmegaInSpectrum:
-                continue
+            formed[z] = z
             if real:
-                formed.update((z, z.conjugate()))
-        pts.append(s)
-    return tuple(pts), forms
+                formed[z.conjugate()] = z
+            dtype = np.dtype(float if real and not z.imag else complex)
+            groups.setdefault(dtype, []).append(z)
+    kept, stacks = set(), []
+    for dtype, zs in groups.items():
+        s = np.array(zs, dtype=complex)
+        s = s.real if dtype == float else s
+        R, invertible = linalg.inverses(s[:, None, None] * np.eye(node.n) - A)
+        kept.update(z for z, ok in zip(zs, invertible) if ok)
+        RB = (R @ B)[invertible]
+        if with_form and dtype == form.dtype:
+            # the form itself is its congruence at RB = 0
+            RB = np.concatenate([np.zeros((1,) + B.shape), RB])
+        stacks.append(_congruence(form, RB))
+    return tuple(s for s, z in points if formed[z] in kept), stacks
 
 
-def _certify(kind, forms, test_points):
-    """Certificate of the forms, which pass when each is >= 0 (linalg.psd_eig).
+def _certify(kind, stacks, test_points, witness=True):
+    """Certificate of the stacks (k, N, N) of forms, which pass when each form is >= 0.
 
-    The witness is the eigenvector of the least eigenvalue over all forms.
-    A form of size 0 (n + m = 0) passes, and when every form is empty the
-    certificate reports min_eigenvalue 0.0 and an empty witness.
+    The sign of every form is decided from its eigenvalues alone, by one
+    linalg.psd_vals per stack.  With witness, the worst form, the one with
+    the least eigenvalue (the first of them on a tie), is then decomposed by
+    linalg.psd_eig, the one eigh: its least eigenvalue is min_eigenvalue and
+    its eigenvector the witness.  Without, min_eigenvalue is read off the
+    eigenvalues and the witness is None.  A form of size 0 (n + m = 0)
+    passes, and when every form is empty the certificate reports
+    min_eigenvalue 0.0 and an empty witness.
     """
-    worst = np.inf
-    witness = None
+    least, worst = np.inf, None
     passive = True
-    for form in forms:
-        vals, vecs, psd = linalg.psd_eig(form)
-        if vals.size and vals[0] < worst:
-            worst, witness = vals[0], vecs[:, 0]
-        passive = passive and psd
-    if witness is None:
-        worst, witness = 0.0, np.zeros(0)
+    for stack in stacks:
+        if not stack.size:
+            continue
+        vals, psd = linalg.psd_vals(stack)
+        passive = passive and bool(psd.all())
+        i = int(np.argmin(vals[:, 0]))
+        if vals[i, 0] < least:
+            least, worst = vals[i, 0], stack[i]
+    if worst is None:
+        least, vec = 0.0, np.zeros(0)
+    elif witness:
+        vals, vecs, _ = linalg.psd_eig(worst)
+        least, vec = vals[0], vecs[:, 0]
     return PassivityCertificate(
         kind=kind,
         verdict=Verdict.PASSIVE if passive else Verdict.NOT_PASSIVE,
         test_points=tuple(test_points),
-        min_eigenvalue=float(worst),
-        witness=witness,
+        min_eigenvalue=float(least),
+        witness=vec if witness else None,
     )
 
 
@@ -187,24 +223,26 @@ def check_impedance(node, test_points=None):
 
     The bounded form is always tested; its congruences at the given test
     points (default {1, 2+i, 2-i, 10} intersected with rho(A)) are tested
-    too, and the verdict ANDs them all.
+    too, and the verdict ANDs them all.  The forms are built and decided as
+    stacks (:func:`_point_forms`, :func:`_certify`): one inverse, one
+    eigvalsh per dtype, and one eigh, for the witness of the worst form.
     """
     _require_square(node)
-    F = impedance_block_bounded(node)
-    pts, forms = _point_forms(node, F, test_points)
-    return _certify(PassivityKind.IMPEDANCE, [F] + forms, pts)
+    pts, stacks = _point_forms(node, impedance_block_bounded(node), test_points, with_form=True)
+    return _certify(PassivityKind.IMPEDANCE, stacks, pts)
 
 
 def check_scattering(node, test_points=None):
     """Certify scattering passivity at the test points (default as for impedance).
 
-    Each point form is a congruence of :func:`scattering_block_bounded`.
-    Raises OmegaInSpectrum when no test point lies in rho(A).
+    Each point form is a congruence of :func:`scattering_block_bounded`,
+    built and decided as stacks, as in :func:`check_impedance`.  Raises
+    OmegaInSpectrum when no test point lies in rho(A).
     """
-    pts, forms = _point_forms(node, scattering_block_bounded(node), test_points)
+    pts, stacks = _point_forms(node, scattering_block_bounded(node), test_points)
     if not pts:
         raise OmegaInSpectrum("no usable test points in rho(A)")
-    return _certify(PassivityKind.SCATTERING, forms, pts)
+    return _certify(PassivityKind.SCATTERING, stacks, pts)
 
 
 def _shifted_form(node, E):
@@ -230,10 +268,12 @@ def _certify_shifted(node, E=None):
 
     At finite dimension that form decides impedance passivity of Sigma_E
     exactly, and it is the form minimal_E solves, so Sigma_E passes at
-    E = minimal_E(node).  The witness is the most negative direction (x, u).
+    E = minimal_E(node).  Its callers read the verdict and min_eigenvalue
+    only, so only the form's eigenvalues are computed, and the certificate
+    has no witness.
     """
     F, E = _shifted_form(node, E)
-    return _certify(PassivityKind.IMPEDANCE, [F], ()), E
+    return _certify(PassivityKind.IMPEDANCE, [F[None]], (), witness=False), E
 
 
 def _reciprocal_form(node, E, s):
@@ -247,7 +287,8 @@ def _reciprocal_form(node, E, s):
     """
     n = node.n
     F, _ = _shifted_form(node, E)
-    F, R = _resolvent_congruence(node, F, s, f"i*omega = {s} is in the spectrum of A")
+    R, _ = resolvent(node, s, OmegaInSpectrum, f"i*omega = {s} is in the spectrum of A")
+    F = _congruence(F, R @ node.orthonormal[1])
     F[:, :n] = -F[:, :n] @ R
     F[:n, :] = -R.conj().T @ F[:n, :]
     return linalg.hermitize(F)
@@ -262,7 +303,7 @@ def check_impedance_reciprocal(node, E, omega):
     real (DimensionMismatch otherwise).
     """
     s = 1j * linalg.as_real(omega, "omega", DimensionMismatch)
-    return _certify(PassivityKind.IMPEDANCE, [_reciprocal_form(node, E, s)], (s,))
+    return _certify(PassivityKind.IMPEDANCE, [_reciprocal_form(node, E, s)[None]], (s,))
 
 
 def _require_square(node):

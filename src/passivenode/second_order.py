@@ -47,7 +47,7 @@ class SecondOrderPlant:
         if M.shape != (n0, n0) or C0.shape[1] != n0:
             raise DimensionMismatch("A0, M, C0 dimensions do not conform")
         linalg.cholesky(A0, SingularA0, "stiffness A0 must be positive definite")
-        if not linalg.psd_eig(M)[2]:
+        if not linalg.psd_vals(M)[1]:
             raise DimensionMismatch("damping M must be positive semidefinite")
         for name, val in (("A0", A0), ("M", M), ("C0", C0)):
             val.setflags(write=False)

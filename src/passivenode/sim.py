@@ -36,6 +36,10 @@ The energy audit integrates the passivity balance
 (trapezoid rule on the simulation grid) and reports the defect, i.e. the
 right-hand side minus the left-hand side, which must stay nonnegative up
 to tolerance for an (almost) impedance-passive node with shift E.
+
+A trajectory holds at most TRAJECTORY_MAX_ENTRIES entries
+(steps + 1)(n + m + p); a longer grid raises InvalidTimeGrid before
+anything is allocated.
 """
 
 from dataclasses import dataclass
@@ -46,6 +50,11 @@ from . import linalg
 from .errors import DimensionMismatch, InvalidTolerance, NonFiniteState, file_errors
 from .node import shift_matrix, weight_matrix
 from .passivity import _shifted_form
+
+#: most entries (steps + 1)(n + m + p) of a trajectory: 50 times the 1e6 of the
+#: n = 498 beam (the top of desk scale) at the default 2000 steps, 400 MB of
+#: states, inputs and outputs in float64
+TRAJECTORY_MAX_ENTRIES = 5 * 10**7
 
 
 @dataclass(frozen=True)
@@ -191,7 +200,10 @@ def simulate(node, z0, u, T, steps=2000):
     times: a callable is called once at each, and a sampled input is used
     as given at the grid points and interpolated by the cubic midpoint rule
     at the half-points only.  Raises InvalidTimeGrid unless T and steps pass
-    linalg.time_grid, DimensionMismatch if z0 or an
+    linalg.time_grid and the trajectory holds at most
+    TRAJECTORY_MAX_ENTRIES entries (steps + 1)(n + m + p), which is checked
+    before the grid, the input values or the states are allocated;
+    DimensionMismatch if z0 or an
     input value is not made of numbers or has the wrong size, and
     NonFiniteState if an input value is not finite, the state is or
     becomes non-finite, or an output overflows.  The trajectory takes the
@@ -202,7 +214,8 @@ def simulate(node, z0, u, T, steps=2000):
     multiplications in all; the block length b is halved until P^b is
     finite (see the module docstring).
     """
-    times = linalg.time_grid(T, steps)
+    width = node.n + node.m + node.p
+    times = linalg.time_grid(T, steps, max_points=TRAJECTORY_MAX_ENTRIES // max(width, 1))
     steps = times.size - 1
     try:
         z0 = np.asarray(z0)
@@ -318,14 +331,19 @@ def adversarial_input(node, E=None, amplitude=1.0):
 
     Takes the bounded impedance form of Sigma_E (E = None reads as 0) and
     its bottom eigenspace, that of the eigenvalues within linalg.psd_tol of
-    the least.  The witness is the unit projection of (0, 1_m / sqrt(m))
-    onto that eigenspace, so the rounding of eigh does not pick it within a
-    repeated eigenvalue; when the projection is zero (below base_tol()) it
-    is the eigenvector of the least eigenvalue.  The witness is split into
-    (state, input) components, and (z0, u0, least eigenvalue) returned.
-    Driving the node from z0 with the constant input u0 makes the
-    instantaneous defect rate negative, so a short simulation yields a
-    strictly negative energy-audit defect.  Raises NotSquare when p != m.
+    the least.  The witness is the unit projection onto that eigenspace of
+    the first of two unit reference vectors whose projection is not zero:
+    (0, 1_m / sqrt(m)), then (B~ 1_m, 0) / ||B~ 1_m|| with B~ the
+    W-orthonormal B.  Both move with the realization, so the rounding of
+    eigh does not pick the witness within a repeated eigenvalue.  Whether a
+    projection is zero is a rank decision, cut at linalg.SUBSPACE_TOL: the
+    rounding of the eigenvectors, not the sign slack, sets its floor.  When
+    both projections are zero the witness is the eigenvector of the least
+    eigenvalue.  The witness is split into (state, input) components, and
+    (z0, u0, least eigenvalue) returned.  Driving the node from z0 with the
+    constant input u0 makes the instantaneous defect rate negative, so a
+    short simulation yields a strictly negative energy-audit defect.
+    Raises NotSquare when p != m.
     """
     amplitude = linalg.as_real(amplitude, "amplitude", DimensionMismatch)
     F, _ = _shifted_form(node, E)
@@ -333,9 +351,14 @@ def adversarial_input(node, E=None, amplitude=1.0):
     if not vals.size:  # n = m = 0
         return np.zeros(0), np.zeros(0), 0.0
     bottom = vecs[:, vals <= vals[0] + linalg.psd_tol(vals)]
-    # bottom* (0, 1_m / sqrt(m))
-    c = bottom[node.n:].sum(axis=0).conj() / np.sqrt(max(node.m, 1))
-    norm = np.linalg.norm(c)
-    w = bottom @ c / norm if norm > linalg.base_tol() else vecs[:, 0]
+    refs = np.zeros((node.n + node.m, 2), dtype=vecs.dtype)
+    refs[node.n:, 0] = 1.0
+    refs[:node.n, 1] = node.orthonormal[1].sum(axis=1)
+    # each reference made a unit vector; a zero one stays zero
+    refs /= np.maximum(np.linalg.norm(refs, axis=0), np.finfo(float).tiny)
+    c = bottom.conj().T @ refs
+    norms = np.linalg.norm(c, axis=0)
+    usable = np.flatnonzero(norms > linalg.SUBSPACE_TOL)
+    w = bottom @ c[:, usable[0]] / norms[usable[0]] if usable.size else vecs[:, 0]
     z0 = node.to_state(amplitude * w[:node.n])
     return z0, amplitude * w[node.n:], float(vals[0])

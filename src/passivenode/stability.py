@@ -54,11 +54,11 @@ def unitary_subspace(node):
     The largest subspace invariant under both A and A* on which
     A + A* = 0; equivalently the span of imaginary-axis eigenvectors when
     the semigroup is a contraction.  Raises NotContraction when
-    WA + A*W <= 0 fails, by the sign rule of linalg.psd_eig.
+    WA + A*W <= 0 fails, by the sign rule of linalg.psd_vals.
     """
     A, _, _, _ = node.orthonormal
     Q = linalg.hermitize(A + A.conj().T)
-    if not linalg.psd_eig(-Q)[2]:
+    if not linalg.psd_vals(-Q)[1]:
         raise NotContraction("WA + A*W is not negative semidefinite")
     return linalg.largest_invariant_in(Q, [A, A.conj().T])
 
@@ -117,13 +117,13 @@ def benchimol_conditions(node, require_contraction=True):
     without one when N or N^d is.  cweak and bweak both hold exactly when
     H = {0}.  Returns (cweak, bweak, N_basis, Nd_basis, H_basis), all in
     W-orthonormal coordinates.  With require_contraction (the default) the
-    precondition is checked, by the sign rule of linalg.psd_eig, and
+    precondition is checked, by the sign rule of linalg.psd_vals, and
     NotContraction raised when it fails.
     """
     A, B, C, _ = node.orthonormal
     if require_contraction:
         Q = linalg.hermitize(A + A.conj().T)
-        if not all(linalg.psd_eig(-F)[2] for F in (Q + C.conj().T @ C, Q + B @ B.conj().T)):
+        if not linalg.psd_vals(-np.stack([Q + C.conj().T @ C, Q + B @ B.conj().T]))[1].all():
             raise NotContraction("A + A* <= -C*C or A + A* <= -BB* fails")
     N = unobservable_space(node)
     Nd = uncontrollable_dual_space(node)

@@ -38,8 +38,10 @@ from passivenode.errors import (
 
 from conftest import (
     conditioned_rank_deficient_node,
+    dense_coordinates,
     esad_colocated_node,
     random_almost_passive,
+    random_contraction_colocated,
     random_nonpassive_node,
     random_passive_node,
     random_second_order,
@@ -183,51 +185,158 @@ def test_point_forms_have_the_inertia_of_the_bounded_form(seed, n, m, weight, sh
             assert np.sum(np.linalg.eigvalsh(form_at(node, s)) < 0) == negative
 
 
-def _every_point_certificate(node, kind):
-    """The certificate of check_impedance / check_scattering with every point formed."""
-    if kind is passivity.PassivityKind.IMPEDANCE:
-        F = passivity.impedance_block_bounded(node)
-        forms = [F] + [passivity._point_form(node, F, s) for s in passivity.DEFAULT_TEST_POINTS]
-    else:
-        F = passivity.scattering_block_bounded(node)
-        forms = [passivity._point_form(node, F, s) for s in passivity.DEFAULT_TEST_POINTS]
-    return passivity._certify(kind, forms, passivity.DEFAULT_TEST_POINTS)
+def _per_point_certificate(node, kind, points=passivity.DEFAULT_TEST_POINTS):
+    """(passive, min_eigenvalue, listed points, forms) of the per-point method.
+
+    linalg.psd_eig of the bounded form (impedance) and of the form at each
+    point in rho(A), one point at a time, and the AND of their verdicts.
+    """
+    impedance = kind is passivity.PassivityKind.IMPEDANCE
+    form_at = passivity.impedance_form_at if impedance else passivity.scattering_form_at
+    forms = [passivity.impedance_block_bounded(node)] if impedance else []
+    listed = []
+    for s in points:
+        try:
+            forms.append(form_at(node, s))
+        except OmegaInSpectrum:
+            continue
+        listed.append(s)
+    eigs = [linalg.psd_eig(F) for F in forms]
+    least = min((vals[0] for vals, _, _ in eigs if vals.size), default=0.0)
+    return all(psd for _, _, psd in eigs), least, tuple(listed), forms
 
 
-def test_a_real_node_forms_the_conjugate_point_once(monkeypatch):
+def _assert_per_point_certificate(node, cert, points=passivity.DEFAULT_TEST_POINTS):
+    """cert agrees with the per-point method: verdict, listed points, min_eigenvalue
+    to 1e-12 (1 + |lambda|), and a unit witness that is an eigenvector of a worst form."""
+    passive, least, listed, forms = _per_point_certificate(node, cert.kind, points)
+    assert cert.passive is passive
+    assert cert.test_points == listed
+    lam = cert.min_eigenvalue
+    assert abs(lam - least) <= 1e-12 * (1.0 + abs(least))
+    w = cert.witness
+    if not w.size:
+        return
+    assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+    assert any(np.linalg.norm(F @ w - lam * w) <= linalg.base_tol() * (1.0 + np.linalg.norm(F, 2))
+               for F in forms)
+
+
+def _edge_node(f):
+    """A = diag(-1, f 1e-9), B = [1; 1], C = B*, D = 0: Q = -(A + A*) is at the
+    edge of the default slack."""
+    B = np.array([[1.0], [1.0]])
+    return StateSpaceNode(np.diag([-1.0, f * 1e-9]), B, B.T, [[0.0]])
+
+
+def _conftest_family_nodes():
+    nodes = []
+    for seed in range(6):
+        nodes += [random_passive_node(seed, weight=seed % 2 == 0),
+                  random_passive_node(seed, n=6, m=3, weight=True, real=True),
+                  random_nonpassive_node(seed), random_almost_passive(seed, weight=True)[0],
+                  random_contraction_colocated(seed), conditioned_rank_deficient_node(seed),
+                  esad_colocated_node(seed), selfadjoint_colocated_node(seed),
+                  dense_coordinates(random_passive_node(seed, real=True), seed)]
+    return nodes
+
+
+def test_the_stacked_checks_agree_with_the_per_point_method():
+    nodes = _conftest_family_nodes()
+    nodes += [_edge_node(f) for f in np.linspace(0.97, 1.49, 750)]
+    nodes += [beam_model(BeamParameters(n_modes=k))[0] for k in (4, 24, 100)]
+    for node in nodes:
+        _assert_per_point_certificate(node, check_impedance(node))
+        _assert_per_point_certificate(node, check_scattering(node))
+
+
+def test_a_real_node_forms_the_conjugate_point_once():
     # the form at 2 - i of a real node is the conjugate of the form at 2 + i:
-    # same verdict, min_eigenvalue to round-off, every point still listed
+    # same verdict, min_eigenvalue to round-off, every point still listed.  A
+    # real node stacks its real points as float64 and 2 + i alone as complex
     real_nodes = [beam_model(BeamParameters(n_modes=k))[0] for k in (4, 8, 24, 50, 100)]
     real_nodes += [random_passive_node(seed, n=5, weight=seed % 2 == 0, real=True)
                    for seed in range(8)]
     real_nodes += [shift_feedthrough(node, -2.0 * np.eye(node.m)) for node in real_nodes[-4:]]
-    formed = []
-    point_form = passivity._point_form
-    monkeypatch.setattr(passivity, "_point_form",
-                        lambda node, F, s: formed.append(s) or point_form(node, F, s))
     for node in real_nodes + [random_passive_node(3, weight=True)]:
         real = not np.iscomplexobj(node.orthonormal[0])
-        for check, kind in ((check_impedance, passivity.PassivityKind.IMPEDANCE),
-                            (check_scattering, passivity.PassivityKind.SCATTERING)):
-            formed.clear()
-            cert = check(node)
-            assert formed == ([1.0, 2.0 + 1.0j, 10.0] if real
-                              else list(passivity.DEFAULT_TEST_POINTS))
-            ref = _every_point_certificate(node, kind)
-            assert cert.test_points == passivity.DEFAULT_TEST_POINTS
-            assert cert.verdict is ref.verdict
-            scale = 1.0 + abs(ref.min_eigenvalue)
-            assert abs(cert.min_eigenvalue - ref.min_eigenvalue) <= 1e-12 * scale
+        formed = [1.0, 10.0, 2.0 + 1.0j] if real else list(passivity.DEFAULT_TEST_POINTS)
+        for form_at, bounded, with_form in (
+                (passivity.impedance_form_at, passivity.impedance_block_bounded, True),
+                (passivity.scattering_form_at, passivity.scattering_block_bounded, False)):
+            F = bounded(node)
+            pts, stacks = passivity._point_forms(node, F, None, with_form)
+            assert pts == passivity.DEFAULT_TEST_POINTS
+            dtypes = [np.float64, np.complex128] if real else [np.complex128]
+            assert [stack.dtype for stack in stacks] == dtypes
+            forms = np.concatenate(stacks)
+            assert len(forms) == with_form + len(formed)
+            if with_form:
+                assert np.array_equal(forms[0], F)
+            for form, s in zip(forms[with_form:], formed):
+                assert np.array_equal(linalg.hermitize(form), form_at(node, s))
+        _assert_per_point_certificate(node, check_impedance(node))
+        _assert_per_point_certificate(node, check_scattering(node))
     assert not np.iscomplexobj(real_nodes[0].orthonormal[0])
     # a point given twice, or with its conjugate, is formed once; one in the
     # spectrum is skipped, and a point that is not a number is rejected as before
     node = real_nodes[0]
-    formed.clear()
-    cert = check_impedance(node, test_points=[3.0 - 1.0j, 3.0 + 1.0j, 0.0, 3.0 - 1.0j])
-    assert formed == [3.0 - 1.0j, 0.0]
-    assert cert.test_points == (3.0 - 1.0j, 3.0 + 1.0j, 3.0 - 1.0j)
+    points = [3.0 - 1.0j, 3.0 + 1.0j, 0.0, 3.0 - 1.0j]
+    F = passivity.impedance_block_bounded(node)
+    pts, stacks = passivity._point_forms(node, F, points)
+    assert [(stack.dtype, len(stack)) for stack in stacks] == [(np.complex128, 1), (np.float64, 0)]
+    assert np.array_equal(linalg.hermitize(stacks[0][0]),
+                          passivity.impedance_form_at(node, 3.0 - 1.0j))
+    cert = check_impedance(node, test_points=points)
+    assert pts == cert.test_points == (3.0 - 1.0j, 3.0 + 1.0j, 3.0 - 1.0j)
     with pytest.raises(DimensionMismatch):
         check_impedance(node, test_points=[1.0, "abc"])
+
+
+def test_a_check_skips_the_points_in_the_spectrum_and_keeps_the_others():
+    beam = beam_model(BeamParameters(n_modes=4))[0]
+    rng = np.random.default_rng(0)
+    B, C = rng.standard_normal((2, 4, 2)) + 1j * rng.standard_normal((2, 4, 2))
+    node = StateSpaceNode(np.diag([1j, -1.0 + 2.0j, -0.5 - 1.0j, -2.0]), B, C.T, 5.0 * np.eye(2))
+    # s0 is exactly in the spectrum, where LAPACK stops at a zero pivot; s1 is
+    # 1e-14 from the rigid-body eigenvalue 0 (1e-13 from i), so only RCOND rejects it
+    for target, s0, s1 in ((beam, 0.0, 1e-14), (node, 1j, 1j + 1e-13)):
+        A = target.orthonormal[0]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(s0 * np.eye(target.n) - A)
+        np.linalg.inv(s1 * np.eye(target.n) - A)
+        with pytest.raises(OmegaInSpectrum):
+            passivity.impedance_form_at(target, s1)
+        points = (1.0, s0, 2.0 + 1.0j, s1, 2.0 - 1.0j, 10.0)
+        for check in (check_impedance, check_scattering):
+            cert = check(target, points)
+            assert cert.test_points == (1.0, 2.0 + 1.0j, 2.0 - 1.0j, 10.0)
+            _assert_per_point_certificate(target, cert, points)
+        with pytest.raises(OmegaInSpectrum):
+            check_scattering(target, (s0, s1))
+
+
+def test_a_check_makes_one_inverse_and_one_eigh_per_stack(monkeypatch):
+    counts = {}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return call
+
+    nodes = ((random_passive_node(16, n=16, weight=True), 1),
+             (random_passive_node(16, n=16, weight=True, real=True), 2))
+    for node, stacks in nodes:
+        node.orthonormal  # the cached copy is formed outside the count
+        for check in (check_impedance, check_scattering):
+            counts.clear()
+            with monkeypatch.context() as patch:
+                for name in ("inv", "eigh", "eigvalsh"):
+                    patch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+                check(node)
+            # one stack per dtype: the real points of a real node, and the complex ones
+            assert counts == {"inv": stacks, "eigh": 1, "eigvalsh": stacks}
 
 
 def test_minimal_E_esad_s_independent_and_tight():
@@ -379,16 +488,18 @@ def test_selfadjoint_class_check_agrees_with_minimal_E():
 
 def test_the_structured_minimal_E_decomposes_Q_once(monkeypatch):
     # the class check Q >= 0 and the formula share one eigh; the certificate
-    # of the candidate E makes the other; E is minimal_E's, bit for bit
+    # of the candidate E reads eigenvalues alone, from one eigvalsh; E is
+    # minimal_E's, bit for bit
     cases = [(minimal_E_esad, esad_colocated_node(seed)) for seed in range(4)]
     cases += [(minimal_E_selfadjoint, selfadjoint_colocated_node(seed)) for seed in range(4)]
-    eigh = np.linalg.eigh
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
     for fn, node in cases:
-        calls = []
+        calls, vals_calls = [], []
         monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M) or eigh(M))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: vals_calls.append(M) or eigvalsh(M))
         E = fn(node)
         monkeypatch.undo()
-        assert len(calls) == 2
+        assert len(calls) == 1 and len(vals_calls) == 1
         E_general = minimal_E(node)
         assert (E.dtype, E.tobytes()) == (E_general.dtype, E_general.tobytes())
 

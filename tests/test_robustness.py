@@ -38,6 +38,7 @@ from passivenode import (
     stabilizing_feedback,
     stability_verdict,
 )
+from passivenode import sim
 from passivenode.cli import main
 from passivenode.passivity import impedance_form_at
 from passivenode.errors import (
@@ -635,6 +636,36 @@ def test_simulate_rejects_bad_grid(T, steps, tmp_path, capsys):
     # the CLI reads a non-finite --t-final as a usage error
     error = "InvalidTimeGrid" if np.isfinite(T) else "ParseError"
     assert f"error: {error}:" in capsys.readouterr().err
+
+
+def test_simulate_rejects_a_trajectory_above_the_size_limit(tmp_path, capsys, monkeypatch):
+    # (steps + 1)(n + m + p) one entry above the limit is rejected before the
+    # grid, the input values or the states are allocated; at the limit the grid
+    # is the first thing allocated
+    node = random_passive_node(0)
+    path = _write(tmp_path, io.node_to_dict(node))
+    width = node.n + node.m + node.p
+    steps = sim.TRAJECTORY_MAX_ENTRIES // width
+    assert (steps + 1) * width > sim.TRAJECTORY_MAX_ENTRIES >= steps * width
+
+    class Allocated(Exception):
+        pass
+
+    def allocate(*args, **kwargs):
+        raise Allocated
+
+    for name in ("empty", "linspace"):
+        monkeypatch.setattr(np, name, allocate)
+    u = lambda t: np.zeros(node.m)
+    with pytest.raises(InvalidTimeGrid, match="grid points"):
+        simulate(node, np.zeros(node.n), u, 1.0, steps=steps)
+    with pytest.raises(Allocated):
+        simulate(node, np.zeros(node.n), u, 1.0, steps=steps - 1)
+    assert main(["simulate", path, "--steps", str(steps)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: InvalidTimeGrid: steps")
+    assert captured.err.count("\n") == 1
 
 
 def test_energy_audit_overflow_is_non_finite_state(tmp_path, capsys):

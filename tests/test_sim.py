@@ -174,6 +174,20 @@ def test_adversarial_input_does_not_depend_on_the_realization():
     assert np.abs(dense_change(node.n, 24) @ z0d - z0).max() <= 1e-8
 
 
+def test_adversarial_input_is_realization_free_when_the_input_block_is_lifted():
+    # E = 0.5 I lifts the input block above the repeated least eigenvalue 0 of
+    # the rigid pair, so (0, 1_m) projects to zero and the witness is the
+    # projection of (B~ 1_m, 0), which moves with the realization
+    node = beam_model(BeamParameters(n_modes=24))[0]
+    E = 0.5 * np.eye(node.m)
+    z0, u0, lam = adversarial_input(node, E=E)
+    z0d, u0d, lamd = adversarial_input(dense_coordinates(node, 24), E=E)
+    assert np.abs(u0).max() <= 1e-8 and np.abs(u0d).max() <= 1e-8
+    assert np.abs(dense_change(node.n, 24) @ z0d - z0).max() <= 1e-8
+    assert node.weighted_norm_sq(z0) == pytest.approx(1.0)
+    assert abs(lam - lamd) <= 1e-8
+
+
 def test_csv_export(tmp_path):
     node = random_passive_node(0)
     u = lambda t: np.array([np.cos(t), np.sin(t)])
