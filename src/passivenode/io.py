@@ -1,15 +1,15 @@
 """JSON serialization for nodes, discrete systems and second-order plants.
 
-A matrix is a list of rows.  A node document writes a float64 matrix as rows
-of plain numbers and a complex128 one as rows of [re, im] pairs.
-linalg.as_matrix has stored every node matrix as float64 exactly when all
-its imaginary parts are +0.0 bit for bit, so this dtype test applies the
-same rule.  Standalone matrices (shift files, the E outputs of the CLI) and
-discrete and plant documents keep [re, im] pairs.  The reader takes either
-form; the first entry of a matrix decides which.  Output is canonical: keys
-sorted, floats written as Python's shortest round-trip repr (0.0, -0.0,
-0.1), so every value reads back bit-exactly and what save writes is a fixed
-point of load/save.
+A matrix is a list of rows.  Every document writes a float64 matrix as rows
+of plain numbers and any other as rows of [re, im] pairs (matrix_to_json).
+The rule is the dtype, never the values: linalg.as_matrix has stored every
+matrix of a node, discrete system or plant as float64 exactly when all its
+imaginary parts are +0.0 bit for bit, and a complex128 result whose
+imaginary parts happen to be +0.0 is still written as pairs.  The reader
+takes either form; the first entry of a matrix decides which.  Output is
+canonical: keys sorted, floats written as Python's shortest round-trip repr
+(0.0, -0.0, 0.1), so every value reads back bit-exactly and what save
+writes is a fixed point of load/save.
 """
 
 import json
@@ -35,8 +35,11 @@ def dumps_canonical(obj):
 
 
 def matrix_to_json(M):
-    """Matrix -> nested [[ [re, im], ... ], ...] lists (a real entry gets im = +0.0)."""
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
+    """Matrix -> rows of numbers when it is float64, else rows of [re, im] pairs."""
+    M = np.atleast_2d(np.asarray(M))
+    if M.dtype == np.float64:
+        return M.tolist()
+    M = M.astype(complex, copy=False)
     return np.stack([M.real, M.imag], -1).tolist()
 
 
@@ -128,24 +131,16 @@ def matrix_from_json(data, name, rows=None, cols=None):
 
 
 def vector_from_json(data, name, length):
-    """List of numbers or [re, im] pairs -> vector of the given length.
+    """List of numbers or of [re, im] pairs -> vector of the given length.
 
-    Stored by linalg.real_or_complex: float64 when every imaginary part is
-    +0.0 (plain numbers give one), complex128 otherwise.
+    Read as the one row of a matrix (matrix_from_json), so a list that
+    mixes the two forms is a SchemaError, and stored by
+    linalg.real_or_complex: float64 when every imaginary part is +0.0
+    (plain numbers give one), complex128 otherwise.
     """
     if not isinstance(data, list):
         raise SchemaError(f"{name} must be a JSON list")
-    vals = []
-    for v in data:
-        if _is_pair(v):
-            vals.append(_complex(v[0], v[1], name))
-        elif _is_real(v):
-            vals.append(_complex(v, 0, name))
-        else:
-            raise SchemaError(f"{name} entries must be numbers or [re, im] pairs")
-    if len(vals) != length:
-        raise SchemaError(f"{name} must have {length} entries")
-    return linalg.real_or_complex(np.asarray(vals, dtype=complex))
+    return linalg.real_or_complex(matrix_from_json([data], name, rows=1, cols=length)[0])
 
 
 def _require(d, what, keys):
@@ -163,41 +158,35 @@ def _size(d, key):
     return d[key]
 
 
-def _dimensions(d):
-    """The integers d["n"], d["m"], d["p"]."""
-    return _size(d, "n"), _size(d, "m"), _size(d, "p")
+def _quadruple_to_dict(suffix, A, B, C, D):
+    """n, m, p and the matrices A, B, C, D under the keys "A" + suffix, ...:
+    the schema that node ("") and discrete ("d") documents share."""
+    d = {"n": A.shape[0], "m": B.shape[1], "p": C.shape[0]}
+    d.update((key + suffix, matrix_to_json(M)) for key, M in zip("ABCD", (A, B, C, D)))
+    return d
 
 
-def _node_matrix_to_json(M):
-    """A node matrix as rows of numbers when it is float64, else as [re, im] pairs."""
-    return M.tolist() if M.dtype == np.float64 else matrix_to_json(M)
+def _quadruple_from_dict(d, what, suffix, extra=()):
+    """The four matrices of _quadruple_to_dict, read as n x n, n x m, p x n and p x m."""
+    keys = [key + suffix for key in "ABCD"]
+    _require(d, what, ("n", "m", "p", *keys, *extra))
+    n, m, p = (_size(d, key) for key in "nmp")
+    return [matrix_from_json(d[key], key, rows=rows, cols=cols)
+            for key, (rows, cols) in zip(keys, ((n, n), (n, m), (p, n), (p, m)))]
 
 
 def node_to_dict(node):
-    d = {
-        "n": node.n,
-        "m": node.m,
-        "p": node.p,
-        "A": _node_matrix_to_json(node.A),
-        "B": _node_matrix_to_json(node.B),
-        "C": _node_matrix_to_json(node.C),
-        "D": _node_matrix_to_json(node.D),
-    }
+    d = _quadruple_to_dict("", node.A, node.B, node.C, node.D)
     if not node.is_identity_weight:
-        d["W"] = _node_matrix_to_json(node.W)
+        d["W"] = matrix_to_json(node.W)
     if node.meta:
         d["meta"] = node.meta
     return d
 
 
 def node_from_dict(d):
-    _require(d, "node", ("n", "m", "p", "A", "B", "C", "D"))
-    n, m, p = _dimensions(d)
-    A = matrix_from_json(d["A"], "A", rows=n, cols=n)
-    B = matrix_from_json(d["B"], "B", rows=n, cols=m)
-    C = matrix_from_json(d["C"], "C", rows=p, cols=n)
-    D = matrix_from_json(d["D"], "D", rows=p, cols=m)
-    W = matrix_from_json(d["W"], "W", rows=n, cols=n) if "W" in d else None
+    A, B, C, D = _quadruple_from_dict(d, "node", "")
+    W = matrix_from_json(d["W"], "W", rows=A.shape[0], cols=A.shape[0]) if "W" in d else None
     meta = d.get("meta", "")
     if not isinstance(meta, str):
         raise SchemaError("'meta' must be a string")
@@ -205,31 +194,17 @@ def node_from_dict(d):
 
 
 def discrete_to_dict(disc):
-    return {
-        "n": disc.n,
-        "m": disc.m,
-        "p": disc.p,
-        "Ad": matrix_to_json(disc.Ad),
-        "Bd": matrix_to_json(disc.Bd),
-        "Cd": matrix_to_json(disc.Cd),
-        "Dd": matrix_to_json(disc.Dd),
-        "alpha": [disc.alpha.real, disc.alpha.imag],
-    }
+    d = _quadruple_to_dict("d", disc.Ad, disc.Bd, disc.Cd, disc.Dd)
+    d["alpha"] = [disc.alpha.real, disc.alpha.imag]
+    return d
 
 
 def discrete_from_dict(d):
-    _require(d, "discrete", ("n", "m", "p", "Ad", "Bd", "Cd", "Dd", "alpha"))
-    n, m, p = _dimensions(d)
+    matrices = _quadruple_from_dict(d, "discrete", "d", ("alpha",))
     alpha = d["alpha"]
     if not _is_pair(alpha):
         raise SchemaError("'alpha' must be an [re, im] pair")
-    return DiscreteSystem(
-        Ad=matrix_from_json(d["Ad"], "Ad", rows=n, cols=n),
-        Bd=matrix_from_json(d["Bd"], "Bd", rows=n, cols=m),
-        Cd=matrix_from_json(d["Cd"], "Cd", rows=p, cols=n),
-        Dd=matrix_from_json(d["Dd"], "Dd", rows=p, cols=m),
-        alpha=_complex(alpha[0], alpha[1], "'alpha'"),
-    )
+    return DiscreteSystem(*matrices, alpha=_complex(alpha[0], alpha[1], "'alpha'"))
 
 
 def plant_to_dict(plant):

@@ -222,8 +222,10 @@ def inverses(M):
                 Minv[i] = np.linalg.inv(M[i])
             except np.linalg.LinAlgError:
                 pass
-    # "<" is False for a NaN or inf in M^-1, so such a slice is singular too
-    invertible = RCOND * np.maximum(1.0, _norm1(M)) * _norm1(Minv) < 1.0
+    # "<" is False for a NaN or inf in M^-1 or in the product, so such a
+    # slice is singular too, and the overflow that makes the inf is no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        invertible = RCOND * np.maximum(1.0, _norm1(M)) * _norm1(Minv) < 1.0
     return Minv, invertible
 
 

@@ -19,9 +19,11 @@ dtypes of the stored matrices.  A node derived on the same state space (a
 closed loop, the diagonal transform, the dual, a feedthrough shift) shares
 W and both maps with its parent (:func:`_derived`): its A, B, C and D are
 validated again, and its copy is formed from its own matrices like any
-node's.  The same copy carries the resolvent: :func:`resolvent` is the one
-place that decides whether s is in rho(A) and that computes G(s).  n = 0
-is a valid node (its transfer function is the constant D).
+node's.  The same copy carries the resolvent: :func:`resolvent` decides
+whether one s is in rho(A) and computes G(s), and the stacked test points
+of a passivity check (passivity._point_forms) are decided by the same
+RCOND rule of linalg.inverses.  n = 0 is a valid node (its transfer
+function is the constant D).
 """
 
 from dataclasses import dataclass

@@ -174,7 +174,9 @@ def _point_forms(node, form, test_points, with_form=False):
         s = s.real if dtype == float else s
         R, invertible = linalg.inverses(s[:, None, None] * np.eye(node.n) - A)
         kept.update(z for z, ok in zip(zs, invertible) if ok)
-        RB = (R @ B)[invertible]
+        # the product over a singular slice, NaN or inf, is discarded unread
+        with np.errstate(over="ignore", invalid="ignore"):
+            RB = (R @ B)[invertible]
         if with_form and dtype == form.dtype:
             # the form itself is its congruence at RB = 0
             RB = np.concatenate([np.zeros((1,) + B.shape), RB])

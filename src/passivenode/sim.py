@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, InvalidTolerance, NonFiniteState, file_errors
+from .errors import DimensionMismatch, InvalidTolerance, NonFiniteState, NotSquare, file_errors
 from .node import shift_matrix, weight_matrix
 from .passivity import _shifted_form
 
@@ -262,7 +262,8 @@ def energy_audit(traj, W=None, E=None, tol=None):
     supply integral is what sets the floor under the defect, and that
     floor depends on the grid, not on the slack of the eigenvalue
     decisions.  A given tol must be a finite number >= 0 (InvalidTolerance
-    otherwise).  W is checked by weight_matrix; E by shift_matrix and
+    otherwise).  The supply <u, y> needs p = m: NotSquare otherwise, raised
+    before W is read.  W is checked by weight_matrix; E by shift_matrix and
     linalg.assert_hermitian (NotSelfAdjoint unless E = E*), as for the
     synthesis and adversarial_input.
     Raises NonFiniteState when the stored or the supplied energy (or their
@@ -272,6 +273,9 @@ def energy_audit(traj, W=None, E=None, tol=None):
         tol = linalg.as_real(tol, "audit tol", InvalidTolerance)
         if tol < 0:
             raise InvalidTolerance(f"audit tol = {tol} is not >= 0")
+    m, p = traj.inputs.shape[1], traj.outputs.shape[1]
+    if p != m:
+        raise NotSquare(f"the energy audit needs p = m, got p = {p} and m = {m}")
     times = traj.times
     n = traj.states.shape[1]
     W = weight_matrix(W, n)
@@ -280,7 +284,6 @@ def energy_audit(traj, W=None, E=None, tol=None):
         energy = np.real(np.einsum("ti,ti->t", traj.states.conj(), traj.states @ W.T))
         supply = 2.0 * np.real(np.einsum("ti,ti->t", traj.inputs.conj(), traj.outputs))
         if E is not None:
-            m = traj.inputs.shape[1]
             E = linalg.assert_hermitian(shift_matrix(E, (m, m)), "E")
             supply = supply + 2.0 * np.real(
                 np.einsum("ti,ti->t", traj.inputs.conj(), traj.inputs @ E.T)

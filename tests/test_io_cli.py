@@ -240,6 +240,47 @@ def test_cli_minimal_e_general_matches_builder(tmp_path, capsys):
     assert np.linalg.norm(E - E_min, 2) <= 1e-12 * (1.0 + np.linalg.norm(E_min, 2))
 
 
+def _rows_of_floats(data):
+    return bool(data) and all(type(x) is float for row in data for x in row)
+
+
+def test_cli_minimal_e_writes_by_dtype_not_by_value(tmp_path, capsys):
+    # the esad shift of a complex node is complex128 with every imaginary
+    # part +0.0: it stays pairs, and its positive part, stored float64, is rows
+    node = esad_colocated_node(0)
+    E = passivenode.minimal_E_esad(node)
+    assert E.dtype == np.complex128 and not E.imag.view(np.uint64).any()
+    assert main(["minimal-e", _write_node(tmp_path, node), "--method", "esad"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["E"] == np.stack([E.real, E.imag], -1).tolist()
+    assert _rows_of_floats(doc["E_plus"])
+
+
+def test_cli_writes_the_beams_float64_matrices_as_rows(tmp_path, capsys):
+    beam, disc = str(tmp_path / "b.json"), str(tmp_path / "d.json")
+    assert main(["beam", "--n-modes", "4", "--out", beam]) == 0
+    assert _rows_of_floats(json.loads(capsys.readouterr().out)["E_min"])
+    assert main(["minimal-e", beam, "--method", "general"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert _rows_of_floats(doc["E"]) and _rows_of_floats(doc["E_plus"])
+    assert main(["cayley", beam, "--out", disc]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert all(_rows_of_floats(doc[key]) for key in ("Ad", "Bd", "Cd", "Dd"))
+    assert main(["cayley", disc, "--inverse"]) == 0
+    node = passivenode.inverse_cayley(passivenode.internal_cayley(io.load_node(beam)))
+    assert capsys.readouterr().out == io.dumps_canonical(io.node_to_dict(node))
+
+
+def test_a_z0_that_mixes_numbers_and_pairs_is_a_schema_error(tmp_path, capsys):
+    with pytest.raises(SchemaError, match="--z0 mixes numbers and"):
+        io.vector_from_json([1.0, [2.0, 0.0]], "--z0", 2)
+    path = _write_node(tmp_path, random_passive_node(0))
+    assert main(["simulate", path, "--z0", "[1, [2, 0], 3, 4]", "--steps", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: SchemaError: --z0 mixes numbers and")
+
+
 def test_cli_feedback_and_stability(tmp_path, capsys):
     from conftest import random_almost_passive
 

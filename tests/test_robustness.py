@@ -217,33 +217,38 @@ _EDGE = st.one_of(
 )
 
 
+def _edge_matrix(draw, rows, cols, re=None, im=_EDGE):
+    """A rows x cols matrix of edge-case entries, drawn in one of three forms.
+
+    The forms are rows of numbers (as matrix_to_json writes a float64
+    matrix), [re, im] pairs, and pairs whose imaginary parts are all +0.0
+    (a real matrix in a file written before real matrices were written as
+    rows).  re(i, j) gives the real part of entry (i, j), an _EDGE float by
+    default; im draws the imaginary parts of the pairs form.
+    """
+    re = re or (lambda i, j: draw(_EDGE))
+    form = draw(st.sampled_from(["rows", "pairs", "real pairs"]))
+    im = st.just(0.0) if form == "real pairs" else im
+    return [[re(i, j) if form == "rows" else [re(i, j), draw(im)] for j in range(cols)]
+            for i in range(rows)]
+
+
 @st.composite
 def _node_documents(draw):
-    """A node document with edge-case entries.
-
-    Each matrix is drawn in one of three forms, so a document may mix them:
-    rows of numbers (as node_to_dict writes a float64 matrix), [re, im]
-    pairs, and pairs whose imaginary parts are all +0.0 (a real matrix in a
-    file written before node files held rows).  W, when present, is a
+    """A node document with edge-case entries, each matrix in a form of
+    _edge_matrix, so a document may mix them.  W, when present, is a
     positive diagonal with zeros of either sign elsewhere: an exactly
     self-adjoint W is stored as it is, signed zeros included.
     """
     n = draw(st.sampled_from([0, 1, 3]))
     m = draw(st.sampled_from([0, 1, 2]))
     zero = st.sampled_from([0.0, -0.0])
-
-    def matrix(rows, cols, re=lambda i, j: draw(_EDGE), im=_EDGE):
-        form = draw(st.sampled_from(["rows", "pairs", "real pairs"]))
-        im = st.just(0.0) if form == "real pairs" else im
-        return [[re(i, j) if form == "rows" else [re(i, j), draw(im)] for j in range(cols)]
-                for i in range(rows)]
-
-    doc = {"n": n, "m": m, "p": m, "A": matrix(n, n), "B": matrix(n, m),
-           "C": matrix(m, n), "D": matrix(m, m)}
+    doc = {"n": n, "m": m, "p": m, "A": _edge_matrix(draw, n, n), "B": _edge_matrix(draw, n, m),
+           "C": _edge_matrix(draw, m, n), "D": _edge_matrix(draw, m, m)}
     if n and draw(st.booleans()):
         diag = [draw(st.one_of(_EDGE, st.floats(0.5, 2.0)).filter(lambda x: x > 0 and x != 1.0))
                 for _ in range(n)]
-        doc["W"] = matrix(n, n, lambda i, j: diag[i] if i == j else draw(zero), zero)
+        doc["W"] = _edge_matrix(draw, n, n, lambda i, j: diag[i] if i == j else draw(zero), zero)
     if draw(st.booleans()):
         doc["meta"] = draw(st.text(min_size=1, max_size=4))
     return doc
@@ -272,41 +277,46 @@ def _assert_stored_as_read(M, data):
     assert M.dtype == (np.float64 if real else np.complex128)
 
 
-def _as_saved(doc):
-    """The node document as node_to_dict writes it back: [re, im] pairs whose
-    imaginary parts are all +0.0 bit for bit become rows of numbers."""
+def _as_saved(doc, keys):
+    """The document as it is written back: the matrices under keys that are
+    [re, im] pairs whose imaginary parts are all +0.0 bit for bit (stored
+    float64) become rows of numbers."""
     saved = dict(doc)
-    for key in "ABCDW":
-        data = np.array(doc.get(key, []), dtype=float)
+    for key in keys:
+        data = np.array(doc[key], dtype=float)
         if data.ndim == 3 and not data[..., 1].view(np.uint64).any():
             saved[key] = data[..., 0].tolist()
     return saved
+
+
+def _assert_round_trip(doc, from_dict, to_dict):
+    """Every matrix of doc is stored as read, the first save writes
+    _as_saved(doc), and the second save is a fixed point holding the same bits."""
+    keys = [key for key, value in doc.items()
+            if isinstance(value, list) and all(isinstance(row, list) for row in value)]
+    obj = from_dict(json.loads(io.dumps_canonical(doc)))
+    for key in keys:
+        _assert_stored_as_read(getattr(obj, key), doc[key])
+    text = io.dumps_canonical(to_dict(obj))
+    assert text == io.dumps_canonical(_as_saved(doc, keys))
+    again = from_dict(json.loads(text))
+    assert io.dumps_canonical(to_dict(again)) == text
+    for key in keys:
+        M, M_again = getattr(obj, key), getattr(again, key)
+        assert M_again.dtype == M.dtype and M_again.tobytes() == M.tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(doc=_node_documents())
 @example(doc=_SIGNED_ZERO_W_DOC)
 def test_node_documents_round_trip_bit_exactly(doc):
-    node = io.node_from_dict(json.loads(io.dumps_canonical(doc)))
-    for key in "ABCDW":
-        if key in doc:
-            _assert_stored_as_read(getattr(node, key), doc[key])
-    text = io.dumps_canonical(io.node_to_dict(node))
-    assert text == io.dumps_canonical(_as_saved(doc))
-    again = io.node_from_dict(json.loads(text))
-    assert io.dumps_canonical(io.node_to_dict(again)) == text
-    for key in "ABCDW":
-        M, M_again = getattr(node, key), getattr(again, key)
-        assert M_again.dtype == M.dtype and M_again.tobytes() == M.tobytes()
-
-
-def _edge_matrix(draw, rows, cols):
-    return [[[draw(_EDGE), draw(_EDGE)] for _ in range(cols)] for _ in range(rows)]
+    _assert_round_trip(doc, io.node_from_dict, io.node_to_dict)
 
 
 @st.composite
 def _plant_documents(draw):
-    """A plant document as plant_to_dict writes it, n0 = 0 included.
+    """A plant document with edge-case entries, n0 = 0 included, each matrix
+    in a form of _edge_matrix.
 
     A0 is a positive and M a nonnegative diagonal, with zeros of either sign
     elsewhere, so both are exactly self-adjoint and stored as they are.  B0
@@ -318,8 +328,7 @@ def _plant_documents(draw):
 
     def diagonal(entry):
         d = [draw(entry) for _ in range(n0)]
-        return [[[d[i] if i == j else draw(zero), draw(zero)] for j in range(n0)]
-                for i in range(n0)]
+        return _edge_matrix(draw, n0, n0, lambda i, j: d[i] if i == j else draw(zero), zero)
 
     doc = {"A0": diagonal(st.one_of(_EDGE, st.floats(0.5, 2.0)).filter(lambda x: x > 0)),
            "M": diagonal(st.one_of(_EDGE, st.floats(0.0, 2.0)).filter(lambda x: x >= 0)),
@@ -335,16 +344,13 @@ def _plant_documents(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(doc=_plant_documents())
 def test_plant_documents_round_trip_bit_exactly(doc):
-    text = io.dumps_canonical(doc)
-    plant = io.plant_from_dict(json.loads(text))
-    assert io.dumps_canonical(io.plant_to_dict(plant)) == text
-    for key in doc.keys() - {"m"}:
-        _assert_stored_as_read(getattr(plant, key), doc[key])
+    _assert_round_trip(doc, io.plant_from_dict, io.plant_to_dict)
 
 
 @st.composite
 def _discrete_documents(draw):
-    """A discrete document as discrete_to_dict writes it; p and m need not agree."""
+    """A discrete document with edge-case entries, each matrix in a form of
+    _edge_matrix; p and m need not agree."""
     n = draw(st.sampled_from([0, 1, 3]))
     m, p = draw(st.sampled_from([0, 1, 2])), draw(st.sampled_from([0, 1, 2]))
     return {"n": n, "m": m, "p": p,
@@ -356,11 +362,7 @@ def _discrete_documents(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(doc=_discrete_documents())
 def test_discrete_documents_round_trip_bit_exactly(doc):
-    text = io.dumps_canonical(doc)
-    disc = io.discrete_from_dict(json.loads(text))
-    assert io.dumps_canonical(io.discrete_to_dict(disc)) == text
-    for key in ("Ad", "Bd", "Cd", "Dd"):
-        _assert_stored_as_read(getattr(disc, key), doc[key])
+    _assert_round_trip(doc, io.discrete_from_dict, io.discrete_to_dict)
 
 
 def test_plant_files_round_trip_at_n0_zero(tmp_path):
@@ -499,6 +501,24 @@ def test_every_impedance_question_rejects_a_non_square_node(p, m, tmp_path, caps
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: NotSquare:"), verb
+
+
+@pytest.mark.parametrize("m, p", [(1, 2), (2, 0)])
+def test_energy_audit_needs_p_equal_to_m(m, p, tmp_path, capsys):
+    # the supply <u, y> once broadcast a width of 1: m = 1, p = 2 passed a
+    # meaningless audit, and m = 2, p = 0 ended in a numpy ValueError
+    node = StateSpaceNode(-np.eye(2), np.ones((2, m)), np.eye(2)[:p], np.zeros((p, m)))
+    traj = simulate(node, np.zeros(2), lambda t: np.ones(m), 1.0, steps=10)
+    with pytest.raises(NotSquare, match=f"p = {p} and m = {m}"):
+        energy_audit(traj)
+    with pytest.raises(NotSquare):  # decided before W is read
+        energy_audit(traj, W=np.zeros((3, 3)))
+    path = str(tmp_path / "node.json")
+    io.save_node(node, path)
+    assert main(["simulate", path, "--steps", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: NotSquare:") and captured.err.count("\n") == 1
 
 
 # -- n = 0 -----------------------------------------------------------------------
@@ -802,6 +822,32 @@ def test_cli_error_line_names_parse_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ParseError:")
 
 
+def test_a_test_point_whose_resolvent_is_singular_is_dropped_without_a_warning(
+        tmp_path, capsys):
+    # sI - A at s = 1e-320 is singular for A = 0: its slice of R @ B once
+    # warned of an invalid value in matmul
+    node = StateSpaceNode(np.zeros((2, 2)), [[1.0], [0.0]], [[1.0, 0.0]], [[0.0]])
+    path = _write(tmp_path, io.node_to_dict(node))
+    assert main(["check", path, "--points", "1e-320"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["test_points"] == [] and captured.err == ""
+    assert main(["check", path, "--points", "1e-320", "--kind", "scattering"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: OmegaInSpectrum: no usable test points in rho(A)\n"
+
+
+def test_an_rcond_product_that_overflows_decides_singular_without_a_warning(
+        tmp_path, capsys):
+    # ||alpha I - A||_1 ||(alpha I - A)^-1||_1 = 1e50 * 1e300 overflows to inf
+    node = StateSpaceNode(np.diag([1e50, 0.0]), np.ones((2, 1)), np.ones((1, 2)), [[0.0]])
+    path = _write(tmp_path, io.node_to_dict(node))
+    assert main(["cayley", path, "--alpha", "1e-300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: AlphaInSpectrum:") and captured.err.count("\n") == 1
+
+
 # -- property: fuzzed node documents ---------------------------------------------
 
 _REAL = st.one_of(
@@ -815,7 +861,7 @@ _BAD_ENTRY = st.one_of(_NUMBER, st.lists(_NUMBER, max_size=3))
 _RAGGED = st.recursive(_NUMBER, lambda inner: st.lists(inner, max_size=3), max_leaves=8)
 _FUZZ_NODE = StateSpaceNode([[-1.0, 0.5], [-0.5, -2.0]], [[1.0], [0.0]], [[1.0, 0.0]], [[1.0]])
 _FUZZ_ROWS = io.node_to_dict(_FUZZ_NODE)
-_FUZZ_PAIRS = {key: io.matrix_to_json(getattr(_FUZZ_NODE, key)) for key in "ABCD"}
+_FUZZ_PAIRS = {key: [[[x, 0.0] for x in row] for row in _FUZZ_ROWS[key]] for key in "ABCD"}
 
 
 @st.composite
