@@ -33,6 +33,14 @@ from .passivity import PassivityKind, _certify, _require_square
 from .sim import _recur
 
 
+def _right_half_plane(alpha, error):
+    """alpha read by linalg.as_point, with Re(alpha) > 0 (error otherwise)."""
+    alpha = linalg.as_point(alpha, "alpha", error)
+    if alpha.real <= 0:
+        raise error(f"alpha = {alpha} must have Re(alpha) > 0")
+    return alpha
+
+
 @dataclass(frozen=True)
 class DiscreteSystem:
     """Discrete quadruple (Ad, Bd, Cd, Dd) tagged with its Cayley point."""
@@ -44,9 +52,7 @@ class DiscreteSystem:
     alpha: complex
 
     def __post_init__(self):
-        alpha = linalg.as_point(self.alpha, "alpha", AlphaNotRightHalfPlane)
-        if alpha.real <= 0:
-            raise AlphaNotRightHalfPlane(f"alpha = {alpha} must have Re(alpha) > 0")
+        alpha = _right_half_plane(self.alpha, AlphaNotRightHalfPlane)
         for name in ("Ad", "Bd", "Cd", "Dd"):
             object.__setattr__(self, name, linalg.as_matrix(getattr(self, name), name))
         check_conformable(self.Ad, self.Bd, self.Cd, self.Dd)
@@ -71,9 +77,7 @@ def internal_cayley(node, alpha=1.0 + 0.0j):
     Works in the W-orthonormal coordinates of the node, so passivity
     equivalences hold with plain Euclidean norms on the discrete side.
     """
-    alpha = linalg.as_point(alpha, "alpha", AlphaNotRightHalfPlane)
-    if alpha.real <= 0:
-        raise AlphaNotRightHalfPlane(f"alpha = {alpha} must have Re(alpha) > 0")
+    alpha = _right_half_plane(alpha, AlphaNotRightHalfPlane)
     A, B, C, _ = node.orthonormal
     R, Dd = resolvent(node, alpha, AlphaInSpectrum, f"alpha = {alpha} is in the spectrum of A")
     root = np.sqrt(2.0 * alpha.real)
@@ -143,10 +147,8 @@ def laguerre_functions(t, alpha, K):
     (k+1) f_{k+1} = (2k+1-x) f_k - k f_{k-1}.  Returns shape (K, len(t)).
     K must be an integer >= 0 and t finite reals (DimensionMismatch otherwise).
     """
-    alpha = linalg.as_point(alpha, "alpha", NonPositiveAlpha)
+    alpha = _right_half_plane(alpha, NonPositiveAlpha)
     a, b = alpha.real, alpha.imag
-    if a <= 0:
-        raise NonPositiveAlpha(f"alpha = {alpha} must have Re(alpha) > 0")
     K = linalg.as_count(K, "the number K of Laguerre functions", 0, DimensionMismatch)
     try:
         t = np.asarray(t)

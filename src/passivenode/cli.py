@@ -16,6 +16,7 @@ usage errors included.
 """
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -30,13 +31,6 @@ from .feedback import stabilizing_feedback
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NEGATIVE = 2
-
-
-def _emit(doc, out=None):
-    text = io.dumps_canonical(doc)
-    if out:
-        io.write_text(out, text)
-    sys.stdout.write(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,14 +68,22 @@ def _real_arg(text):
     return x
 
 
+def _load_E(args):
+    """The shift file of --e-matrix, or None when the option is not given."""
+    return io.load_matrix(args.e_matrix, "E") if args.e_matrix else None
+
+
+def _stability(node, E, kappa):
+    """stability_verdict at kappa: the report and synthesis documents and the verdict."""
+    report, syn = stability.stability_verdict(node, E, kappa)
+    stable = report.verdict is stability.StabilityVerdict.STRONGLY_STABLE
+    return report.as_dict(), syn.as_dict(), stable
+
+
 def _cmd_check(args):
-    node = io.load_node(args.node)
-    if args.kind == "impedance":
-        cert = passivity.check_impedance(node, test_points=args.points or None)
-    else:
-        cert = passivity.check_scattering(node, test_points=args.points or None)
-    _emit(cert.as_dict(), args.out)
-    return EXIT_OK if cert.passive else EXIT_NEGATIVE
+    check = passivity.check_impedance if args.kind == "impedance" else passivity.check_scattering
+    cert = check(io.load_node(args.node), test_points=args.points or None)
+    return cert.as_dict(), bool(cert.passive)
 
 
 def _cmd_minimal_e(args):
@@ -95,59 +97,46 @@ def _cmd_minimal_e(args):
     else:  # general
         E = passivity.minimal_E(node)
     Eplus, c, kappa0 = passivity.positive_part(E)
-    doc = {
+    return {
         "E": io.matrix_to_json(E),
         "E_plus": io.matrix_to_json(Eplus),
         "c": c,
         "kappa0": None if np.isinf(kappa0) else kappa0,
         "method": args.method,
-    }
-    _emit(doc, args.out)
-    return EXIT_OK
+    }, None
 
 
 def _cmd_cayley(args):
     if args.inverse:
-        disc = io.load_discrete(args.node)
-        node = inverse_cayley(disc)
-        _emit(io.node_to_dict(node), args.out)
-        return EXIT_OK
-    node = io.load_node(args.node)
-    disc = internal_cayley(node, alpha=args.alpha)
+        if args.kind is not None:
+            raise ParseError("argument --kind: not allowed with argument --inverse")
+        return io.node_to_dict(inverse_cayley(io.load_discrete(args.node))), None
+    disc = internal_cayley(io.load_node(args.node), alpha=args.alpha)
     doc = io.discrete_to_dict(disc)
-    if args.kind:
-        cert = check_discrete_passivity(disc, args.kind.capitalize())
-        doc["certificate"] = cert.as_dict()
-        _emit(doc, args.out)
-        return EXIT_OK if cert.passive else EXIT_NEGATIVE
-    _emit(doc, args.out)
-    return EXIT_OK
+    if args.kind is None:
+        return doc, None
+    cert = check_discrete_passivity(disc, args.kind.capitalize())
+    doc["certificate"] = cert.as_dict()
+    return doc, bool(cert.passive)
 
 
 def _cmd_feedback(args):
-    node = io.load_node(args.node)
-    E = io.load_matrix(args.e_matrix, "E") if args.e_matrix else None
-    syn = stabilizing_feedback(node, E, args.kappa)
+    syn = stabilizing_feedback(io.load_node(args.node), _load_E(args), args.kappa)
     doc = syn.as_dict()
     doc["closed_loop"] = io.node_to_dict(syn.closed_loop)
-    _emit(doc, args.out)
-    return EXIT_OK
+    return doc, None
 
 
 def _cmd_stability(args):
-    node = io.load_node(args.node)
-    E = io.load_matrix(args.e_matrix, "E") if args.e_matrix else None
-    report, syn = stability.stability_verdict(node, E, args.kappa)
-    doc = report.as_dict()
-    doc["synthesis"] = syn.as_dict()
-    _emit(doc, args.out)
-    stable = report.verdict is stability.StabilityVerdict.STRONGLY_STABLE
-    return EXIT_OK if stable else EXIT_NEGATIVE
+    report, synthesis, stable = _stability(io.load_node(args.node), _load_E(args), args.kappa)
+    return {**report, "synthesis": synthesis}, stable
 
 
 def _cmd_simulate(args):
+    if args.adversarial and args.z0 is not None:
+        raise ParseError("argument --z0: not allowed with argument --adversarial")
     node = io.load_node(args.node)
-    E = io.load_matrix(args.e_matrix, "E") if args.e_matrix else None
+    E = _load_E(args)
     if args.adversarial:
         z0, u0, _ = sim.adversarial_input(node, E=E, amplitude=args.amplitude)
         u = lambda t: u0
@@ -164,8 +153,8 @@ def _cmd_simulate(args):
         u = lambda t: amp * np.cos(omega * t) * np.ones(node.m)
     traj = sim.simulate(node, z0, u, args.t_final, steps=args.steps)
     audit = sim.energy_audit(traj, W=node.W, E=E)
-    if args.out:
-        sim.export_csv(traj, args.out, audit=audit)
+    if args.csv:
+        sim.export_csv(traj, args.csv, audit=audit)
     doc = {
         "min_defect": audit.min_defect,
         "tol": audit.tol,
@@ -174,8 +163,7 @@ def _cmd_simulate(args):
         "steps": int(args.steps),
         "final_energy": float(node.weighted_norm_sq(traj.states[-1])),
     }
-    _emit(doc)
-    return EXIT_OK if audit.passed else EXIT_NEGATIVE
+    return doc, doc["passed"]
 
 
 def _cmd_beam(args):
@@ -185,15 +173,10 @@ def _cmd_beam(args):
     node, E_min = second_order.beam_model(params)
     doc = io.node_to_dict(node)
     doc["E_min"] = io.matrix_to_json(E_min)
-    if args.kappa is not None:
-        report, syn = stability.stability_verdict(node, E_min, args.kappa)
-        doc["stability"] = report.as_dict()
-        doc["synthesis"] = syn.as_dict()
-        _emit(doc, args.out)
-        stable = report.verdict is stability.StabilityVerdict.STRONGLY_STABLE
-        return EXIT_OK if stable else EXIT_NEGATIVE
-    _emit(doc, args.out)
-    return EXIT_OK
+    if args.kappa is None:
+        return doc, None
+    doc["stability"], doc["synthesis"], stable = _stability(node, E_min, args.kappa)
+    return doc, stable
 
 
 def build_parser():
@@ -204,90 +187,93 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="certify passivity of a node file")
-    p.add_argument("node", help="path to a node JSON file")
-    p.add_argument("--kind", choices=["impedance", "scattering"], default="impedance")
-    p.add_argument("--points", nargs="*", type=_complex_arg, default=None,
-                   help="test points as 're' or 're,im' (default internal set)")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_check)
+    @contextlib.contextmanager
+    def verb(name, func, summary, node=True, node_help=None, **out):
+        """One verb: the node positional (unless node is False), the options
+        that the with-block adds, then --out, whose keywords out extends."""
+        p = sub.add_parser(name, help=summary)
+        if node:
+            p.add_argument("node", help=node_help)
+        yield p
+        p.add_argument("--out", default=None, **out)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("minimal-e", help="minimal impedance shift of a node")
-    p.add_argument("node")
-    p.add_argument("--method",
-                   choices=["colocated", "esad", "selfadjoint", "general"],
-                   default="esad",
-                   help="general works on any node; the others first check "
-                   "their structural class")
-    p.add_argument("--omega", type=_real_arg, default=0.0,
-                   help="frequency for the colocated method")
-    p.add_argument("--s", type=_complex_arg, default=1.0 + 0.0j,
-                   help="point the esad/selfadjoint methods check to lie in rho(A)")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_minimal_e)
+    with verb("check", _cmd_check, "certify passivity of a node file",
+              node_help="path to a node JSON file") as p:
+        p.add_argument("--kind", choices=["impedance", "scattering"], default="impedance")
+        p.add_argument("--points", nargs="*", type=_complex_arg, default=None,
+                       help="test points as 're' or 're,im' (default internal set)")
 
-    p = sub.add_parser("cayley", help="internal Cayley transform of a node file")
-    p.add_argument("node", help="node file (or discrete file with --inverse)")
-    p.add_argument("--alpha", type=_complex_arg, default=1.0 + 0.0j)
-    p.add_argument("--inverse", action="store_true",
-                   help="map a discrete file back to a continuous node")
-    p.add_argument("--kind", choices=["impedance", "scattering"], default=None,
-                   help="also certify discrete passivity of the result")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_cayley)
+    with verb("minimal-e", _cmd_minimal_e, "minimal impedance shift of a node") as p:
+        p.add_argument("--method",
+                       choices=["colocated", "esad", "selfadjoint", "general"],
+                       default="esad",
+                       help="general works on any node; the others first check "
+                       "their structural class")
+        p.add_argument("--omega", type=_real_arg, default=0.0,
+                       help="frequency for the colocated method")
+        p.add_argument("--s", type=_complex_arg, default=1.0 + 0.0j,
+                       help="point the esad/selfadjoint methods check to lie in rho(A)")
 
-    p = sub.add_parser("feedback", help="stabilizing output-feedback synthesis")
-    p.add_argument("node")
-    p.add_argument("--kappa", type=_real_arg, required=True)
-    p.add_argument("--e-matrix", default=None,
-                   help="JSON file with the self-adjoint shift E (default 0)")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_feedback)
+    with verb("cayley", _cmd_cayley, "internal Cayley transform of a node file",
+              node_help="node file (or discrete file with --inverse)") as p:
+        p.add_argument("--alpha", type=_complex_arg, default=1.0 + 0.0j)
+        p.add_argument("--inverse", action="store_true",
+                       help="map a discrete file back to a continuous node")
+        p.add_argument("--kind", choices=["impedance", "scattering"], default=None,
+                       help="also certify discrete passivity of the result")
 
-    p = sub.add_parser("stability", help="strong-stability analysis of the closed loop")
-    p.add_argument("node")
-    p.add_argument("--kappa", type=_real_arg, required=True)
-    p.add_argument("--e-matrix", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_stability)
+    with verb("feedback", _cmd_feedback, "stabilizing output-feedback synthesis") as p:
+        p.add_argument("--kappa", type=_real_arg, required=True)
+        p.add_argument("--e-matrix", default=None,
+                       help="JSON file with the self-adjoint shift E (default 0)")
 
-    p = sub.add_parser("simulate", help="simulate the node and audit the energy balance")
-    p.add_argument("node")
-    p.add_argument("--t-final", type=_real_arg, default=10.0)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--z0", default=None,
-                   help="initial state as a JSON list of 're' or 're,im' values")
-    p.add_argument("--input-omega", type=_real_arg, default=1.0,
-                   help="frequency of the default cosine input")
-    p.add_argument("--amplitude", type=_real_arg, default=1.0)
-    p.add_argument("--adversarial", action="store_true",
-                   help="drive the node with a passivity-violating constant input")
-    p.add_argument("--e-matrix", default=None,
-                   help="shift E included in the audited supply rate")
-    p.add_argument("--out", default=None, help="CSV export path")
-    p.set_defaults(func=_cmd_simulate)
+    with verb("stability", _cmd_stability,
+              "strong-stability analysis of the closed loop") as p:
+        p.add_argument("--kappa", type=_real_arg, required=True)
+        p.add_argument("--e-matrix", default=None)
 
-    p = sub.add_parser("beam", help="build the free-free beam example node")
-    p.add_argument("--n-modes", type=int, default=8,
-                   help="total modes kept, including the two rigid-body modes")
-    p.add_argument("--rho-a", type=_real_arg, default=1.0)
-    p.add_argument("--ei", type=_real_arg, default=1.0)
-    p.add_argument("--ebar-i", type=_real_arg, default=0.01)
-    p.add_argument("--kappa", type=_real_arg, default=None,
-                   help="also run the stability analysis at this gain")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_beam)
+    # --out is the CSV export here; the document goes to stdout only
+    with verb("simulate", _cmd_simulate, "simulate the node and audit the energy balance",
+              dest="csv", metavar="OUT", help="CSV export path") as p:
+        p.add_argument("--t-final", type=_real_arg, default=10.0)
+        p.add_argument("--steps", type=int, default=2000)
+        p.add_argument("--z0", default=None,
+                       help="initial state as a JSON list of 're' or 're,im' values")
+        p.add_argument("--input-omega", type=_real_arg, default=1.0,
+                       help="frequency of the default cosine input")
+        p.add_argument("--amplitude", type=_real_arg, default=1.0)
+        p.add_argument("--adversarial", action="store_true",
+                       help="drive the node with a passivity-violating constant input")
+        p.add_argument("--e-matrix", default=None,
+                       help="shift E included in the audited supply rate")
+
+    with verb("beam", _cmd_beam, "build the free-free beam example node", node=False) as p:
+        p.add_argument("--n-modes", type=int, default=8,
+                       help="total modes kept, including the two rigid-body modes")
+        p.add_argument("--rho-a", type=_real_arg, default=1.0)
+        p.add_argument("--ei", type=_real_arg, default=1.0)
+        p.add_argument("--ebar-i", type=_real_arg, default=0.01)
+        p.add_argument("--kappa", type=_real_arg, default=None,
+                       help="also run the stability analysis at this gain")
 
     return parser
 
 
 def main(argv=None):
+    """Run one verb: its document goes to --out (when the verb writes one) and
+    to stdout, and its verdict sets the exit status."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        doc, verdict = args.func(args)
+        text = io.dumps_canonical(doc)
+        if getattr(args, "out", None):
+            io.write_text(args.out, text)
     except PassiveNodeError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    sys.stdout.write(text)
+    return EXIT_OK if verdict is None or verdict else EXIT_NEGATIVE
 
 
 if __name__ == "__main__":

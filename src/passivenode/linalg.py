@@ -329,11 +329,16 @@ def null_basis(M):
     return vh[_rank(sv):].conj().T
 
 
+def rank_floor(scale):
+    """SUBSPACE_TOL * max(1, scale): the rank cut for values whose largest is scale."""
+    return SUBSPACE_TOL * (scale if scale > 1.0 else 1.0)
+
+
 def _rank(sv):
-    """Count of the singular values sv (descending) above SUBSPACE_TOL * max(1, sv[0])."""
+    """Count of the singular values sv (descending) above rank_floor(sv[0])."""
     if not sv.size:
         return 0
-    return int(np.count_nonzero(sv > SUBSPACE_TOL * (sv[0] if sv[0] > 1.0 else 1.0)))
+    return int(np.count_nonzero(sv > rank_floor(sv[0])))
 
 
 def _range_basis(X):

@@ -337,7 +337,7 @@ def minimal_E(node):
         E_min = 1/2 [(C - B*) Q^+ (C* - B) - (D + D*)].
 
     Q >= 0 is decided first, by linalg.psd_eig (NotAlmostPassive
-    otherwise).  Q^+ inverts only the eigenvalues above SUBSPACE_TOL, the
+    otherwise).  Q^+ inverts only the eigenvalues above linalg.rank_floor, the
     rank rule of linalg.null_basis, so a slightly negative one that the sign
     rule accepted is never divided by.  Whether an E exists is decided by
     :func:`_certify_shifted` of this candidate, the certificate the
@@ -359,7 +359,7 @@ def _minimal_E(node, lam, V, dissipative):
         )
     _, B, C, D = node.orthonormal
     F = (C - B.conj().T) @ V
-    kernel = lam <= linalg.SUBSPACE_TOL * max(1.0, np.abs(lam).max(initial=0.0))
+    kernel = lam <= linalg.rank_floor(np.abs(lam).max(initial=0.0))
     Fr = F[:, ~kernel]
     E = linalg.hermitize(0.5 * (Fr / lam[~kernel]) @ Fr.conj().T - 0.5 * (D + D.conj().T))
     cert, _ = _certify_shifted(node, E)

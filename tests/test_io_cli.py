@@ -450,6 +450,93 @@ def test_cli_beam_n_modes_above_the_limit_is_one_error_line(capsys, monkeypatch)
     assert captured.err.count("\n") == 1
 
 
+# -- one exit path: every verb form -------------------------------------------
+
+
+def _contract_files(tmp_path):
+    """Small node, discrete and shift files for the contract forms, by name."""
+    from conftest import (random_almost_passive, random_nonpassive_node,
+                          selfadjoint_colocated_node)
+
+    almost, E = random_almost_passive(0)
+    files = {"node": _write_node(tmp_path, random_passive_node(0), "node.json"),
+             "bad": _write_node(tmp_path, random_nonpassive_node(1), "bad.json"),
+             "skew": _write_node(tmp_path, esad_colocated_node(0, skew_only=True), "skew.json"),
+             "esad": _write_node(tmp_path, esad_colocated_node(0), "esad.json"),
+             "selfadjoint": _write_node(tmp_path, selfadjoint_colocated_node(0), "sa.json"),
+             "almost": _write_node(tmp_path, almost, "almost.json"),
+             "E": str(tmp_path / "E.json"), "disc": str(tmp_path / "disc.json"),
+             "kappa": str(0.9 / np.linalg.eigvalsh(E)[-1])}
+    io.write_text(files["E"], io.dumps_canonical(io.matrix_to_json(E)))
+    disc = passivenode.internal_cayley(random_passive_node(0))
+    io.write_text(files["disc"], io.dumps_canonical(io.discrete_to_dict(disc)))
+    return files
+
+
+# (argv, the keys that lead to the verdict, its positive value); no keys: no verdict
+_CONTRACT_FORMS = {
+    "check": (["check", "{node}"], ["verdict"], "Passive"),
+    "check-points": (["check", "{bad}", "--points", "1", "2,1"], ["verdict"], "Passive"),
+    "check-scattering": (["check", "{node}", "--kind", "scattering"], ["verdict"], "Passive"),
+    "check-scattering-points": (["check", "{bad}", "--kind", "scattering", "--points", "1"],
+                                ["verdict"], "Passive"),
+    "minimal-e-colocated": (["minimal-e", "{skew}", "--method", "colocated"], [], None),
+    "minimal-e-esad": (["minimal-e", "{esad}"], [], None),
+    "minimal-e-selfadjoint": (["minimal-e", "{selfadjoint}", "--method", "selfadjoint"], [], None),
+    "minimal-e-general": (["minimal-e", "{node}", "--method", "general"], [], None),
+    "cayley": (["cayley", "{node}", "--alpha", "2,1"], [], None),
+    "cayley-inverse": (["cayley", "{disc}", "--inverse"], [], None),
+    "cayley-impedance": (["cayley", "{node}", "--kind", "impedance"],
+                         ["certificate", "verdict"], "Passive"),
+    "cayley-scattering": (["cayley", "{bad}", "--kind", "scattering"],
+                          ["certificate", "verdict"], "Passive"),
+    "feedback": (["feedback", "{almost}", "--kappa", "{kappa}", "--e-matrix", "{E}"], [], None),
+    "stability": (["stability", "{almost}", "--kappa", "{kappa}", "--e-matrix", "{E}"],
+                  ["verdict"], "StronglyStable"),
+    "simulate": (["simulate", "{node}", "--t-final", "1", "--steps", "50"], ["passed"], True),
+    "simulate-adversarial": (["simulate", "{bad}", "--adversarial", "--t-final", "0.2",
+                              "--steps", "50", "--amplitude", "2"], ["passed"], True),
+    "beam": (["beam", "--n-modes", "4"], [], None),
+    "beam-kappa": (["beam", "--n-modes", "4", "--kappa", "1"],
+                   ["stability", "verdict"], "StronglyStable"),
+}
+
+
+@pytest.mark.parametrize("form", _CONTRACT_FORMS)
+def test_cli_contract_over_every_verb_form(form, tmp_path, capsys):
+    argv, keys, positive = _CONTRACT_FORMS[form]
+    files = _contract_files(tmp_path)
+    out = tmp_path / "out"
+    code = main([arg.format(**files) for arg in argv] + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert io.dumps_canonical(doc) == captured.out
+    stated = doc
+    for key in keys:
+        stated = stated[key]
+    assert code == (0 if not keys or stated == positive else 2)
+    if argv[0] == "simulate":
+        assert out.read_text().startswith("t,")
+    else:
+        assert out.read_bytes() == captured.out.encode()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "{node}", "--adversarial", "--z0", "garbage", "--steps", "10"],
+     "argument --z0: not allowed with argument --adversarial"),
+    (["cayley", "{disc}", "--inverse", "--kind", "impedance"],
+     "argument --kind: not allowed with argument --inverse"),
+])
+def test_cli_refuses_an_option_its_mode_ignores(argv, message, tmp_path, capsys):
+    # --adversarial picks its own initial state, and --inverse certifies nothing
+    files = _contract_files(tmp_path)
+    assert main([arg.format(**files) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ParseError: {message}\n"
+
+
 # -- scipy stays off the import path ------------------------------------------
 
 
