@@ -35,10 +35,20 @@ EXIT_NEGATIVE = 2
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as ParseError, so that it exits 1 like any error,
-    and reads a token such as -1e3 or -1,2 as a negative number."""
+    reads a token such as -1e3 or -1,2 as a negative number, and refuses an
+    option given with a mode that ignores it (the verb's ignored default)."""
 
     def error(self, message):
         raise ParseError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        args = super().parse_args(args, namespace)
+        mode, options = args.ignored
+        for option in options:
+            if getattr(args, mode) and getattr(args, option) is not None:
+                self.error(f"argument --{option.replace('_', '-')}: "
+                           f"not allowed with argument --{mode}")
+        return args
 
     def _parse_optional(self, arg_string):
         # no option starts with -digit or -.digit, so such a token is a value;
@@ -108,10 +118,9 @@ def _cmd_minimal_e(args):
 
 def _cmd_cayley(args):
     if args.inverse:
-        if args.kind is not None:
-            raise ParseError("argument --kind: not allowed with argument --inverse")
         return io.node_to_dict(inverse_cayley(io.load_discrete(args.node))), None
-    disc = internal_cayley(io.load_node(args.node), alpha=args.alpha)
+    alpha = 1.0 if args.alpha is None else args.alpha
+    disc = internal_cayley(io.load_node(args.node), alpha=alpha)
     doc = io.discrete_to_dict(disc)
     if args.kind is None:
         return doc, None
@@ -133,8 +142,6 @@ def _cmd_stability(args):
 
 
 def _cmd_simulate(args):
-    if args.adversarial and args.z0 is not None:
-        raise ParseError("argument --z0: not allowed with argument --adversarial")
     node = io.load_node(args.node)
     E = _load_E(args)
     if args.adversarial:
@@ -148,7 +155,7 @@ def _cmd_simulate(args):
             except (json.JSONDecodeError, RecursionError) as exc:
                 raise ParseError(f"--z0: invalid JSON ({exc})") from exc
             z0 = io.vector_from_json(entries, "--z0", node.n)
-        omega = args.input_omega
+        omega = 1.0 if args.input_omega is None else args.input_omega
         amp = args.amplitude
         u = lambda t: amp * np.cos(omega * t) * np.ones(node.m)
     traj = sim.simulate(node, z0, u, args.t_final, steps=args.steps)
@@ -186,6 +193,10 @@ def build_parser():
         "for finite-dimensional system nodes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # a mode and the options it ignores, which are refused with it: --inverse
+    # certifies nothing and reads no alpha, --adversarial picks its own state and input
+    ignored = {"cayley": ("inverse", ("alpha", "kind")),
+               "simulate": ("adversarial", ("z0", "input_omega"))}
 
     @contextlib.contextmanager
     def verb(name, func, summary, node=True, node_help=None, **out):
@@ -196,7 +207,7 @@ def build_parser():
             p.add_argument("node", help=node_help)
         yield p
         p.add_argument("--out", default=None, **out)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, ignored=ignored.get(name, (None, ())))
 
     with verb("check", _cmd_check, "certify passivity of a node file",
               node_help="path to a node JSON file") as p:
@@ -217,7 +228,8 @@ def build_parser():
 
     with verb("cayley", _cmd_cayley, "internal Cayley transform of a node file",
               node_help="node file (or discrete file with --inverse)") as p:
-        p.add_argument("--alpha", type=_complex_arg, default=1.0 + 0.0j)
+        p.add_argument("--alpha", type=_complex_arg, default=None,
+                       help="Cayley point in the right half-plane (default 1)")
         p.add_argument("--inverse", action="store_true",
                        help="map a discrete file back to a continuous node")
         p.add_argument("--kind", choices=["impedance", "scattering"], default=None,
@@ -240,8 +252,8 @@ def build_parser():
         p.add_argument("--steps", type=int, default=2000)
         p.add_argument("--z0", default=None,
                        help="initial state as a JSON list of 're' or 're,im' values")
-        p.add_argument("--input-omega", type=_real_arg, default=1.0,
-                       help="frequency of the default cosine input")
+        p.add_argument("--input-omega", type=_real_arg, default=None,
+                       help="frequency of the default cosine input (default 1)")
         p.add_argument("--amplitude", type=_real_arg, default=1.0)
         p.add_argument("--adversarial", action="store_true",
                        help="drive the node with a passivity-violating constant input")

@@ -5,7 +5,8 @@ I - KD (_closed_loop), read through a recombination of its signals.  The
 diagonal transform at k > 0 is the loop at K = -kI: it turns an
 impedance-passive node Sigma into the scattering-passive node realizing
 G^s = (I - kG)(I + kG)^-1.  The stabilizing synthesis reads the loop at
-K = -kappa I both as it is and, rescaled, as a scattering-passive node.
+K = -kappa I both as it is and as the diagonal transform of Sigma_{cI},
+written once (_scattering_read).
 Both take their precondition (Sigma, or Sigma_E, impedance passive) from
 one eigendecomposition of the bounded impedance form of Sigma_E, the form
 passivity.minimal_E solves; no shifted node and no resolvent is formed.
@@ -51,10 +52,28 @@ def diagonal_transform(node, k):
         raise NotImpedancePassive(
             f"node is not impedance passive (min eigenvalue {cert.min_eigenvalue:.3e})"
         )
-    m = node.m
-    AK, BK, CK, DK = _closed_loop(node, -k * np.eye(m), SingularIPlusKD, "I + k D is singular")
-    root = math.sqrt(2.0 * k)
-    return _derived(node, (AK, root * BK, -root * CK, np.eye(m) - 2.0 * k * DK))
+    loop = _closed_loop(node, -k * np.eye(node.m), SingularIPlusKD, "I + k D is singular")
+    return _scattering_read(node, loop, k, 0.0)[0]
+
+
+def _scattering_read(node, loop, kappa, c):
+    """The diagonal transform of Sigma_{cI} at k = kappa/(1 - kappa c), and its alpha.
+
+    loop is the closed loop (A^kappa, B^kappa, C^kappa, D^kappa) of Sigma
+    under u = -kappa y + v, 0 <= kappa c < 1.  Since
+    I + k(D + cI) = (I + kappa D)/(1 - kappa c), the transform is
+
+        A^s = A^kappa,  B^s = alpha B^kappa,  C^s = -alpha C^kappa,
+        D^s = (1 - 2 kappa c) I - 2 kappa (1 - kappa c) D^kappa,
+
+    with alpha = sqrt(2 kappa (1 - kappa c)).  At c = 0 these are the
+    formulas of diagonal_transform at k = kappa, bit for bit.
+    """
+    AK, BK, CK, DK = loop
+    scale = 1.0 - kappa * c
+    alpha = math.sqrt(2.0 * kappa * scale)
+    D = (1.0 - 2.0 * kappa * c) * np.eye(node.m) - 2.0 * kappa * scale * DK
+    return _derived(node, (AK, alpha * BK, -alpha * CK, D)), alpha
 
 
 def gain_matrix(node, K):
@@ -132,15 +151,13 @@ def stabilizing_feedback(node, E, kappa):
     the admissible gains are 0 < kappa < kappa0 = 1/c (any kappa > 0 when
     c = 0).  One closed loop (A^kappa, B^kappa, C^kappa, D^kappa) of
     u = -kappa y + v, from the one inverse of I + kappa D, gives both
-    nodes, and no other node is built: closed_loop is that loop, and with
-
-        alpha = sqrt(2 kappa (1 - kappa c)),  beta = (1 - 2 kappa c)/alpha,
-
-    scattering_intermediate is (A^kappa, alpha B^kappa, -alpha C^kappa,
-    alpha beta I - alpha^2 D^kappa).  Since
-    I + k(D + cI) = (I + kappa D)/(1 - kappa c), the intermediate is the
-    diagonal transform of Sigma_{cI} at k = kappa/(1 - kappa c), so it is
-    scattering passive.  E must be m x m (DimensionMismatch otherwise).
+    nodes, and no other node is built: closed_loop is that loop, and
+    scattering_intermediate is the diagonal transform of Sigma_{cI} at
+    k = kappa/(1 - kappa c) read from it (_scattering_read), so it is
+    scattering passive.  The report keeps alpha = sqrt(2 kappa (1 - kappa c))
+    and beta = (1 - 2 kappa c)/alpha, the scalings of B^kappa and of the
+    identity in D^s = alpha beta I - alpha^2 D^kappa.  E must be m x m
+    (DimensionMismatch otherwise).
     """
     kappa = linalg.as_real(kappa, "kappa", KappaOutOfRange)
     cert, E = _certify_shifted(node, E)
@@ -153,20 +170,16 @@ def stabilizing_feedback(node, E, kappa):
         raise KappaOutOfRange(
             f"kappa = {kappa} outside the admissible open interval (0, {kappa0})"
         )
-    m = node.m
-    loop = _closed_loop(node, -kappa * np.eye(m), SingularIPlusKD, "I + kappa D is singular")
-    AK, BK, CK, DK = loop
-    alpha = math.sqrt(2.0 * kappa * (1.0 - kappa * c))
-    beta = (1.0 - 2.0 * kappa * c) / alpha
+    loop = _closed_loop(node, -kappa * np.eye(node.m), SingularIPlusKD,
+                        "I + kappa D is singular")
+    intermediate, alpha = _scattering_read(node, loop, kappa, c)
     return FeedbackSynthesis(
         E=E,
         c=c,
         kappa0=kappa0,
         kappa=kappa,
         alpha=alpha,
-        beta=beta,
+        beta=(1.0 - 2.0 * kappa * c) / alpha,
         closed_loop=_derived(node, loop),
-        scattering_intermediate=_derived(
-            node, (AK, alpha * BK, -alpha * CK, (alpha * beta) * np.eye(m) - alpha**2 * DK)
-        ),
+        scattering_intermediate=intermediate,
     )

@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .cayley import DiscreteSystem
 from .errors import ParseError, SchemaError, file_errors
-from .node import StateSpaceNode
+from .node import StateSpaceNode, check_states
 from .second_order import SecondOrderPlant
 
 
@@ -167,10 +167,15 @@ def _quadruple_to_dict(suffix, A, B, C, D):
 
 
 def _quadruple_from_dict(d, what, suffix, extra=()):
-    """The four matrices of _quadruple_to_dict, read as n x n, n x m, p x n and p x m."""
+    """The four matrices of _quadruple_to_dict, read as n x n, n x m, p x n and p x m.
+
+    An n above node.MAX_STATES is refused (DimensionMismatch) before any
+    matrix is built.
+    """
     keys = [key + suffix for key in "ABCD"]
     _require(d, what, ("n", "m", "p", *keys, *extra))
     n, m, p = (_size(d, key) for key in "nmp")
+    check_states(n)
     return [matrix_from_json(d[key], key, rows=rows, cols=cols)
             for key, (rows, cols) in zip(keys, ((n, n), (n, m), (p, n), (p, m)))]
 

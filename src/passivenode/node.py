@@ -23,7 +23,8 @@ node's.  The same copy carries the resolvent: :func:`resolvent` decides
 whether one s is in rho(A) and computes G(s), and the stacked test points
 of a passivity check (passivity._point_forms) are decided by the same
 RCOND rule of linalg.inverses.  n = 0 is a valid node (its transfer
-function is the constant D).
+function is the constant D); n above MAX_STATES is refused before W is
+factored.
 """
 
 from dataclasses import dataclass
@@ -33,6 +34,9 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, SingularResolvent
+
+#: the largest state dimension n of a node, four times the n = 498 top of desk scale
+MAX_STATES = 2000
 
 
 @dataclass(frozen=True)
@@ -131,8 +135,15 @@ class StateSpaceNode:
         return A + A.conj().T
 
 
+def check_states(n):
+    """DimensionMismatch when n > MAX_STATES, before any n x n work starts."""
+    if n > MAX_STATES:
+        raise DimensionMismatch(f"n = {n} exceeds MAX_STATES = {MAX_STATES}")
+
+
 def check_conformable(A, B, C, D):
-    """DimensionMismatch unless A is n x n, B is n x m, C is p x n and D is p x m.
+    """DimensionMismatch unless A is n x n, B is n x m, C is p x n and D is p x m,
+    with n <= MAX_STATES.
 
     The one shape rule of a quadruple, continuous (StateSpaceNode) or
     discrete (cayley.DiscreteSystem).
@@ -140,6 +151,7 @@ def check_conformable(A, B, C, D):
     n = A.shape[0]
     if A.shape != (n, n):
         raise DimensionMismatch("A must be square")
+    check_states(n)
     if B.shape[0] != n:
         raise DimensionMismatch("B must have n rows")
     if C.shape[1] != n:

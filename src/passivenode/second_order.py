@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, SingularA0
-from .node import StateSpaceNode
+from .node import MAX_STATES, StateSpaceNode
 from .passivity import minimal_E
 
 
@@ -141,9 +141,6 @@ def build_two_channel(plant):
 # Free-free Euler-Bernoulli beam on (-1, 1)
 # ---------------------------------------------------------------------------
 
-#: largest beam state dimension n = 2 n_modes - 2, four times the n = 498 top of desk scale
-BEAM_MAX_STATES = 2000
-
 
 @dataclass(frozen=True)
 class BeamParameters:
@@ -154,7 +151,8 @@ class BeamParameters:
     EbarI : Kelvin-Voigt damping coefficient (proportional to stiffness),
         0 <= EbarI < inf.
     n_modes : number of modes kept in the modal truncation, including the
-        two rigid-body modes; an int or numpy integer >= 2 and <= BEAM_MAX_STATES // 2 + 1.
+        two rigid-body modes; an int or numpy integer >= 2 whose state
+        dimension n = 2 n_modes - 2 is at most node.MAX_STATES.
 
     The physical data must be finite real numbers (a bool or a string is not)
     and are stored as float.  Any other value raises DimensionMismatch.
@@ -168,8 +166,8 @@ class BeamParameters:
     def __post_init__(self):
         # n_modes counts the two rigid-body modes
         n_modes = linalg.as_count(self.n_modes, "n_modes", 2, DimensionMismatch)
-        if 2 * n_modes - 2 > BEAM_MAX_STATES:
-            raise DimensionMismatch(f"n_modes = {n_modes}: n > BEAM_MAX_STATES = {BEAM_MAX_STATES}")
+        if 2 * n_modes - 2 > MAX_STATES:
+            raise DimensionMismatch(f"n_modes = {n_modes}: n > MAX_STATES = {MAX_STATES}")
         rho_a, EI, EbarI = (linalg.as_real(getattr(self, name), f"beam parameters: {name}",
                                            DimensionMismatch)
                             for name in ("rho_a", "EI", "EbarI"))

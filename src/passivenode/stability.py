@@ -106,7 +106,7 @@ class StabilityReport:
         }
 
 
-def benchimol_conditions(node, require_contraction=True):
+def benchimol_conditions(node):
     """Decide cweak and bweak for a scattering-passive node.
 
     Precondition: A + A* <= -C*C and A + A* <= -BB* in W-orthonormal
@@ -116,15 +116,19 @@ def benchimol_conditions(node, require_contraction=True):
     of ker(A + A*) ∩ N ∩ N^d.  H is found by one staircase sweep, and is {0}
     without one when N or N^d is.  cweak and bweak both hold exactly when
     H = {0}.  Returns (cweak, bweak, N_basis, Nd_basis, H_basis), all in
-    W-orthonormal coordinates.  With require_contraction (the default) the
-    precondition is checked, by the sign rule of linalg.psd_vals, and
-    NotContraction raised when it fails.
+    W-orthonormal coordinates.  The precondition is checked first, by the
+    sign rule of linalg.psd_vals, and NotContraction raised when it fails.
     """
     A, B, C, _ = node.orthonormal
-    if require_contraction:
-        Q = linalg.hermitize(A + A.conj().T)
-        if not linalg.psd_vals(-np.stack([Q + C.conj().T @ C, Q + B @ B.conj().T]))[1].all():
-            raise NotContraction("A + A* <= -C*C or A + A* <= -BB* fails")
+    Q = linalg.hermitize(A + A.conj().T)
+    if not linalg.psd_vals(-np.stack([Q + C.conj().T @ C, Q + B @ B.conj().T]))[1].all():
+        raise NotContraction("A + A* <= -C*C or A + A* <= -BB* fails")
+    return _benchimol_sweep(node)
+
+
+def _benchimol_sweep(node):
+    """benchimol_conditions on a node that meets its precondition, unchecked."""
+    A = node.orthonormal[0]
     N = unobservable_space(node)
     Nd = uncontrollable_dual_space(node)
     H = np.zeros((node.n, 0), dtype=N.dtype)
@@ -157,7 +161,8 @@ def stability_verdict(node, E, kappa):
     """Full stability analysis of the closed loop under u = -kappa y.
 
     Runs the stabilizing-feedback synthesis and decides benchimol_conditions
-    on its scattering intermediate, whose A is the closed-loop A.  The
+    on its scattering intermediate, whose A is the closed-loop A, without
+    checking the precondition the construction guarantees.  The
     verdict is StronglyStable (in fact exponentially stable) exactly when
     H = X^u = {0}; otherwise the closed-loop imaginary spectrum is the
     spectrum of A on H.  closed_loop_max_real is the raw spectral abscissa
@@ -168,9 +173,8 @@ def stability_verdict(node, E, kappa):
     (:func:`_axis_eigenvalues`).
     """
     syn = stabilizing_feedback(node, E, kappa)
-    cweak, bweak, N, Nd, H = benchimol_conditions(
-        syn.scattering_intermediate, require_contraction=False
-    )
+    # the intermediate is scattering passive by construction
+    cweak, bweak, N, Nd, H = _benchimol_sweep(syn.scattering_intermediate)
     # the closed-loop A in W-orthonormal coordinates
     Acl = syn.scattering_intermediate.orthonormal[0]
     cl_imag = tuple(complex(v) for v in np.linalg.eigvals(H.conj().T @ Acl @ H))

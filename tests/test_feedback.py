@@ -116,13 +116,14 @@ def test_stabilizing_feedback_matches_direct_feedback():
             assert err < 1e-9
         assert syn.c == pytest.approx(c)
         assert syn.kappa0 == pytest.approx(kappa0)
-        # both nodes are scalar multiples of the one closed loop
+        # both nodes are read from the one closed loop
         loop, inter = syn.closed_loop, syn.scattering_intermediate
-        alpha, beta = syn.alpha, syn.beta
+        alpha = syn.alpha
         assert np.array_equal(loop.A, inter.A)
         assert np.array_equal(inter.B, alpha * loop.B)
         assert np.array_equal(inter.C, -alpha * loop.C)
-        assert np.array_equal(inter.D, (alpha * beta) * np.eye(node.m) - alpha**2 * loop.D)
+        assert np.array_equal(inter.D, (1.0 - 2.0 * kappa * syn.c) * np.eye(node.m)
+                              - 2.0 * kappa * (1.0 - kappa * syn.c) * loop.D)
         # the intermediate is the diagonal transform of Sigma_{cI} at kappa/(1 - kappa c)
         sct = diagonal_transform(shift_feedthrough(node, c * np.eye(node.m)),
                                  kappa / (1.0 - kappa * c))
@@ -275,9 +276,11 @@ def test_derived_nodes_keep_the_weight_and_its_orthonormal_copy():
         syn = stabilizing_feedback(node, E, kappa)
         AK, BK, CK, DK = _parent_loop(node, -kappa * np.eye(m))
         _assert_derived(syn.closed_loop, node, (AK, BK, CK, DK))
-        a, b = syn.alpha, syn.beta
+        # the diagonal transform of Sigma_{cI} at k = kappa/(1 - kappa c)
+        a, c = syn.alpha, syn.c
         _assert_derived(syn.scattering_intermediate, node,
-                        (AK, a * BK, -a * CK, (a * b) * np.eye(m) - a**2 * DK))
+                        (AK, a * BK, -a * CK, (1.0 - 2.0 * kappa * c) * np.eye(m)
+                         - 2.0 * kappa * (1.0 - kappa * c) * DK))
 
         K = 0.3 * rng.standard_normal((m, node.p))
         _assert_derived(output_feedback(node, K), node, _parent_loop(node, K))

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import passivenode
-from passivenode import io, second_order, sim
+from passivenode import io, sim
 from passivenode.cli import main
 from passivenode.errors import ParseError, SchemaError
+from passivenode.node import MAX_STATES
 
 from conftest import esad_colocated_node, random_passive_node
 
@@ -441,13 +442,27 @@ def test_cli_beam_rejects_non_finite_parameters(capsys):
 
 def test_cli_beam_n_modes_above_the_limit_is_one_error_line(capsys, monkeypatch):
     # rejected before any array is built
-    n_modes = second_order.BEAM_MAX_STATES // 2 + 2
+    n_modes = MAX_STATES // 2 + 2
     monkeypatch.setattr(np, "zeros", None)
     assert main(["beam", "--n-modes", str(n_modes)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: DimensionMismatch: n_modes")
     assert captured.err.count("\n") == 1
+
+
+def test_cli_check_refuses_a_node_file_above_the_size_limit(tmp_path, capsys, monkeypatch):
+    # the document's n decides, before any of its matrices is built
+    n = MAX_STATES + 1
+    path = tmp_path / "big.json"
+    path.write_text(io.dumps_canonical({"n": n, "m": 1, "p": 1, "A": [[0.0]], "B": [[0.0]],
+                                        "C": [[0.0]], "D": [[0.0]]}))
+    for name in ("zeros", "array"):
+        monkeypatch.setattr(np, name, None)
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: DimensionMismatch: n = {n} exceeds MAX_STATES = {MAX_STATES}\n"
 
 
 # -- one exit path: every verb form -------------------------------------------
@@ -527,9 +542,14 @@ def test_cli_contract_over_every_verb_form(form, tmp_path, capsys):
      "argument --z0: not allowed with argument --adversarial"),
     (["cayley", "{disc}", "--inverse", "--kind", "impedance"],
      "argument --kind: not allowed with argument --inverse"),
+    (["cayley", "{disc}", "--inverse", "--alpha", "5,2"],
+     "argument --alpha: not allowed with argument --inverse"),
+    (["simulate", "{bad}", "--adversarial", "--input-omega", "7", "--steps", "10"],
+     "argument --input-omega: not allowed with argument --adversarial"),
 ])
 def test_cli_refuses_an_option_its_mode_ignores(argv, message, tmp_path, capsys):
-    # --adversarial picks its own initial state, and --inverse certifies nothing
+    # --adversarial picks its own initial state and input, and --inverse
+    # certifies nothing and maps back at the alpha its file records
     files = _contract_files(tmp_path)
     assert main([arg.format(**files) for arg in argv]) == 1
     captured = capsys.readouterr()

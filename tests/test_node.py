@@ -14,8 +14,9 @@ from passivenode import (
     shift_feedthrough,
     stabilizing_feedback,
 )
-from passivenode import linalg
+from passivenode import io, linalg
 from passivenode.errors import DimensionMismatch, NotSelfAdjoint, SingularResolvent
+from passivenode.node import MAX_STATES
 
 from conftest import assert_derived_on, dense_coordinates, random_passive_node
 
@@ -29,6 +30,26 @@ def test_dimension_validation():
         StateSpaceNode(np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 3)), np.zeros((1, 1)))
     with pytest.raises(DimensionMismatch):
         StateSpaceNode(np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 2)), np.zeros((2, 2)))
+
+
+def test_a_node_above_the_size_limit_is_refused_before_any_n_by_n_work(monkeypatch):
+    # n = MAX_STATES + 1: the constructor refuses it before W is formed or
+    # factored, and a node document before any of its matrices is built
+    n = MAX_STATES + 1
+    message = f"n = {n} exceeds MAX_STATES = {MAX_STATES}"
+    A, B, C, D = np.zeros((n, n)), np.zeros((n, 1)), np.zeros((1, n)), np.zeros((1, 1))
+    dense = np.eye(n)
+    dense[0, 1] = dense[1, 0] = 0.5
+    for name in ("zeros", "eye"):
+        monkeypatch.setattr(np, name, None)
+    monkeypatch.setattr(np.linalg, "cholesky", None)
+    for W in (None, dense):
+        with pytest.raises(DimensionMismatch, match=message):
+            StateSpaceNode(A, B, C, D, W=W)
+    monkeypatch.setattr(np, "array", None)
+    doc = {"n": n, "m": 1, "p": 1, "A": [[0.0]], "B": [[0.0]], "C": [[0.0]], "D": [[0.0]]}
+    with pytest.raises(DimensionMismatch, match=message):
+        io.node_from_dict(doc)
 
 
 def test_weight_must_be_hermitian_positive():

@@ -416,14 +416,15 @@ def test_plant_document_B0_must_have_n0_rows():
 
 
 def test_beam_file_is_a_fixed_point_of_save_and_load(tmp_path):
-    beam, _ = beam_model(BeamParameters(n_modes=4))
-    first, second = tmp_path / "a.json", tmp_path / "b.json"
-    io.save_node(beam, first)
-    loaded = io.load_node(first)
-    io.save_node(loaded, second)
-    assert second.read_text() == first.read_text()
-    for key in "ABCDW":
-        assert getattr(loaded, key).tobytes() == getattr(beam, key).tobytes()
+    for n_modes in (4, 100):
+        beam, _ = beam_model(BeamParameters(n_modes=n_modes))
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        io.save_node(beam, first)
+        loaded = io.load_node(first)
+        io.save_node(loaded, second)
+        assert second.read_text() == first.read_text()
+        for key in "ABCDW":
+            assert getattr(loaded, key).tobytes() == getattr(beam, key).tobytes()
 
 
 #: node files written by save_node when every matrix was written as [re, im]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad_vec, simpson
 
 from passivenode import (
     BeamParameters,
@@ -19,8 +18,9 @@ from passivenode import (
     stabilizing_feedback,
     stability_verdict,
 )
-from passivenode import second_order
+from passivenode import io
 from passivenode.errors import DimensionMismatch, NotAlmostPassive, NotSquare
+from passivenode.node import MAX_STATES
 from passivenode.second_order import beam_frequencies, beam_mode_shape
 from passivenode.stability import StabilityVerdict
 
@@ -83,12 +83,17 @@ def test_build_noncolocated_undamped_needs_B0_equal_C0_star():
         build_noncolocated(undamped)
 
 
-def test_build_noncolocated_with_singular_damping_is_tight():
+def test_build_noncolocated_with_singular_damping_is_tight(tmp_path):
     # C0 - B0* = diag(-1, 0) vanishes on ker M = span(e2), so the shift is
-    # 1/4 (C0 - B0*) M^+ (C0* - B0) = diag(0.25, 0)
+    # 1/4 (C0 - B0*) M^+ (C0* - B0) = diag(0.25, 0); the plant's file is a
+    # fixed point of load -> save, and the plant is built as read back from it
     plant = SecondOrderPlant(A0=np.diag([1.0, 2.0]), M=np.diag([1.0, 0.0]), C0=np.eye(2),
                              B0=np.diag([2.0, 1.0]))
-    node, E = build_noncolocated(plant)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    io.save_plant(plant, first)
+    io.save_plant(io.load_plant(first), second)
+    assert second.read_text() == first.read_text()
+    node, E = build_noncolocated(io.load_plant(second))
     np.testing.assert_allclose(E, np.diag([0.25, 0.0]), rtol=0.0, atol=1e-14)
     assert stabilizing_feedback(node, E, 1.0).kappa0 == pytest.approx(4.0)
     with pytest.raises(NotAlmostPassive):
@@ -189,7 +194,7 @@ def test_beam_frequencies_solve_characteristic_equation():
 
 def _beam_frequencies_brentq(n_modes):
     """Reference: one brentq per tan(b) +- tanh(b) bracket, in increasing order."""
-    from scipy.optimize import brentq
+    brentq = pytest.importorskip("scipy.optimize").brentq
 
     roots = []
     for j in range(n_modes):
@@ -222,6 +227,7 @@ def test_beam_mode_shapes_satisfy_free_end_conditions():
 
 
 def test_beam_modes_orthogonal():
+    simpson = pytest.importorskip("scipy.integrate").simpson
     betas, sym = beam_frequencies(5)
     x = np.linspace(-1.0, 1.0, 8001)
     shapes = [beam_mode_shape(b, s, x) for b, s in zip(betas, sym)]
@@ -267,6 +273,7 @@ def _beam_couplings(node, n_modes):
 @pytest.mark.parametrize("n_modes", [8, 24, 50, 100])
 def test_beam_couplings_match_the_simpson_norm(n_modes):
     # the closed-form norm against the 4001-point Simpson rule on the unscaled shape
+    simpson = pytest.importorskip("scipy.integrate").simpson
     node, _ = beam_model(BeamParameters(n_modes=n_modes))
     betas, sym = beam_frequencies(n_modes - 2)
     x = np.linspace(-1.0, 1.0, 4001)
@@ -288,8 +295,20 @@ def _scaled_mode_shape(betas, sym, x):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n_modes", [300, 500])
+def test_wide_beam_is_built_without_a_warning(n_modes):
+    # the unscaled shapes overflow a double from n_modes 228 up, which warned
+    # and left modes uncoupled; the scaled ones keep every coupling nonzero
+    node, _ = beam_model(BeamParameters(n_modes=n_modes))
+    nf = n_modes - 2
+    assert np.all(np.abs(node.B[nf:2 * nf]).max(axis=1) > 0)
+    assert np.all(np.abs(node.C[:, nf:2 * nf]).max(axis=0) > 0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_modes", [300, 500])
 def test_wide_beam_couples_every_flexible_mode(n_modes):
     # the unscaled shapes overflow from n_modes 228 up, which made modes uncoupled
+    quad_vec = pytest.importorskip("scipy.integrate").quad_vec
     node, _ = beam_model(BeamParameters(n_modes=n_modes))
     nf = n_modes - 2
     assert np.all(np.abs(node.B[nf:2 * nf]).max(axis=1) > 0)
@@ -315,12 +334,12 @@ def test_beam_parameter_validation():
 
 def test_beam_n_modes_is_bounded_above_before_anything_is_allocated(monkeypatch):
     # the smallest n_modes whose n = 2 n_modes - 2 exceeds the limit; no array is built
-    n_modes = second_order.BEAM_MAX_STATES // 2 + 2
+    n_modes = MAX_STATES // 2 + 2
     for name in ("zeros", "eye", "arange"):
         monkeypatch.setattr(np, name, None)
-    with pytest.raises(DimensionMismatch, match="BEAM_MAX_STATES"):
+    with pytest.raises(DimensionMismatch, match=f"n > MAX_STATES = {MAX_STATES}"):
         BeamParameters(n_modes=n_modes)
-    with pytest.raises(DimensionMismatch, match="BEAM_MAX_STATES"):
+    with pytest.raises(DimensionMismatch, match=f"n > MAX_STATES = {MAX_STATES}"):
         BeamParameters(n_modes=np.int64(n_modes))
 
 

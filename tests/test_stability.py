@@ -18,7 +18,7 @@ from passivenode import (
     unitary_subspace,
     unobservable_space,
 )
-from passivenode import io, linalg
+from passivenode import io, linalg, stability
 from passivenode.cli import main
 from passivenode.errors import NotContraction
 from passivenode.stability import StabilityVerdict, uncontrollable_dual_space
@@ -139,7 +139,7 @@ def test_annihilator_staircase_matches_double_complement():
             # H inside N ∩ N^d, from the same N and N^d
             M = np.vstack([Q @ N / max(1.0, np.linalg.norm(Q, 2)), N - Nd @ (Nd.conj().T @ N)])
             H_old = _double_complement_invariant_in(N @ linalg.null_basis(M), [A, A.conj().T])
-            H = benchimol_conditions(node, require_contraction=False)[4]
+            H = stability._benchimol_sweep(node)[4]
             assert H.shape == H_old.shape == (n, k)
             assert _projector_distance(H, H_old) <= 1e-10
 
@@ -233,8 +233,9 @@ def test_a_dense_change_of_coordinates_keeps_the_beam_verdicts(n_modes):
     assert np.count_nonzero(dense.W) == dense.n**2
     reports = [stability_verdict(node, E, 1.0)[0] for node in (beam, dense)]
     docs = [report.as_dict() for report in reports]
-    for key in ("verdict", "dim_unobservable", "dim_uncontrollable_dual", "dim_unitary"):
-        assert docs[0][key] == docs[1][key]
+    for key, value in (("verdict", "StronglyStable"), ("dim_unobservable", 0),
+                       ("dim_uncontrollable_dual", 0), ("dim_unitary", 0)):
+        assert docs[0][key] == docs[1][key] == value
     for check in (check_impedance, check_scattering):
         assert check(beam).passive == check(dense).passive
     top = [report.closed_loop_max_real for report in reports]
@@ -255,10 +256,14 @@ def test_the_verdict_forms_no_dissipation_on_trivial_subspaces(monkeypatch):
 @pytest.mark.parametrize("n_modes", [4, 100, 250, 300])
 def test_the_beam_lists_only_its_rigid_pair_on_the_axis(n_modes):
     # Kelvin-Voigt damping gives ||A||_2 = 2.3e8 at 250 modes, where a slack of
-    # tol (1 + ||A||_2) would also list the first flexible pair (Re -0.156)
+    # tol (1 + ||A||_2) would also list the first flexible pair (Re -0.156);
+    # the loop at kappa = 1 is strongly stable, with N, N^d and X^u all {0}
     node, E = beam_model(BeamParameters(n_modes=n_modes))
     report, _ = stability_verdict(node, E, 1.0)
     assert report.imaginary_spectrum == (0j, 0j)
+    d = report.as_dict()
+    assert (d["verdict"], d["dim_unobservable"], d["dim_uncontrollable_dual"],
+            d["dim_unitary"]) == ("StronglyStable", 0, 0, 0)
 
 
 def test_the_axis_list_keeps_a_zero_that_rounding_moved_off_its_own_slack():
