@@ -171,21 +171,30 @@ def laguerre_functions(t, alpha, K):
 def laguerre_coefficients(u, alpha, K, T, steps=4000):
     """Laguerre coefficients u_k = int_0^T u(t) conj(ell_k(t)) dt.
 
-    u is a callable t -> vector (or scalar), read by linalg.as_signal
+    u is a callable t -> vector (or scalar), read by linalg.sample
     (DimensionMismatch unless u is callable and its values are numbers with
     the same number m of entries at every time, NonFiniteState if one is not
-    finite); returns shape (K, m).  One linalg.simpson over the uniform grid
+    finite); returns shape (K, m).  A linalg.simpson over the uniform grid
     linalg.time_grid(T, steps, even=True) (InvalidTimeGrid); T should cover the
-    support of u up to the decay of e^{-Re(alpha) t}.  Coefficients that
-    overflow raise NonFiniteState.
+    support of u up to the decay of e^{-Re(alpha) t}.  The composite rule is
+    a sum over pieces of an even panel count, so it runs over pieces of
+    linalg.CHUNK panels, each forming its own Laguerre values and products
+    u(t) conj(ell_k(t)): the memory held is the samples of u (m numbers per
+    time) and one piece of K m products.  Each product is formed before it
+    is weighted, so a huge u overflows as it would in the integrand.
+    Coefficients that overflow raise NonFiniteState.
     """
     t = linalg.time_grid(T, steps, even=True)
     if not callable(u):
         raise DimensionMismatch(f"u must be a callable t -> input value, got {u!r}")
-    U = linalg.as_signal([u(ti) for ti in t], "input u(t)")
-    ell = laguerre_functions(t, alpha, K)
+    U = linalg.sample(u, t, "input u(t)")
+    coeffs = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = linalg.simpson(ell.conj().T[:, :, None] * U[:, None, :], t)
+        for lo in range(0, t.size - 1, linalg.CHUNK):
+            piece = slice(lo, lo + linalg.CHUNK + 1)  # shares its last time with the next piece
+            ell = laguerre_functions(t[piece], alpha, K)
+            coeffs = coeffs + linalg.simpson(ell.conj().T[:, :, None] * U[piece, None, :],
+                                             t[piece])
     if not np.isfinite(coeffs).all():
         raise NonFiniteState("the Laguerre coefficients overflow")
     return coeffs

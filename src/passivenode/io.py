@@ -237,10 +237,12 @@ def plant_from_dict(d):
     have n0 columns, and B0 is n0 x m (m x n0 is a SchemaError naming B0).
     A matrix with no rows is [] in a document, so a document with B0 records
     m, its column count; one without "m" takes B0's columns as written (0
-    for []).
+    for []).  A plant whose node would have n = 2 n0 above node.MAX_STATES is
+    refused (DimensionMismatch) before any matrix is built.
     """
     _require(d, "plant", ("A0", "M", "C0"))
     n0 = _rows(d["A0"])
+    check_states(2 * (n0 or 0))  # n0 is None when A0 is not a list: read as a SchemaError
     m = _size(d, "m") if "m" in d else None
 
     def read(key, rows, cols=None):

@@ -20,11 +20,11 @@ Three kinds of numerical question, one rule each:
   times 1 + a norm.
 
 Real data runs in real arithmetic.  This is decided once, where a matrix
-or a time-domain signal enters (:func:`as_matrix`, :func:`as_signal`): it
-is stored as float64 when every imaginary part is +0.0, and as complex128
-otherwise (:func:`real_or_complex`).  The routines here keep the
-dtype they are given (none of them forces complex), so a real node goes to
-the real LAPACK kernels.
+or a time-domain signal enters (:func:`as_matrix`, :func:`as_signal`,
+:func:`sample`): it is stored as float64 when every imaginary part is
++0.0, and as complex128 otherwise (:func:`real_or_complex`).  The
+routines here keep the dtype they are given (none of them forces complex),
+so a real node goes to the real LAPACK kernels.
 
 Scalar arguments pass one gate per kind (:func:`as_count`, :func:`as_real`,
 :func:`as_point`), each raising the error its caller names, and a uniform
@@ -60,6 +60,12 @@ SUBSPACE_TOL = 1e-8
 
 #: numpy kinds that count as numbers: bool, signed and unsigned integer, float, complex
 NUMBER_KINDS = "biufc"
+
+#: times per chunk wherever a signal is read, summed or written in pieces: the
+#: values of a callable (:func:`sample`), a Laguerre sum, a block of CSV rows.
+#: What such a pass holds beyond its result is one chunk (a few hundred kB).
+#: Even, so that CHUNK panels make a piece of a composite Simpson sum
+CHUNK = 2048
 
 #: larger entries are rejected, so that a product of up to six entries stays
 #: finite (the scattering forms multiply four)
@@ -179,7 +185,9 @@ def as_signal(values, name, width=None):
     DimensionMismatch unless every value is made of numbers (bool, integer,
     float or complex) and every time has width entries (the same number of
     entries when width is None), and NonFiniteState when a value is NaN or
-    infinite.
+    infinite.  A sequence of values is held twice while it is read, once as
+    Python objects and once as the array, so a callable's values are read
+    through :func:`sample`, one CHUNK of times at a time.
     """
     try:
         S = np.asarray(values)
@@ -201,6 +209,31 @@ def as_signal(values, name, width=None):
     S = real_or_complex(S)
     if not np.isfinite(S).all():
         raise NonFiniteState(f"{name} holds a non-finite value")
+    return S
+
+
+def sample(u, times, name, width=None):
+    """The values of the callable u at the nonempty 1-D times, as one signal.
+
+    u is called once per time, in time order.  The values are read CHUNK
+    times at a time: each chunk passes :func:`as_signal` (with the width of
+    the first chunk when width is None), so it raises that chunk's
+    DimensionMismatch or NonFiniteState before the later times are called,
+    and is written into one preallocated (times, width) array.  The signal
+    is float64 unless a value has an imaginary part other than +0.0, and
+    then complex128 throughout: the real/complex rule of
+    :func:`real_or_complex`, applied to the whole signal.  Besides the
+    signal, the memory held is one chunk of values.
+    """
+    S = None
+    for lo in range(0, len(times), CHUNK):
+        chunk = as_signal([u(t) for t in times[lo:lo + CHUNK]], name, width)
+        if S is None:
+            width = chunk.shape[1]
+            S = np.empty((len(times), width), dtype=chunk.dtype)
+        elif np.iscomplexobj(chunk) and not np.iscomplexobj(S):
+            S = S.astype(complex)  # the first complex chunk makes the whole signal complex
+        S[lo:lo + len(chunk)] = chunk
     return S
 
 

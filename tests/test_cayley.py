@@ -1,5 +1,7 @@
 """Internal Cayley transform, discrete passivity, Laguerre basis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,20 @@ def test_laguerre_coefficients_match_per_k_scipy_simpson():
     ref = np.array([simpson(U * np.conj(ell[k])[:, None], x=t, axis=0) for k in range(K)])
     coeffs = laguerre_coefficients(u, alpha, K, T, steps=steps)
     assert np.max(np.abs(coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_laguerre_coefficients_sum_in_memory_proportional_to_the_grid():
+    # 80,001 times: the samples of u are 0.64 MB, one (times, K, m) product
+    # of the whole grid would be 10 MB
+    u = lambda t: np.exp(-t)
+    laguerre_coefficients(u, 1.0, 8, 1.0, steps=4)
+    tracemalloc.start()
+    try:
+        laguerre_coefficients(u, 1.0, 8, 30.0, steps=80000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def test_laguerre_io_correspondence_scalar_oracle():

@@ -571,7 +571,8 @@ def _python(code, *args, cwd=None):
 
 def test_cli_import_loads_no_scipy():
     result = _python("import sys, passivenode.cli; "
-                     "print([k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')])")
+                     "print([k for k, v in sys.modules.items() if v is not None "
+                     "and (k == 'scipy' or k.startswith('scipy.'))])")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 

@@ -52,6 +52,17 @@ def test_a_node_above_the_size_limit_is_refused_before_any_n_by_n_work(monkeypat
         io.node_from_dict(doc)
 
 
+def test_a_plant_above_the_size_limit_is_refused_before_any_matrix_is_built(monkeypatch):
+    # n0 = 1001 makes a node of n = 2002: the document is refused on its row
+    # count, before A0 or M (1001 x 1001) is read
+    n0 = MAX_STATES // 2 + 1
+    rows = [[0.0] * n0] * n0
+    doc = {"A0": rows, "M": rows, "C0": [[0.0] * n0]}
+    monkeypatch.setattr(np, "array", None)
+    with pytest.raises(DimensionMismatch, match=f"n = {2 * n0} exceeds MAX_STATES"):
+        io.plant_from_dict(doc)
+
+
 def test_weight_must_be_hermitian_positive():
     A = -np.eye(2)
     B = np.ones((2, 1))

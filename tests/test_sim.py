@@ -1,6 +1,8 @@
 """Exact exponential simulation, energy audits, CSV export."""
 
 import csv
+import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from passivenode import (
     simulate,
 )
 from passivenode.errors import DimensionMismatch, NonFiniteState
+from passivenode.linalg import CHUNK
 from passivenode.passivity import impedance_block_bounded
 from passivenode.sim import _propagator, _recur, export_csv
 
@@ -242,6 +245,89 @@ def test_csv_cells_read_back_bit_exactly(tmp_path):
         expected.append(row + [audit.defect[i]])
     assert table.tobytes() == np.array(expected).tobytes()
     assert np.signbit(table[table == 0.0]).any()  # a -0.0 made the trip
+
+
+def _one_shot_csv(traj, audit=None):
+    """The CSV text of the whole trajectory written by one np.savetxt."""
+    header, columns = ["t"], [traj.times[:, None]]
+    for sym, M in (("z", traj.states), ("u", traj.inputs), ("y", traj.outputs)):
+        header += [f"{sym}{i}_{part}" for i in range(M.shape[1]) for part in ("re", "im")]
+        columns.append(np.stack([M.real, M.imag], -1).reshape(len(M), 2 * M.shape[1]))
+    if audit is not None:
+        header.append("defect")
+        columns.append(audit.defect[:, None])
+    out = io.StringIO(newline="")
+    np.savetxt(out, np.hstack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="", newline="\r\n")
+    return out.getvalue().encode()
+
+
+def test_csv_blocks_write_the_bytes_of_one_savetxt(tmp_path):
+    # 2.5 chunks of rows: a real, a complex and an audited trajectory
+    steps = 5 * CHUNK // 2
+    node = StateSpaceNode(-np.eye(3), np.ones((3, 2)), np.ones((2, 3)), np.eye(2))
+    u = lambda t: np.array([np.cos(t), np.sin(t)])
+    real = simulate(node, np.zeros(3), u, 1.0, steps=steps)
+    cplx = simulate(node, np.full(3, 0.1j), u, 1.0, steps=steps)
+    assert real.states.dtype == np.float64 and cplx.states.dtype == np.complex128
+    path = tmp_path / "traj.csv"
+    for traj, audit in ((real, None), (cplx, None), (cplx, energy_audit(cplx, W=node.W))):
+        export_csv(traj, path, audit=audit)
+        raw = path.read_bytes()
+        assert raw.count(b"\r\n") == steps + 2
+        assert raw == _one_shot_csv(traj, audit)
+
+
+# -- the callable input, read one chunk at a time -------------------------------
+
+
+def _trajectory_bytes(traj):
+    return sum(a.nbytes for a in (traj.times, traj.states, traj.inputs, traj.outputs))
+
+
+def test_simulation_memory_is_proportional_to_the_trajectory():
+    # n = m = p = 1: the trajectory is 32 B per step, and the input's values
+    # are read one chunk at a time, not held as one Python object per time
+    node = StateSpaceNode([[-1.0]], [[1.0]], [[1.0]], [[0.5]])
+    u = lambda t: np.array([np.cos(t)])
+    simulate(node, [0.0], u, 1.0, steps=4)
+    tracemalloc.start()
+    try:
+        traj = simulate(node, [0.0], u, 10.0, steps=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * _trajectory_bytes(traj)
+
+
+class _RecordingInput:
+    """Records each time it is called at; its value changes at time index `at`."""
+
+    def __init__(self, late, at):
+        self.times, self.late, self.at = [], late, at
+
+    def __call__(self, t):
+        self.times.append(t)
+        return self.late if len(self.times) > self.at else np.array([np.cos(t), 2.0])
+
+
+def test_sampling_keeps_its_answers_across_chunk_boundaries():
+    times = np.linspace(0.0, 1.0, 2 * CHUNK + 100)
+    late = 2 * CHUNK + 10  # a time index in the third chunk
+    u = _RecordingInput(np.array([1.0, 0.5j]), late)
+    S = linalg.sample(u, times, "u", width=2)
+    assert u.times == list(times)  # once per time, in order
+    u.times = []
+    one_shot = linalg.as_signal([u(t) for t in times], "u", width=2)
+    assert S.dtype == np.complex128 and S.tobytes() == one_shot.tobytes()
+    # a real late value keeps the signal real
+    real = linalg.sample(_RecordingInput(np.array([1.0, 0.5]), late), times, "u")
+    assert real.dtype == np.float64 and real.shape == (times.size, 2)
+    for value, error in ((np.array([1.0, 0.5, 0.0]), DimensionMismatch),
+                         (np.array([np.nan, 0.5]), NonFiniteState)):
+        for width in (2, None):
+            with pytest.raises(error):
+                linalg.sample(_RecordingInput(value, late), times, "u", width=width)
 
 
 # -- the exponential propagator ------------------------------------------------
