@@ -116,9 +116,12 @@ def _input_values(u, m, times, h):
     """The input at the grid points t_k and at the half-points t_k + h/2.
 
     A callable is called once per distinct time, in time order, through
-    linalg.sample.  A sampled input, in the layout (steps + 1, m), keeps its
-    samples at the grid points; the half-points come from the cubic
-    midpoint rule of :func:`_midpoints`.  It is read by linalg.as_signal.
+    linalg.sample, and both halves are copied out of the interleaved
+    samples: the trajectory keeps a contiguous array of its own inputs, not
+    a strided view of twice as many values.  A sampled input, in the layout
+    (steps + 1, m), keeps its samples at the grid points; the half-points
+    come from the cubic midpoint rule of :func:`_midpoints`.  It is read by
+    linalg.as_signal.
     """
     steps = len(times) - 1
     if callable(u):
@@ -126,7 +129,7 @@ def _input_values(u, m, times, h):
         t[0::2] = times
         t[1::2] = times[:-1] + 0.5 * h
         values = linalg.sample(u, t, "input u(t)", width=m)
-        return values[0::2], values[1::2]
+        return values[0::2].copy(), values[1::2].copy()
     grid = linalg.as_signal(u, "sampled input", width=m)
     if len(grid) != steps + 1:
         raise DimensionMismatch(

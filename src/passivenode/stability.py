@@ -17,6 +17,10 @@ X^u as the largest {A, A*}-invariant subspace H of ker(A + A*) ∩ N ∩ N^d,
 so dim X^u never exceeds dim N or dim N^d.  Every rank decision uses the
 one relative tolerance linalg.SUBSPACE_TOL, and stability_verdict reads
 every field of its report from the one decision "H = {0}".
+
+The two spectra of the report, the open-loop axis list and the closed-loop
+abscissa, are computed one decoupled block at a time (linalg.eigvals); the
+sign certificates of the precondition stay dense.
 """
 
 import enum
@@ -150,9 +154,13 @@ def _axis_eigenvalues(A):
     stiff A does not widen the slack of its slow modes.  eps ||A||_F is the
     rounding floor of eigvals, whose backward error is about eps ||A||
     (Golub and Van Loan, Matrix Computations, 7.5): it keeps a zero whose
-    computed |lambda| is a rounding error larger than its slack.
+    computed |lambda| is a rounding error larger than its slack.  The
+    spectrum is computed per decoupled block (linalg.eigvals), whose
+    rounding is that of the block, at most eps ||A||_F.  The floor stays
+    that of the whole A: a dense change of coordinates makes A one block,
+    and the list must not depend on the coordinates.
     """
-    lam = np.linalg.eigvals(A)
+    lam = linalg.eigvals(A)
     slack = linalg.base_tol() * (1.0 + np.abs(lam)) + np.finfo(float).eps * np.linalg.norm(A)
     return tuple(complex(v) for v in lam[np.abs(lam.real) < slack])
 
@@ -170,15 +178,17 @@ def stability_verdict(node, E, kappa):
     decides nothing; imaginary_spectrum lists the open-loop eigenvalues
     lambda with |Re lambda| < tol (1 + |lambda|) + eps ||A||_F, the slack
     of the eigenvalue itself plus the rounding floor of eigvals
-    (:func:`_axis_eigenvalues`).
+    (:func:`_axis_eigenvalues`).  Every spectrum here is computed one
+    decoupled block at a time (linalg.eigvals): the beam's modes and the two
+    halves of its colocated closed loop are solved apart.
     """
     syn = stabilizing_feedback(node, E, kappa)
     # the intermediate is scattering passive by construction
     cweak, bweak, N, Nd, H = _benchimol_sweep(syn.scattering_intermediate)
     # the closed-loop A in W-orthonormal coordinates
     Acl = syn.scattering_intermediate.orthonormal[0]
-    cl_imag = tuple(complex(v) for v in np.linalg.eigvals(H.conj().T @ Acl @ H))
-    max_real = float(np.max(np.linalg.eigvals(Acl).real, initial=-np.inf))
+    cl_imag = tuple(complex(v) for v in linalg.eigvals(H.conj().T @ Acl @ H))
+    max_real = float(np.max(linalg.eigvals(Acl).real, initial=-np.inf))
     report = StabilityReport(
         unobservable_basis=N,
         uncontrollable_dual_basis=Nd,

@@ -577,6 +577,26 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_no_verb_imports_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma (about 1.6 MB of resident memory); the block
+    # search of linalg.eigvals, which a verdict at n_modes 50 runs, must not
+    code = (
+        "import json, sys\n"
+        "import numpy\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "from passivenode.cli import main\n"
+        "for argv in (['beam', '--n-modes', '50', '--kappa', '1'],\n"
+        "             ['beam', '--n-modes', '8', '--out', 'b.json'],\n"
+        "             ['check', 'b.json'], ['simulate', 'b.json', '--steps', '2000']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(json.dumps([before, 'numpy.ma' in sys.modules]))\n"
+    )
+    result = _python(code, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    before, after = json.loads(result.stdout.strip().splitlines()[-1])
+    assert before or not after
+
+
 # each verb with its usual exit code; the beam is impedance but not scattering passive
 _VERBS = [
     (["beam", "--n-modes", "8", "--out", "b.json"], 0),

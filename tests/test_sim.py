@@ -300,6 +300,16 @@ def test_simulation_memory_is_proportional_to_the_trajectory():
     assert peak <= 3.5 * _trajectory_bytes(traj)
 
 
+def test_a_callable_input_leaves_the_trajectory_its_own_inputs():
+    # the inputs are copied out of the samples that interleave the grid and the
+    # half-points, so the trajectory does not keep the half-point values alive
+    node = StateSpaceNode([[-1.0]], [[1.0]], [[1.0]], [[0.5]])
+    u = lambda t: np.array([np.cos(t)])
+    traj = simulate(node, [0.0], u, 1.0, steps=100)
+    assert traj.inputs.flags.owndata and traj.inputs.flags.c_contiguous
+    assert np.array_equal(traj.inputs, [u(t) for t in traj.times])
+
+
 class _RecordingInput:
     """Records each time it is called at; its value changes at time index `at`."""
 

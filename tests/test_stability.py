@@ -296,6 +296,92 @@ def test_the_axis_list_holds_a_dark_mode(seed, omega):
     assert any(abs(lam - 1j * omega) < 1e-12 for lam in report.imaginary_spectrum)
 
 
+# -- spectra one decoupled block at a time ----------------------------------------
+
+
+def _block_diagonal(seed, count, complex_entries):
+    """A permuted block-diagonal matrix of count dense blocks of sizes 1 to 4,
+    some of them a zero row and column, and the rows of each block."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(0, 5, size=count)  # 0 stands for a zero row and column
+    n = sum(max(size, 1) for size in sizes)
+    M = np.zeros((n, n), dtype=complex if complex_entries else float)
+    perm = rng.permutation(n)
+    blocks, start = [], 0
+    for size in sizes:
+        rows = np.sort(perm[start:start + max(size, 1)])
+        start += rows.size
+        if size:
+            block = rng.standard_normal((size, size))
+            if complex_entries:
+                block = block + 1j * rng.standard_normal((size, size))
+            M[np.ix_(rows, rows)] = block
+        blocks.append(rows)
+    return M, blocks
+
+
+def _sorted(lam):
+    lam = np.asarray(lam, dtype=complex)
+    return lam[np.lexsort((lam.imag, lam.real))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, linalg.BLOCK_CUT),
+       complex_entries=st.booleans())
+def test_eigvals_is_the_union_of_the_block_spectra(seed, count, complex_entries):
+    # about 2.4 rows a block: n runs from 0 to about 2.4 BLOCK_CUT
+    M, blocks = _block_diagonal(seed, count, complex_entries)
+    lam, dense = linalg.eigvals(M), np.linalg.eigvals(M)
+    n = M.shape[0]
+    if n < linalg.BLOCK_CUT:
+        assert lam.dtype == dense.dtype and lam.tobytes() == dense.tobytes()
+        return
+    per_block = [np.linalg.eigvals(M[np.ix_(rows, rows)]) for rows in blocks]
+    assert lam.shape == (n,)
+    assert np.iscomplexobj(lam) == any(np.iscomplexobj(w) for w in per_block)
+    assert np.array_equal(_sorted(lam), _sorted(np.concatenate(per_block)))
+    # each eigenvalue is near one of the dense solve's, and the other way round
+    gap = np.abs(lam[:, None] - dense[None, :])
+    floor = 64 * np.finfo(float).eps * np.linalg.norm(M)
+    assert gap.min(axis=1).max() <= floor and gap.min(axis=0).max() <= floor
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, linalg.BLOCK_CUT - 1, linalg.BLOCK_CUT, 150])
+def test_eigvals_of_one_block_is_the_dense_solve(n):
+    # a dense matrix, and a tridiagonal chain under a permutation, are one block
+    rng = np.random.default_rng(n)
+    chain = np.diag(rng.standard_normal(n)) + np.diag(rng.standard_normal(max(n - 1, 0)), 1)
+    chain += np.diag(rng.standard_normal(max(n - 1, 0)), -1)
+    perm = rng.permutation(n)
+    for M in (rng.standard_normal((n, n)), chain[np.ix_(perm, perm)]):
+        lam, dense = linalg.eigvals(M), np.linalg.eigvals(M)
+        assert lam.dtype == dense.dtype and lam.tobytes() == dense.tobytes()
+
+
+def test_the_beam_verdict_solves_no_n_by_n_eigenvalue_problem(monkeypatch):
+    # A is two rigid singletons and 98 decoupled modes, and the colocated
+    # closed loop is two halves of 99 states
+    node, E = beam_model(BeamParameters(n_modes=100))
+    eigvals = np.linalg.eigvals
+    sides = []
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: sides.append(np.shape(a)[-1]) or eigvals(a))
+    report, _ = stability_verdict(node, E, 1.0)
+    assert report.verdict is StabilityVerdict.STRONGLY_STABLE
+    assert sides and max(sides) <= node.n // 2
+
+
+@pytest.mark.parametrize("n_modes", [50, 100, 250])
+def test_blockwise_spectra_keep_the_dense_report(n_modes, monkeypatch):
+    node, E = beam_model(BeamParameters(n_modes=n_modes))
+    blockwise = stability_verdict(node, E, 1.0)[0].as_dict()
+    monkeypatch.setattr(linalg, "eigvals", np.linalg.eigvals)
+    dense = stability_verdict(node, E, 1.0)[0].as_dict()
+    top = [doc.pop("closed_loop_max_real") for doc in (blockwise, dense)]
+    assert blockwise == dense
+    assert abs(top[1] - top[0]) <= 1e-8 * abs(top[1])
+
+
 def test_beam_100_modes_strongly_stable_with_trivial_subspaces():
     node, E = beam_model(BeamParameters(n_modes=100))
     report, _ = stability_verdict(node, E, 1.0)
