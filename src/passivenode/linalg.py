@@ -18,10 +18,21 @@ Three kinds of numerical question, one rule each:
   identity is zero when ||R||_2 <= :func:`scaled_tol` of the matrix it is
   measured against.  Both are base_tol() (PASSIVE_NODE_TOL, default 1e-9)
   times 1 + a norm.
-* Spectra: :func:`eigvals` solves a matrix one decoupled diagonal block at
-  a time, so a modal realization costs what its blocks cost.  The forms of
-  the sign rule stay whole: a certificate's eigenvalues and the witness
-  eigenvectors read beside them come from one dense solve of one matrix.
+* Decoupled blocks: a problem of at least BLOCK_CUT states whose pattern
+  splits into blocks under a permutation (the connected components of
+  :func:`_block_labels`) is solved one block at a time, so a modal
+  realization costs what its blocks cost.  :func:`eigvals` splits a
+  spectrum and :func:`inverses` a stack of inverses (:func:`_decoupled`);
+  :func:`psd_vals` splits the forms of a witness-free sign decision; and
+  the staircase (:func:`largest_invariants_in`) sweeps the subsystems of
+  the bordered pattern of its ops and annihilator in lockstep.  Every
+  decision stays that of the whole matrix: the RCOND rule reads the norms
+  of the whole matrices, a rank cut is relative to the whole annihilator or
+  step block, and a sign slack to the whole form.  The forms of a
+  certificate that reads a witness stay dense: its eigenvalues and the
+  witness eigenvector come from one solve of one matrix, and split
+  eigenvalues round differently, which can change which of two forms tied
+  within rounding is the worst.
 
 Real data runs in real arithmetic.  This is decided once, where a matrix
 or a time-domain signal enters (:func:`as_matrix`, :func:`as_signal`,
@@ -66,17 +77,22 @@ SUBSPACE_TOL = 1e-8
 NUMBER_KINDS = "biufc"
 
 #: times per chunk wherever a signal is read, summed or written in pieces: the
-#: values of a callable (:func:`sample`), a Laguerre sum, a block of CSV rows.
-#: What such a pass holds beyond its result is one chunk (a few hundred kB).
-#: Even, so that CHUNK panels make a piece of a composite Simpson sum
+#: values of a callable (:func:`sample`), the forcing of a simulation, a
+#: Laguerre sum, a block of CSV rows.  What such a pass holds beyond its
+#: result is one chunk (a few hundred kB).  Even, so that CHUNK panels make
+#: a piece of a composite Simpson sum
 CHUNK = 2048
 
-#: eigvals looks for decoupled blocks only in a matrix with at least this
-#: many rows.  Measured crossover (one BLAS thread, numpy 2.4.6): the beam's
-#: W-orthonormal A (2 x 2 modes) is split faster than it is solved whole from
-#: n = 64, its closed loop (two halves) from n = 40, and finding the blocks
-#: of a matrix that is one block costs +26 % of np.linalg.eigvals at n = 16,
-#: +2 % at n = 64 and +0.4 % at n = 498
+#: decoupled blocks are looked for (:func:`_decoupled`, :func:`_subsystems`)
+#: only in a matrix with at least this many rows.  Measured crossovers (one
+#: BLAS thread, numpy 2.4.6): the beam's W-orthonormal A (2 x 2 modes) is
+#: split faster than it is solved whole from n = 64, by eigvals and by the
+#: inverses of a check alike (0.23 against 0.51 ms at n = 64); its closed
+#: loop (two halves) from n = 40 by eigvals and from about n = 78 by the
+#: inverses (0.61 against 0.53 ms at n = 64), and its N, N^d staircase is
+#: as fast split as whole at n = 64 (1.46 ms).  Finding the blocks of a
+#: matrix that is one block costs +26 % of np.linalg.eigvals at n = 16, +2 %
+#: at n = 64 and +0.4 % at n = 498
 BLOCK_CUT = 64
 
 #: larger entries are rejected, so that a product of up to six entries stays
@@ -252,14 +268,25 @@ def sample(u, times, name, width=None):
 def inverses(M):
     """(M^-1, invertible) for a stack M (..., k, k) of square matrices.
 
-    One inverse of the whole stack.  invertible marks (shape M.shape[:-2])
-    the slices that are not singular by the rule of the module docstring;
-    the inverse of a singular slice is not to be read.  LAPACK stops at a
-    zero pivot in any slice, and then the slices are inverted one by one,
-    a zero-pivot slice left NaN.
+    One inverse of the whole stack, or, when the union of the stack's
+    patterns decouples (:func:`_decoupled`), one inverse per block size of
+    the stacked blocks: the inverse of a block-diagonal matrix is the block
+    diagonal of its blocks' inverses.  invertible marks (shape M.shape[:-2])
+    the slices that are not singular by the rule of the module docstring,
+    read off the norms of the whole M and M^-1; the inverse of a singular
+    slice is not to be read.  LAPACK stops at a zero pivot in any slice or
+    block, and then the slices are inverted whole, one by one, a zero-pivot
+    slice left NaN.
     """
+    groups = _decoupled(M)
     try:
-        Minv = np.linalg.inv(M)
+        if groups is None:
+            Minv = np.linalg.inv(M)
+        else:
+            Minv = np.zeros(M.shape, dtype=np.result_type(M, float))
+            for _, block in groups:
+                rows, cols = block[:, :, None], block[:, None, :]
+                Minv[..., rows, cols] = np.linalg.inv(M[..., rows, cols])
     except np.linalg.LinAlgError:
         Minv = np.full(M.shape, np.nan, dtype=np.result_type(M, float))
         for i in np.ndindex(M.shape[:-2]):
@@ -326,15 +353,27 @@ def assert_hermitian(M, what="matrix"):
     return hermitize(M)
 
 
-def psd_vals(M):
+def psd_vals(M, blockwise=False):
     """Eigenvalues (ascending) of the self-adjoint part of M, and whether M >= 0.
 
     The one sign rule: a form passes when lambda_min >= -psd_tol, the slack
     read off its own eigenvalues.  No eigenvector is computed.  M may be a
     stack (..., k, k): one eigvalsh decides every form, and the verdict has
-    the shape M.shape[:-2].  An empty form passes.
+    the shape M.shape[:-2].  With blockwise, for a caller that reads no
+    eigenvector beside them (see the module docstring), the forms are
+    solved one decoupled block of their union pattern at a time
+    (:func:`_decoupled`), one eigvalsh per block size, and each form's
+    eigenvalues are the sorted union of its blocks'.  An empty form passes.
     """
-    vals = np.linalg.eigvalsh(hermitize(M))
+    H = hermitize(M)
+    groups = _decoupled(H) if blockwise else None
+    if groups is None:
+        vals = np.linalg.eigvalsh(H)
+    else:
+        vals = np.empty(H.shape[:-1])
+        for at, block in groups:
+            vals[..., at] = np.linalg.eigvalsh(H[..., block[:, :, None], block[:, None, :]])
+        vals.sort(axis=-1)
     return vals, _passes(vals)
 
 
@@ -356,36 +395,52 @@ def _passes(vals):
 def eigvals(M):
     """Eigenvalues of the square matrix M, one decoupled block at a time.
 
-    The blocks are the connected components of the pattern of M + M*
-    (:func:`_block_labels`): M is block diagonal under a permutation of its
-    rows and columns, and its spectrum is the union of theirs.  The blocks
-    of each size are stacked into one np.linalg.eigvals call, and the
-    eigenvalues come in the order of the blocks' first rows.  LAPACK's
-    balancing (Parlett and Reinsch 1969) moves isolated eigenvalues aside
-    but never splits a matrix into its blocks, which a modal realization
-    (the beam's 2 x 2 modes, its colocated closed loop's two halves)
-    decouples into.  A matrix with fewer than BLOCK_CUT rows, or of one
-    block, gets np.linalg.eigvals(M) itself.
+    The blocks are those of :func:`_decoupled`: M is block diagonal under a
+    permutation of its rows and columns, and its spectrum is the union of
+    theirs.  The blocks of each size are stacked into one np.linalg.eigvals
+    call, and the eigenvalues come in the order of the blocks' first rows.
+    LAPACK's balancing (Parlett and Reinsch 1969) moves isolated eigenvalues
+    aside but never splits a matrix into its blocks, which a modal
+    realization (the beam's 2 x 2 modes, its colocated closed loop's two
+    halves) decouples into.  A matrix with fewer than BLOCK_CUT rows, or of
+    one block, gets np.linalg.eigvals(M) itself.
     The result is real when M and every eigenvalue are, as in numpy.
     """
     M = np.asarray(M)
-    n = M.shape[0]
-    if n < BLOCK_CUT:
+    groups = _decoupled(M)
+    if groups is None:
         return np.linalg.eigvals(M)
+    lam = np.empty(M.shape[0], dtype=complex)
+    for at, block in groups:
+        lam[at] = np.linalg.eigvals(M[block[:, :, None], block[:, None, :]])
+    return lam if np.iscomplexobj(M) or lam.imag.any() else lam.real.copy()
+
+
+def _decoupled(M):
+    """The decoupled blocks of M, or of the union of the patterns of a stack M (..., k, k).
+
+    A list of (at, block) pairs, one per block size: block (count, size)
+    holds the rows of the blocks of that size, and at their positions when
+    the rows are listed block by block, blocks in the order of their first
+    rows (the labels of :func:`_block_labels`).  None when M has fewer than
+    BLOCK_CUT rows or is one block, for which a dense solve is as fast.
+    """
+    if M.shape[-1] < BLOCK_CUT:
+        return None
+    if M.ndim > 2:
+        M = (M != 0).any(axis=tuple(range(M.ndim - 2)))
     labels = _block_labels(M)
     sizes = np.bincount(labels)
     sizes = sizes[sizes > 0]
     if sizes.size == 1:
-        return np.linalg.eigvals(M)
-    # the rows of each block, blocks in the order of their labels (first rows)
+        return None
     rows = np.argsort(labels, kind="stable")
     starts = np.cumsum(sizes) - sizes
-    lam = np.empty(n, dtype=complex)
+    groups = []
     for size in np.flatnonzero(np.bincount(sizes)):
         at = starts[sizes == size][:, None] + np.arange(size)
-        block = rows[at]
-        lam[at] = np.linalg.eigvals(M[block[:, :, None], block[:, None, :]])
-    return lam if np.iscomplexobj(M) or lam.imag.any() else lam.real.copy()
+        groups.append((at, rows[at]))
+    return groups
 
 
 def _block_labels(M):
@@ -461,12 +516,6 @@ def _rank(sv):
     return int(np.count_nonzero(sv > rank_floor(sv[0])))
 
 
-def _range_basis(X):
-    """Orthonormal basis of range(X) from a thin SVD, cut by the rule of _rank."""
-    u, sv, _ = np.linalg.svd(X, full_matrices=False)
-    return u[:, :_rank(sv)]
-
-
 def largest_invariant_in(M, ops):
     """Largest subspace of ker M mapped into itself by every op in ops.
 
@@ -482,40 +531,206 @@ def largest_invariant_in(M, ops):
     :func:`null_basis`; each step maps the newest block through every op*,
     orthogonalizes the images against the basis so far (twice, for
     stability) and keeps the directions above SUBSPACE_TOL times the
-    block's own largest singular value.  Each direction is found once, and
-    the work per step is O(n^2) times the block width, so the sweep costs
-    O(n^3) for a fixed number of ops.  The basis lives in one preallocated
-    n x n column-major buffer: each block is written into its next columns
-    (clipped to the columns left) and the images are orthogonalized in
-    place against the columns filled so far, so no step copies the basis.
-    When the sweep fills all n dimensions the result is an empty n x 0
-    basis, with no n x n factorization; otherwise one complement SVD
-    returns it.  The basis is real when M and every op are.
+    block's own largest singular value, which for a block of one column is
+    its 2-norm, taken without an SVD.  Each direction is found once, and the
+    work per step is O(n^2) times the block width, so the sweep costs O(n^3)
+    for a fixed number of ops.  The basis lives in one preallocated buffer
+    of rows: each block is written into its next rows (clipped to the rows
+    left) and the images are orthogonalized against the rows filled so far,
+    so no step copies the basis.  When the sweep fills all n dimensions the
+    result is an empty n x 0 basis, with no n x n factorization; otherwise
+    one complement SVD returns it.  The basis is real when M and every op
+    are.  This is :func:`largest_invariants_in` of the one problem, so a
+    problem of at least BLOCK_CUT states is swept by subsystem.
     """
-    M = np.atleast_2d(np.asarray(M))
-    n = M.shape[1]
-    adjoints = [op.conj().T for op in ops]
-    start = _range_basis(M.conj().T)
-    V = np.empty((n, n), dtype=np.result_type(start, *adjoints), order="F")
-    real = not np.iscomplexobj(V)
-    lo, k = 0, start.shape[1]
-    V[:, :k] = start
-    while lo < k < n:
-        block = V[:, lo:k]
-        W = (adjoints[0] @ block if len(adjoints) == 1
-             else np.hstack([op @ block for op in adjoints]))
-        B = V[:, :k]
-        Bh = B.T if real else B.conj().T
+    return largest_invariants_in([(M, ops)])[0]
+
+
+def largest_invariants_in(problems):
+    """[largest_invariant_in(M, ops) for M, ops in problems], by one staircase.
+
+    A problem of at least BLOCK_CUT states is cut into its decoupled
+    subsystems (:func:`_subsystems`), a smaller one is one subsystem, and
+    the subsystems of every problem are swept together.  Those of one size,
+    count of rows of M, dtype and op count make one :class:`_Lockstep`
+    stack: one stacked product, two stacked Gram-Schmidt passes and one rank
+    decision per member per step.  A member whose width differs from its
+    stack's goes on in a stack of its own, and a member that finds no new
+    direction, or fills its states, is done.  Every decision is that of the
+    unsplit sweep: a start is cut relative to the largest singular value of
+    its problem's whole M, and a step relative to the largest singular value
+    of its problem's whole step block, the largest over the problem's
+    subsystems at that step.  In exact arithmetic this is a rearrangement of
+    the staircase of each problem taken whole; the basis spans the same
+    subspace, though not with the same columns.
+    """
+    problems = [(np.atleast_2d(np.asarray(M)), [np.asarray(op) for op in ops])
+                for M, ops in problems]
+    dtypes = [np.result_type(float, M, *ops) for M, ops in problems]
+    members, spare = _subsystems(problems)
+    key = lambda m: (len(m[1]), len(m[2]), dtypes[m[0]], len(problems[m[0]][1]))
+    active = [_Lockstep.of(group, problems, dtypes[group[0][0]])
+              for group in _grouped(members, key)]
+    done = []
+    while active:
+        steps, top = [stack.step() for stack in active], [0.0] * len(problems)
+        # the decisions of a step, on a handful of numbers per member, are
+        # read in Python: numpy's per-call cost would exceed the arithmetic
+        for stack, (sv, _) in zip(active, steps):
+            for p, largest in zip(stack.problem, sv[:, 0].tolist()):
+                top[p] = max(top[p], largest)
+        # each cut is relative to the problem's whole M or step block, not to
+        # ||op||: after deflation the images of a stiff op can be small yet new
+        floor = [rank_floor(largest) for largest in top]
+        going = []
+        for stack, (sv, new) in zip(active, steps):
+            size = stack.V.shape[1]
+            ranks = [min(sum(value > floor[p] for value in values), size - stack.k)
+                     for p, values in zip(stack.problem, sv.tolist())]
+            for sel, r, part in stack.split(ranks):
+                part.extend(new[sel], sv[sel], r)
+                (going if r and part.k < size else done).append(part)
+        active = going
+    # per problem: the states that lie in the result whole, and the
+    # (states, complement) of each swept subsystem that kept some
+    whole, pieces = [[states] for states in spare], [[] for _ in problems]
+    for stack in done:
+        size, k = stack.V.shape[1], stack.k
+        if not k:
+            for p, states in zip(stack.problem, stack.states):
+                whole[p].append(states)
+        elif k < size:
+            # the basis rows are orthonormal, so their rank is k
+            comp = np.linalg.svd(stack.V[:, :k].conj())[2][:, k:].conj().swapaxes(1, 2)
+            for p, states, c in zip(stack.problem, stack.states, comp):
+                pieces[p].append((states, c))
+    bases = []
+    for (M, _), dtype, states, swept in zip(problems, dtypes, whole, pieces):
+        states = np.concatenate(states)
+        X = np.zeros((M.shape[1], sum(c.shape[1] for _, c in swept) + len(states)), dtype=dtype)
+        col = 0
+        for rows, c in swept:
+            X[rows, col:col + c.shape[1]] = c
+            col += c.shape[1]
+        X[states, col + np.arange(len(states))] = 1.0
+        bases.append(X)
+    return bases
+
+
+def _subsystems(problems):
+    """(members, spare): the subsystems (problem, states, rows) of the (M, ops)
+    problems, and per problem the states in none of them.
+
+    A problem of at least BLOCK_CUT states is cut into the connected
+    components of its bordered pattern [[op, M*], [M, 0]], the patterns of
+    its ops united, by one :func:`_block_labels` call: a row of M joins
+    every state it touches.  A component that holds a row of M is a
+    subsystem, with its states and its rows of M.  The states of a
+    component with none are spare: they span a subspace of ker M invariant
+    under every op, so they lie in the result whole.  A smaller problem is
+    one subsystem of all its states and rows, or all spare when M has no
+    rows.
+    """
+    members, spare = [], []
+    for p, (M, ops) in enumerate(problems):
+        k, n = M.shape
+        if n < BLOCK_CUT:
+            if k and n:
+                members.append((p, np.arange(n), np.arange(k)))
+            spare.append(np.arange(0 if k else n))
+            continue
+        pattern = np.zeros((n + k, n + k), dtype=bool)
+        for op in ops:
+            pattern[:n, :n] |= op != 0
+        pattern[n:, :n] = M != 0
+        labels = _block_labels(pattern)
+        states, rows = labels[:n], labels[n:]
+        held = np.zeros(n + k, dtype=bool)
+        held[rows] = True
+        for label in np.flatnonzero(held):
+            at = np.flatnonzero(states == label)
+            if at.size:  # not a zero row of M, which is a component of its own
+                members.append((p, at, np.flatnonzero(rows == label)))
+        spare.append(np.flatnonzero(~held[states]))
+    return members, spare
+
+
+def _grouped(items, key):
+    """The items grouped by key(item), as lists in the order of their first items."""
+    groups = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return groups.values()
+
+
+class _Lockstep:
+    """Subsystems of one size and basis width, swept in lockstep.
+
+    Member i is the subsystem on states[i] of problem problem[i].  V[i]
+    holds its basis as rows, the first k filled and the newest block from
+    row lo.  start stacks the members' rows of conj(M), whose span the basis
+    starts from, and each entry of ops stacks the members' conj(op), so the
+    rows of the op* images of a block are block @ conj(op).
+    """
+
+    def __init__(self, problem, states, start, ops, V, lo=0, k=0):
+        self.problem, self.states, self.start, self.ops, self.V = problem, states, start, ops, V
+        self.lo, self.k = lo, k
+
+    @classmethod
+    def of(cls, group, problems, dtype):
+        """The stack of the subsystems (p, states, rows) of group, each of problems[p]."""
+        size = len(group[0][1])
+        start = np.stack([problems[p][0][rows[:, None], states] for p, states, rows in group])
+        ops = [np.stack([problems[p][1][j][states[:, None], states] for p, states, _ in group])
+               for j in range(len(problems[group[0][0]][1]))]
+        return cls([p for p, _, _ in group], np.stack([states for _, states, _ in group]),
+                   start.conj(), [G.conj() for G in ops], np.empty((len(group), size, size), dtype))
+
+    def step(self):
+        """(sv, new): the singular values of each member's next block, and
+        the rows that span it.  The first block is the start, taken by a
+        thin SVD; each later one is the images of the newest block,
+        deflated against the basis, and a block of one row is its own span,
+        with its 2-norm for its one singular value."""
+        if not self.k:
+            return np.linalg.svd(self.start, full_matrices=False)[1:]
+        block = self.V[:, self.lo:self.k]
+        W = (block @ self.ops[0] if len(self.ops) == 1
+             else np.concatenate([block @ G for G in self.ops], axis=1))
+        B = self.V[:, :self.k]
+        Bh = B.conj().swapaxes(1, 2)
         for _ in range(2):
-            W -= B @ (Bh @ W)
-        # the cut is relative to this block, not to ||op||: after deflation
-        # the images of a stiff op can be small yet genuinely new
-        new = _range_basis(W)[:, :n - k]
-        lo, k = k, k + new.shape[1]
-        V[:, lo:k] = new
-    if k >= n:
-        return np.zeros((n, 0), dtype=V.dtype)
-    return null_basis(V[:, :k].conj().T)
+            W -= (W @ Bh) @ B
+        if W.shape[1] == 1:
+            return np.sqrt((W @ W.conj().swapaxes(1, 2)).real[:, :, 0]), W
+        return np.linalg.svd(W, full_matrices=False)[1:]
+
+    def split(self, ranks):
+        """(sel, rank, stack) for each rank of the members' ranks: the
+        members of that rank (an index), and this stack when every member
+        has one rank, else a stack of their own."""
+        if len(set(ranks)) == 1:
+            return [(slice(None), ranks[0], self)]
+        parts = []
+        for r in sorted(set(ranks)):
+            sel = [i for i, rank in enumerate(ranks) if rank == r]
+            parts.append((sel, r, _Lockstep([self.problem[i] for i in sel], self.states[sel],
+                                            self.start[sel], [G[sel] for G in self.ops],
+                                            self.V[sel], self.lo, self.k)))
+        return parts
+
+    def extend(self, new, sv, r):
+        """Append the first r rows of each member's block new from
+        :meth:`step`, whose singular values are sv: the unit rows of an SVD,
+        or after the start a block of one row, normalized here, once its
+        norm has passed the rank cut."""
+        if not r:
+            return
+        if self.k and new.shape[1] == 1:
+            new = new / sv[:, :, None]
+        self.lo, self.k = self.k, self.k + r
+        self.V[:, self.lo:self.k] = new[:, :r]
 
 
 #: coefficients b_0..b_13 of the degree-13 Pade approximant to e^x, and the

@@ -201,7 +201,7 @@ def _certify(kind, stacks, test_points, witness=True):
     for stack in stacks:
         if not stack.size:
             continue
-        vals, psd = linalg.psd_vals(stack)
+        vals, psd = linalg.psd_vals(stack, blockwise=not witness)
         passive = passive and bool(psd.all())
         i = int(np.argmin(vals[:, 0]))
         if vals[i, 0] < least:

@@ -42,10 +42,12 @@ A trajectory holds at most TRAJECTORY_MAX_ENTRIES entries
 (steps + 1)(n + m + p); a longer grid raises InvalidTimeGrid before
 anything is allocated.  The cap bounds the memory of a simulation too:
 beyond the trajectory it holds the input at the half-points (m values per
-step), one chunk of a callable's values and one temporary of 3m or p
-columns per step.  At n = m = p = 1, whose trajectory is 32 B per step, a
-simulation under a callable input peaks at 58 B per step (tracemalloc,
-20,000 steps) and an energy audit at 40.
+step), the interleaved samples of a callable while they are split, one
+chunk of its values or of the stacked forcing inputs (:func:`_forcing`) and
+one temporary of p columns per step.  A simulation under a callable input
+peaks (tracemalloc, 20,000 steps) at 58 B per step for n = m = p = 1, whose
+trajectory is 32 B per step, and at 280 B per step for n = 1, m = p = 8,
+whose trajectory is 144; an energy audit at n = m = p = 1 peaks at 40.
 """
 
 from dataclasses import dataclass
@@ -60,8 +62,8 @@ from .passivity import _shifted_form
 #: most entries (steps + 1)(n + m + p) of a trajectory: 50 times the 1e6 of the
 #: n = 498 beam (the top of desk scale) at the default 2000 steps, 400 MB of
 #: states, inputs and outputs in float64.  simulate holds the trajectory plus
-#: one chunk of input values and per-step temporaries: at most about 2.5 times
-#: the trajectory's bytes (1.8 at n = m = p = 1, 58 B per step)
+#: the input samples and one chunk of temporaries: at most about 2 times the
+#: trajectory's bytes (1.8 at n = m = p = 1, 58 B per step)
 TRAJECTORY_MAX_ENTRIES = 5 * 10**7
 
 
@@ -201,6 +203,26 @@ def _recur(P, S):
         S[k + 1] += P @ S[k]
 
 
+def _forcing(inputs, half, G, out):
+    """out[k] = [u_k, u_{k+1/2}, u_{k+1}] @ G for every step k, linalg.CHUNK rows at a time.
+
+    Each chunk stacks its three input blocks into one (rows, 3m) temporary
+    and takes one product, so what the pass holds beyond out is one chunk.
+    A last chunk of one row joins the chunk before it: a one-row product
+    takes BLAS's matrix-vector path, whose rounding differs from the
+    matrix product's.  A row can still differ in its last bit from one
+    product over all steps, where BLAS picks another kernel for another
+    count of rows.
+    """
+    steps = len(out)
+    bounds = list(range(0, steps, linalg.CHUNK)) + [steps]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        stacked = np.hstack([inputs[lo:hi], half[lo:hi], inputs[lo + 1:hi + 1]])
+        np.matmul(stacked, G, out=out[lo:hi])
+
+
 def simulate(node, z0, u, T, steps=2000):
     """Integrate the node from z0 under input u over [0, T] with exact exponential steps.
 
@@ -245,10 +267,8 @@ def simulate(node, z0, u, T, steps=2000):
         states = np.empty((steps + 1, node.n), dtype=dtype)
         states[0] = z0.reshape(node.n)
         # states[1:] first holds every forcing term F_k = G0 u_k + Gh u_{k+1/2}
-        # + G1 u_{k+1}; the recurrence then adds P z_k to each.  The stacked
-        # inputs are a temporary, freed before the outputs are formed
-        np.matmul(np.hstack([inputs[:-1], half, inputs[1:]]), np.hstack([G0, Gh, G1]).T,
-                  out=states[1:])
+        # + G1 u_{k+1}; the recurrence then adds P z_k to each
+        _forcing(inputs, half, np.hstack([G0, Gh, G1]).T, states[1:])
         _recur(P, states)
     finite = np.all(np.isfinite(states), axis=1)
     if not finite.all():

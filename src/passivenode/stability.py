@@ -12,15 +12,19 @@ and its dual N^d, and these are equivalent: cweak (N ∩ X^u = {0}), bweak
 (N^d ∩ X^u = {0}), X^u = {0}, no closed-loop eigenvalue on the imaginary
 axis, and a Hurwitz closed loop.
 
-benchimol_conditions computes N and N^d by two staircase sweeps and then
-X^u as the largest {A, A*}-invariant subspace H of ker(A + A*) ∩ N ∩ N^d,
-so dim X^u never exceeds dim N or dim N^d.  Every rank decision uses the
-one relative tolerance linalg.SUBSPACE_TOL, and stability_verdict reads
+benchimol_conditions computes N and N^d by one call of the staircase
+(linalg.largest_invariants_in), which sweeps the decoupled subsystems of
+both problems in lockstep (on the beam, the colocated closed loop's two
+single-input halves for each of N and N^d), and then X^u as the largest
+{A, A*}-invariant subspace H of ker(A + A*) ∩ N ∩ N^d, so dim X^u never
+exceeds dim N or dim N^d.  Every rank decision uses the one relative
+tolerance linalg.SUBSPACE_TOL, and stability_verdict reads
 every field of its report from the one decision "H = {0}".
 
 The two spectra of the report, the open-loop axis list and the closed-loop
 abscissa, are computed one decoupled block at a time (linalg.eigvals); the
-sign certificates of the precondition stay dense.
+sign certificates of the precondition stay dense.  In exact arithmetic the
+split computations make the decisions of the whole-matrix ones.
 """
 
 import enum
@@ -39,17 +43,21 @@ class StabilityVerdict(enum.Enum):
     NOT_STABLE = "NotStable"
 
 
+def _kernel_problems(node):
+    """The (annihilator, ops) problems of N and N^d, in W-orthonormal coordinates."""
+    A, B, C, _ = node.orthonormal
+    return [(C, [A]), (B.conj().T, [A.conj().T])]
+
+
 def unobservable_space(node):
     """Orthonormal basis (in W-orthonormal coordinates) of the largest
     A-invariant subspace contained in ker C."""
-    A, _, C, _ = node.orthonormal
-    return linalg.largest_invariant_in(C, [A])
+    return linalg.largest_invariant_in(*_kernel_problems(node)[0])
 
 
 def uncontrollable_dual_space(node):
     """Largest A*-invariant subspace contained in ker B* (orthonormal coords)."""
-    A, B, _, _ = node.orthonormal
-    return linalg.largest_invariant_in(B.conj().T, [A.conj().T])
+    return linalg.largest_invariant_in(*_kernel_problems(node)[1])
 
 
 def unitary_subspace(node):
@@ -131,10 +139,13 @@ def benchimol_conditions(node):
 
 
 def _benchimol_sweep(node):
-    """benchimol_conditions on a node that meets its precondition, unchecked."""
+    """benchimol_conditions on a node that meets its precondition, unchecked.
+
+    N and N^d come from one call of the staircase, H from another, run
+    only when both are nonempty.
+    """
     A = node.orthonormal[0]
-    N = unobservable_space(node)
-    Nd = uncontrollable_dual_space(node)
+    N, Nd = linalg.largest_invariants_in(_kernel_problems(node))
     H = np.zeros((node.n, 0), dtype=N.dtype)
     if N.shape[1] and Nd.shape[1]:
         Q = linalg.hermitize(A + A.conj().T)

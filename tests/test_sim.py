@@ -20,7 +20,7 @@ from passivenode import (
 from passivenode.errors import DimensionMismatch, NonFiniteState
 from passivenode.linalg import CHUNK
 from passivenode.passivity import impedance_block_bounded
-from passivenode.sim import _propagator, _recur, export_csv
+from passivenode.sim import _forcing, _propagator, _recur, export_csv
 
 from conftest import (
     dense_change,
@@ -298,6 +298,38 @@ def test_simulation_memory_is_proportional_to_the_trajectory():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * _trajectory_bytes(traj)
+
+
+def test_a_wide_input_is_not_stacked_for_every_step_at_once():
+    # n = 1, m = p = 8: the trajectory is 144 B per step, and the three
+    # forcing inputs of every step, stacked at once, would add 192
+    m = 8
+    node = StateSpaceNode([[-1.0]], np.ones((1, m)), np.ones((m, 1)), 0.5 * np.eye(m))
+    u = lambda t: np.cos(t * np.arange(1, m + 1))
+    simulate(node, [0.0], u, 1.0, steps=4)
+    tracemalloc.start()
+    try:
+        traj = simulate(node, [0.0], u, 10.0, steps=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * _trajectory_bytes(traj)
+
+
+@pytest.mark.parametrize("steps", [1, 2, CHUNK, CHUNK + 1, CHUNK + 2, 3 * CHUNK + 1])
+def test_the_forcing_takes_one_product_per_chunk_and_no_one_row_product(steps, monkeypatch):
+    rng = np.random.default_rng(steps)
+    inputs, half = rng.standard_normal((steps + 1, 3)), rng.standard_normal((steps, 3))
+    G = rng.standard_normal((9, 4))
+    whole = np.hstack([inputs[:-1], half, inputs[1:]]) @ G
+    rows, matmul = [], np.matmul
+    monkeypatch.setattr(np, "matmul",
+                        lambda a, b, out: rows.append(len(a)) or matmul(a, b, out=out))
+    out = np.empty((steps, 4))
+    _forcing(inputs, half, G, out)
+    assert sum(rows) == steps and max(rows) <= CHUNK + 1
+    assert min(rows) > 1 or steps == 1
+    assert np.abs(out - whole).max() <= 4 * np.finfo(float).eps * np.abs(whole).max()
 
 
 def test_a_callable_input_leaves_the_trajectory_its_own_inputs():

@@ -358,6 +358,58 @@ def test_eigvals_of_one_block_is_the_dense_solve(n):
         assert lam.dtype == dense.dtype and lam.tobytes() == dense.tobytes()
 
 
+def _dense(fn, *args):
+    """fn(*args) with the block search of linalg switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_decoupled", lambda M: None)
+        return fn(*args)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(linalg.BLOCK_CUT, 2 * linalg.BLOCK_CUT),
+       complex_entries=st.booleans())
+def test_blockwise_inverses_are_the_dense_inverses(seed, count, complex_entries):
+    # s I - M at a few points: s = 0 makes the slices with a zero row and
+    # column singular, which LAPACK meets as a zero pivot
+    M, blocks = _block_diagonal(seed, count, complex_entries)
+    n = M.shape[0]
+    s = np.array([3.0 + 1.0j, 0.0] if complex_entries else [3.0, -2.5, 0.0])
+    S = s[:, None, None] * np.eye(n) - M
+    (inv, ok), (dense, dense_ok) = linalg.inverses(S), _dense(linalg.inverses, S)
+    assert np.array_equal(ok, dense_ok)
+    assert ok[0] and (not ok[-1]) == any(not M[np.ix_(rows, rows)].any() for rows in blocks)
+    same_block = np.zeros((n, n), dtype=bool)
+    for rows in blocks:
+        same_block[np.ix_(rows, rows)] = True
+    for Si, Ri, Di in zip(S[ok], inv[ok], dense[ok]):
+        assert not Ri[~same_block].any()
+        eps = np.finfo(float).eps
+        assert np.linalg.norm(Ri - Di) <= n * eps * np.linalg.cond(Si) * np.linalg.norm(Di)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(linalg.BLOCK_CUT, 2 * linalg.BLOCK_CUT),
+       complex_entries=st.booleans())
+def test_the_blockwise_sign_rule_decides_as_the_dense_one(seed, count, complex_entries):
+    # forms whose least eigenvalue is 1, 0 and -1, and one whose extra
+    # coupling joins two blocks of the stack's union pattern
+    M, blocks = _block_diagonal(seed, count, complex_entries)
+    F = linalg.hermitize(M)
+    n = F.shape[0]
+    low = np.linalg.eigvalsh(F)[0]
+    forms = [F - (low + shift) * np.eye(n) for shift in (-1.0, 0.0, 1.0)]
+    joined = forms[0].copy()
+    i, j = blocks[0][0], blocks[-1][0]
+    if i != j:
+        joined[i, j] = joined[j, i] = 0.5
+    stack = np.stack(forms + [joined])
+    vals, psd = linalg.psd_vals(stack, blockwise=True)
+    dense, dense_psd = _dense(linalg.psd_vals, stack)
+    assert np.array_equal(psd, dense_psd) and psd[0] and not psd[2]
+    assert np.abs(vals - dense).max() <= 64 * np.finfo(float).eps * np.linalg.norm(stack[0])
+    assert np.array_equal(vals, np.sort(vals, axis=-1))
+
+
 def test_the_beam_verdict_solves_no_n_by_n_eigenvalue_problem(monkeypatch):
     # A is two rigid singletons and 98 decoupled modes, and the colocated
     # closed loop is two halves of 99 states
@@ -380,6 +432,122 @@ def test_blockwise_spectra_keep_the_dense_report(n_modes, monkeypatch):
     top = [doc.pop("closed_loop_max_real") for doc in (blockwise, dense)]
     assert blockwise == dense
     assert abs(top[1] - top[0]) <= 1e-8 * abs(top[1])
+
+
+def test_the_beam_verdict_makes_a_handful_of_svds(monkeypatch):
+    # the N and N^d sweeps of the closed loop's two single-input halves share
+    # one stacked start SVD, and a one-column step block needs none
+    node, E = beam_model(BeamParameters(n_modes=100))
+    svd = np.linalg.svd
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    report, _ = stability_verdict(node, E, 1.0)
+    assert report.verdict is StabilityVerdict.STRONGLY_STABLE
+    assert 1 <= len(calls) <= 4
+
+
+@st.composite
+def _decoupled_problems(draw, exponents):
+    """(problems, planted): two (M, ops) problems on one permuted direct sum
+    of planted subsystems.
+
+    Subsystem b has, in a random orthonormal basis (S_b, T_b) of its
+    states, an op A_b that leaves S_b invariant (and reduces it when both is
+    drawn) and up to three rows of M that annihilate S_b, scaled by 10^e for
+    an e of exponents.  The first problem takes the ops, the second its own
+    rows and the adjoints, as N and N^d do.  A subsystem without rows lies
+    in the result whole; a start of two or three rows whose Krylov space is
+    not a multiple of its width loses rank mid-sweep; and rows scaled 1e-9
+    fall below the start cut of the whole M.  planted lists (states, S_b)
+    for the first problem.
+    """
+    complex_ = draw(st.booleans())
+    both = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gauss(*shape):
+        X = rng.standard_normal(shape)
+        return X + 1j * rng.standard_normal(shape) if complex_ else X
+
+    subsystems = []
+    for _ in range(draw(st.integers(1, 12))):
+        size = draw(st.integers(1, 7))
+        d = draw(st.integers(0, size))
+        U, _ = np.linalg.qr(gauss(size, size))
+        A = gauss(size, size)
+        A[d:, :d] = 0.0
+        if both:
+            A[:d, d:] = 0.0
+        rows = [gauss(draw(st.integers(0, 3)), size - d) @ U[:, d:].conj().T
+                * 10.0 ** draw(st.sampled_from(exponents)) for _ in range(2)]
+        subsystems.append((U @ A @ U.conj().T, rows, U[:, :d]))
+    n = sum(len(A) for A, _, _ in subsystems)
+    perm = rng.permutation(n)
+    A = np.zeros((n, n), dtype=complex if complex_ else float)
+    Ms = [[np.zeros((draw(st.integers(0, 1)), n), dtype=A.dtype)] for _ in range(2)]
+    planted, start = [], 0
+    for Ab, rows, S in subsystems:
+        at = perm[start:start + len(Ab)]
+        start += len(Ab)
+        A[np.ix_(at, at)] = Ab
+        planted.append((at, S))
+        for blocks, R in zip(Ms, rows):
+            block = np.zeros((len(R), n), dtype=A.dtype)
+            block[:, at] = R
+            blocks.append(block)
+    M, Md = (np.vstack(blocks) for blocks in Ms)
+    M, Md = M[rng.permutation(len(M))], Md[rng.permutation(len(Md))]
+    Ah = A.conj().T
+    return [(M, [A, Ah] if both else [A]), (Md, [Ah, A] if both else [Ah])], planted
+
+
+def _stacked_sweep(problems, side):
+    """largest_invariants_in of problems, with BLOCK_CUT below, at or above
+    their n: split into subsystems, or each problem swept whole."""
+    n = problems[0][0].shape[1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "BLOCK_CUT", {"split": 1, "at the cut": n, "whole": n + 1}[side])
+        return linalg.largest_invariants_in(problems)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=_decoupled_problems([-9, -3, 0]),
+       side=st.sampled_from(["split", "at the cut", "whole"]))
+def test_the_stacked_sweep_spans_the_subspaces_of_the_whole_sweep(case, side):
+    problems, _ = case
+    for (M, ops), V in zip(problems, _stacked_sweep(problems, side)):
+        whole = _stacked_sweep([(M, ops)], "whole")[0]
+        assert V.shape == whole.shape
+        assert np.iscomplexobj(V) == np.iscomplexobj(whole)
+        assert np.linalg.norm(V.conj().T @ V - np.eye(V.shape[1])) <= 1e-12 * max(1, V.shape[1])
+        assert _projector_distance(V, whole) <= 1e-10
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=_decoupled_problems([-9, -3, 0, 3]))
+def test_the_split_sweep_finds_the_planted_subspace_at_any_row_scale(case):
+    # kept rows 1e6 apart: an SVD of the whole M is accurate to eps times its
+    # largest singular value, so the whole sweep's start leaks into states its
+    # rows never touch, and A can grow the leak into new directions; split,
+    # no subsystem sees another's rounding.  A subsystem whose rows fall
+    # below the start cut of the whole M lies in the result whole
+    problems, planted = case
+    M, ops = problems[0]
+    V = _stacked_sweep(problems[:1], "split")[0]
+
+    def sigma_max(X):
+        return np.linalg.svd(X, compute_uv=False).max(initial=0.0)
+
+    floor = linalg.rank_floor(sigma_max(M))
+    pieces = []
+    for at, S in planted:
+        kept = sigma_max(M[:, at]) > floor
+        piece = np.zeros((M.shape[1], S.shape[1] if kept else len(at)), dtype=V.dtype)
+        piece[at] = S if kept else np.eye(len(at))
+        pieces.append(piece)
+    truth = np.hstack(pieces)
+    assert V.shape == truth.shape
+    assert _projector_distance(V, truth) <= 1e-10
 
 
 def test_beam_100_modes_strongly_stable_with_trivial_subspaces():
