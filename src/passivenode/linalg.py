@@ -19,15 +19,14 @@ Three kinds of numerical question, one rule each:
   measured against.  Both are base_tol() (PASSIVE_NODE_TOL, default 1e-9)
   times 1 + a norm.
 * Decoupled blocks: a problem of at least BLOCK_CUT states whose pattern
-  splits into blocks under a permutation (the connected components of
-  :func:`_block_labels`) is solved one block at a time, so a modal
-  realization costs what its blocks cost.  :func:`eigvals` splits a
-  spectrum and :func:`inverses` a stack of inverses (:func:`_decoupled`);
-  :func:`psd_vals` splits the forms of a witness-free sign decision; and
-  the staircase (:func:`largest_invariants_in`) sweeps the subsystems of
-  the bordered pattern of its ops and annihilator in lockstep.  Every
-  decision stays that of the whole matrix: the RCOND rule reads the norms
-  of the whole matrices, a rank cut is relative to the whole annihilator or
+  splits into blocks under a permutation is solved one block at a time.
+  :func:`find_blocks` finds them, once per node from its W-orthonormal A
+  (node.StateSpaceNode.blocks), and the splits take its labels:
+  :func:`eigvals`, :func:`inverses`, the witness-free sign rule of
+  :func:`psd_vals`, and the staircase (:func:`largest_invariants_in`), whose
+  subsystems :func:`bordered` merges through each annihilator's rows.  Every
+  decision stays that of the whole matrix: the RCOND rule reads the norms of
+  the whole matrices, a rank cut is relative to the whole annihilator or
   step block, and a sign slack to the whole form.  The forms of a
   certificate that reads a witness stay dense: its eigenvalues and the
   witness eigenvector come from one solve of one matrix, and split
@@ -83,8 +82,8 @@ NUMBER_KINDS = "biufc"
 #: a piece of a composite Simpson sum
 CHUNK = 2048
 
-#: decoupled blocks are looked for (:func:`_decoupled`, :func:`_subsystems`)
-#: only in a matrix with at least this many rows.  Measured crossovers (one
+#: decoupled blocks are looked for (:func:`find_blocks`) only in a matrix
+#: with at least this many rows.  Measured crossovers (one
 #: BLAS thread, numpy 2.4.6): the beam's W-orthonormal A (2 x 2 modes) is
 #: split faster than it is solved whole from n = 64, by eigvals and by the
 #: inverses of a check alike (0.23 against 0.51 ms at n = 64); its closed
@@ -265,20 +264,20 @@ def sample(u, times, name, width=None):
     return S
 
 
-def inverses(M):
+def inverses(M, labels=None):
     """(M^-1, invertible) for a stack M (..., k, k) of square matrices.
 
-    One inverse of the whole stack, or, when the union of the stack's
-    patterns decouples (:func:`_decoupled`), one inverse per block size of
-    the stacked blocks: the inverse of a block-diagonal matrix is the block
-    diagonal of its blocks' inverses.  invertible marks (shape M.shape[:-2])
-    the slices that are not singular by the rule of the module docstring,
-    read off the norms of the whole M and M^-1; the inverse of a singular
-    slice is not to be read.  LAPACK stops at a zero pivot in any slice or
-    block, and then the slices are inverted whole, one by one, a zero-pivot
-    slice left NaN.
+    One inverse of the whole stack, or, when the labels of blocks that every
+    slice is block diagonal under (:func:`_decoupled`) are given, one
+    inverse per block size of the stacked blocks: the inverse of a
+    block-diagonal matrix is the block diagonal of its blocks' inverses.
+    invertible marks (shape M.shape[:-2]) the slices that are not singular
+    by the rule of the module docstring, read off the norms of the whole M
+    and M^-1; the inverse of a singular slice is not to be read.  LAPACK
+    stops at a zero pivot in any slice or block, and then the slices are
+    inverted whole, one by one, a zero-pivot slice left NaN.
     """
-    groups = _decoupled(M)
+    groups = _decoupled(labels)
     try:
         if groups is None:
             Minv = np.linalg.inv(M)
@@ -306,9 +305,9 @@ def _norm1(M):
     return np.abs(M).sum(axis=-2).max(axis=-1, initial=0.0)
 
 
-def checked_inv(M, error, message):
+def checked_inv(M, error, message, labels=None):
     """Inverse of the square matrix M; raises error(message) if M is singular (:func:`inverses`)."""
-    Minv, invertible = inverses(M)
+    Minv, invertible = inverses(M, labels)
     if not invertible:
         raise error(message)
     return Minv
@@ -353,20 +352,20 @@ def assert_hermitian(M, what="matrix"):
     return hermitize(M)
 
 
-def psd_vals(M, blockwise=False):
+def psd_vals(M, labels=None):
     """Eigenvalues (ascending) of the self-adjoint part of M, and whether M >= 0.
 
     The one sign rule: a form passes when lambda_min >= -psd_tol, the slack
     read off its own eigenvalues.  No eigenvector is computed.  M may be a
     stack (..., k, k): one eigvalsh decides every form, and the verdict has
-    the shape M.shape[:-2].  With blockwise, for a caller that reads no
-    eigenvector beside them (see the module docstring), the forms are
-    solved one decoupled block of their union pattern at a time
+    the shape M.shape[:-2].  With the labels of blocks that every form is
+    block diagonal under, for a caller that reads no eigenvector beside them
+    (see the module docstring), the forms are solved one block at a time
     (:func:`_decoupled`), one eigvalsh per block size, and each form's
     eigenvalues are the sorted union of its blocks'.  An empty form passes.
     """
     H = hermitize(M)
-    groups = _decoupled(H) if blockwise else None
+    groups = _decoupled(labels)
     if groups is None:
         vals = np.linalg.eigvalsh(H)
     else:
@@ -392,22 +391,21 @@ def _passes(vals):
     return np.all(vals >= -np.expand_dims(psd_tol(vals), -1), axis=-1)
 
 
-def eigvals(M):
+def eigvals(M, labels=None):
     """Eigenvalues of the square matrix M, one decoupled block at a time.
 
-    The blocks are those of :func:`_decoupled`: M is block diagonal under a
-    permutation of its rows and columns, and its spectrum is the union of
-    theirs.  The blocks of each size are stacked into one np.linalg.eigvals
-    call, and the eigenvalues come in the order of the blocks' first rows.
-    LAPACK's balancing (Parlett and Reinsch 1969) moves isolated eigenvalues
-    aside but never splits a matrix into its blocks, which a modal
-    realization (the beam's 2 x 2 modes, its colocated closed loop's two
-    halves) decouples into.  A matrix with fewer than BLOCK_CUT rows, or of
-    one block, gets np.linalg.eigvals(M) itself.
+    M is block diagonal under the labels (:func:`find_blocks`), and its
+    spectrum is the union of its blocks'.  The blocks of each size are
+    stacked into one np.linalg.eigvals call, and the eigenvalues come in the
+    order of the blocks' first rows.  LAPACK's balancing (Parlett and
+    Reinsch 1969) moves isolated eigenvalues aside but never splits a matrix
+    into its blocks, which a modal realization (the beam's 2 x 2 modes, its
+    colocated closed loop's two halves) decouples into.  Without labels, or
+    with one block, M gets np.linalg.eigvals(M) itself.
     The result is real when M and every eigenvalue are, as in numpy.
     """
     M = np.asarray(M)
-    groups = _decoupled(M)
+    groups = _decoupled(labels)
     if groups is None:
         return np.linalg.eigvals(M)
     lam = np.empty(M.shape[0], dtype=complex)
@@ -416,20 +414,16 @@ def eigvals(M):
     return lam if np.iscomplexobj(M) or lam.imag.any() else lam.real.copy()
 
 
-def _decoupled(M):
-    """The decoupled blocks of M, or of the union of the patterns of a stack M (..., k, k).
+def _decoupled(labels):
+    """The blocks of the labels of :func:`find_blocks`, grouped for stacked solves.
 
     A list of (at, block) pairs, one per block size: block (count, size)
     holds the rows of the blocks of that size, and at their positions when
     the rows are listed block by block, blocks in the order of their first
-    rows (the labels of :func:`_block_labels`).  None when M has fewer than
-    BLOCK_CUT rows or is one block, for which a dense solve is as fast.
+    rows.  None when labels is None or names one block.
     """
-    if M.shape[-1] < BLOCK_CUT:
+    if labels is None:
         return None
-    if M.ndim > 2:
-        M = (M != 0).any(axis=tuple(range(M.ndim - 2)))
-    labels = _block_labels(M)
     sizes = np.bincount(labels)
     sizes = sizes[sizes > 0]
     if sizes.size == 1:
@@ -443,6 +437,20 @@ def _decoupled(M):
     return groups
 
 
+def find_blocks(M):
+    """:func:`_block_labels` of the square M, the one search for blocks in a
+    matrix; None below BLOCK_CUT rows, where a dense solve is as fast."""
+    return None if M.shape[-1] < BLOCK_CUT else _block_labels(M)
+
+
+def bordered(labels, M):
+    """:func:`_block_labels` of [[A, M*], [M, 0]] from A's labels and the k x n
+    M, with no (n + k)^2 pattern: row n + i joins the blocks row i touches."""
+    n = len(labels)
+    rows, cols = np.nonzero(M)
+    return _hooked(np.concatenate([labels, n + np.arange(len(M))]), n + rows, labels[cols])
+
+
 def _block_labels(M):
     """Label of each row of M: the first row of its block, the connected
     component of the pattern of M + M* that holds it.
@@ -450,37 +458,31 @@ def _block_labels(M):
     Vectorized hooking with a full pointer-jumping shortcut (Shiloach and
     Vishkin 1982).  The first round points each row at its first neighbour
     or itself, read off the dense pattern, which settles a dense matrix
-    without listing its edges.  Each later round hooks, for every edge that
-    still joins two trees, the larger of their roots onto the smaller, and
-    jumps every pointer to its root.  Pointers only decrease, so each root
-    is its tree's first row, and each round removes a root.
+    without listing its edges.  Each later round (:func:`_hooked`) hooks,
+    for every edge that still joins two trees, the larger of their roots onto
+    the smaller, and jumps every pointer to its root.  Pointers only decrease,
+    so each root is its tree's first row, and each round removes a root.
     """
     n = M.shape[0]
     pattern = M != 0
     pattern |= pattern.T
     first = pattern.argmax(axis=1)
     index = np.arange(n)
-    parent = _to_roots(np.where(pattern[index, first], np.minimum(first, index), index))
-    if not parent.any():
-        return parent
-    rows, cols = np.nonzero(pattern)
+    parent = np.where(pattern[index, first], np.minimum(first, index), index)
+    return _hooked(parent, *np.nonzero(pattern)) if parent.any() else parent
+
+
+def _hooked(parent, rows, cols):
+    """The forest parent (parent[i] <= i) with the trees that edges (rows, cols) join merged."""
     while True:
+        while not np.array_equal(jumped := parent[parent], parent):
+            parent = jumped
         pu, pv = parent[rows], parent[cols]
         joins = pu != pv
         if not joins.any():
             return parent
         rows, cols, pu, pv = rows[joins], cols[joins], pu[joins], pv[joins]
         parent[np.maximum(pu, pv)] = np.minimum(pu, pv)
-        parent = _to_roots(parent)
-
-
-def _to_roots(parent):
-    """Jump every pointer of the forest parent (parent[i] <= i) to its root."""
-    while True:
-        jumped = parent[parent]
-        if np.array_equal(jumped, parent):
-            return parent
-        parent = jumped
 
 
 def cholesky(M, error, message):
@@ -516,7 +518,7 @@ def _rank(sv):
     return int(np.count_nonzero(sv > rank_floor(sv[0])))
 
 
-def largest_invariant_in(M, ops):
+def largest_invariant_in(M, ops, labels=None):
     """Largest subspace of ker M mapped into itself by every op in ops.
 
     M is an annihilator (k x n, any k >= 0), not a basis of the subspace.
@@ -540,37 +542,40 @@ def largest_invariant_in(M, ops):
     so no step copies the basis.  When the sweep fills all n dimensions the
     result is an empty n x 0 basis, with no n x n factorization; otherwise
     one complement SVD returns it.  The basis is real when M and every op
-    are.  This is :func:`largest_invariants_in` of the one problem, so a
-    problem of at least BLOCK_CUT states is swept by subsystem.
+    are.  This is :func:`largest_invariants_in` of the one problem, so with
+    labels it is swept by subsystem.
     """
-    return largest_invariants_in([(M, ops)])[0]
+    return largest_invariants_in([(M, ops)], labels)[0]
 
 
-def largest_invariants_in(problems):
+def largest_invariants_in(problems, labels=None):
     """[largest_invariant_in(M, ops) for M, ops in problems], by one staircase.
 
-    A problem of at least BLOCK_CUT states is cut into its decoupled
-    subsystems (:func:`_subsystems`), a smaller one is one subsystem, and
-    the subsystems of every problem are swept together.  Those of one size,
-    count of rows of M, dtype and op count make one :class:`_Lockstep`
-    stack: one stacked product, two stacked Gram-Schmidt passes and one rank
-    decision per member per step.  A member whose width differs from its
-    stack's goes on in a stack of its own, and a member that finds no new
-    direction, or fills its states, is done.  Every decision is that of the
-    unsplit sweep: a start is cut relative to the largest singular value of
-    its problem's whole M, and a step relative to the largest singular value
-    of its problem's whole step block, the largest over the problem's
-    subsystems at that step.  In exact arithmetic this is a rearrangement of
-    the staircase of each problem taken whole; the basis spans the same
-    subspace, though not with the same columns.
+    With the labels of blocks that every op is block diagonal under
+    (:func:`find_blocks`), each problem is cut into its decoupled subsystems
+    (:func:`_subsystems`), else it is one, and the subsystems of every
+    problem are swept together.  Those of one size, count of rows of M,
+    dtype and op count make one :class:`_Lockstep` stack: one stacked
+    product, two stacked Gram-Schmidt passes and one rank decision per
+    member per step.  A member whose width differs from its stack's goes on
+    in a stack of its own, and a member that finds no new direction, or
+    fills its states, is done.  Every decision is that of the unsplit sweep:
+    a start is cut relative to the largest singular value of its problem's
+    whole M, and a step relative to the largest singular value of its
+    problem's whole step block, the largest over the problem's subsystems at
+    that step.  In exact arithmetic this is a rearrangement of the staircase
+    of each problem taken whole; the basis spans the same subspace, though
+    not with the same columns.
     """
     problems = [(np.atleast_2d(np.asarray(M)), [np.asarray(op) for op in ops])
                 for M, ops in problems]
     dtypes = [np.result_type(float, M, *ops) for M, ops in problems]
-    members, spare = _subsystems(problems)
+    members, spare = _subsystems(problems, labels)
     key = lambda m: (len(m[1]), len(m[2]), dtypes[m[0]], len(problems[m[0]][1]))
-    active = [_Lockstep.of(group, problems, dtypes[group[0][0]])
-              for group in _grouped(members, key)]
+    groups = {}
+    for member in members:
+        groups.setdefault(key(member), []).append(member)
+    active = [_Lockstep.of(group, problems, dtypes[group[0][0]]) for group in groups.values()]
     done = []
     while active:
         steps, top = [stack.step() for stack in active], [0.0] * len(problems)
@@ -617,34 +622,27 @@ def largest_invariants_in(problems):
     return bases
 
 
-def _subsystems(problems):
+def _subsystems(problems, labels):
     """(members, spare): the subsystems (problem, states, rows) of the (M, ops)
     problems, and per problem the states in none of them.
 
-    A problem of at least BLOCK_CUT states is cut into the connected
-    components of its bordered pattern [[op, M*], [M, 0]], the patterns of
-    its ops united, by one :func:`_block_labels` call: a row of M joins
-    every state it touches.  A component that holds a row of M is a
-    subsystem, with its states and its rows of M.  The states of a
-    component with none are spare: they span a subspace of ker M invariant
-    under every op, so they lie in the result whole.  A smaller problem is
-    one subsystem of all its states and rows, or all spare when M has no
-    rows.
+    With the labels of the ops' blocks, a problem is cut into the connected
+    components of its bordered pattern [[op, M*], [M, 0]] (:func:`bordered`).
+    A component that holds a row of M is a subsystem, with its states and
+    its rows of M.  The states of a component with none are spare: they span
+    a subspace of ker M invariant under every op, so they lie in the result
+    whole.  Without labels a problem is one subsystem of all its states and
+    rows, or all spare when M has no rows.
     """
     members, spare = [], []
     for p, (M, ops) in enumerate(problems):
         k, n = M.shape
-        if n < BLOCK_CUT:
+        if labels is None:
             if k and n:
                 members.append((p, np.arange(n), np.arange(k)))
             spare.append(np.arange(0 if k else n))
             continue
-        pattern = np.zeros((n + k, n + k), dtype=bool)
-        for op in ops:
-            pattern[:n, :n] |= op != 0
-        pattern[n:, :n] = M != 0
-        labels = _block_labels(pattern)
-        states, rows = labels[:n], labels[n:]
+        states, rows = np.split(bordered(labels, M), [n])
         held = np.zeros(n + k, dtype=bool)
         held[rows] = True
         for label in np.flatnonzero(held):
@@ -653,14 +651,6 @@ def _subsystems(problems):
                 members.append((p, at, np.flatnonzero(rows == label)))
         spare.append(np.flatnonzero(~held[states]))
     return members, spare
-
-
-def _grouped(items, key):
-    """The items grouped by key(item), as lists in the order of their first items."""
-    groups = {}
-    for item in items:
-        groups.setdefault(key(item), []).append(item)
-    return groups.values()
 
 
 class _Lockstep:

@@ -19,12 +19,13 @@ dtypes of the stored matrices.  A node derived on the same state space (a
 closed loop, the diagonal transform, the dual, a feedthrough shift) shares
 W and both maps with its parent (:func:`_derived`): its A, B, C and D are
 validated again, and its copy is formed from its own matrices like any
-node's.  The same copy carries the resolvent: :func:`resolvent` decides
-whether one s is in rho(A) and computes G(s), and the stacked test points
-of a passivity check (passivity._point_forms) are decided by the same
-RCOND rule of linalg.inverses.  n = 0 is a valid node (its transfer
-function is the constant D); n above MAX_STATES is refused before W is
-factored.
+node's, as are the decoupled blocks of its A (:attr:`blocks`), found once.
+The same copy carries the resolvent: :func:`resolvent` decides whether one
+s is in rho(A) and computes G(s), and the stacked test points of a
+passivity check (passivity._point_forms) are decided by the same RCOND
+rule of linalg.inverses, both split by those blocks.  n = 0 is a valid
+node (its transfer function is the constant D); n above MAX_STATES is
+refused before W is factored.
 """
 
 from dataclasses import dataclass
@@ -112,6 +113,11 @@ class StateSpaceNode:
             M.setflags(write=False)
         return A, B, C, D
 
+    @cached_property
+    def blocks(self):
+        """linalg.find_blocks of A~, found once for every split of this node's problems."""
+        return linalg.find_blocks(self.orthonormal[0])
+
     def orthonormalized(self):
         """Equivalent node with W = I (same transfer function)."""
         A, B, C, D = self.orthonormal
@@ -170,7 +176,8 @@ def resolvent(node, s, error, message):
     A, B, C, D = node.orthonormal
     s = linalg.as_point(s, "s", DimensionMismatch)
     # a real s keeps a real node in real arithmetic
-    R = linalg.checked_inv((s if s.imag else s.real) * np.eye(node.n) - A, error, message)
+    sI = (s if s.imag else s.real) * np.eye(node.n)
+    R = linalg.checked_inv(sI - A, error, message, node.blocks)
     return R, C @ (R @ B) + D
 
 

@@ -150,10 +150,10 @@ def _point_forms(node, form, test_points, with_form=False):
     the form at conj(s), which is the exact conjugate of the form at s, with
     the same eigenvalues.  The forms of one dtype make one stack
     (k, n + m, n + m), so the real points of a real node stay float64, and
-    each stack takes one inverse of the stacked sI - A (linalg.inverses)
-    and one stacked :func:`_congruence`.  A point whose sI - A is singular
-    is in the spectrum of A: it is neither formed nor listed.  With
-    with_form the form itself heads the stack of its own dtype.
+    each stack takes one inverse of the stacked sI - A (linalg.inverses, by
+    the node's blocks) and one stacked :func:`_congruence`.  A point whose
+    sI - A is singular is in the spectrum of A: it is neither formed nor
+    listed.  With with_form the form itself heads the stack of its dtype.
     """
     A, B, _, _ = node.orthonormal
     real = not np.iscomplexobj(form)
@@ -172,7 +172,7 @@ def _point_forms(node, form, test_points, with_form=False):
     for dtype, zs in groups.items():
         s = np.array(zs, dtype=complex)
         s = s.real if dtype == float else s
-        R, invertible = linalg.inverses(s[:, None, None] * np.eye(node.n) - A)
+        R, invertible = linalg.inverses(s[:, None, None] * np.eye(node.n) - A, node.blocks)
         kept.update(z for z, ok in zip(zs, invertible) if ok)
         # the product over a singular slice, NaN or inf, is discarded unread
         with np.errstate(over="ignore", invalid="ignore"):
@@ -184,24 +184,24 @@ def _point_forms(node, form, test_points, with_form=False):
     return tuple(s for s, z in points if formed[z] in kept), stacks
 
 
-def _certify(kind, stacks, test_points, witness=True):
+def _certify(kind, stacks, test_points, witness=True, labels=None):
     """Certificate of the stacks (k, N, N) of forms, which pass when each form is >= 0.
 
     The sign of every form is decided from its eigenvalues alone, by one
-    linalg.psd_vals per stack.  With witness, the worst form, the one with
-    the least eigenvalue (the first of them on a tie), is then decomposed by
-    linalg.psd_eig, the one eigh: its least eigenvalue is min_eigenvalue and
-    its eigenvector the witness.  Without, min_eigenvalue is read off the
-    eigenvalues and the witness is None.  A form of size 0 (n + m = 0)
-    passes, and when every form is empty the certificate reports
-    min_eigenvalue 0.0 and an empty witness.
+    linalg.psd_vals per stack (by blocks, given labels).  With witness, the
+    worst form, the one with the least eigenvalue (the first on a tie), is
+    then decomposed by linalg.psd_eig, the one eigh: its least eigenvalue is
+    min_eigenvalue and its eigenvector the witness.  Without, min_eigenvalue
+    is read off the eigenvalues and the witness is None.  A form of size 0
+    (n + m = 0) passes, and when every form is empty the certificate
+    reports min_eigenvalue 0.0 and an empty witness.
     """
     least, worst = np.inf, None
     passive = True
     for stack in stacks:
         if not stack.size:
             continue
-        vals, psd = linalg.psd_vals(stack, blockwise=not witness)
+        vals, psd = linalg.psd_vals(stack, labels)
         passive = passive and bool(psd.all())
         i = int(np.argmin(vals[:, 0]))
         if vals[i, 0] < least:
@@ -272,10 +272,15 @@ def _certify_shifted(node, E=None):
     exactly, and it is the form minimal_E solves, so Sigma_E passes at
     E = minimal_E(node).  Its callers read the verdict and min_eigenvalue
     only, so only the form's eigenvalues are computed, and the certificate
-    has no witness.
+    has no witness.  It is split by the node's blocks, under which
+    Q = -(A + A*) is block diagonal, and the inputs as one more block.
     """
     F, E = _shifted_form(node, E)
-    return _certify(PassivityKind.IMPEDANCE, [F[None]], (), witness=False), E
+    labels, (_, B, C, _) = node.blocks, node.orthonormal
+    if labels is not None:  # C* - B joins the inputs to the blocks it touches
+        labels = linalg.bordered(labels, (C != B.conj().T).any(axis=0)[None])
+        labels = labels[np.minimum(np.arange(node.n + node.m), node.n)]
+    return _certify(PassivityKind.IMPEDANCE, [F[None]], (), False, labels), E
 
 
 def _reciprocal_form(node, E, s):

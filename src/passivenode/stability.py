@@ -21,10 +21,10 @@ exceeds dim N or dim N^d.  Every rank decision uses the one relative
 tolerance linalg.SUBSPACE_TOL, and stability_verdict reads
 every field of its report from the one decision "H = {0}".
 
-The two spectra of the report, the open-loop axis list and the closed-loop
-abscissa, are computed one decoupled block at a time (linalg.eigvals); the
-sign certificates of the precondition stay dense.  In exact arithmetic the
-split computations make the decisions of the whole-matrix ones.
+The staircase and the report's two spectra split by the decoupled blocks
+that each node finds once (node.StateSpaceNode.blocks), merged through the
+rows of C and B* for N and N^d; the precondition's sign certificates stay
+dense.  In exact arithmetic the splits decide as the whole matrices do.
 """
 
 import enum
@@ -52,12 +52,12 @@ def _kernel_problems(node):
 def unobservable_space(node):
     """Orthonormal basis (in W-orthonormal coordinates) of the largest
     A-invariant subspace contained in ker C."""
-    return linalg.largest_invariant_in(*_kernel_problems(node)[0])
+    return linalg.largest_invariant_in(*_kernel_problems(node)[0], node.blocks)
 
 
 def uncontrollable_dual_space(node):
     """Largest A*-invariant subspace contained in ker B* (orthonormal coords)."""
-    return linalg.largest_invariant_in(*_kernel_problems(node)[1])
+    return linalg.largest_invariant_in(*_kernel_problems(node)[1], node.blocks)
 
 
 def unitary_subspace(node):
@@ -72,7 +72,7 @@ def unitary_subspace(node):
     Q = linalg.hermitize(A + A.conj().T)
     if not linalg.psd_vals(-Q)[1]:
         raise NotContraction("WA + A*W is not negative semidefinite")
-    return linalg.largest_invariant_in(Q, [A, A.conj().T])
+    return linalg.largest_invariant_in(Q, [A, A.conj().T], node.blocks)
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def _benchimol_sweep(node):
     only when both are nonempty.
     """
     A = node.orthonormal[0]
-    N, Nd = linalg.largest_invariants_in(_kernel_problems(node))
+    N, Nd = linalg.largest_invariants_in(_kernel_problems(node), node.blocks)
     H = np.zeros((node.n, 0), dtype=N.dtype)
     if N.shape[1] and Nd.shape[1]:
         Q = linalg.hermitize(A + A.conj().T)
@@ -153,12 +153,13 @@ def _benchimol_sweep(node):
         M = np.vstack([Q @ N / max(1.0, np.linalg.norm(Q, 2)), N - Nd @ (Nd.conj().T @ N)])
         K = N @ linalg.null_basis(M)
         # I - KK* annihilates exactly range(K), which lies in N ∩ N^d
-        H = linalg.largest_invariant_in(np.eye(node.n) - K @ K.conj().T, [A, A.conj().T])
+        H = linalg.largest_invariant_in(np.eye(node.n) - K @ K.conj().T, [A, A.conj().T],
+                                        node.blocks)
     holds = H.shape[1] == 0
     return holds, holds, N, Nd, H
 
 
-def _axis_eigenvalues(A):
+def _axis_eigenvalues(A, labels):
     """Eigenvalues lambda of A with |Re lambda| < tol (1 + |lambda|) + eps ||A||_F.
 
     Each eigenvalue is measured on its own scale, tol = base_tol(), so a
@@ -166,12 +167,12 @@ def _axis_eigenvalues(A):
     rounding floor of eigvals, whose backward error is about eps ||A||
     (Golub and Van Loan, Matrix Computations, 7.5): it keeps a zero whose
     computed |lambda| is a rounding error larger than its slack.  The
-    spectrum is computed per decoupled block (linalg.eigvals), whose
+    spectrum is computed per block of labels (linalg.eigvals), whose
     rounding is that of the block, at most eps ||A||_F.  The floor stays
     that of the whole A: a dense change of coordinates makes A one block,
     and the list must not depend on the coordinates.
     """
-    lam = linalg.eigvals(A)
+    lam = linalg.eigvals(A, labels)
     slack = linalg.base_tol() * (1.0 + np.abs(lam)) + np.finfo(float).eps * np.linalg.norm(A)
     return tuple(complex(v) for v in lam[np.abs(lam.real) < slack])
 
@@ -186,25 +187,22 @@ def stability_verdict(node, E, kappa):
     H = X^u = {0}; otherwise the closed-loop imaginary spectrum is the
     spectrum of A on H.  closed_loop_max_real is the raw spectral abscissa
     of the closed loop (-inf for n = 0, written as null by as_dict) and
-    decides nothing; imaginary_spectrum lists the open-loop eigenvalues
-    lambda with |Re lambda| < tol (1 + |lambda|) + eps ||A||_F, the slack
-    of the eigenvalue itself plus the rounding floor of eigvals
-    (:func:`_axis_eigenvalues`).  Every spectrum here is computed one
-    decoupled block at a time (linalg.eigvals): the beam's modes and the two
-    halves of its colocated closed loop are solved apart.
+    decides nothing; imaginary_spectrum is :func:`_axis_eigenvalues` of the
+    open loop.  Each spectrum is split by its node's blocks: the beam's
+    modes and the two halves of its colocated closed loop are solved apart.
     """
     syn = stabilizing_feedback(node, E, kappa)
-    # the intermediate is scattering passive by construction
-    cweak, bweak, N, Nd, H = _benchimol_sweep(syn.scattering_intermediate)
-    # the closed-loop A in W-orthonormal coordinates
-    Acl = syn.scattering_intermediate.orthonormal[0]
-    cl_imag = tuple(complex(v) for v in linalg.eigvals(H.conj().T @ Acl @ H))
-    max_real = float(np.max(linalg.eigvals(Acl).real, initial=-np.inf))
+    closed = syn.scattering_intermediate  # scattering passive by construction
+    cweak, bweak, N, Nd, H = _benchimol_sweep(closed)
+    Acl = closed.orthonormal[0]  # the closed-loop A in W-orthonormal coordinates
+    AH = H.conj().T @ Acl @ H
+    cl_imag = tuple(complex(v) for v in linalg.eigvals(AH, linalg.find_blocks(AH)))
+    max_real = float(np.max(linalg.eigvals(Acl, closed.blocks).real, initial=-np.inf))
     report = StabilityReport(
         unobservable_basis=N,
         uncontrollable_dual_basis=Nd,
         unitary_basis=H,
-        imaginary_spectrum=_axis_eigenvalues(node.orthonormal[0]),
+        imaginary_spectrum=_axis_eigenvalues(node.orthonormal[0], node.blocks),
         cweak_holds=cweak,
         bweak_holds=bweak,
         verdict=StabilityVerdict.STRONGLY_STABLE if cweak else StabilityVerdict.NOT_STABLE,

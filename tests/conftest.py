@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from passivenode import StateSpaceNode, shift_feedthrough
+from passivenode import StateSpaceNode, linalg, shift_feedthrough
 
 
 def random_passive_node(seed, n=4, m=2, margin=0.05, weight=False, real=False):
@@ -184,3 +184,13 @@ def random_second_order(seed, n0=5, p=2, with_B0=False, with_C1=False):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def block_scans(monkeypatch):
+    """The shape of the matrix of each linalg._block_labels call made while
+    the test runs: every search for decoupled blocks in a matrix."""
+    shapes = []
+    scan = linalg._block_labels
+    monkeypatch.setattr(linalg, "_block_labels", lambda M: shapes.append(M.shape) or scan(M))
+    return shapes

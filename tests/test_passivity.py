@@ -430,6 +430,34 @@ def test_minimal_E_is_least_passivating_shift(seed, n, m, weight):
     assert not check_impedance(shift_feedthrough(node, E - 1e-3 * np.eye(m))).passive
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_the_split_shifted_certificate_decides_as_the_dense_form(seed):
+    # a permuted direct sum of dissipative 2 x 2 blocks, n = 80 >= BLOCK_CUT,
+    # whose inputs reach a few blocks through C - B*: those blocks join the
+    # input block, and the split form decides as the dense one
+    rng = np.random.default_rng(seed)
+    n, m = 80, 2
+    A = np.zeros((n, n))
+    for i in range(0, n, 2):
+        G, S = rng.standard_normal((2, 2, 2))
+        A[i:i + 2, i:i + 2] = 0.5 * (S - S.T) - 0.5 * (G @ G.T) - 0.05 * np.eye(2)
+    B = np.zeros((n, m))
+    B[rng.choice(n, 6, replace=False)] = rng.standard_normal((6, m))
+    C = B.T.copy()
+    C[:, rng.choice(n, 4, replace=False)] += rng.standard_normal((m, 4))
+    perm = rng.permutation(n)
+    node = StateSpaceNode(A[np.ix_(perm, perm)], B[perm], C[:, perm], np.zeros((m, m)))
+    assert node.n >= linalg.BLOCK_CUT
+    E_min = minimal_E(node)
+    for shift in (0.0, -1e-3, 1e-3):
+        E = E_min + shift * np.eye(m)
+        cert, _ = passivity._certify_shifted(node, E)
+        F, _ = passivity._shifted_form(node, E)
+        vals, passive = linalg.psd_vals(F)
+        assert cert.passive == bool(passive) == (shift >= 0.0)
+        assert abs(cert.min_eigenvalue - vals[0]) <= 64 * np.finfo(float).eps * np.linalg.norm(F)
+
+
 def test_minimal_E_none_when_undamped_and_noncolocated():
     # M = 0 makes A skew in the energy inner product, so ker Q is the whole
     # state space, and C - B* = [0, C0 - B0*] does not vanish on it

@@ -895,16 +895,26 @@ def _fuzzed_node_documents(draw):
     return doc
 
 
+#: the verb forms a fuzzed document is run through, each after the node path
+_FUZZ_VERBS = (["check", "--kind", "impedance"], ["check", "--kind", "scattering"],
+               ["minimal-e"], ["cayley"], ["stability", "--kappa", "0.5"],
+               ["feedback", "--kappa", "0.5"], ["simulate", "--steps", "4"],
+               ["simulate", "--steps", "4", "--adversarial"])
+
+
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=_fuzzed_node_documents())
-def test_fuzzed_node_documents_end_in_a_typed_result(doc, tmp_path, capsys):
+@given(doc=_fuzzed_node_documents(), verb=st.sampled_from(_FUZZ_VERBS))
+def test_fuzzed_node_documents_end_in_a_typed_result(doc, verb, tmp_path, capsys):
     try:
         io.node_from_dict(doc)
     except PassiveNodeError:
         pass
-    assert main(["check", _write(tmp_path, doc)]) in (0, 1, 2)
-    capsys.readouterr()
+    code = main([verb[0], _write(tmp_path, doc), *verb[1:]])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- time-domain signals: one gate (linalg.as_signal) ------------------------------

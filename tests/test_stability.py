@@ -14,11 +14,12 @@ from passivenode import (
     benchimol_conditions,
     check_impedance,
     check_scattering,
+    minimal_E,
     stability_verdict,
     unitary_subspace,
     unobservable_space,
 )
-from passivenode import io, linalg, stability
+from passivenode import io, linalg, passivity, stability
 from passivenode.cli import main
 from passivenode.errors import NotContraction
 from passivenode.stability import StabilityVerdict, uncontrollable_dual_space
@@ -331,7 +332,7 @@ def _sorted(lam):
 def test_eigvals_is_the_union_of_the_block_spectra(seed, count, complex_entries):
     # about 2.4 rows a block: n runs from 0 to about 2.4 BLOCK_CUT
     M, blocks = _block_diagonal(seed, count, complex_entries)
-    lam, dense = linalg.eigvals(M), np.linalg.eigvals(M)
+    lam, dense = linalg.eigvals(M, linalg.find_blocks(M)), np.linalg.eigvals(M)
     n = M.shape[0]
     if n < linalg.BLOCK_CUT:
         assert lam.dtype == dense.dtype and lam.tobytes() == dense.tobytes()
@@ -354,15 +355,8 @@ def test_eigvals_of_one_block_is_the_dense_solve(n):
     chain += np.diag(rng.standard_normal(max(n - 1, 0)), -1)
     perm = rng.permutation(n)
     for M in (rng.standard_normal((n, n)), chain[np.ix_(perm, perm)]):
-        lam, dense = linalg.eigvals(M), np.linalg.eigvals(M)
+        lam, dense = linalg.eigvals(M, linalg.find_blocks(M)), np.linalg.eigvals(M)
         assert lam.dtype == dense.dtype and lam.tobytes() == dense.tobytes()
-
-
-def _dense(fn, *args):
-    """fn(*args) with the block search of linalg switched off."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_decoupled", lambda M: None)
-        return fn(*args)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -375,7 +369,7 @@ def test_blockwise_inverses_are_the_dense_inverses(seed, count, complex_entries)
     n = M.shape[0]
     s = np.array([3.0 + 1.0j, 0.0] if complex_entries else [3.0, -2.5, 0.0])
     S = s[:, None, None] * np.eye(n) - M
-    (inv, ok), (dense, dense_ok) = linalg.inverses(S), _dense(linalg.inverses, S)
+    (inv, ok), (dense, dense_ok) = linalg.inverses(S, linalg.find_blocks(M)), linalg.inverses(S)
     assert np.array_equal(ok, dense_ok)
     assert ok[0] and (not ok[-1]) == any(not M[np.ix_(rows, rows)].any() for rows in blocks)
     same_block = np.zeros((n, n), dtype=bool)
@@ -403,11 +397,26 @@ def test_the_blockwise_sign_rule_decides_as_the_dense_one(seed, count, complex_e
     if i != j:
         joined[i, j] = joined[j, i] = 0.5
     stack = np.stack(forms + [joined])
-    vals, psd = linalg.psd_vals(stack, blockwise=True)
-    dense, dense_psd = _dense(linalg.psd_vals, stack)
+    vals, psd = linalg.psd_vals(stack, linalg.find_blocks((stack != 0).any(axis=0)))
+    dense, dense_psd = linalg.psd_vals(stack)
     assert np.array_equal(psd, dense_psd) and psd[0] and not psd[2]
     assert np.abs(vals - dense).max() <= 64 * np.finfo(float).eps * np.linalg.norm(stack[0])
     assert np.array_equal(vals, np.sort(vals, axis=-1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 40), rows=st.integers(0, 6))
+def test_bordered_labels_are_the_labels_of_the_bordered_pattern(seed, count, rows):
+    # rows of M touch a few states each, or none; the merge through them must
+    # give what a scan of the (n + k)^2 pattern gives, labels included
+    M, _ = _block_diagonal(seed, count, False)
+    n = M.shape[0]
+    rng = np.random.default_rng(seed)
+    R = (rng.random((rows, n)) < rng.choice([0.0, 1.0 / n, 0.05])) * 1.0
+    pattern = np.zeros((n + rows, n + rows))
+    pattern[:n, :n], pattern[n:, :n] = M, R
+    joined = linalg.bordered(linalg._block_labels(M), R)
+    assert joined.tolist() == linalg._block_labels(pattern).tolist()
 
 
 def test_the_beam_verdict_solves_no_n_by_n_eigenvalue_problem(monkeypatch):
@@ -427,11 +436,54 @@ def test_the_beam_verdict_solves_no_n_by_n_eigenvalue_problem(monkeypatch):
 def test_blockwise_spectra_keep_the_dense_report(n_modes, monkeypatch):
     node, E = beam_model(BeamParameters(n_modes=n_modes))
     blockwise = stability_verdict(node, E, 1.0)[0].as_dict()
-    monkeypatch.setattr(linalg, "eigvals", np.linalg.eigvals)
+    monkeypatch.setattr(linalg, "eigvals", lambda M, labels=None: np.linalg.eigvals(M))
     dense = stability_verdict(node, E, 1.0)[0].as_dict()
     top = [doc.pop("closed_loop_max_real") for doc in (blockwise, dense)]
     assert blockwise == dense
     assert abs(top[1] - top[0]) <= 1e-8 * abs(top[1])
+
+
+def test_the_beam_finds_its_blocks_once_per_node(block_scans):
+    # the plant's blocks serve the synthesis certificate and the axis list,
+    # the intermediate's the N, N^d sweep and the closed-loop abscissa, and
+    # no bordered (n + m)^2 or (n + k)^2 pattern is scanned
+    node, E = beam_model(BeamParameters(n_modes=100))
+    n = node.n
+    report, _ = stability_verdict(node, E, 1.0)
+    assert report.verdict is StabilityVerdict.STRONGLY_STABLE
+    assert block_scans == [(n, n), (n, n)]
+    node, _ = beam_model(BeamParameters(n_modes=100))
+    block_scans.clear()
+    check_impedance(node)
+    assert block_scans == [(n, n)]
+    minimal_E(node)  # reads the blocks the check found
+    assert block_scans == [(n, n)]
+
+
+@pytest.mark.parametrize("n_modes", [33, 50])
+def test_a_permutation_of_the_states_keeps_every_answer(n_modes):
+    # n = 64 and 98, at or above BLOCK_CUT: a permutation lists the blocks in
+    # another order, which changes the rounding of each stacked solve but no
+    # verdict, dimension or axis eigenvalue.  The check's min_eigenvalue moves
+    # by at most 0.8 eps ||F||_F over these draws; the bound is 64 eps ||F||_F
+    node, E = beam_model(BeamParameters(n_modes=n_modes))
+    assert node.n >= linalg.BLOCK_CUT
+    report, cert, E_min = stability_verdict(node, E, 1.0)[0], check_impedance(node), minimal_E(node)
+    floor = 64 * np.finfo(float).eps * np.linalg.norm(passivity.impedance_block_bounded(node))
+    doc = report.as_dict()
+    for seed in range(3):
+        perm = np.random.default_rng(seed).permutation(node.n)
+        at = np.ix_(perm, perm)
+        moved = StateSpaceNode(node.A[at], node.B[perm], node.C[:, perm], node.D, W=node.W[at])
+        other = stability_verdict(moved, E, 1.0)[0]
+        for key in ("verdict", "dim_unobservable", "dim_uncontrollable_dual", "dim_unitary"):
+            assert other.as_dict()[key] == doc[key]
+        assert np.array_equal(np.sort_complex(np.array(other.imaginary_spectrum)),
+                              np.sort_complex(np.array(report.imaginary_spectrum)))
+        moved_cert = check_impedance(moved)
+        assert moved_cert.verdict is cert.verdict
+        assert abs(moved_cert.min_eigenvalue - cert.min_eigenvalue) <= floor
+        assert np.linalg.norm(minimal_E(moved) - E_min, 2) <= linalg.scaled_tol(E_min)
 
 
 def test_the_beam_verdict_makes_a_handful_of_svds(monkeypatch):
@@ -502,12 +554,14 @@ def _decoupled_problems(draw, exponents):
 
 
 def _stacked_sweep(problems, side):
-    """largest_invariants_in of problems, with BLOCK_CUT below, at or above
-    their n: split into subsystems, or each problem swept whole."""
+    """largest_invariants_in of problems, with the blocks of their ops found
+    under a BLOCK_CUT below, at or above their n: split into subsystems, or
+    each problem swept whole."""
     n = problems[0][0].shape[1]
+    pattern = np.any([op != 0 for _, ops in problems for op in ops], axis=0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "BLOCK_CUT", {"split": 1, "at the cut": n, "whole": n + 1}[side])
-        return linalg.largest_invariants_in(problems)
+        return linalg.largest_invariants_in(problems, linalg.find_blocks(pattern))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
