@@ -81,7 +81,8 @@ class SingularIMinusKD(PassiveNodeError):
 
 
 class KappaOutOfRange(PassiveNodeError):
-    """Feedback gain kappa is outside the open interval (0, kappa0)."""
+    """A gain out of range: kappa outside the open interval (0, kappa0), k <= 0
+    for the diagonal transform, either beyond linalg.ENTRY_LIMIT or not finite."""
 
 
 class NotAlmostPassive(PassiveNodeError):

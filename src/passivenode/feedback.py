@@ -45,8 +45,9 @@ def diagonal_transform(node, k):
     SingularIPlusKD when I + kD is singular.
     """
     k = linalg.as_real(k, "diagonal transform parameter k", KappaOutOfRange)
-    if k <= 0:
-        raise KappaOutOfRange(f"diagonal transform parameter k = {k} must be positive")
+    if not 0.0 < k <= linalg.ENTRY_LIMIT:
+        raise KappaOutOfRange(
+            f"diagonal transform parameter k = {k} is not in (0, {linalg.ENTRY_LIMIT:g}]")
     cert, _ = _certify_shifted(node)
     if not cert.passive:
         raise NotImpedancePassive(
@@ -149,17 +150,19 @@ def stabilizing_feedback(node, E, kappa):
     E is passivity.minimal_E, so minimal_E(node) itself is accepted
     (NotAlmostPassive otherwise; NotSquare when p != m).  With c = ||E^+||
     the admissible gains are 0 < kappa < kappa0 = 1/c (any kappa > 0 when
-    c = 0).  One closed loop (A^kappa, B^kappa, C^kappa, D^kappa) of
-    u = -kappa y + v, from the one inverse of I + kappa D, gives both
-    nodes, and no other node is built: closed_loop is that loop, and
-    scattering_intermediate is the diagonal transform of Sigma_{cI} at
-    k = kappa/(1 - kappa c) read from it (_scattering_read), so it is
-    scattering passive.  The report keeps alpha = sqrt(2 kappa (1 - kappa c))
+    c = 0) up to linalg.ENTRY_LIMIT (KappaOutOfRange otherwise).  One
+    closed loop (A^kappa, B^kappa, C^kappa, D^kappa) of u = -kappa y + v,
+    from the one inverse of I + kappa D, gives both nodes, and no other
+    node is built: closed_loop is that loop, and scattering_intermediate
+    is the diagonal transform of Sigma_{cI} at k = kappa/(1 - kappa c)
+    read from it (_scattering_read), so it is scattering passive.  The report keeps alpha = sqrt(2 kappa (1 - kappa c))
     and beta = (1 - 2 kappa c)/alpha, the scalings of B^kappa and of the
     identity in D^s = alpha beta I - alpha^2 D^kappa.  E must be m x m
     (DimensionMismatch otherwise).
     """
     kappa = linalg.as_real(kappa, "kappa", KappaOutOfRange)
+    if kappa > linalg.ENTRY_LIMIT:
+        raise KappaOutOfRange(f"kappa = {kappa} is beyond {linalg.ENTRY_LIMIT:g}")
     cert, E = _certify_shifted(node, E)
     _, c, kappa0 = positive_part(E)
     if not cert.passive:

@@ -131,14 +131,20 @@ def as_matrix(M, name):
         M = None
     if M is None or M.dtype.kind not in NUMBER_KINDS or M.ndim > 2:
         raise DimensionMismatch(f"{name} must be a matrix of numbers")
-    M = np.array(M, dtype=complex if M.dtype.kind == "c" else float, order="C", ndmin=2)
+    M = real_or_complex(check_entries(
+        np.array(M, dtype=complex if M.dtype.kind == "c" else float, order="C", ndmin=2), name))
+    M.setflags(write=False)
+    return M
+
+
+def check_entries(M, name):
+    """M, a float or complex array; NonFiniteMatrix when it holds a NaN or inf
+    entry, or a real or imaginary part beyond ENTRY_LIMIT."""
     # one pass over the real and imaginary parts; a NaN fails the comparison too
-    if not np.abs(M.view(float)).max(initial=0.0) <= ENTRY_LIMIT:
+    if not np.abs(np.ascontiguousarray(M).view(float)).max(initial=0.0) <= ENTRY_LIMIT:
         if not np.isfinite(M).all():
             raise NonFiniteMatrix(f"{name} has a non-finite entry")
         raise NonFiniteMatrix(f"{name} has an entry beyond {ENTRY_LIMIT:g} in magnitude")
-    M = real_or_complex(M)
-    M.setflags(write=False)
     return M
 
 
@@ -503,19 +509,12 @@ def null_basis(M):
     if M.shape[0] == 0:
         return np.eye(M.shape[1], dtype=np.result_type(M, float))
     _, sv, vh = np.linalg.svd(M)
-    return vh[_rank(sv):].conj().T
+    return vh[np.count_nonzero(sv > rank_floor(sv.max(initial=0.0))):].conj().T
 
 
 def rank_floor(scale):
     """SUBSPACE_TOL * max(1, scale): the rank cut for values whose largest is scale."""
     return SUBSPACE_TOL * (scale if scale > 1.0 else 1.0)
-
-
-def _rank(sv):
-    """Count of the singular values sv (descending) above rank_floor(sv[0])."""
-    if not sv.size:
-        return 0
-    return int(np.count_nonzero(sv > rank_floor(sv[0])))
 
 
 def largest_invariant_in(M, ops, labels=None):
@@ -559,24 +558,26 @@ def largest_invariants_in(problems, labels=None):
     product, two stacked Gram-Schmidt passes and one rank decision per
     member per step.  A member whose width differs from its stack's goes on
     in a stack of its own, and a member that finds no new direction, or
-    fills its states, is done.  Every decision is that of the unsplit sweep:
+    fills its states, stops.  Every decision is that of the unsplit sweep:
     a start is cut relative to the largest singular value of its problem's
     whole M, and a step relative to the largest singular value of its
     problem's whole step block, the largest over the problem's subsystems at
     that step.  In exact arithmetic this is a rearrangement of the staircase
     of each problem taken whole; the basis spans the same subspace, though
-    not with the same columns.
+    not with the same columns.  The result is assembled as each part stops:
+    the complement of each member's basis, by one SVD of the part, and a
+    unit column per state in no member or in one that kept no direction.
     """
     problems = [(np.atleast_2d(np.asarray(M)), [np.asarray(op) for op in ops])
                 for M, ops in problems]
     dtypes = [np.result_type(float, M, *ops) for M, ops in problems]
-    members, spare = _subsystems(problems, labels)
-    key = lambda m: (len(m[1]), len(m[2]), dtypes[m[0]], len(problems[m[0]][1]))
-    groups = {}
-    for member in members:
-        groups.setdefault(key(member), []).append(member)
-    active = [_Lockstep.of(group, problems, dtypes[group[0][0]]) for group in groups.values()]
-    done = []
+    spare, pieces, groups = [], [[] for _ in problems], {}
+    for p, (M, ops) in enumerate(problems):
+        states, members = _subsystems(M, labels)
+        spare.append(states)
+        for at, rows in members:
+            groups.setdefault((len(at), len(rows), dtypes[p], len(ops)), []).append((p, at, rows))
+    active = [_Lockstep.of(group, problems, key[2]) for key, group in groups.items()]
     while active:
         steps, top = [stack.step() for stack in active], [0.0] * len(problems)
         # the decisions of a step, on a handful of numbers per member, are
@@ -594,24 +595,20 @@ def largest_invariants_in(problems, labels=None):
                      for p, values in zip(stack.problem, sv.tolist())]
             for sel, r, part in stack.split(ranks):
                 part.extend(new[sel], sv[sel], r)
-                (going if r and part.k < size else done).append(part)
+                k = part.k
+                if r and k < size:
+                    going.append(part)
+                elif not k:  # no direction kept: the states lie in the result whole
+                    for p, states in zip(part.problem, part.states):
+                        spare[p] = np.concatenate([spare[p], states])
+                elif k < size:
+                    # the basis rows are orthonormal, so their rank is k
+                    comp = np.linalg.svd(part.V[:, :k].conj())[2][:, k:].conj().swapaxes(1, 2)
+                    for p, states, c in zip(part.problem, part.states, comp):
+                        pieces[p].append((states, c))
         active = going
-    # per problem: the states that lie in the result whole, and the
-    # (states, complement) of each swept subsystem that kept some
-    whole, pieces = [[states] for states in spare], [[] for _ in problems]
-    for stack in done:
-        size, k = stack.V.shape[1], stack.k
-        if not k:
-            for p, states in zip(stack.problem, stack.states):
-                whole[p].append(states)
-        elif k < size:
-            # the basis rows are orthonormal, so their rank is k
-            comp = np.linalg.svd(stack.V[:, :k].conj())[2][:, k:].conj().swapaxes(1, 2)
-            for p, states, c in zip(stack.problem, stack.states, comp):
-                pieces[p].append((states, c))
     bases = []
-    for (M, _), dtype, states, swept in zip(problems, dtypes, whole, pieces):
-        states = np.concatenate(states)
+    for (M, _), dtype, states, swept in zip(problems, dtypes, spare, pieces):
         X = np.zeros((M.shape[1], sum(c.shape[1] for _, c in swept) + len(states)), dtype=dtype)
         col = 0
         for rows, c in swept:
@@ -622,35 +619,28 @@ def largest_invariants_in(problems, labels=None):
     return bases
 
 
-def _subsystems(problems, labels):
-    """(members, spare): the subsystems (problem, states, rows) of the (M, ops)
-    problems, and per problem the states in none of them.
+def _subsystems(M, labels):
+    """(spare, members) of the problem with annihilator M: the states in no
+    subsystem, and the subsystems (states, rows).
 
-    With the labels of the ops' blocks, a problem is cut into the connected
-    components of its bordered pattern [[op, M*], [M, 0]] (:func:`bordered`).
-    A component that holds a row of M is a subsystem, with its states and
-    its rows of M.  The states of a component with none are spare: they span
-    a subspace of ker M invariant under every op, so they lie in the result
-    whole.  Without labels a problem is one subsystem of all its states and
-    rows, or all spare when M has no rows.
+    With the labels of the ops' blocks, the problem is cut into the
+    connected components of its bordered pattern [[op, M*], [M, 0]]
+    (:func:`bordered`).  A component that holds a row of M is a subsystem,
+    with its states and its rows of M.  The states of a component with none
+    are spare: they span a subspace of ker M invariant under every op, so
+    they lie in the result whole.  Without labels the problem is one
+    subsystem of all its states and rows, or all spare when M has no rows.
     """
-    members, spare = [], []
-    for p, (M, ops) in enumerate(problems):
-        k, n = M.shape
-        if labels is None:
-            if k and n:
-                members.append((p, np.arange(n), np.arange(k)))
-            spare.append(np.arange(0 if k else n))
-            continue
-        states, rows = np.split(bordered(labels, M), [n])
-        held = np.zeros(n + k, dtype=bool)
-        held[rows] = True
-        for label in np.flatnonzero(held):
-            at = np.flatnonzero(states == label)
-            if at.size:  # not a zero row of M, which is a component of its own
-                members.append((p, at, np.flatnonzero(rows == label)))
-        spare.append(np.flatnonzero(~held[states]))
-    return members, spare
+    k, n = M.shape
+    if labels is None:
+        return np.arange(0 if k else n), [(np.arange(n), np.arange(k))] if k and n else []
+    states, rows = np.split(bordered(labels, M), [n])
+    held = np.zeros(n + k, dtype=bool)
+    held[rows] = True
+    # a zero row of M is a component of its own, with no states
+    members = [(at, np.flatnonzero(rows == label)) for label in np.flatnonzero(held)
+               if (at := np.flatnonzero(states == label)).size]
+    return np.flatnonzero(~held[states]), members
 
 
 class _Lockstep:
@@ -670,12 +660,15 @@ class _Lockstep:
     @classmethod
     def of(cls, group, problems, dtype):
         """The stack of the subsystems (p, states, rows) of group, each of problems[p]."""
-        size = len(group[0][1])
-        start = np.stack([problems[p][0][rows[:, None], states] for p, states, rows in group])
-        ops = [np.stack([problems[p][1][j][states[:, None], states] for p, states, _ in group])
-               for j in range(len(problems[group[0][0]][1]))]
-        return cls([p for p, _, _ in group], np.stack([states for _, states, _ in group]),
-                   start.conj(), [G.conj() for G in ops], np.empty((len(group), size, size), dtype))
+        problem, states, _ = zip(*group)
+        start = np.array([problems[p][0][rows[:, None], at] for p, at, rows in group])
+        ops = [np.array([problems[p][1][j][at[:, None], at] for p, at, _ in group])
+               for j in range(len(problems[problem[0]][1]))]
+        for G in [start, *ops]:
+            np.conjugate(G, out=G)
+        size = len(states[0])
+        return cls(list(problem), np.array(states), start, ops,
+                   np.empty((len(group), size, size), dtype))
 
     def step(self):
         """(sv, new): the singular values of each member's next block, and

@@ -103,14 +103,15 @@ class StateSpaceNode:
 
         Computed from the stored matrices as they are, so each keeps the
         dtype numpy promotion gives it: a real node (the beam) gets four
-        float64 arrays and runs in real arithmetic downstream.
+        float64 arrays and runs in real arithmetic downstream.  An entry
+        beyond linalg.ENTRY_LIMIT (an ill-scaled W) raises NonFiniteMatrix.
         """
         A, B, C, D, T, Ti = self.A, self.B, self.C, self.D, self._chol, self._chol_inv
         if self.is_identity_weight:
             return A, B, C, D
         A, B, C = _left(T, _right(A, Ti)), _left(T, B), _right(C, Ti)
-        for M in (A, B, C):
-            M.setflags(write=False)
+        for M, name in zip((A, B, C), "ABC"):
+            linalg.check_entries(M, f"W-orthonormal {name}").setflags(write=False)
         return A, B, C, D
 
     @cached_property

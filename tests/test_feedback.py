@@ -163,6 +163,19 @@ def test_stabilizing_feedback_gain_range():
         stabilizing_feedback(node, E, 1.5 * kappa0)
 
 
+@pytest.mark.parametrize("gain", [1.0000000000000002e50, 1e308])
+def test_a_gain_beyond_the_entry_limit_is_out_of_range_not_a_bad_matrix(gain):
+    # kappa0 = inf admits any positive gain, but -gain I would be refused as
+    # a K the caller never passed (NonFiniteMatrix); the limit itself is kept
+    node = random_passive_node(5)
+    with pytest.raises(KappaOutOfRange, match="^kappa = .* is beyond 1e\\+50$"):
+        stabilizing_feedback(node, None, gain)
+    with pytest.raises(KappaOutOfRange, match="^diagonal transform parameter k = "):
+        diagonal_transform(node, gain)
+    assert stabilizing_feedback(node, None, linalg.ENTRY_LIMIT).kappa == linalg.ENTRY_LIMIT
+    diagonal_transform(node, linalg.ENTRY_LIMIT)
+
+
 def test_stabilizing_feedback_rejects_wrong_shift():
     node, E = random_almost_passive(3)
     with pytest.raises(NotAlmostPassive):

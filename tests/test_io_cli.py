@@ -347,6 +347,15 @@ def test_cli_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_a_huge_gain_is_named_as_the_gain(tmp_path, capsys):
+    path = _write_node(tmp_path, random_passive_node(0))
+    for verb in ("stability", "feedback"):
+        assert main([verb, path, "--kappa", "1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: KappaOutOfRange: kappa = 1e+308 is beyond 1e+50\n"
+
+
 @pytest.mark.parametrize("verb, option", [("check", "--points"), ("cayley", "--alpha"),
                                           ("minimal-e", "--s")])
 @pytest.mark.parametrize("value", ["abc", "nan", "inf", "1,-inf", "1,2,3"])

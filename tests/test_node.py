@@ -15,7 +15,12 @@ from passivenode import (
     stabilizing_feedback,
 )
 from passivenode import io, linalg
-from passivenode.errors import DimensionMismatch, NotSelfAdjoint, SingularResolvent
+from passivenode.errors import (
+    DimensionMismatch,
+    NonFiniteMatrix,
+    NotSelfAdjoint,
+    SingularResolvent,
+)
 from passivenode.node import MAX_STATES
 
 from conftest import assert_derived_on, dense_coordinates, random_passive_node
@@ -288,3 +293,10 @@ def test_shift_feedthrough_adds_to_transfer():
     G = eval_transfer(node, 2.0)
     Gs = eval_transfer(shifted, 2.0)
     assert np.linalg.norm(Gs - G - E) < 1e-12
+
+
+def test_a_w_orthonormal_entry_beyond_the_entry_limit_is_refused():
+    # C~ = C / sqrt(w) = 4.5e161: its square would overflow every form
+    node = StateSpaceNode([[0.0]], [[0.0]], [[1.0]], [[0.0]], W=[[5e-324]])
+    with pytest.raises(NonFiniteMatrix, match="^W-orthonormal C has an entry beyond 1e\\+50"):
+        node.orthonormal

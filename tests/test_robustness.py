@@ -1,6 +1,7 @@
 """Invertibility decisions and input validation at the library and CLI boundary."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from passivenode import (
     stabilizing_feedback,
     stability_verdict,
 )
-from passivenode import sim
+from passivenode import errors, sim
 from passivenode.cli import main
 from passivenode.passivity import impedance_form_at
 from passivenode.errors import (
@@ -915,6 +916,80 @@ def test_fuzzed_node_documents_end_in_a_typed_result(doc, verb, tmp_path, capsys
     assert code in (0, 1, 2)
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+#: entries of a drawn valid document: signed zeros, subnormals, the entry
+#: limit itself and ordinary numbers
+_VALID_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, linalg.ENTRY_LIMIT,
+                     -linalg.ENTRY_LIMIT]),
+    st.floats(-3.0, 3.0),
+)
+_POSITIVE_ENTRY = st.one_of(st.sampled_from([5e-324, 1e-310, linalg.ENTRY_LIMIT]),
+                            st.floats(0.1, 10.0))
+
+
+@st.composite
+def _valid_node_documents(draw):
+    """A node document that the schema accepts: n in {0, 1, 3}, m and p in
+    {0, 1, 2} (p != m allowed), real or complex entries, and W absent,
+    diagonal or dense and positive definite."""
+    n, m, p = draw(st.sampled_from([0, 1, 3])), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    cplx = draw(st.booleans())
+
+    def matrix(rows, cols, entry=_VALID_ENTRY):
+        M = np.array(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)))
+        M = M.reshape(rows, cols)
+        if cplx:
+            M = M + 1j * np.array(draw(st.lists(entry, min_size=rows * cols,
+                                                max_size=rows * cols))).reshape(rows, cols)
+        return M
+
+    doc = {"n": n, "m": m, "p": p}
+    for key, shape in zip("ABCD", ((n, n), (n, m), (p, n), (p, m))):
+        doc[key] = io.matrix_to_json(matrix(*shape))
+    weight = draw(st.sampled_from(["absent", "diagonal", "dense"]))
+    if weight == "diagonal":
+        doc["W"] = io.matrix_to_json(np.diag(draw(st.lists(_POSITIVE_ENTRY, min_size=n,
+                                                           max_size=n))).reshape(n, n))
+    elif weight == "dense":
+        G = matrix(n, n, st.floats(-2.0, 2.0))
+        doc["W"] = io.matrix_to_json(G @ G.conj().T + draw(_POSITIVE_ENTRY) * np.eye(n))
+    return doc
+
+
+#: the verb forms of _FUZZ_VERBS and the options that pick another path
+_CONTRACT_VERBS = _FUZZ_VERBS + (
+    ["check", "--points", "1", "2,1"], ["minimal-e", "--method", "general"],
+    ["minimal-e", "--method", "colocated"], ["minimal-e", "--method", "selfadjoint"],
+    ["cayley", "--kind", "scattering"], ["feedback", "--kappa", "0.5", "--out", "F"])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_valid_node_documents(), verb=st.sampled_from(_CONTRACT_VERBS))
+# a subnormal W puts 1/sqrt(5e-324) = 4.5e161 into the W-orthonormal C, whose
+# square overflowed the scattering form into a bare LinAlgError
+@example(doc={"n": 1, "m": 2, "p": 2, "A": [[0.0]], "B": [[0.0, 0.0]], "C": [[0.0], [1.0]],
+              "D": [[0.0, 0.0], [0.0, 0.0]], "W": [[5e-324]]},
+         verb=["check", "--kind", "scattering"])
+def test_valid_node_documents_end_in_canonical_output_or_one_typed_error(
+        doc, verb, tmp_path, capsys):
+    verb = [str(tmp_path / arg) if arg == "F" else arg for arg in verb]
+    out_file = tmp_path / "F"
+    out_file.unlink(missing_ok=True)
+    code = main([verb[0], _write(tmp_path, doc), *verb[1:]])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert captured.out == ""
+        match = re.fullmatch(r"error: (\w+): .*\n", captured.err, flags=re.DOTALL)
+        assert match and captured.err.count("\n") == 1, captured.err
+        assert issubclass(getattr(errors, match[1]), PassiveNodeError)
+    else:
+        assert captured.out == io.dumps_canonical(json.loads(captured.out))
+        if "--out" in verb:
+            assert out_file.read_text() == captured.out
 
 
 # -- time-domain signals: one gate (linalg.as_signal) ------------------------------

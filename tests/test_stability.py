@@ -29,7 +29,8 @@ from conftest import dense_coordinates, random_almost_passive, random_passive_no
 
 def _augment_dark_mode(node, omega, r=None):
     """Append an undamped mode at i*omega, with B row r and C column r*
-    (colocated coupling; without r it is unobservable and uncontrollable)."""
+    (colocated coupling; without r it is unobservable and uncontrollable),
+    and weight 1 when the node has a weight W."""
     n = node.n
     r = np.zeros((1, node.m)) if r is None else r
     A = np.zeros((n + 1, n + 1), dtype=complex)
@@ -37,7 +38,11 @@ def _augment_dark_mode(node, omega, r=None):
     A[n, n] = 1j * omega
     B = np.vstack([node.B, r])
     C = np.hstack([node.C, r.conj().T])
-    return StateSpaceNode(A, B, C, node.D)
+    W = None
+    if not node.is_identity_weight:
+        W = np.eye(n + 1, dtype=node.W.dtype)
+        W[:n, :n] = node.W
+    return StateSpaceNode(A, B, C, node.D, W=W)
 
 
 def _hidden_mode_node(seed, n, k):
@@ -759,6 +764,24 @@ def test_a_hidden_damped_mode_changes_no_verdict():
             if (got["verdict"], got["dim_unitary"]) != (want["verdict"], want["dim_unitary"]):
                 changed.append((seed, k))
     assert changed == []
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 6), weight=st.booleans())
+def test_the_verdict_and_the_subspaces_do_not_depend_on_the_gain(seed, n, weight):
+    # u = -kappa y moves A only by a term that vanishes on ker C and on ker B*,
+    # so N, N^d, X^u and the spectrum of A on X^u are those of the open loop
+    # at every admissible gain
+    base, E = random_almost_passive(seed, n, weight=weight)
+    kappa0 = passivity.positive_part(E)[2]
+    keys = ("verdict", "dim_unobservable", "dim_uncontrollable_dual", "dim_unitary")
+    for node in (base, _augment_dark_mode(base, 1.3)):
+        reports = [stability_verdict(node, E, f * kappa0)[0] for f in (0.9, 0.5, 0.1)]
+        dims = {tuple(report.as_dict()[key] for key in keys) for report in reports}
+        assert len(dims) == 1
+        spectra = [np.array(sorted(report.closed_loop_imaginary_spectrum,
+                                   key=lambda w: (w.imag, w.real))) for report in reports]
+        assert all(np.abs(s - spectra[0]).max(initial=0.0) <= 1e-8 for s in spectra[1:])
 
 
 def test_cli_stability_exit_codes(tmp_path, capsys):
