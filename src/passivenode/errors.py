@@ -82,7 +82,8 @@ class SingularIMinusKD(PassiveNodeError):
 
 class KappaOutOfRange(PassiveNodeError):
     """A gain out of range: kappa outside the open interval (0, kappa0), k <= 0
-    for the diagonal transform, either beyond linalg.ENTRY_LIMIT or not finite."""
+    for the diagonal transform, either beyond linalg.ENTRY_LIMIT or not finite,
+    or a gain that puts an entry of the node it builds beyond that limit."""
 
 
 class NotAlmostPassive(PassiveNodeError):

@@ -12,6 +12,7 @@ one eigendecomposition of the bounded impedance form of Sigma_E, the form
 passivity.minimal_E solves; no shifted node and no resolvent is formed.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from . import linalg
 from .errors import (
     DimensionMismatch,
     KappaOutOfRange,
+    NonFiniteMatrix,
     NotAlmostPassive,
     NotImpedancePassive,
     SingularIMinusKD,
@@ -42,7 +44,8 @@ def diagonal_transform(node, k):
     makes the result scattering passive exactly when the input is impedance
     passive.  That is certified first, by the bounded impedance form alone
     (NotImpedancePassive otherwise; NotSquare when p != m).  Raises
-    SingularIPlusKD when I + kD is singular.
+    SingularIPlusKD when I + kD is singular, and KappaOutOfRange when the
+    result has an entry beyond linalg.ENTRY_LIMIT (:func:`_gain_range`).
     """
     k = linalg.as_real(k, "diagonal transform parameter k", KappaOutOfRange)
     if not 0.0 < k <= linalg.ENTRY_LIMIT:
@@ -54,7 +57,18 @@ def diagonal_transform(node, k):
             f"node is not impedance passive (min eigenvalue {cert.min_eigenvalue:.3e})"
         )
     loop = _closed_loop(node, -k * np.eye(node.m), SingularIPlusKD, "I + k D is singular")
-    return _scattering_read(node, loop, k, 0.0)[0]
+    with _gain_range("diagonal transform parameter k", k):
+        return _scattering_read(node, loop, k, 0.0)[0]
+
+
+@contextlib.contextmanager
+def _gain_range(name, gain):
+    """Raise the NonFiniteMatrix of a node built at gain as KappaOutOfRange
+    naming the gain: the gain, not a matrix of the caller's, is out of range."""
+    try:
+        yield
+    except NonFiniteMatrix as error:
+        raise KappaOutOfRange(f"{name} = {gain} is out of range for this node: {error}") from None
 
 
 def _scattering_read(node, loop, kappa, c):
@@ -74,7 +88,7 @@ def _scattering_read(node, loop, kappa, c):
     scale = 1.0 - kappa * c
     alpha = math.sqrt(2.0 * kappa * scale)
     D = (1.0 - 2.0 * kappa * c) * np.eye(node.m) - 2.0 * kappa * scale * DK
-    return _derived(node, (AK, alpha * BK, -alpha * CK, D)), alpha
+    return _derived(node, (AK, alpha * BK, -alpha * CK, D), "diagonal transform"), alpha
 
 
 def gain_matrix(node, K):
@@ -115,7 +129,8 @@ def output_feedback(node, K):
     SingularIMinusKD when I - KD is singular.
     """
     return _derived(node, _closed_loop(node, K, SingularIMinusKD,
-                                       "I - K D is singular; feedback inadmissible"))
+                                       "I - K D is singular; feedback inadmissible"),
+                    "closed loop")
 
 
 @dataclass(frozen=True)
@@ -150,13 +165,15 @@ def stabilizing_feedback(node, E, kappa):
     E is passivity.minimal_E, so minimal_E(node) itself is accepted
     (NotAlmostPassive otherwise; NotSquare when p != m).  With c = ||E^+||
     the admissible gains are 0 < kappa < kappa0 = 1/c (any kappa > 0 when
-    c = 0) up to linalg.ENTRY_LIMIT (KappaOutOfRange otherwise).  One
+    c = 0) up to linalg.ENTRY_LIMIT (KappaOutOfRange otherwise, and when
+    either node has an entry beyond it, :func:`_gain_range`).  One
     closed loop (A^kappa, B^kappa, C^kappa, D^kappa) of u = -kappa y + v,
     from the one inverse of I + kappa D, gives both nodes, and no other
     node is built: closed_loop is that loop, and scattering_intermediate
     is the diagonal transform of Sigma_{cI} at k = kappa/(1 - kappa c)
-    read from it (_scattering_read), so it is scattering passive.  The report keeps alpha = sqrt(2 kappa (1 - kappa c))
-    and beta = (1 - 2 kappa c)/alpha, the scalings of B^kappa and of the
+    read from it (_scattering_read), so it is scattering passive.  The
+    report keeps alpha = sqrt(2 kappa (1 - kappa c)) and
+    beta = (1 - 2 kappa c)/alpha, the scalings of B^kappa and of the
     identity in D^s = alpha beta I - alpha^2 D^kappa.  E must be m x m
     (DimensionMismatch otherwise).
     """
@@ -175,7 +192,9 @@ def stabilizing_feedback(node, E, kappa):
         )
     loop = _closed_loop(node, -kappa * np.eye(node.m), SingularIPlusKD,
                         "I + kappa D is singular")
-    intermediate, alpha = _scattering_read(node, loop, kappa, c)
+    with _gain_range("kappa", kappa):
+        intermediate, alpha = _scattering_read(node, loop, kappa, c)
+        closed_loop = _derived(node, loop, "closed loop")
     return FeedbackSynthesis(
         E=E,
         c=c,
@@ -183,6 +202,6 @@ def stabilizing_feedback(node, E, kappa):
         kappa=kappa,
         alpha=alpha,
         beta=(1.0 - 2.0 * kappa * c) / alpha,
-        closed_loop=_derived(node, loop),
+        closed_loop=closed_loop,
         scattering_intermediate=intermediate,
     )

@@ -83,16 +83,16 @@ NUMBER_KINDS = "biufc"
 CHUNK = 2048
 
 #: decoupled blocks are looked for (:func:`find_blocks`) only in a matrix
-#: with at least this many rows.  Measured crossovers (one
-#: BLAS thread, numpy 2.4.6): the beam's W-orthonormal A (2 x 2 modes) is
-#: split faster than it is solved whole from n = 64, by eigvals and by the
-#: inverses of a check alike (0.23 against 0.51 ms at n = 64); its closed
-#: loop (two halves) from n = 40 by eigvals and from about n = 78 by the
-#: inverses (0.61 against 0.53 ms at n = 64), and its N, N^d staircase is
-#: as fast split as whole at n = 64 (1.46 ms).  Finding the blocks of a
-#: matrix that is one block costs +26 % of np.linalg.eigvals at n = 16, +2 %
-#: at n = 64 and +0.4 % at n = 498
-BLOCK_CUT = 64
+#: with at least this many rows.  Measured on the beam, split against whole
+#: (one BLAS thread, numpy 2.4.6): its verdict is faster split from n = 30-34
+#: when the closed loop's two halves are of one size (1.39 against 1.67 ms
+#: at n = 46), and from about n = 56 when they differ by a mode (odd n_modes,
+#: whose staircase runs two stacks: up to 16 % slower split at n = 32-50).
+#: At n = 46 the N, N^d staircase takes 0.54 against 0.70 ms, the closed
+#: loop's eigvals 0.14 against 0.23 ms and the inverses of a check 1.15
+#: against 1.25 ms.  Finding the blocks of a matrix that is one block costs
+#: +14 % of np.linalg.eigvals at n = 16, +4.5 % at n = 32 and +0.3 % at n = 498
+BLOCK_CUT = 32
 
 #: larger entries are rejected, so that a product of up to six entries stays
 #: finite (the scattering forms multiply four)
@@ -555,10 +555,13 @@ def largest_invariants_in(problems, labels=None):
     (:func:`_subsystems`), else it is one, and the subsystems of every
     problem are swept together.  Those of one size, count of rows of M,
     dtype and op count make one :class:`_Lockstep` stack: one stacked
-    product, two stacked Gram-Schmidt passes and one rank decision per
-    member per step.  A member whose width differs from its stack's goes on
-    in a stack of its own, and a member that finds no new direction, or
-    fills its states, stops.  Every decision is that of the unsplit sweep:
+    product and two stacked Gram-Schmidt passes per step.  At a step where
+    every member keeps its whole block and none fills, one comparison per
+    member (its least singular value against the cut) decides it.  Ranks
+    are counted only at a step where a rank drops or a member fills: a
+    member whose width differs from its stack's goes on in a stack of its
+    own, and a member that finds no new direction, or fills its states,
+    stops.  Every decision is that of the unsplit sweep:
     a start is cut relative to the largest singular value of its problem's
     whole M, and a step relative to the largest singular value of its
     problem's whole step block, the largest over the problem's subsystems at
@@ -588,6 +591,14 @@ def largest_invariants_in(problems, labels=None):
         # each cut is relative to the problem's whole M or step block, not to
         # ||op||: after deflation the images of a stiff op can be small yet new
         floor = [rank_floor(largest) for largest in top]
+        # the common step: every member keeps its whole block (its least
+        # singular value passes the cut) and none fills, so nothing splits or stops
+        if all(stack.k + sv.shape[1] < stack.V.shape[1]
+               and all(value > floor[p] for p, value in zip(stack.problem, sv[:, -1].tolist()))
+               for stack, (sv, _) in zip(active, steps)):
+            for stack, (sv, new) in zip(active, steps):
+                stack.extend(new, sv, sv.shape[1])
+            continue
         going = []
         for stack, (sv, new) in zip(active, steps):
             size = stack.V.shape[1]

@@ -206,7 +206,7 @@ def dual_node(node):
     Ah, Bh, Ch = (M.conj().T + 0.0 for M in node.orthonormal[:3])
     T, Ti = node._chol, node._chol_inv
     quad = (_left(Ti, _right(Ah, T)), _left(Ti, Ch), _right(Bh, T), node.D.conj().T)
-    return _derived(node, quad, f"dual({node.meta})" if node.meta else "dual")
+    return _derived(node, quad, "dual", f"dual({node.meta})" if node.meta else "dual")
 
 
 def weight_matrix(W, n):
@@ -266,17 +266,20 @@ def shift_matrix(E, shape):
 
 def shift_feedthrough(node, E):
     """Node Sigma_E: same generating triple, transfer function G + E."""
-    return _derived(node, (node.A, node.B, node.C, node.D + shift_matrix(E, node.D.shape)))
+    return _derived(node, (node.A, node.B, node.C, node.D + shift_matrix(E, node.D.shape)),
+                    "shifted node")
 
 
-def _derived(node, quad, meta=None):
+def _derived(node, quad, what, meta=None):
     """Node (A, B, C, D) = quad on the state space of node, with its W.
 
     The new node shares W and both its maps with node, so W is neither
     validated nor factored again.  The matrices pass linalg.as_matrix and
-    check_conformable as in the constructor.  meta defaults to node.meta.
+    check_conformable as in the constructor, and an error names the matrix
+    as that of what (the closed loop, the dual, ...), a node the caller
+    never passed.  meta defaults to node.meta.
     """
-    A, B, C, D = (linalg.as_matrix(M, name) for M, name in zip(quad, "ABCD"))
+    A, B, C, D = (linalg.as_matrix(M, f"{name} of the {what}") for M, name in zip(quad, "ABCD"))
     check_conformable(A, B, C, D)
     new = object.__new__(StateSpaceNode)
     for name, val in (("A", A), ("B", B), ("C", C), ("D", D), ("W", node.W), ("_chol", node._chol),

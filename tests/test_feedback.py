@@ -21,11 +21,13 @@ from passivenode import (
 )
 from passivenode.errors import (
     KappaOutOfRange,
+    NonFiniteMatrix,
     NotAlmostPassive,
     NotImpedancePassive,
     SingularIMinusKD,
     SingularIPlusKD,
 )
+from passivenode.node import dual_node
 
 from conftest import (
     assert_derived_on,
@@ -174,6 +176,33 @@ def test_a_gain_beyond_the_entry_limit_is_out_of_range_not_a_bad_matrix(gain):
         diagonal_transform(node, gain)
     assert stabilizing_feedback(node, None, linalg.ENTRY_LIMIT).kappa == linalg.ENTRY_LIMIT
     diagonal_transform(node, linalg.ENTRY_LIMIT)
+
+
+def test_a_gain_that_puts_the_loop_beyond_the_entry_limit_is_out_of_range():
+    # A - kappa B C = -1 - 1e51 at kappa = 1e49, a gain within ENTRY_LIMIT: the
+    # loop it builds, not a matrix the caller passed, is out of range
+    node = StateSpaceNode([[-1.0]], [[10.0]], [[10.0]], [[0.0]])
+    with pytest.raises(KappaOutOfRange, match="^kappa = 1e\\+49 is out of range for this node: "
+                                              "A of the diagonal transform has an entry beyond"):
+        stabilizing_feedback(node, None, 1e49)
+    with pytest.raises(KappaOutOfRange,
+                       match="^diagonal transform parameter k = 1e\\+49 is out of range"):
+        diagonal_transform(node, 1e49)
+    assert stabilizing_feedback(node, None, 1e47).closed_loop.A[0, 0] == pytest.approx(-1e49)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: output_feedback(StateSpaceNode([[-1.0]], [[1e30]], [[1e30]], [[0.0]]), 1.0),
+     "A of the closed loop"),
+    # W = 1e-40: the dual's B = W^-1 C* = 1e51
+    (lambda: dual_node(StateSpaceNode([[-1.0]], [[1.0]], [[1e11]], [[0.0]], W=[[1e-40]])),
+     "B of the dual"),
+    (lambda: shift_feedthrough(StateSpaceNode([[-1.0]], [[1.0]], [[1.0]], [[1e50]]), [[1e50]]),
+     "D of the shifted node"),
+])
+def test_a_derived_node_out_of_range_names_the_node(build, name):
+    with pytest.raises(NonFiniteMatrix, match=f"^{name} has an entry beyond 1e\\+50"):
+        build()
 
 
 def test_stabilizing_feedback_rejects_wrong_shift():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import passivenode
-from passivenode import io, sim
+from passivenode import StateSpaceNode, io, sim
 from passivenode.cli import main
 from passivenode.errors import ParseError, SchemaError
 from passivenode.node import MAX_STATES
@@ -354,6 +354,16 @@ def test_cli_a_huge_gain_is_named_as_the_gain(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: KappaOutOfRange: kappa = 1e+308 is beyond 1e+50\n"
+
+
+def test_cli_a_gain_that_puts_the_loop_out_of_range_is_named_as_the_gain(tmp_path, capsys):
+    # kappa = 1e49 is within the entry limit, but A - kappa B C = -1e51 is not
+    path = _write_node(tmp_path, StateSpaceNode([[-1.0]], [[10.0]], [[10.0]], [[0.0]]))
+    assert main(["stability", path, "--kappa", "1e49"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: KappaOutOfRange: kappa = 1e+49 is out of range")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("verb, option", [("check", "--points"), ("cayley", "--alpha"),

@@ -41,6 +41,7 @@ from passivenode import (
 )
 from passivenode import errors, sim
 from passivenode.cli import main
+from passivenode.node import MAX_STATES
 from passivenode.passivity import impedance_form_at
 from passivenode.errors import (
     AlphaNotRightHalfPlane,
@@ -975,10 +976,19 @@ _CONTRACT_VERBS = _FUZZ_VERBS + (
          verb=["check", "--kind", "scattering"])
 def test_valid_node_documents_end_in_canonical_output_or_one_typed_error(
         doc, verb, tmp_path, capsys):
-    verb = [str(tmp_path / arg) if arg == "F" else arg for arg in verb]
+    _assert_cli_contract([verb[0], _write(tmp_path, doc), *verb[1:]], tmp_path, capsys)
+
+
+def _assert_cli_contract(argv, tmp_path, capsys):
+    """Run argv, in which F names the --out file, and check the contract:
+    exit 0, 1 or 2; on 1 an empty stdout and one error line of a
+    PassiveNodeError type; else canonical JSON on stdout, which an --out
+    file holds too, and whose node and discrete documents are fixed points
+    of load -> save.  Returns the exit status."""
+    argv = [str(tmp_path / arg) if arg == "F" else arg for arg in argv]
     out_file = tmp_path / "F"
     out_file.unlink(missing_ok=True)
-    code = main([verb[0], _write(tmp_path, doc), *verb[1:]])
+    code = main(argv)
     captured = capsys.readouterr()
     assert code in (0, 1, 2)
     if code == 1:
@@ -986,10 +996,65 @@ def test_valid_node_documents_end_in_canonical_output_or_one_typed_error(
         match = re.fullmatch(r"error: (\w+): .*\n", captured.err, flags=re.DOTALL)
         assert match and captured.err.count("\n") == 1, captured.err
         assert issubclass(getattr(errors, match[1]), PassiveNodeError)
+        return code
+    doc = json.loads(captured.out)
+    assert captured.out == io.dumps_canonical(doc)
+    if "--out" in argv:
+        assert out_file.read_text() == captured.out
+        doc = json.loads(out_file.read_text())
+        for part in (doc, doc.get("closed_loop")):
+            for key, load, save in (("A", io.node_from_dict, io.node_to_dict),
+                                    ("Ad", io.discrete_from_dict, io.discrete_to_dict)):
+                if part and key in part:
+                    again = save(load(part))
+                    assert io.dumps_canonical(again) == io.dumps_canonical(
+                        {k: part[k] for k in again})
+    return code
+
+
+def _discrete_document(doc, alpha):
+    """The matrices of a drawn node document as a discrete document at alpha."""
+    disc = {key + "d": doc[key] for key in "ABCD"}
+    return {**disc, "n": doc["n"], "m": doc["m"], "p": doc["p"], "alpha": alpha}
+
+
+#: the options that a mode ignores, each refused with it (build_parser)
+_REFUSED = (["cayley", "--inverse", "--alpha", "2"], ["cayley", "--inverse", "--kind", "impedance"],
+            ["simulate", "--adversarial", "--z0", "[0]"],
+            ["simulate", "--adversarial", "--input-omega", "2"])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_valid_node_documents(), form=st.integers(0, 3), data=st.data())
+def test_every_verb_form_keeps_the_cli_contract(doc, form, data, tmp_path, capsys):
+    # the forms the node-document property does not reach: beam, cayley
+    # --inverse on a discrete document, the refused option pairs, a header
+    # above MAX_STATES, and --out files of nodes and discrete systems
+    if data.draw(st.integers(0, 5)) == 0:
+        doc["n"] = MAX_STATES + 1
+    if form == 0:  # a node document and a verb that writes --out
+        verb = data.draw(st.sampled_from([["cayley"], ["cayley", "--kind", "scattering"],
+                                          ["check"], ["stability", "--kappa", "0.5"]]))
+        code = _assert_cli_contract([verb[0], _write(tmp_path, doc), *verb[1:], "--out", "F"],
+                                    tmp_path, capsys)
+    elif form == 1:
+        alpha = data.draw(st.sampled_from([[1.0, 0.0], [0.5, 2.0], [0.0, 1.0]]))
+        out = data.draw(st.sampled_from([[], ["--out", "F"]]))
+        code = _assert_cli_contract(["cayley", _write(tmp_path, _discrete_document(doc, alpha)),
+                                     "--inverse", *out], tmp_path, capsys)
+    elif form == 2:
+        kappa = data.draw(st.sampled_from([[], ["--kappa", "1"], ["--kappa", "0.5"]]))
+        argv = ["beam", "--n-modes", str(data.draw(st.integers(2, 6))), *kappa, "--out", "F"]
+        assert _assert_cli_contract(argv, tmp_path, capsys) == 0
+        return
     else:
-        assert captured.out == io.dumps_canonical(json.loads(captured.out))
-        if "--out" in verb:
-            assert out_file.read_text() == captured.out
+        verb = data.draw(st.sampled_from(_REFUSED))
+        assert _assert_cli_contract([verb[0], _write(tmp_path, doc), *verb[1:]],
+                                    tmp_path, capsys) == 1
+        return
+    if doc["n"] > MAX_STATES:
+        assert code == 1
 
 
 # -- time-domain signals: one gate (linalg.as_signal) ------------------------------

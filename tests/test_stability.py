@@ -503,6 +503,38 @@ def test_the_beam_verdict_makes_a_handful_of_svds(monkeypatch):
     assert 1 <= len(calls) <= 4
 
 
+def test_the_beam_sweep_decides_ranks_only_at_the_steps_where_a_member_stops(monkeypatch):
+    # every member of the N, N^d stack keeps its one row until it fills, so
+    # the rank counts and the split run at the last step, not at each of n/2
+    members, splits = [], []
+    of, split = linalg._Lockstep.of.__func__, linalg._Lockstep.split
+    monkeypatch.setattr(linalg._Lockstep, "of", classmethod(
+        lambda cls, group, *args: members.append(len(group)) or of(cls, group, *args)))
+    monkeypatch.setattr(linalg._Lockstep, "split",
+                        lambda self, ranks: splits.append(ranks) or split(self, ranks))
+    node, E = beam_model(BeamParameters(n_modes=100))
+    report, _ = stability_verdict(node, E, 1.0)
+    assert report.verdict is StabilityVerdict.STRONGLY_STABLE
+    assert sum(members) == 4
+    assert 1 <= len(splits) <= sum(members)
+
+
+def test_the_beam_verdict_does_not_depend_on_the_block_cut(monkeypatch):
+    # every size split into its subsystems (BLOCK_CUT 1) and every size whole
+    keys = ("verdict", "cweak_holds", "bweak_holds", "dim_unobservable",
+            "dim_uncontrollable_dual", "dim_unitary")
+    for n_modes in range(2, 41):
+        docs = []
+        for cut in (1, 10**6):
+            monkeypatch.setattr(linalg, "BLOCK_CUT", cut)
+            node, E = beam_model(BeamParameters(n_modes=n_modes))  # blocks found under cut
+            docs.append(stability_verdict(node, E, 1.0)[0].as_dict())
+        split, whole = docs
+        assert [split[key] for key in keys] == [whole[key] for key in keys]
+        top = whole["closed_loop_max_real"]
+        assert abs(split["closed_loop_max_real"] - top) <= 1e-10 * abs(top)
+
+
 @st.composite
 def _decoupled_problems(draw, exponents):
     """(problems, planted): two (M, ops) problems on one permuted direct sum
